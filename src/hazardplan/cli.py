@@ -177,11 +177,27 @@ def _cached_field(scenario: Scenario, args, samples: int, seed: int) -> Optional
             raise ValidationError(
                 f"field cache {path} was built for a different scenario"
             )
+        have = _field_provenance(fld.kind, fld.samples, fld.seed)
+        want = _field_provenance(
+            "exact" if args.exact_field else "monte-carlo", samples, seed
+        )
+        if have != want:
+            raise ValidationError(
+                f"field cache {path} holds a field built as {have}, but this run "
+                f"asks for {want}; delete the cache or match its options"
+            )
         return fld
     fld = build_field(scenario, _field_options(scenario, args, samples, seed))
     fld.scenario_hash = scenario_hash(scenario)
     fld.save(path)
     return fld
+
+
+def _field_provenance(kind: str, samples: int, seed: int) -> str:
+    """What identifies a field: its kind, plus samples and seed if sampled."""
+    if kind == "exact":
+        return "exact"
+    return f"{kind} ({samples} samples, seed {seed})"
 
 
 def _field_options(scenario: Scenario, args, samples: int, seed: int) -> PipelineOptions:
@@ -439,20 +455,20 @@ def _cmd_render(args) -> int:
         return EXIT_OK
 
     scenario = _load(args)
-    samples, seed = _resolve_sampling(args, scenario)
-    if args.exact_field:
-        cap = {}
-        if scenario.cap_exact_hazard is not None:
-            cap["cell_cap"] = scenario.cap_exact_hazard
-        heat = exact_contamination_marginals(
-            scenario.gridmap, scenario.hazard, scenario.horizon, **cap
-        )
-    else:
-        heat = contamination_heatmap(
-            scenario.gridmap, scenario.hazard, scenario.horizon,
-            samples=samples, seed=seed, threads=args.threads,
-        )
     if args.what == "heatmap":
+        samples, seed = _resolve_sampling(args, scenario)
+        if args.exact_field:
+            cap = {}
+            if scenario.cap_exact_hazard is not None:
+                cap["cell_cap"] = scenario.cap_exact_hazard
+            heat = exact_contamination_marginals(
+                scenario.gridmap, scenario.hazard, scenario.horizon, **cap
+            )
+        else:
+            heat = contamination_heatmap(
+                scenario.gridmap, scenario.hazard, scenario.horizon,
+                samples=samples, seed=seed, threads=args.threads,
+            )
         if fmt == "pgm":
             _emit(heat_pgm(scenario.gridmap, heat), args.out)
         else:
@@ -465,7 +481,7 @@ def _cmd_render(args) -> int:
     if fmt != "svg":
         raise ValidationError("paths render as SVG only")
     opts = _pipeline_options(
-        scenario, args, methods=(args.method,), ratio_source="none",
+        scenario, args, methods=(args.method,), ratio_source="none", heatmap=True,
     )
     result = run_pipeline(scenario, opts)
     block = result.report["methods"][args.method]
@@ -480,7 +496,7 @@ def _cmd_render(args) -> int:
     title = (
         f"{scenario.name}: {args.method} allocation, F = {block['objective']:.3f}"
     )
-    _emit(scenario_svg(scenario, heat=heat, paths=paths, title=title), args.out)
+    _emit(scenario_svg(scenario, heat=result.heat, paths=paths, title=title), args.out)
     return EXIT_OK
 
 

@@ -13,6 +13,15 @@ never ignite and block spread entirely.
 The planner consumes the spread only through the transition field
 p[k](x', x) = P(x' contaminated at k+1 | x clear at k), stored for x' in
 {x} union orthogonal neighbors, which mirrors the five move slots.
+
+On small maps the distribution over contamination sets is propagated
+exactly. Live states are int64 bitmasks held in arrays, and each step
+enumerates the ignition outcomes of all of them at once. One pass yields
+the transition field and the per-cell marginals at the horizon. Sums run
+in the order of a scalar loop over states and outcomes, so the result does
+not depend on how the arrays are laid out. The Monte-Carlo estimator
+likewise returns the horizon marginals from the same sampler run as the
+field; either builder stores them in ContaminationField.horizon_marginals.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +40,8 @@ from .grid import Cell, GridMap, N_ACTIONS, N_SLOTS
 
 SQRT2 = math.sqrt(2.0)
 EXACT_HAZARD_CELL_CAP = 12
+EXACT_MASK_BITS = 62
+_STEP_ROWS = 1024
 FIELD_SUM_TOL = 1e-10
 
 
@@ -207,10 +218,7 @@ def hazard_step_exact(
     cell_cap: int = EXACT_HAZARD_CELL_CAP,
 ) -> Dict[FrozenSet[Cell], float]:
     """Push a distribution over contamination sets through one exact step."""
-    if gridmap.n_free > cell_cap:
-        raise CapExceededError(
-            f"exact hazard propagation needs {gridmap.n_free} free cells <= cap {cell_cap}"
-        )
+    _require_exact_size(gridmap.n_free, cell_cap, "exact hazard propagation needs")
     dyn = _dynamics(gridmap, model)
     masks: Dict[int, float] = {}
     for cells, p in dist.items():
@@ -221,11 +229,23 @@ def hazard_step_exact(
     total = sum(masks.values())
     if abs(total - 1.0) > FIELD_SUM_TOL:
         raise ValidationError(f"hazard distribution sums to {total!r}, not 1")
-    out = _exact_step_masks(dyn, masks)
-    check = sum(out.values())
+    states = np.fromiter(masks.keys(), dtype=np.int64, count=len(masks))
+    probs = np.fromiter(masks.values(), dtype=np.float64, count=len(masks))
+    states, probs, contaminated = _live_states(gridmap.n_free, states, probs)
+    states, probs = _exact_step(states, probs, contaminated, _clear_probs(dyn, contaminated))
+    check = sum(probs.tolist())
     if abs(check - 1.0) > FIELD_SUM_TOL:
         raise NumericViolationError(f"exact step output sums to {check!r}")
-    return {_bits_to_cells(gridmap, m): p for m, p in out.items()}
+    return {_bits_to_cells(gridmap, m): p for m, p in zip(states.tolist(), probs.tolist())}
+
+
+def _require_exact_size(n_free: int, cell_cap: int, what: str) -> None:
+    if n_free > cell_cap:
+        raise CapExceededError(f"{what} {n_free} free cells <= cap {cell_cap}")
+    if n_free > EXACT_MASK_BITS:
+        raise CapExceededError(
+            f"{what} {n_free} free cells, but states are {EXACT_MASK_BITS}-bit masks"
+        )
 
 
 def _cells_to_bits(gridmap: GridMap, cells: Iterable[Cell]) -> int:
@@ -239,43 +259,124 @@ def _bits_to_cells(gridmap: GridMap, mask: int) -> FrozenSet[Cell]:
     return frozenset(gridmap.cells[i] for i in range(gridmap.n_free) if mask >> i & 1)
 
 
-def _exact_step_masks(dyn: _SpreadDynamics, masks: Dict[int, float]) -> Dict[int, float]:
+def _sequential_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 strictly in row order. np.sum adds pairwise, which
+    can move the last bit; running sums match a scalar accumulation loop."""
+    return np.cumsum(a, axis=0)[-1]
+
+
+def _live_states(n: int, states: np.ndarray, probs: np.ndarray):
+    """Drop zero-mass states and unpack the rest into a (states, n) bool matrix."""
+    live = probs != 0.0
+    states, probs = states[live], probs[live]
+    contaminated = ((states[:, np.newaxis] >> np.arange(n, dtype=np.int64)) & 1).astype(bool)
+    return states, probs, contaminated
+
+
+def _exact_step(
+    states: np.ndarray,
+    probs: np.ndarray,
+    contaminated: np.ndarray,
+    clear: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One exact spread step over live states (int64 masks, probabilities).
+
+    Each clear cell of a state ignites independently with 1 - clear. Cells
+    certain to ignite join the state's mask; the outcomes of the uncertain
+    cells are enumerated by _outcomes and summed into the next states in
+    (source state, combo) order, which also fixes the order of the returned
+    states (by first appearance). That is the arithmetic of a scalar loop
+    over states and combos, so the result is bit-for-bit reproducible.
+    States are expanded a few at a time, so the working set stays near
+    _STEP_ROWS outcome rows.
+    """
+    n = contaminated.shape[1]
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    ignite = 1.0 - clear
+    free = ~contaminated
+    uncertain = free & (ignite > 0.0) & (ignite < 1.0)
+    base = states | ((free & (ignite >= 1.0)) * bits).sum(axis=1)
+    ends = np.cumsum(np.left_shift(1, uncertain.sum(axis=1)))
+    nxt: Dict[int, float] = {}
+    lo = 0
+    while lo < len(states):
+        start = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _STEP_ROWS, side="right")))
+        rows = _outcomes(base[lo:hi], probs[lo:hi], uncertain[lo:hi], ignite[lo:hi], bits)
+        for m, p in zip(*(r.tolist() for r in rows)):
+            nxt[m] = nxt.get(m, 0.0) + p
+        lo = hi
+    count = len(nxt)
+    return (
+        np.fromiter(nxt.keys(), dtype=np.int64, count=count),
+        np.fromiter(nxt.values(), dtype=np.float64, count=count),
+    )
+
+
+def _outcomes(
+    base: np.ndarray,
+    probs: np.ndarray,
+    uncertain: np.ndarray,
+    ignite: np.ndarray,
+    bits: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ignition outcome of a few states as (mask, probability) rows in
+    (state, combo) order. Combo bit b stands for the state's b-th lowest
+    uncertain cell; probabilities are multiplied in ascending cell order."""
+    sizes = np.left_shift(1, uncertain.sum(axis=1))
+    src = np.repeat(np.arange(len(base)), sizes)
+    combo = np.arange(len(src)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    mask = base[src]
+    prob = probs[src]
+    for i in np.nonzero(uncertain.any(axis=0))[0]:
+        u = uncertain[src, i]
+        hit = u & (combo & 1 == 1)
+        q = ignite[src, i]
+        # a factor of exactly 1.0 leaves rows where cell i is not uncertain as they are
+        prob *= np.where(u, np.where(hit, q, 1.0 - q), 1.0)
+        mask[hit] |= bits[i]
+        combo >>= u
+    return mask, prob
+
+
+def _propagate_exact(dyn: _SpreadDynamics, horizon: int):
+    """Exact propagation of the contamination distribution for horizon steps.
+
+    One pass yields both the transition field (prob, flagged) of steps
+    0..horizon-1 and the per-cell contamination marginals at the horizon.
+    """
     n = dyn.gridmap.n_free
-    out: Dict[int, float] = {}
-    for m, p in masks.items():
-        if p == 0.0:
-            continue
-        y = np.array([(m >> i) & 1 for i in range(n)], dtype=bool)
-        pc = 1.0 - dyn.clear_prob_vector(y)
-        forced = m
-        uncertain: List[Tuple[int, float]] = []
-        for i in np.nonzero(~y)[0]:
-            q = float(pc[i])
-            if q >= 1.0:
-                forced |= 1 << int(i)
-            elif q > 0.0:
-                uncertain.append((int(i), q))
-        _spread_outcomes(out, forced, uncertain, p)
-    return out
-
-
-def _spread_outcomes(
-    out: Dict[int, float],
-    base: int,
-    uncertain: List[Tuple[int, float]],
-    prob: float,
-) -> None:
-    k = len(uncertain)
-    for combo in range(1 << k):
-        m = base
-        p = prob
-        for idx, (cell_bit, q) in enumerate(uncertain):
-            if combo >> idx & 1:
-                m |= 1 << cell_bit
-                p *= q
-            else:
-                p *= 1.0 - q
-        out[m] = out.get(m, 0.0) + p
+    nbr = dyn.gridmap.neighbor_slots[:, :N_ACTIONS]
+    valid_slots = nbr >= 0
+    dest = np.where(valid_slots, nbr, 0)
+    states = np.array([_cells_to_bits(dyn.gridmap, dyn.model.initial_cells)], dtype=np.int64)
+    probs = np.ones(1)
+    prob = np.zeros((horizon, n, N_ACTIONS))
+    flagged = np.zeros((horizon, n), dtype=bool)
+    for k in range(horizon):
+        states, probs, contaminated = _live_states(n, states, probs)
+        clear = _clear_probs(dyn, contaminated)
+        pc_next = 1.0 - clear
+        is_clear = ~contaminated
+        den = _sequential_sum(np.where(is_clear, probs[:, np.newaxis], 0.0))
+        num = np.empty((n, N_ACTIONS))
+        for j in range(N_ACTIONS):
+            hits = probs[:, np.newaxis] * pc_next[:, dest[:, j]]
+            num[:, j] = _sequential_sum(np.where(valid_slots[:, j] & is_clear, hits, 0.0))
+        flag_k = den == 0.0
+        flagged[k] = flag_k
+        safe = np.where(flag_k, 1.0, den)
+        prob[k] = num / safe[:, np.newaxis]
+        prob[k, flag_k, :] = 1.0
+        states, probs = _exact_step(states, probs, contaminated, clear)
+        total = sum(probs.tolist())
+        if abs(total - 1.0) > FIELD_SUM_TOL:
+            raise NumericViolationError(f"exact propagation mass {total!r} at step {k}")
+    prob[:, ~valid_slots] = 0.0
+    prob = np.clip(prob, 0.0, 1.0)
+    _, probs, contaminated = _live_states(n, states, probs)
+    marginals = _sequential_sum(np.where(contaminated, probs[:, np.newaxis], 0.0))
+    return prob, flagged, marginals
 
 
 @dataclass
@@ -296,6 +397,9 @@ class ContaminationField:
     samples: int = 0
     seed: int = 0
     scenario_hash: str = ""
+    # per-cell P(contaminated at the horizon) from the pass that built the
+    # field; not saved, so a field loaded from a cache has none
+    horizon_marginals: Optional[np.ndarray] = None
 
     def entry(self, k: int, cell_index: int, slot: int) -> float:
         return float(self.prob[k, cell_index, slot])
@@ -407,7 +511,7 @@ def estimate_contamination_field(
     if samples < 1:
         raise ValidationError(f"sample count must be >= 1, got {samples}")
     dyn = _dynamics(gridmap, model)
-    den, num, _ = _run_chunks(dyn, horizon, samples, seed, threads, want_field=True)
+    den, num, final = _run_chunks(dyn, horizon, samples, seed, threads, want_field=True)
     flagged = den == 0
     safe = np.where(flagged, 1, den)[:, :, np.newaxis]
     prob = num / safe
@@ -427,6 +531,7 @@ def estimate_contamination_field(
         kind="monte-carlo",
         samples=samples,
         seed=seed,
+        horizon_marginals=final / samples,
     )
     return out
 
@@ -455,59 +560,20 @@ def exact_contamination_field(
     horizon: int,
     cell_cap: int = EXACT_HAZARD_CELL_CAP,
 ) -> ContaminationField:
-    """Contamination transition field from exact distribution propagation."""
-    if gridmap.n_free > cell_cap:
-        raise CapExceededError(
-            f"exact field needs {gridmap.n_free} free cells <= cap {cell_cap}"
-        )
+    """Contamination transition field from exact distribution propagation.
+
+    The same pass fills horizon_marginals."""
+    _require_exact_size(gridmap.n_free, cell_cap, "exact field needs")
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    dyn = _dynamics(gridmap, model)
-    n = gridmap.n_free
-    nbr = gridmap.neighbor_slots[:, :N_ACTIONS]
-    init_mask = 0
-    for i in np.nonzero(dyn.initial)[0]:
-        init_mask |= 1 << int(i)
-    dist: Dict[int, float] = {init_mask: 1.0}
-    prob = np.zeros((horizon, n, N_ACTIONS))
-    flagged = np.zeros((horizon, n), dtype=bool)
-    den = np.zeros(n)
-    num = np.zeros((n, N_ACTIONS))
-    for k in range(horizon):
-        den[:] = 0.0
-        num[:] = 0.0
-        for m, p in dist.items():
-            if p == 0.0:
-                continue
-            y = np.array([(m >> i) & 1 for i in range(n)], dtype=bool)
-            pc_next = 1.0 - dyn.clear_prob_vector(y)
-            pc_next[y] = 1.0
-            clear = ~y
-            den += p * clear
-            for j in range(N_ACTIONS):
-                idx = nbr[:, j]
-                valid = (idx >= 0) & clear
-                if not np.any(valid):
-                    continue
-                num[valid, j] += p * pc_next[idx[valid]]
-        flag_k = den == 0.0
-        flagged[k] = flag_k
-        safe = np.where(flag_k, 1.0, den)
-        prob[k] = num / safe[:, np.newaxis]
-        prob[k, flag_k, :] = 1.0
-        dist = _exact_step_masks(dyn, dist)
-        total = sum(dist.values())
-        if abs(total - 1.0) > FIELD_SUM_TOL:
-            raise NumericViolationError(f"exact propagation mass {total!r} at step {k}")
-    valid_slots = nbr >= 0
-    prob[:, ~valid_slots] = 0.0
-    prob = np.clip(prob, 0.0, 1.0)
+    prob, flagged, marginals = _propagate_exact(_dynamics(gridmap, model), horizon)
     return ContaminationField(
         horizon=horizon,
-        n_free=n,
+        n_free=gridmap.n_free,
         prob=prob,
         flagged=flagged,
         kind="exact",
+        horizon_marginals=marginals,
     )
 
 
@@ -518,21 +584,7 @@ def exact_contamination_marginals(
     cell_cap: int = EXACT_HAZARD_CELL_CAP,
 ) -> np.ndarray:
     """Exact per-cell contamination probability at the horizon."""
-    if gridmap.n_free > cell_cap:
-        raise CapExceededError(
-            f"exact marginals need {gridmap.n_free} free cells <= cap {cell_cap}"
-        )
-    dyn = _dynamics(gridmap, model)
-    n = gridmap.n_free
-    init_mask = 0
-    for i in np.nonzero(dyn.initial)[0]:
-        init_mask |= 1 << int(i)
-    dist: Dict[int, float] = {init_mask: 1.0}
-    for _ in range(horizon):
-        dist = _exact_step_masks(dyn, dist)
-    out = np.zeros(n)
-    for m, p in dist.items():
-        for i in range(n):
-            if m >> i & 1:
-                out[i] += p
-    return out
+    _require_exact_size(gridmap.n_free, cell_cap, "exact marginals need")
+    if horizon < 0:
+        raise ValidationError(f"horizon must be >= 0, got {horizon}")
+    return _propagate_exact(_dynamics(gridmap, model), horizon)[2]

@@ -52,7 +52,7 @@ from .hazard import (
     exact_contamination_field,
     exact_contamination_marginals,
 )
-from .planner import ObjectiveCache, rollout
+from .planner import ObjectiveCache, PlanResult, rollout
 from .scenario import Scenario, scenario_hash
 
 METHOD_ORDER = ("forward", "reverse", "brute")
@@ -417,13 +417,17 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
 
     if options.rollout_trials > 0:
         report["rollouts"] = {}
+        # the full policy table of a (robot, mask) both methods chose is built once
+        policies: Dict[Tuple[int, int], PlanResult] = {}
         for mi, name in enumerate(("forward", "reverse")):
             if name not in methods or "error" in methods[name]:
                 continue
             entries = []
             for r in range(scenario.n_robots):
                 mask = methods[name]["masks"][r]
-                result = cache.solve(r, mask)
+                if (r, mask) not in policies:
+                    policies[(r, mask)] = cache.solve(r, mask)
+                result = policies[(r, mask)]
                 rr = rollout(
                     result,
                     mode=options.rollout_mode,
@@ -450,7 +454,10 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
     heat = None
     if options.heatmap:
         t0 = time.perf_counter()
-        if options.field_kind == "exact":
+        if options.field is None:
+            # the field was built above from these options, by the same pass
+            heat = contamination.horizon_marginals
+        elif options.field_kind == "exact":
             heat = exact_contamination_marginals(
                 scenario.gridmap,
                 scenario.hazard,

@@ -435,3 +435,106 @@ def brute_force_partitions(value, n_robots: int, n_tasks: int) -> Tuple[Tuple[in
             best = prod
             best_masks = tuple(masks)
     return best_masks, float(best)
+
+
+# --- Scalar exact propagation, kept as the bit-for-bit reference -----------
+#
+# Unlike the oracles above, these loops share the package's stay-clear kernel
+# (clear_prob_vector) on purpose: they pin the propagation's arithmetic order,
+# so the vectorized propagation must agree with them exactly, not approximately.
+
+
+def _reference_step(dyn, masks: Dict[int, float]) -> Dict[int, float]:
+    """One exact step over {bitmask: probability}, state by state and combo
+    by combo; outcome keys keep their order of first appearance."""
+    n = dyn.gridmap.n_free
+    out: Dict[int, float] = {}
+    for m, p in masks.items():
+        if p == 0.0:
+            continue
+        y = np.array([(m >> i) & 1 for i in range(n)], dtype=bool)
+        pc = 1.0 - dyn.clear_prob_vector(y)
+        forced = m
+        uncertain: List[Tuple[int, float]] = []
+        for i in np.nonzero(~y)[0]:
+            q = float(pc[i])
+            if q >= 1.0:
+                forced |= 1 << int(i)
+            elif q > 0.0:
+                uncertain.append((int(i), q))
+        for combo in range(1 << len(uncertain)):
+            key = forced
+            prob = p
+            for idx, (cell_bit, q) in enumerate(uncertain):
+                if combo >> idx & 1:
+                    key |= 1 << cell_bit
+                    prob *= q
+                else:
+                    prob *= 1.0 - q
+            out[key] = out.get(key, 0.0) + prob
+    return out
+
+
+def reference_step_distribution(gm: GridMap, model, dist):
+    """hazard_step_exact computed with the scalar reference step."""
+    from hazardplan.hazard import _dynamics
+
+    masks: Dict[int, float] = {}
+    for cells, p in dist.items():
+        m = 0
+        for c in cells:
+            m |= 1 << gm.index(Cell(*c))
+        masks[m] = masks.get(m, 0.0) + float(p)
+    out = _reference_step(_dynamics(gm, model), masks)
+    return {
+        frozenset(gm.cells[i] for i in range(gm.n_free) if m >> i & 1): p
+        for m, p in out.items()
+    }
+
+
+def reference_exact_propagation(gm: GridMap, model, horizon: int):
+    """(prob, flagged, horizon marginals) by the scalar dict propagation:
+    per-state accumulation of the field numerators and denominators, then
+    one reference step per time step."""
+    from hazardplan.hazard import _dynamics
+
+    dyn = _dynamics(gm, model)
+    n = gm.n_free
+    nbr = gm.neighbor_slots[:, :5]
+    init_mask = 0
+    for i in np.nonzero(dyn.initial)[0]:
+        init_mask |= 1 << int(i)
+    dist: Dict[int, float] = {init_mask: 1.0}
+    prob = np.zeros((horizon, n, 5))
+    flagged = np.zeros((horizon, n), dtype=bool)
+    for k in range(horizon):
+        den = np.zeros(n)
+        num = np.zeros((n, 5))
+        for m, p in dist.items():
+            if p == 0.0:
+                continue
+            y = np.array([(m >> i) & 1 for i in range(n)], dtype=bool)
+            pc_next = 1.0 - dyn.clear_prob_vector(y)
+            pc_next[y] = 1.0
+            clear = ~y
+            den += p * clear
+            for j in range(5):
+                idx = nbr[:, j]
+                valid = (idx >= 0) & clear
+                if not np.any(valid):
+                    continue
+                num[valid, j] += p * pc_next[idx[valid]]
+        flag_k = den == 0.0
+        flagged[k] = flag_k
+        safe = np.where(flag_k, 1.0, den)
+        prob[k] = num / safe[:, np.newaxis]
+        prob[k, flag_k, :] = 1.0
+        dist = _reference_step(dyn, dist)
+    prob[:, nbr < 0] = 0.0
+    prob = np.clip(prob, 0.0, 1.0)
+    marginals = np.zeros(n)
+    for m, p in dist.items():
+        for i in range(n):
+            if m >> i & 1:
+                marginals[i] += p
+    return prob, flagged, marginals

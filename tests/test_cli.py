@@ -1,9 +1,11 @@
 """Command-line driver: subcommands end to end, exit codes, output routing."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from hazardplan import hazard
 from hazardplan.cli import entry
 from hazardplan.guarantees import guarantee_values
 from hazardplan._version import VERSION
@@ -127,6 +129,25 @@ def test_field_cache_written_reused_and_guarded(tmp_path, capsys):
     assert "different scenario" in capsys.readouterr().err
 
 
+def test_field_cache_of_another_kind_or_sampling_is_refused(tmp_path, capsys):
+    small = str(Path(__file__).resolve().parent.parent / "scenarios" / "small.json")
+    cache = str(tmp_path / "fc.npz")
+    assert entry(["plan", small, "--samples", "200", "--seed", "1",
+                  "--field-cache", cache]) == 0
+    capsys.readouterr()
+    assert entry(["allocate", small, "--exact-field", "--samples", "5000",
+                  "--seed", "7", "--field-cache", cache]) == 2
+    err = capsys.readouterr().err
+    assert "built as monte-carlo (200 samples, seed 1)" in err
+    assert "asks for exact" in err
+    for argv in (["--samples", "200", "--seed", "2"], ["--samples", "300", "--seed", "1"]):
+        assert entry(["plan", small, *argv, "--field-cache", cache]) == 2
+        assert "(200 samples, seed 1)" in capsys.readouterr().err
+    code, out = run_json(capsys, ["plan", small, "--samples", "200", "--seed", "1",
+                                  "--field-cache", cache])
+    assert code == 0 and out["field"] == {"kind": "monte-carlo", "samples": 200, "seed": 1}
+
+
 def test_simulate_reports_calibrated_rate(tmp_path, capsys):
     path = write_scenario(tmp_path)
     code, out = run_json(capsys, ["simulate", path, "--robot", "beta",
@@ -200,6 +221,22 @@ def test_render_paths_svg(tmp_path):
     assert code == 0
     svg = out.read_text()
     assert "<polyline " in svg and "forward allocation" in svg
+
+
+def test_render_paths_runs_the_sampler_once(tmp_path, monkeypatch):
+    path = write_scenario(tmp_path)
+    runs = []
+    real = hazard._run_chunks
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hazard, "_run_chunks", counted)
+    out = tmp_path / "paths.svg"
+    assert entry(["render", path, "--what", "paths", "--out", str(out)]) == 0
+    assert len(runs) == 1
+    assert "<polyline " in out.read_text()
 
 
 def test_render_region_map(tmp_path, capsys):

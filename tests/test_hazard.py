@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from hazardplan.errors import CapExceededError, ValidationError
 from hazardplan.grid import Cell, GridMap, MoveAction
 from hazardplan.hazard import (
+    EXACT_MASK_BITS,
     ContaminationField,
     HazardModel,
     HazardSource,
@@ -19,9 +21,12 @@ from hazardplan.hazard import (
     hazard_step_sample,
     remain_clear_prob,
 )
+from hazardplan.scenario import load_scenario
 
 import oracles
 from conftest import random_gridmap, random_hazard
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_clear_prob_product_form():
@@ -147,12 +152,66 @@ def test_hazard_step_exact_matches_oracle_and_conserves_mass():
         gm = random_gridmap(rng, max_cells=8)
         model = random_hazard(rng, gm)
         theta = oracles.theta_by_nearest_source(gm, model.sources)
-        y0 = frozenset(model.initial_cells)
-        got = hazard_step_exact(gm, model, {y0: 1.0})
-        want = oracles.spread_step_distribution(gm, theta, y0)
-        assert abs(sum(got.values()) - 1.0) < 1e-12
-        for key in set(got) | set(want):
-            assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0), abs=1e-12)
+        dist = {frozenset(model.initial_cells): 1.0}
+        # from the initial set, then from the mixture that step produced
+        for _ in range(2):
+            got = hazard_step_exact(gm, model, dist)
+            want = {}
+            for burning, p in dist.items():
+                for key, q in oracles.spread_step_distribution(gm, theta, burning).items():
+                    want[key] = want.get(key, 0.0) + p * q
+            assert abs(sum(got.values()) - 1.0) < 1e-12
+            for key in set(got) | set(want):
+                assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0), abs=1e-12)
+            dist = got
+
+
+def assert_matches_reference(gm, model, horizon):
+    fld = exact_contamination_field(gm, model, horizon)
+    prob, flagged, marginals = oracles.reference_exact_propagation(gm, model, horizon)
+    assert np.array_equal(fld.prob, prob)
+    assert np.array_equal(fld.flagged, flagged)
+    assert np.array_equal(fld.horizon_marginals, marginals)
+    assert np.array_equal(exact_contamination_marginals(gm, model, horizon), marginals)
+
+
+def test_exact_propagation_bit_identical_to_reference_on_small_scenario():
+    sc = load_scenario(SCENARIOS / "small.json")
+    assert sc.gridmap.n_free == 12
+    assert_matches_reference(sc.gridmap, sc.hazard, sc.horizon)
+
+
+def test_exact_propagation_bit_identical_to_reference_random_sweep():
+    rng = np.random.default_rng(505)
+    for _ in range(50):
+        gm = random_gridmap(rng, max_cells=12, max_side=5)
+        model = random_hazard(rng, gm, max_sources=3)
+        assert_matches_reference(gm, model, int(rng.integers(1, 10)))
+
+
+def test_hazard_step_exact_bit_identical_to_reference_over_steps():
+    rng = np.random.default_rng(606)
+    for _ in range(15):
+        gm = random_gridmap(rng, max_cells=10, max_side=4)
+        model = random_hazard(rng, gm, max_sources=3)
+        dist = {frozenset(model.initial_cells): 1.0}
+        for _ in range(3):
+            got = hazard_step_exact(gm, model, dist)
+            want = oracles.reference_step_distribution(gm, model, dist)
+            # same states, same order of first appearance, same bits
+            assert list(got.items()) == list(want.items())
+            dist = got
+
+
+def test_exact_propagation_refuses_grids_beyond_mask_width():
+    # the size check fires before any state is built, whatever the cap
+    gm = GridMap(9, 7, [], Cell(8, 6))
+    assert gm.n_free > EXACT_MASK_BITS
+    model = HazardModel.uniform([Cell(0, 0)], 0.5)
+    with pytest.raises(CapExceededError):
+        exact_contamination_field(gm, model, 2, cell_cap=100)
+    with pytest.raises(CapExceededError):
+        exact_contamination_marginals(gm, model, 2, cell_cap=100)
 
 
 def test_hazard_step_exact_validation():
@@ -227,6 +286,14 @@ def test_heatmap_thread_invariance_and_range():
     assert a[gm.index(Cell(0, 0))] == 1.0
 
 
+def test_mc_horizon_marginals_equal_heatmap():
+    gm = GridMap(4, 3, [Cell(2, 1)], Cell(3, 2))
+    model = HazardModel.uniform([Cell(0, 0)], 0.4)
+    fld = estimate_contamination_field(gm, model, 5, samples=1500, seed=21, threads=2)
+    heat = contamination_heatmap(gm, model, 5, samples=1500, seed=21)
+    assert np.array_equal(fld.horizon_marginals, heat)
+
+
 def test_field_save_load_roundtrip(tmp_path):
     gm = GridMap(3, 2, [], Cell(2, 1))
     model = HazardModel.uniform([Cell(0, 0)], 0.3)
@@ -241,6 +308,8 @@ def test_field_save_load_roundtrip(tmp_path):
     assert back.scenario_hash == "deadbeef"
     assert np.array_equal(back.prob, fld.prob)
     assert np.array_equal(back.flagged, fld.flagged)
+    # the marginals ride along in memory only
+    assert fld.horizon_marginals is not None and back.horizon_marginals is None
 
 
 def test_source_validation():

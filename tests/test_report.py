@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from hazardplan.errors import CapExceededError, ValidationError
-from hazardplan.hazard import estimate_contamination_field
+from hazardplan import hazard, report
+from hazardplan.hazard import (
+    ContaminationField,
+    contamination_heatmap,
+    estimate_contamination_field,
+    exact_contamination_marginals,
+)
 from hazardplan.report import (
     METHOD_ORDER,
     PipelineOptions,
@@ -287,3 +293,74 @@ def test_region_map_attached_only_with_brute_optimum():
     without = run_pipeline(unit_scenario(), exact_options(
         region_resolution=8, methods=("forward", "reverse"))).report
     assert "region_map" not in without
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_exact_heatmap_comes_from_the_field_pass(monkeypatch):
+    sc = unit_scenario()
+    passes = count_calls(monkeypatch, hazard, "_propagate_exact")
+    res = run_pipeline(sc, exact_options(heatmap=True, methods=("forward",),
+                                         ratio_source="none"))
+    assert len(passes) == 1
+    assert res.heat is res.contamination.horizon_marginals
+    assert np.array_equal(res.heat, exact_contamination_marginals(
+        sc.gridmap, sc.hazard, sc.horizon))
+
+
+def test_mc_heatmap_comes_from_the_field_sampler_run(monkeypatch):
+    sc = unit_scenario()
+    runs = count_calls(monkeypatch, hazard, "_run_chunks")
+    res = run_pipeline(sc, PipelineOptions(samples=300, seed=5, heatmap=True,
+                                           methods=("forward",), ratio_source="none"))
+    assert len(runs) == 1
+    heat = contamination_heatmap(sc.gridmap, sc.hazard, sc.horizon, samples=300, seed=5)
+    assert np.array_equal(res.heat, heat)
+
+
+@pytest.mark.parametrize("kind", ["exact", "estimate"])
+def test_cached_field_heatmap_falls_back_to_standalone(tmp_path, monkeypatch, kind):
+    sc = unit_scenario()
+    opts = dict(field_kind=kind, samples=300, seed=5, heatmap=True,
+                methods=("forward",), ratio_source="none")
+    fresh = run_pipeline(sc, PipelineOptions(**opts))
+    fresh.contamination.save(tmp_path / "field.npz")
+    loaded = ContaminationField.load(tmp_path / "field.npz")
+    assert loaded.horizon_marginals is None
+    exact_calls = count_calls(monkeypatch, report, "exact_contamination_marginals")
+    mc_calls = count_calls(monkeypatch, report, "contamination_heatmap")
+    cached = run_pipeline(sc, PipelineOptions(field=loaded, **opts))
+    assert (len(exact_calls), len(mc_calls)) == ((1, 0) if kind == "exact" else (0, 1))
+    assert canonical_report_json(cached.report) == canonical_report_json(fresh.report)
+
+
+def test_rollouts_solve_each_robot_mask_once(monkeypatch):
+    sc = unit_scenario()
+    seen = []
+    real = report.rollout
+
+    def recording(result, **kwargs):
+        seen.append(result)
+        return real(result, **kwargs)
+
+    monkeypatch.setattr(report, "rollout", recording)
+    opts = exact_options(rollout_trials=50, methods=("forward", "reverse"),
+                         ratio_source="none")
+    res = run_pipeline(sc, opts)
+    pairs = [(r, res.report["methods"][name]["masks"][r])
+             for name in ("forward", "reverse") for r in range(sc.n_robots)]
+    assert len(seen) == len(pairs)
+    # one policy object per distinct (robot, mask): a shared pick is solved once
+    assert len({id(p) for p in seen}) == len(set(pairs)) < len(pairs)
+    for (r, mask), result in zip(pairs, seen):
+        assert result.success == res.cache.value(r, mask)
