@@ -1,12 +1,22 @@
 """Task allocation by auction-style greedy heuristics over cached plan values.
 
 The group objective is F = prod_r f_r(T_r): every robot must complete its own
-target set, so assignments multiply. Forward greedy starts from empty sets and
-assigns one task per round; reverse greedy starts from every robot holding
-every task and peels copies off until each task has exactly one owner.
-Each round the robots that must refresh their bid do so; everyone else reuses
-a bid that provably still maximizes its marginal. Traces record every fresh
-marginal evaluation so suboptimality ratios can be estimated afterwards.
+target set, so assignments multiply. Forward and reverse greedy run one
+auction loop. Each round every robot that must refresh its bid offers its best
+single-task change among the open tasks, and the winner applies its bid. The
+directions differ in their start and in what a bid may change:
+
+- forward starts from empty sets, and a bid adds an open task;
+- reverse starts with every robot holding every task, and a bid drops an open
+  task the robot still holds.
+
+A task closes once it has exactly one holder: in forward as soon as it is
+taken, in reverse when every other copy is gone. After a closure every robot
+whose bid was on the closed task rebids; otherwise only the winner does, and
+everyone else reuses a bid that provably still maximizes its marginal. Forward
+leaves out robots with f_r(empty) = 0, and degenerate inputs end before the
+first round. Traces record every fresh marginal evaluation so suboptimality
+ratios can be estimated afterwards.
 """
 
 from __future__ import annotations
@@ -181,27 +191,16 @@ def _solve_count(source) -> int:
     return getattr(source, "solve_count", 0)
 
 
-def forward_greedy(source: ObjectiveSource) -> Tuple[Tuple[int, ...], GreedyTrace]:
-    """Assign every task by repeated auctions, growing sets from empty.
-
-    Each round, only robots whose previous bid died (their task was just
-    assigned) recompute; the winner applies its bid and the task closes.
-    Robots that cannot succeed even unburdened (f_r(empty) = 0) are excluded
-    from bidding and from the winner products, with a note.
-    """
+def _greedy(source: ObjectiveSource, kind: str) -> Tuple[Tuple[int, ...], GreedyTrace]:
+    """The auction loop behind both directions; see the module docstring."""
     n_r, n_t = source.n_robots, source.n_tasks
     solves0 = _solve_count(source)
-    masks = [0] * n_r
-    if n_t == 0:
-        trace = GreedyTrace(
-            kind="forward", n_robots=n_r, n_tasks=0,
-            start_masks=tuple(masks), baseline_f=tuple(source.value(r, 0) for r in range(n_r)),
-            allocation=tuple(masks), notes=("degenerate: no tasks to assign",),
-            plan_solves=_solve_count(source) - solves0,
-        )
-        return tuple(masks), trace
-    f_empty = [source.value(r, 0) for r in range(n_r)]
-    excluded = tuple(r for r in range(n_r) if f_empty[r] <= 0.0)
+    forward = kind == "forward"
+    full = (1 << n_t) - 1
+    start = 0 if forward else full
+    masks = [start] * n_r
+    baseline = tuple(source.value(r, start) for r in range(n_r))
+    excluded = tuple(r for r in range(n_r) if forward and n_t and baseline[r] <= 0.0)
     active = [r for r in range(n_r) if r not in excluded]
     notes: List[str] = []
     if excluded:
@@ -209,57 +208,62 @@ def forward_greedy(source: ObjectiveSource) -> Tuple[Tuple[int, ...], GreedyTrac
             "robots excluded (zero success probability with no tasks): "
             + ", ".join(str(r) for r in excluded)
         )
-    if not active:
-        masks[0] = (1 << n_t) - 1
+    if n_t == 0 or (not forward and n_r == 1):
+        notes.append("degenerate: no tasks to assign" if forward
+                     else "degenerate: nothing to remove")
+    elif not active:
+        masks[0] = full
         notes.append("degenerate: every robot has zero base success; all tasks parked on robot 0")
-        trace = GreedyTrace(
-            kind="forward", n_robots=n_r, n_tasks=n_t,
-            start_masks=(0,) * n_r, baseline_f=tuple(f_empty),
-            allocation=tuple(masks), excluded=excluded, notes=tuple(notes),
-            plan_solves=_solve_count(source) - solves0,
-        )
-        return tuple(masks), trace
-    f_cur: Dict[int, float] = {r: f_empty[r] for r in range(n_r)}
-    open_tasks = set(range(n_t))
-    to_bid = set(active)
-    bids: Dict[int, Bid] = {}
     trace = GreedyTrace(
-        kind="forward", n_robots=n_r, n_tasks=n_t,
-        start_masks=(0,) * n_r, baseline_f=tuple(f_empty),
+        kind=kind, n_robots=n_r, n_tasks=n_t,
+        start_masks=(start,) * n_r, baseline_f=baseline,
         excluded=excluded, notes=tuple(notes),
     )
-    for k in range(1, n_t + 1):
+
+    def move(mask: int, task: int) -> int:
+        return mask | 1 << task if forward else mask & ~(1 << task)
+
+    f_cur: Dict[int, float] = dict(enumerate(baseline))
+    open_tasks = set() if trace.degenerate else set(range(n_t))
+    to_bid = set(active)
+    bids: Dict[int, Bid] = {}
+    while open_tasks:
         evaluations: Dict[int, Tuple[Tuple[int, float], ...]] = {}
         for r in sorted(to_bid):
-            evals: List[Tuple[int, float]] = []
-            best: Tuple[int, float] | None = None
-            for t in sorted(open_tasks):
-                v = source.value(r, masks[r] | (1 << t))
-                d = v - f_cur[r]
-                evals.append((t, d))
-                if best is None or d > best[1]:
-                    best = (t, d)
-            evaluations[r] = tuple(evals)
-            bids[r] = Bid(r, best[0], best[1])
-        for r in active:
-            if bids[r].task not in open_tasks:
-                raise NumericViolationError("stale bid survived a task closure")
-        live = {r: f_cur[r] for r in active}
-        winner = auction_round([bids[r] for r in sorted(bids)], live)
+            evaluations[r] = tuple(
+                (t, source.value(r, move(masks[r], t)) - f_cur[r])
+                for t in sorted(open_tasks)
+                if forward or masks[r] >> t & 1
+            )
+            if evaluations[r]:
+                # max keeps the first maximum, so ties go to the smallest task
+                bids[r] = Bid(r, *max(evaluations[r], key=lambda e: e[1]))
+            else:
+                bids.pop(r, None)
+        if not bids:
+            raise NumericViolationError(f"no legal {kind} bid although tasks remain open")
+        if any(b.task not in open_tasks for b in bids.values()):
+            raise NumericViolationError("stale bid survived a task closure")
+        winner = auction_round([bids[r] for r in sorted(bids)], {r: f_cur[r] for r in active})
         wb = bids[winner]
+        open_before = tuple(sorted(open_tasks))
         masks_before = tuple(masks)
-        f_before = tuple(f_cur[r] for r in range(n_r))
+        f_before = tuple(f_cur.values())
         obj_before = _product(f_cur[r] for r in active)
         round_bids = tuple(sorted(bids.values(), key=lambda b: b.robot))
-        masks[winner] |= 1 << wb.task
+        masks[winner] = move(masks[winner], wb.task)
         f_cur[winner] = f_cur[winner] + wb.delta
-        open_tasks.discard(wb.task)
-        to_bid = {r for r in active if bids[r].task == wb.task}
-        bids = {r: b for r, b in bids.items() if b.task != wb.task}
+        closed = sum(m >> wb.task & 1 for m in masks) == 1
+        if closed:
+            open_tasks.discard(wb.task)
+            to_bid = {r for r, b in bids.items() if b.task == wb.task}
+            bids = {r: b for r, b in bids.items() if b.task != wb.task}
+        else:
+            to_bid = {winner}
         trace.iterations.append(
             IterationRecord(
-                index=k,
-                open_tasks=tuple(sorted(open_tasks | {wb.task})),
+                index=len(trace.iterations) + 1,
+                open_tasks=open_before,
                 recomputed=tuple(sorted(evaluations)),
                 masks_before=masks_before,
                 f_before=f_before,
@@ -268,100 +272,28 @@ def forward_greedy(source: ObjectiveSource) -> Tuple[Tuple[int, ...], GreedyTrac
                 winner=winner,
                 winning_task=wb.task,
                 masks_after=tuple(masks),
-                f_after=tuple(f_cur[r] for r in range(n_r)),
+                f_after=tuple(f_cur.values()),
                 objective_before=obj_before,
                 objective_after=_product(f_cur[r] for r in active),
-                task_closed=True,
-            )
-        )
-    trace.allocation = tuple(masks)
-    trace.plan_solves = _solve_count(source) - solves0
-    return tuple(masks), trace
-
-
-def reverse_greedy(source: ObjectiveSource) -> Tuple[Tuple[int, ...], GreedyTrace]:
-    """Start with every robot holding every task; auction removals until each
-    task keeps exactly one owner. A bid offers to drop one still-shared task,
-    its value being the f_r gain; a task leaves the open set the moment a
-    single holder remains."""
-    n_r, n_t = source.n_robots, source.n_tasks
-    solves0 = _solve_count(source)
-    full = (1 << n_t) - 1
-    masks = [full] * n_r
-    baseline = tuple(source.value(r, full) for r in range(n_r))
-    trace = GreedyTrace(
-        kind="reverse", n_robots=n_r, n_tasks=n_t,
-        start_masks=tuple(masks), baseline_f=baseline,
-    )
-    if n_t == 0 or n_r == 1:
-        trace.allocation = tuple(masks)
-        trace.notes = ("degenerate: nothing to remove",)
-        trace.plan_solves = _solve_count(source) - solves0
-        return tuple(masks), trace
-    f_cur: Dict[int, float] = {r: baseline[r] for r in range(n_r)}
-    open_tasks = set(range(n_t))
-    to_bid = set(range(n_r))
-    bids: Dict[int, Bid] = {}
-    for k in range(1, n_t * (n_r - 1) + 1):
-        evaluations: Dict[int, Tuple[Tuple[int, float], ...]] = {}
-        for r in sorted(to_bid):
-            domain = [t for t in sorted(open_tasks) if masks[r] >> t & 1]
-            if not domain:
-                bids.pop(r, None)
-                evaluations[r] = ()
-                continue
-            evals: List[Tuple[int, float]] = []
-            best: Tuple[int, float] | None = None
-            for t in domain:
-                v = source.value(r, masks[r] & ~(1 << t))
-                d = v - f_cur[r]
-                evals.append((t, d))
-                if best is None or d > best[1]:
-                    best = (t, d)
-            evaluations[r] = tuple(evals)
-            bids[r] = Bid(r, best[0], best[1])
-        if not bids:
-            raise NumericViolationError("no legal removal bid although copies remain")
-        winner = auction_round([bids[r] for r in sorted(bids)], dict(f_cur))
-        wb = bids[winner]
-        masks_before = tuple(masks)
-        f_before = tuple(f_cur[r] for r in range(n_r))
-        obj_before = _product(f_cur.values())
-        masks[winner] &= ~(1 << wb.task)
-        f_cur[winner] = f_cur[winner] + wb.delta
-        holders = sum(1 for r in range(n_r) if masks[r] >> wb.task & 1)
-        all_bids = tuple(sorted(bids.values(), key=lambda b: b.robot))
-        if holders == 1:
-            open_tasks.discard(wb.task)
-            to_bid = {r for r, b in bids.items() if b.task == wb.task}
-            bids = {r: b for r, b in bids.items() if b.task != wb.task}
-            closed = True
-        else:
-            to_bid = {winner}
-            closed = False
-        trace.iterations.append(
-            IterationRecord(
-                index=k,
-                open_tasks=tuple(sorted(open_tasks | ({wb.task} if closed else set()))),
-                recomputed=tuple(sorted(evaluations)),
-                masks_before=masks_before,
-                f_before=f_before,
-                bids=all_bids,
-                evaluations=evaluations,
-                winner=winner,
-                winning_task=wb.task,
-                masks_after=tuple(masks),
-                f_after=tuple(f_cur[r] for r in range(n_r)),
-                objective_before=obj_before,
-                objective_after=_product(f_cur.values()),
                 task_closed=closed,
             )
         )
     if not is_partition(masks, n_t):
-        raise NumericViolationError("reverse greedy did not end at a partition")
+        raise NumericViolationError(f"{kind} greedy did not end at a partition")
     trace.allocation = tuple(masks)
     trace.plan_solves = _solve_count(source) - solves0
     return tuple(masks), trace
+
+
+def forward_greedy(source: ObjectiveSource) -> Tuple[Tuple[int, ...], GreedyTrace]:
+    """Assign every task by auction, growing each robot's set from empty."""
+    return _greedy(source, "forward")
+
+
+def reverse_greedy(source: ObjectiveSource) -> Tuple[Tuple[int, ...], GreedyTrace]:
+    """Start with every robot holding every task; auction removals until each
+    task keeps exactly one holder."""
+    return _greedy(source, "reverse")
 
 
 def brute_force_optimal(

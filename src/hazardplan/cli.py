@@ -162,24 +162,18 @@ def _load(args) -> Scenario:
     return load_scenario(args.scenario)
 
 
-def _cached_field(scenario: Scenario, args, samples: int, seed: int) -> Optional[ContaminationField]:
+def _cached_field(scenario: Scenario, args, options: PipelineOptions) -> Optional[ContaminationField]:
+    """The --field-cache field: loaded if its provenance matches the request,
+    else built and stored. build_field validates it against the scenario."""
     path = args.field_cache
     if not path:
         return None
     if os.path.exists(path):
         fld = ContaminationField.load(path)
-        if fld.n_free != scenario.gridmap.n_free or fld.horizon < scenario.horizon:
-            raise ValidationError(
-                f"field cache {path} does not match the scenario "
-                f"(cells {fld.n_free}, horizon {fld.horizon})"
-            )
-        if fld.scenario_hash and fld.scenario_hash != scenario_hash(scenario):
-            raise ValidationError(
-                f"field cache {path} was built for a different scenario"
-            )
         have = _field_provenance(fld.kind, fld.samples, fld.seed)
         want = _field_provenance(
-            "exact" if args.exact_field else "monte-carlo", samples, seed
+            "exact" if options.field_kind == "exact" else "monte-carlo",
+            options.samples, options.seed,
         )
         if have != want:
             raise ValidationError(
@@ -187,7 +181,7 @@ def _cached_field(scenario: Scenario, args, samples: int, seed: int) -> Optional
                 f"asks for {want}; delete the cache or match its options"
             )
         return fld
-    fld = build_field(scenario, _field_options(scenario, args, samples, seed))
+    fld = build_field(scenario, options)
     fld.scenario_hash = scenario_hash(scenario)
     fld.save(path)
     return fld
@@ -200,18 +194,6 @@ def _field_provenance(kind: str, samples: int, seed: int) -> str:
     return f"{kind} ({samples} samples, seed {seed})"
 
 
-def _field_options(scenario: Scenario, args, samples: int, seed: int) -> PipelineOptions:
-    base = dict(
-        samples=samples,
-        seed=seed,
-        threads=args.threads,
-        field_kind="exact" if args.exact_field else "estimate",
-    )
-    if scenario.cap_exact_hazard is not None:
-        base["exact_cap"] = scenario.cap_exact_hazard
-    return PipelineOptions(**base)
-
-
 def _pipeline_options(scenario: Scenario, args, **extra) -> PipelineOptions:
     samples, seed = _resolve_sampling(args, scenario)
     base = dict(
@@ -219,14 +201,15 @@ def _pipeline_options(scenario: Scenario, args, **extra) -> PipelineOptions:
         seed=seed,
         threads=args.threads,
         field_kind="exact" if args.exact_field else "estimate",
-        field=_cached_field(scenario, args, samples, seed),
     )
     if scenario.cap_brute is not None:
         base["brute_cap"] = scenario.cap_brute
     if scenario.cap_exact_hazard is not None:
         base["exact_cap"] = scenario.cap_exact_hazard
     base.update(extra)
-    return PipelineOptions(**base)
+    options = PipelineOptions(**base)
+    options.field = _cached_field(scenario, args, options)
+    return options
 
 
 def _parse_target_list(scenario: Scenario, text: str) -> int:
@@ -286,12 +269,18 @@ def _make_cache(scenario: Scenario, fld: ContaminationField) -> ObjectiveCache:
     )
 
 
+def _methods_exit(report: Dict) -> int:
+    """The exit code of the worst error a pipeline method recorded."""
+    return max(
+        (_ERROR_EXITS.get(block["error_kind"], EXIT_NUMERIC)
+         for block in report["methods"].values() if "error_kind" in block),
+        default=EXIT_OK,
+    )
+
+
 def _cmd_plan(args) -> int:
     scenario = _load(args)
-    samples, seed = _resolve_sampling(args, scenario)
-    fld = _cached_field(scenario, args, samples, seed)
-    if fld is None:
-        fld = build_field(scenario, _field_options(scenario, args, samples, seed))
+    fld = build_field(scenario, _pipeline_options(scenario, args))
     cache = _make_cache(scenario, fld)
     robot = _parse_robot(scenario, args.robot)
     mask = _parse_target_list(scenario, args.targets)
@@ -328,28 +317,21 @@ def _cmd_allocate(args) -> int:
     )
     result = run_pipeline(scenario, opts)
     _emit(result.report, args.out)
-    code = EXIT_OK
-    for entry_ in result.report["methods"].values():
-        if "error_kind" in entry_:
-            code = max(code, _ERROR_EXITS.get(entry_["error_kind"], EXIT_NUMERIC))
-    return code
+    return _methods_exit(result.report)
 
 
 def _cmd_simulate(args) -> int:
     scenario = _load(args)
-    samples, seed = _resolve_sampling(args, scenario)
     if args.trials < 1:
         raise ValidationError(f"trial count must be >= 1, got {args.trials}")
-    fld = _cached_field(scenario, args, samples, seed)
-    if fld is None:
-        fld = build_field(scenario, _field_options(scenario, args, samples, seed))
-    cache = _make_cache(scenario, fld)
+    opts = _pipeline_options(scenario, args)
+    cache = _make_cache(scenario, build_field(scenario, opts))
     robot = _parse_robot(scenario, args.robot)
     mask = _parse_target_list(scenario, args.targets)
     result = cache.solve(robot, mask)
     rr = rollout(
         result, mode=args.mode, trials=args.trials,
-        seed=derive_seed(seed, 0, robot),
+        seed=derive_seed(opts.seed, 0, robot),
         model=scenario.hazard if args.mode == "joint" else None,
     )
     out = {
@@ -411,11 +393,7 @@ def _cmd_bounds(args) -> int:
     if "region_map" in rep:
         out["region_map"] = rep["region_map"]
     _emit(out, args.out)
-    code = EXIT_OK
-    for entry_ in rep["methods"].values():
-        if "error_kind" in entry_:
-            code = max(code, _ERROR_EXITS.get(entry_["error_kind"], EXIT_NUMERIC))
-    return code
+    return _methods_exit(rep)
 
 
 def _render_format(args) -> str:

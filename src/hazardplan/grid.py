@@ -119,24 +119,21 @@ class GridMap:
         except KeyError:
             raise ValidationError(f"{cell} is not a free cell") from None
 
-    def _require_free(self, cell: Cell) -> int:
-        return self.index(cell)
-
     def orthogonal_neighbors(self, cell: Cell) -> FrozenSet[Cell]:
-        i = self._require_free(cell)
+        i = self.index(cell)
         return frozenset(
             self.cells[k] for k in self.neighbor_slots[i, 1:5] if k >= 0
         )
 
     def diagonal_neighbors(self, cell: Cell) -> FrozenSet[Cell]:
-        i = self._require_free(cell)
+        i = self.index(cell)
         return frozenset(
             self.cells[k] for k in self.neighbor_slots[i, 5:9] if k >= 0
         )
 
     def admissible_actions(self, cell: Cell) -> Tuple[MoveAction, ...]:
         """Actions whose target cell is free; STAY is always admissible."""
-        i = self._require_free(cell)
+        i = self.index(cell)
         return tuple(
             MoveAction(u) for u in range(N_ACTIONS) if self.neighbor_slots[i, u] >= 0
         )

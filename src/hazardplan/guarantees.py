@@ -153,16 +153,13 @@ def _resolve_witness(F: np.ndarray, site: Tuple[int, int, float]) -> Tuple[int, 
     return (b_mask, b_mask, e)
 
 
-def exact_ratios(
-    source: ObjectiveSource,
-    cap: int = RATIO_ENUM_CAP,
-    feasible_only: bool = False,
-) -> RatioReport:
+def exact_ratios(source: ObjectiveSource, cap: int = RATIO_ENUM_CAP) -> RatioReport:
     """Exact ratios of the extended group objective over task-robot pairs.
 
-    feasible_only restricts chains to sets assigning each task at most once;
-    the default scans the full power set, which can only loosen the bounds the
-    theorems certify (larger alpha, smaller gamma).
+    Chains range over the full power set of pairs. Restricting them to sets
+    that assign each task at most once could only tighten the ratios (smaller
+    alpha, larger gamma), so the full scan errs on the safe side of the bounds
+    the theorems certify.
     """
     n = source.n_tasks * source.n_robots
     if n < 1:
@@ -171,56 +168,7 @@ def exact_ratios(
     if work > cap:
         raise CapExceededError(f"ratio enumeration needs {work} triples > cap {cap}")
     values = np.array([ground_value(source, wm) for wm in range(1 << n)])
-    if not feasible_only:
-        return exact_ratios_from_values(values, n, cap=cap)
-    return _exact_ratios_feasible(values, n, source.n_robots)
-
-
-def _exact_ratios_feasible(values: np.ndarray, n: int, n_robots: int) -> RatioReport:
-    size = 1 << n
-    n_tasks = n // n_robots
-    feasible = np.ones(size, dtype=bool)
-    for t in range(n_tasks):
-        task_bits = 0
-        for r in range(n_robots):
-            task_bits |= 1 << pair_bit(t, r, n_robots)
-        counts = np.array([int(m & task_bits).bit_count() for m in range(size)])
-        feasible &= counts <= 1
-    alpha, gamma = 0.0, 1.0
-    aw = gw = None
-    skipped_alpha = skipped_gamma = 0
-    for b_mask in range(size):
-        if not feasible[b_mask]:
-            continue
-        for e in range(n):
-            bit = 1 << e
-            if b_mask & bit or not feasible[b_mask | bit]:
-                continue
-            rho_b = float(values[b_mask | bit] - values[b_mask])
-            sub = b_mask
-            while True:
-                rho_a = float(values[sub | bit] - values[sub])
-                if rho_b < 0.0:
-                    cand = 1.0 - rho_a / rho_b
-                    if cand > alpha:
-                        alpha, aw = cand, (sub, b_mask, e)
-                elif rho_b == 0.0:
-                    skipped_alpha += 1
-                if rho_a < 0.0:
-                    if rho_b < 0.0:
-                        cand = rho_b / rho_a
-                        if cand < gamma:
-                            gamma, gw = cand, (sub, b_mask, e)
-                    elif rho_b == 0.0:
-                        skipped_gamma += 1
-                if sub == 0:
-                    break
-                sub = (sub - 1) & b_mask
-    return RatioReport(
-        alpha=min(1.0, max(0.0, alpha)), gamma=min(1.0, max(0.0, gamma)),
-        kind="exact-feasible", n_elements=n, alpha_witness=aw, gamma_witness=gw,
-        skipped_alpha=skipped_alpha, skipped_gamma=skipped_gamma,
-    )
+    return exact_ratios_from_values(values, n, cap=cap)
 
 
 def _trace_observations(trace: GreedyTrace) -> Dict[Tuple[int, int], List[Tuple[int, float]]]:

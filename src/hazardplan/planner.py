@@ -148,12 +148,6 @@ class PlanResult:
     success: float
     diagnostics: Tuple[str, ...] = ()
 
-    def value_at(self, k: int, visited_mask: int, cell: Cell) -> float:
-        return float(self.values[k, visited_mask, self.query.gridmap.index(cell)])
-
-    def action_at(self, k: int, visited_mask: int, cell: Cell) -> MoveAction:
-        return MoveAction(int(self.policy[k, visited_mask, self.query.gridmap.index(cell)]))
-
     def greedy_path(self) -> List[Cell]:
         """Cells visited when every move lands as aimed and no hazard strikes."""
         gm = self.query.gridmap
@@ -313,7 +307,6 @@ class ObjectiveCache:
         if len(set(self.targets)) != len(self.targets):
             raise ValidationError("duplicate target cells")
         self._values: Dict[Tuple[int, int], float] = {}
-        self._diags: Dict[Tuple[int, int], Tuple[str, ...]] = {}
         self._lock = threading.Lock()
         self.solve_count = 0
         self.hit_count = 0
@@ -355,13 +348,8 @@ class ObjectiveCache:
         result = self.solve(robot, mask)
         with self._lock:
             self._values[key] = result.success
-            if result.diagnostics:
-                self._diags[key] = result.diagnostics
             self.solve_count += 1
         return result.success
-
-    def diagnostics(self) -> Dict[Tuple[int, int], Tuple[str, ...]]:
-        return dict(self._diags)
 
 
 def success_probability(cache: ObjectiveCache, robot: int, targets) -> float:

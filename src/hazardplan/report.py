@@ -326,23 +326,17 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
     traces: Dict[str, GreedyTrace] = {}
     methods: Dict[str, Dict] = {}
     objectives: Dict[str, float] = {}
+    # looked up at call time, so a wrapped module attribute is the one called
+    greedy = {"forward": forward_greedy, "reverse": reverse_greedy}
     for name in options.methods:
         t0 = time.perf_counter()
         try:
-            if name == "forward":
-                masks, trace = forward_greedy(cache)
+            if name in greedy:
+                masks, trace = greedy[name](cache)
                 traces[name] = trace
                 methods[name] = _greedy_block(
                     scenario, cache, masks, trace, time.perf_counter() - t0
                 )
-                objectives[name] = methods[name]["objective"]
-            elif name == "reverse":
-                masks, trace = reverse_greedy(cache)
-                traces[name] = trace
-                methods[name] = _greedy_block(
-                    scenario, cache, masks, trace, time.perf_counter() - t0
-                )
-                objectives[name] = methods[name]["objective"]
             else:
                 solves0 = cache.solve_count
                 masks, f_star = brute_force_optimal(cache, cap=options.brute_cap)
@@ -353,7 +347,7 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
                     "plan_solves": cache.solve_count - solves0,
                     "seconds": time.perf_counter() - t0,
                 }
-                objectives[name] = f_star
+            objectives[name] = methods[name]["objective"]
         except HazardPlanError as exc:
             # One failing method must not abort the others; the CLI maps the
             # recorded kind back to an exit code.
@@ -454,8 +448,11 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
     heat = None
     if options.heatmap:
         t0 = time.perf_counter()
-        if options.field is None:
-            # the field was built above from these options, by the same pass
+        if (
+            contamination.horizon_marginals is not None
+            and contamination.horizon == scenario.horizon
+        ):
+            # the pass that built the field also left its horizon marginals
             heat = contamination.horizon_marginals
         elif options.field_kind == "exact":
             heat = exact_contamination_marginals(

@@ -13,7 +13,21 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from hazardplan.allocation import (
+    Bid,
+    GreedyTrace,
+    IterationRecord,
+    ObjectiveSource,
+    _product,
+    _solve_count,
+    auction_round,
+    ground_value,
+    is_partition,
+    pair_bit,
+)
+from hazardplan.errors import NumericViolationError
 from hazardplan.grid import Cell, GridMap, MoveAction
+from hazardplan.guarantees import RatioReport
 
 SQRT2 = math.sqrt(2.0)
 ORTH_STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))
@@ -538,3 +552,250 @@ def reference_exact_propagation(gm: GridMap, model, horizon: int):
             if m >> i & 1:
                 marginals[i] += p
     return prob, flagged, marginals
+
+
+# --- Allocation references ---------------------------------------------------
+#
+# One greedy loop per direction, each spelling out its own bid, settle and
+# record steps. The package's single auction loop must reproduce their
+# (masks, trace) exactly, floats included. Below them, the exact ratio scan
+# restricted to feasible chains, which bounds the full scan from inside.
+
+
+def reference_forward_greedy(source: ObjectiveSource) -> Tuple[Tuple[int, ...], GreedyTrace]:
+    """Assign every task by repeated auctions, growing sets from empty.
+
+    Each round, only robots whose previous bid died (their task was just
+    assigned) recompute; the winner applies its bid and the task closes.
+    Robots that cannot succeed even unburdened (f_r(empty) = 0) are excluded
+    from bidding and from the winner products, with a note.
+    """
+    n_r, n_t = source.n_robots, source.n_tasks
+    solves0 = _solve_count(source)
+    masks = [0] * n_r
+    if n_t == 0:
+        trace = GreedyTrace(
+            kind="forward", n_robots=n_r, n_tasks=0,
+            start_masks=tuple(masks), baseline_f=tuple(source.value(r, 0) for r in range(n_r)),
+            allocation=tuple(masks), notes=("degenerate: no tasks to assign",),
+            plan_solves=_solve_count(source) - solves0,
+        )
+        return tuple(masks), trace
+    f_empty = [source.value(r, 0) for r in range(n_r)]
+    excluded = tuple(r for r in range(n_r) if f_empty[r] <= 0.0)
+    active = [r for r in range(n_r) if r not in excluded]
+    notes: List[str] = []
+    if excluded:
+        notes.append(
+            "robots excluded (zero success probability with no tasks): "
+            + ", ".join(str(r) for r in excluded)
+        )
+    if not active:
+        masks[0] = (1 << n_t) - 1
+        notes.append("degenerate: every robot has zero base success; all tasks parked on robot 0")
+        trace = GreedyTrace(
+            kind="forward", n_robots=n_r, n_tasks=n_t,
+            start_masks=(0,) * n_r, baseline_f=tuple(f_empty),
+            allocation=tuple(masks), excluded=excluded, notes=tuple(notes),
+            plan_solves=_solve_count(source) - solves0,
+        )
+        return tuple(masks), trace
+    f_cur: Dict[int, float] = {r: f_empty[r] for r in range(n_r)}
+    open_tasks = set(range(n_t))
+    to_bid = set(active)
+    bids: Dict[int, Bid] = {}
+    trace = GreedyTrace(
+        kind="forward", n_robots=n_r, n_tasks=n_t,
+        start_masks=(0,) * n_r, baseline_f=tuple(f_empty),
+        excluded=excluded, notes=tuple(notes),
+    )
+    for k in range(1, n_t + 1):
+        evaluations: Dict[int, Tuple[Tuple[int, float], ...]] = {}
+        for r in sorted(to_bid):
+            evals: List[Tuple[int, float]] = []
+            best: Tuple[int, float] | None = None
+            for t in sorted(open_tasks):
+                v = source.value(r, masks[r] | (1 << t))
+                d = v - f_cur[r]
+                evals.append((t, d))
+                if best is None or d > best[1]:
+                    best = (t, d)
+            evaluations[r] = tuple(evals)
+            bids[r] = Bid(r, best[0], best[1])
+        for r in active:
+            if bids[r].task not in open_tasks:
+                raise NumericViolationError("stale bid survived a task closure")
+        live = {r: f_cur[r] for r in active}
+        winner = auction_round([bids[r] for r in sorted(bids)], live)
+        wb = bids[winner]
+        masks_before = tuple(masks)
+        f_before = tuple(f_cur[r] for r in range(n_r))
+        obj_before = _product(f_cur[r] for r in active)
+        round_bids = tuple(sorted(bids.values(), key=lambda b: b.robot))
+        masks[winner] |= 1 << wb.task
+        f_cur[winner] = f_cur[winner] + wb.delta
+        open_tasks.discard(wb.task)
+        to_bid = {r for r in active if bids[r].task == wb.task}
+        bids = {r: b for r, b in bids.items() if b.task != wb.task}
+        trace.iterations.append(
+            IterationRecord(
+                index=k,
+                open_tasks=tuple(sorted(open_tasks | {wb.task})),
+                recomputed=tuple(sorted(evaluations)),
+                masks_before=masks_before,
+                f_before=f_before,
+                bids=round_bids,
+                evaluations=evaluations,
+                winner=winner,
+                winning_task=wb.task,
+                masks_after=tuple(masks),
+                f_after=tuple(f_cur[r] for r in range(n_r)),
+                objective_before=obj_before,
+                objective_after=_product(f_cur[r] for r in active),
+                task_closed=True,
+            )
+        )
+    trace.allocation = tuple(masks)
+    trace.plan_solves = _solve_count(source) - solves0
+    return tuple(masks), trace
+
+
+def reference_reverse_greedy(source: ObjectiveSource) -> Tuple[Tuple[int, ...], GreedyTrace]:
+    """Start with every robot holding every task; auction removals until each
+    task keeps exactly one owner. A bid offers to drop one still-shared task,
+    its value being the f_r gain; a task leaves the open set the moment a
+    single holder remains."""
+    n_r, n_t = source.n_robots, source.n_tasks
+    solves0 = _solve_count(source)
+    full = (1 << n_t) - 1
+    masks = [full] * n_r
+    baseline = tuple(source.value(r, full) for r in range(n_r))
+    trace = GreedyTrace(
+        kind="reverse", n_robots=n_r, n_tasks=n_t,
+        start_masks=tuple(masks), baseline_f=baseline,
+    )
+    if n_t == 0 or n_r == 1:
+        trace.allocation = tuple(masks)
+        trace.notes = ("degenerate: nothing to remove",)
+        trace.plan_solves = _solve_count(source) - solves0
+        return tuple(masks), trace
+    f_cur: Dict[int, float] = {r: baseline[r] for r in range(n_r)}
+    open_tasks = set(range(n_t))
+    to_bid = set(range(n_r))
+    bids: Dict[int, Bid] = {}
+    for k in range(1, n_t * (n_r - 1) + 1):
+        evaluations: Dict[int, Tuple[Tuple[int, float], ...]] = {}
+        for r in sorted(to_bid):
+            domain = [t for t in sorted(open_tasks) if masks[r] >> t & 1]
+            if not domain:
+                bids.pop(r, None)
+                evaluations[r] = ()
+                continue
+            evals: List[Tuple[int, float]] = []
+            best: Tuple[int, float] | None = None
+            for t in domain:
+                v = source.value(r, masks[r] & ~(1 << t))
+                d = v - f_cur[r]
+                evals.append((t, d))
+                if best is None or d > best[1]:
+                    best = (t, d)
+            evaluations[r] = tuple(evals)
+            bids[r] = Bid(r, best[0], best[1])
+        if not bids:
+            raise NumericViolationError("no legal removal bid although copies remain")
+        winner = auction_round([bids[r] for r in sorted(bids)], dict(f_cur))
+        wb = bids[winner]
+        masks_before = tuple(masks)
+        f_before = tuple(f_cur[r] for r in range(n_r))
+        obj_before = _product(f_cur.values())
+        masks[winner] &= ~(1 << wb.task)
+        f_cur[winner] = f_cur[winner] + wb.delta
+        holders = sum(1 for r in range(n_r) if masks[r] >> wb.task & 1)
+        all_bids = tuple(sorted(bids.values(), key=lambda b: b.robot))
+        if holders == 1:
+            open_tasks.discard(wb.task)
+            to_bid = {r for r, b in bids.items() if b.task == wb.task}
+            bids = {r: b for r, b in bids.items() if b.task != wb.task}
+            closed = True
+        else:
+            to_bid = {winner}
+            closed = False
+        trace.iterations.append(
+            IterationRecord(
+                index=k,
+                open_tasks=tuple(sorted(open_tasks | ({wb.task} if closed else set()))),
+                recomputed=tuple(sorted(evaluations)),
+                masks_before=masks_before,
+                f_before=f_before,
+                bids=all_bids,
+                evaluations=evaluations,
+                winner=winner,
+                winning_task=wb.task,
+                masks_after=tuple(masks),
+                f_after=tuple(f_cur[r] for r in range(n_r)),
+                objective_before=obj_before,
+                objective_after=_product(f_cur.values()),
+                task_closed=closed,
+            )
+        )
+    if not is_partition(masks, n_t):
+        raise NumericViolationError("reverse greedy did not end at a partition")
+    trace.allocation = tuple(masks)
+    trace.plan_solves = _solve_count(source) - solves0
+    return tuple(masks), trace
+
+
+def exact_ratios_feasible(source):
+    """Exact ratios with chains restricted to sets assigning each task at most
+    once. The package scans the full power set, which can only loosen the
+    bounds the theorems certify (larger alpha, smaller gamma)."""
+    n = source.n_tasks * source.n_robots
+    values = np.array([ground_value(source, wm) for wm in range(1 << n)])
+    return _exact_ratios_feasible(values, n, source.n_robots)
+
+
+def _exact_ratios_feasible(values: np.ndarray, n: int, n_robots: int):
+    size = 1 << n
+    n_tasks = n // n_robots
+    feasible = np.ones(size, dtype=bool)
+    for t in range(n_tasks):
+        task_bits = 0
+        for r in range(n_robots):
+            task_bits |= 1 << pair_bit(t, r, n_robots)
+        counts = np.array([int(m & task_bits).bit_count() for m in range(size)])
+        feasible &= counts <= 1
+    alpha, gamma = 0.0, 1.0
+    aw = gw = None
+    skipped_alpha = skipped_gamma = 0
+    for b_mask in range(size):
+        if not feasible[b_mask]:
+            continue
+        for e in range(n):
+            bit = 1 << e
+            if b_mask & bit or not feasible[b_mask | bit]:
+                continue
+            rho_b = float(values[b_mask | bit] - values[b_mask])
+            sub = b_mask
+            while True:
+                rho_a = float(values[sub | bit] - values[sub])
+                if rho_b < 0.0:
+                    cand = 1.0 - rho_a / rho_b
+                    if cand > alpha:
+                        alpha, aw = cand, (sub, b_mask, e)
+                elif rho_b == 0.0:
+                    skipped_alpha += 1
+                if rho_a < 0.0:
+                    if rho_b < 0.0:
+                        cand = rho_b / rho_a
+                        if cand < gamma:
+                            gamma, gw = cand, (sub, b_mask, e)
+                    elif rho_b == 0.0:
+                        skipped_gamma += 1
+                if sub == 0:
+                    break
+                sub = (sub - 1) & b_mask
+    return RatioReport(
+        alpha=min(1.0, max(0.0, alpha)), gamma=min(1.0, max(0.0, gamma)),
+        kind="exact-feasible", n_elements=n, alpha_witness=aw, gamma_witness=gw,
+        skipped_alpha=skipped_alpha, skipped_gamma=skipped_gamma,
+    )

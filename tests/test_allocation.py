@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hazardplan.allocation import (
     Bid,
@@ -15,6 +19,9 @@ from hazardplan.allocation import (
     reverse_greedy,
 )
 from hazardplan.errors import CapExceededError, ValidationError
+from hazardplan.planner import ObjectiveCache
+from hazardplan.report import PipelineOptions, build_field
+from hazardplan.scenario import load_scenario
 
 import oracles
 from conftest import TableSource, random_cache, random_monotone_tables
@@ -298,3 +305,52 @@ def test_greedy_on_real_cache_consistency():
         assert tf.plan_solves > 0
         assert cache.hit_count > 0
         done += 1
+
+
+GREEDY_REFERENCES = (
+    (forward_greedy, oracles.reference_forward_greedy),
+    (reverse_greedy, oracles.reference_reverse_greedy),
+)
+
+
+@st.composite
+def value_tables(draw):
+    """1-3 robots, 0-4 tasks; values drawn from a few levels so ties are
+    common, and some robots worthless on every set."""
+    n_r = draw(st.integers(1, 3))
+    n_t = draw(st.integers(0, 4))
+    levels = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.8, 1.0]),
+                           min_size=1, max_size=3))
+    tables = []
+    for _ in range(n_r):
+        if draw(st.booleans()) and draw(st.booleans()):
+            tables.append({m: 0.0 for m in range(1 << n_t)})
+        else:
+            values = draw(st.lists(st.sampled_from(levels), min_size=1 << n_t,
+                                   max_size=1 << n_t))
+            tables.append(dict(enumerate(values)))
+    return tables
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_tables())
+def test_auction_loop_matches_reference_loops(tables):
+    for engine, reference in GREEDY_REFERENCES:
+        src, ref_src = TableSource(tables), TableSource(tables)
+        assert engine(src) == reference(ref_src)
+        assert src.solve_count == ref_src.solve_count
+
+
+def test_auction_loop_matches_reference_loops_on_small_scenario():
+    sc = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "small.json")
+    fld = build_field(sc, PipelineOptions(field_kind="exact"))
+
+    def cache():
+        return ObjectiveCache(sc.gridmap, sc.kernel(), fld, sc.starts, sc.targets, sc.horizon)
+
+    for engine, reference in GREEDY_REFERENCES:
+        src, ref_src = cache(), cache()
+        masks, trace = engine(src)
+        assert (masks, trace) == reference(ref_src)
+        assert trace.iterations
+        assert (src.solve_count, src.hit_count) == (ref_src.solve_count, ref_src.hit_count)

@@ -8,6 +8,7 @@ import pytest
 from hazardplan import hazard
 from hazardplan.cli import entry
 from hazardplan.guarantees import guarantee_values
+from hazardplan.report import canonical_report_json
 from hazardplan._version import VERSION
 
 
@@ -237,6 +238,37 @@ def test_render_paths_runs_the_sampler_once(tmp_path, monkeypatch):
     assert entry(["render", path, "--what", "paths", "--out", str(out)]) == 0
     assert len(runs) == 1
     assert "<polyline " in out.read_text()
+
+
+def test_run_that_writes_a_field_cache_builds_its_field_once(tmp_path, monkeypatch):
+    path = write_scenario(tmp_path)
+    calls = []
+
+    def count(name):
+        real = getattr(hazard, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hazard, name, counted)
+
+    count("_propagate_exact")
+    count("_run_chunks")
+    reports = []
+    for extra in ([], ["--field-cache", str(tmp_path / "exact.npz")]):
+        out = tmp_path / "report.json"
+        assert entry(["allocate", path, "--exact-field", "--heatmap", "--method",
+                      "forward", "--ratios", "none", "--out", str(out), *extra]) == 0
+        reports.append(canonical_report_json(json.loads(out.read_text())))
+    # one propagation per run: writing the cache reuses the field's marginals
+    assert calls == ["_propagate_exact", "_propagate_exact"]
+    assert reports[0] == reports[1]
+    calls.clear()
+    svg = tmp_path / "paths.svg"
+    assert entry(["render", path, "--what", "paths", "--out", str(svg),
+                  "--field-cache", str(tmp_path / "mc.npz")]) == 0
+    assert calls == ["_run_chunks"]
 
 
 def test_render_region_map(tmp_path, capsys):

@@ -121,7 +121,7 @@ def test_feasible_only_ratios_never_looser():
     for _ in range(10):
         src = random_monotone_tables(rng, 2, 2)
         full = exact_ratios(src)
-        feas = exact_ratios(src, feasible_only=True)
+        feas = oracles.exact_ratios_feasible(src)
         assert feas.kind == "exact-feasible"
         assert feas.alpha <= full.alpha + 1e-12
         assert feas.gamma >= full.gamma - 1e-12
