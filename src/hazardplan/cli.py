@@ -29,11 +29,7 @@ from .errors import (
     VacuousBoundError,
 )
 from .guarantees import guarantee_values, region_map
-from .hazard import (
-    ContaminationField,
-    contamination_heatmap,
-    exact_contamination_marginals,
-)
+from .hazard import ContaminationField
 from .planner import ObjectiveCache, rollout
 from .render import heat_pgm, region_svg, scenario_svg
 from .report import (
@@ -43,7 +39,7 @@ from .report import (
     derive_seed,
     run_pipeline,
 )
-from .scenario import Scenario, load_scenario, scenario_hash
+from .scenario import Scenario, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -182,7 +178,6 @@ def _cached_field(scenario: Scenario, args, options: PipelineOptions) -> Optiona
             )
         return fld
     fld = build_field(scenario, options)
-    fld.scenario_hash = scenario_hash(scenario)
     fld.save(path)
     return fld
 
@@ -434,19 +429,8 @@ def _cmd_render(args) -> int:
 
     scenario = _load(args)
     if args.what == "heatmap":
-        samples, seed = _resolve_sampling(args, scenario)
-        if args.exact_field:
-            cap = {}
-            if scenario.cap_exact_hazard is not None:
-                cap["cell_cap"] = scenario.cap_exact_hazard
-            heat = exact_contamination_marginals(
-                scenario.gridmap, scenario.hazard, scenario.horizon, **cap
-            )
-        else:
-            heat = contamination_heatmap(
-                scenario.gridmap, scenario.hazard, scenario.horizon,
-                samples=samples, seed=seed, threads=args.threads,
-            )
+        fld = build_field(scenario, _pipeline_options(scenario, args))
+        heat = fld.marginals[scenario.horizon]
         if fmt == "pgm":
             _emit(heat_pgm(scenario.gridmap, heat), args.out)
         else:

@@ -249,7 +249,3 @@ def _slot_of(gridmap: GridMap, i: int, target: Cell) -> int | None:
     if hits.size == 0:
         return None
     return int(hits[0])
-
-
-def motion_prob(kernel: MotionKernel, x_next: Cell, x: Cell, u: MoveAction) -> float:
-    return kernel.probability(x_next, x, u)

@@ -17,19 +17,23 @@ p[k](x', x) = P(x' contaminated at k+1 | x clear at k), stored for x' in
 On small maps the distribution over contamination sets is propagated
 exactly. Live states are int64 bitmasks held in arrays, and each step
 enumerates the ignition outcomes of all of them at once. One pass yields
-the transition field and the per-cell marginals at the horizon. Sums run
-in the order of a scalar loop over states and outcomes, so the result does
-not depend on how the arrays are laid out. The Monte-Carlo estimator
-likewise returns the horizon marginals from the same sampler run as the
-field; either builder stores them in ContaminationField.horizon_marginals.
+the transition field and the per-cell contamination marginals of every
+step 0..horizon. Sums run in the order of a scalar loop over states and
+outcomes, so the result does not depend on how the arrays are laid out.
+The Monte-Carlo estimator derives the same per-step marginals from the
+counts its sampler run keeps for the field. Either builder stores them in
+ContaminationField.marginals, which is the only source of contamination
+heat, and which a field cache saves along with the field.
 """
 
 from __future__ import annotations
 
 import math
+import zipfile
+import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
@@ -43,6 +47,13 @@ EXACT_HAZARD_CELL_CAP = 12
 EXACT_MASK_BITS = 62
 _STEP_ROWS = 1024
 FIELD_SUM_TOL = 1e-10
+FIELD_KINDS = ("exact", "monte-carlo")
+# what a field cache holds, by entry: the numpy dtype kinds it may have
+_CACHE_DTYPES = {
+    "horizon": "iu", "n_free": "iu", "samples": "iu", "seed": "iu",
+    "kind": "U", "scenario_hash": "U", "prob": "f", "flagged": "b", "marginals": "f",
+}
+_CACHE_SCALARS = ("horizon", "n_free", "samples", "seed", "kind", "scenario_hash")
 
 
 @dataclass(frozen=True)
@@ -342,8 +353,9 @@ def _outcomes(
 def _propagate_exact(dyn: _SpreadDynamics, horizon: int):
     """Exact propagation of the contamination distribution for horizon steps.
 
-    One pass yields both the transition field (prob, flagged) of steps
-    0..horizon-1 and the per-cell contamination marginals at the horizon.
+    One pass yields the transition field (prob, flagged) of steps
+    0..horizon-1 and the per-cell contamination marginals of steps
+    0..horizon.
     """
     n = dyn.gridmap.n_free
     nbr = dyn.gridmap.neighbor_slots[:, :N_ACTIONS]
@@ -353,8 +365,12 @@ def _propagate_exact(dyn: _SpreadDynamics, horizon: int):
     probs = np.ones(1)
     prob = np.zeros((horizon, n, N_ACTIONS))
     flagged = np.zeros((horizon, n), dtype=bool)
-    for k in range(horizon):
+    marginals = np.zeros((horizon + 1, n))
+    for k in range(horizon + 1):
         states, probs, contaminated = _live_states(n, states, probs)
+        marginals[k] = _sequential_sum(np.where(contaminated, probs[:, np.newaxis], 0.0))
+        if k == horizon:
+            break
         clear = _clear_probs(dyn, contaminated)
         pc_next = 1.0 - clear
         is_clear = ~contaminated
@@ -374,8 +390,6 @@ def _propagate_exact(dyn: _SpreadDynamics, horizon: int):
             raise NumericViolationError(f"exact propagation mass {total!r} at step {k}")
     prob[:, ~valid_slots] = 0.0
     prob = np.clip(prob, 0.0, 1.0)
-    _, probs, contaminated = _live_states(n, states, probs)
-    marginals = _sequential_sum(np.where(contaminated, probs[:, np.newaxis], 0.0))
     return prob, flagged, marginals
 
 
@@ -397,20 +411,20 @@ class ContaminationField:
     samples: int = 0
     seed: int = 0
     scenario_hash: str = ""
-    # per-cell P(contaminated at the horizon) from the pass that built the
-    # field; not saved, so a field loaded from a cache has none
-    horizon_marginals: Optional[np.ndarray] = None
-
-    def entry(self, k: int, cell_index: int, slot: int) -> float:
-        return float(self.prob[k, cell_index, slot])
+    # marginals[k, x] = P(x contaminated at step k), k = 0..horizon, from the
+    # pass that built the field; saved with it
+    marginals: Optional[np.ndarray] = None
 
     def save(self, path) -> None:
+        if self.marginals is None:
+            raise ValidationError("a field without marginals cannot be cached")
         np.savez_compressed(
             path,
             horizon=self.horizon,
             n_free=self.n_free,
             prob=self.prob,
             flagged=self.flagged,
+            marginals=self.marginals,
             kind=np.array(self.kind),
             samples=self.samples,
             seed=self.seed,
@@ -419,17 +433,60 @@ class ContaminationField:
 
     @classmethod
     def load(cls, path) -> "ContaminationField":
-        with np.load(path, allow_pickle=False) as d:
-            return cls(
-                horizon=int(d["horizon"]),
-                n_free=int(d["n_free"]),
-                prob=d["prob"],
-                flagged=d["flagged"],
-                kind=str(d["kind"]),
-                samples=int(d["samples"]),
-                seed=int(d["seed"]),
-                scenario_hash=str(d["scenario_hash"]) if "scenario_hash" in d else "",
-            )
+        """The field save wrote to path. A file that is not one raises
+        ValidationError naming the path."""
+        try:
+            loaded = np.load(path, allow_pickle=False)
+            if isinstance(loaded, np.ndarray):
+                raise ValueError("an npy array, not an npz archive")
+            with loaded as npz:
+                data = {key: npz[key] for key in npz.files}
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+            raise ValidationError(f"field cache {path} is not a readable npz file") from exc
+
+        def bad(what: str) -> ValidationError:
+            return ValidationError(f"field cache {path} {what}; delete the cache and rebuild it")
+
+        missing = [key for key in _CACHE_DTYPES if key not in data]
+        if missing:
+            raise bad(f"lacks {', '.join(missing)}")
+        for key, kinds in _CACHE_DTYPES.items():
+            if data[key].dtype.kind not in kinds:
+                raise bad(f"holds {key} of dtype {data[key].dtype}")
+        for key in _CACHE_SCALARS:
+            if data[key].ndim:
+                raise bad(f"holds {key} of shape {data[key].shape}, not a scalar")
+        h, n = int(data["horizon"]), int(data["n_free"])
+        shapes = {"prob": (h, n, N_ACTIONS), "flagged": (h, n), "marginals": (h + 1, n)}
+        for key, shape in shapes.items():
+            if data[key].shape != shape:
+                raise bad(
+                    f"holds {key} of shape {data[key].shape}, but a field of horizon "
+                    f"{h} on {n} cells needs {shape}"
+                )
+        if h < 1:
+            raise bad(f"holds a field of horizon {h}")
+        # exact marginals are sums that may round past 1; NaN fails both
+        # comparisons, so non-finite entries are refused too
+        for key, slack in (("prob", 0.0), ("marginals", FIELD_SUM_TOL)):
+            if not np.all((data[key] >= -slack) & (data[key] <= 1.0 + slack)):
+                raise bad(f"holds {key} entries outside [0, 1]")
+        kind, samples = str(data["kind"]), int(data["samples"])
+        if kind not in FIELD_KINDS:
+            raise bad(f"holds a field of unknown kind {kind!r}")
+        if kind == "monte-carlo" and samples < 1:
+            raise bad(f"holds a Monte-Carlo field of {samples} samples")
+        return cls(
+            horizon=h,
+            n_free=n,
+            prob=data["prob"],
+            flagged=data["flagged"],
+            kind=kind,
+            samples=samples,
+            seed=int(data["seed"]),
+            scenario_hash=str(data["scenario_hash"]),
+            marginals=data["marginals"],
+        )
 
 
 def _sample_chunk(
@@ -438,7 +495,6 @@ def _sample_chunk(
     seed: int,
     start: int,
     stop: int,
-    want_field: bool,
 ):
     """Simulate trajectories for samples [start, stop) on their own RNG
     streams. Chunking and threading never change the draws a sample sees."""
@@ -451,32 +507,31 @@ def _sample_chunk(
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
         uniforms[row] = rng.random((horizon, n))
     contam = np.broadcast_to(dyn.initial, (m, n)).copy()
-    den = np.zeros((horizon, n), dtype=np.int64) if want_field else None
-    num = np.zeros((horizon, n, N_ACTIONS), dtype=np.int64) if want_field else None
+    den = np.zeros((horizon, n), dtype=np.int64)
+    num = np.zeros((horizon, n, N_ACTIONS), dtype=np.int64)
     for k in range(horizon):
         clear = ~contam
         pc = 1.0 - _clear_probs(dyn, contam)
         ignite = clear & (uniforms[:, k, :] < pc)
         nxt = contam | ignite
-        if want_field:
-            den[k] += clear.sum(axis=0)
-            for j in range(N_ACTIONS):
-                idx = nbr[:, j]
-                valid = idx >= 0
-                if not np.any(valid):
-                    continue
-                hits = clear[:, valid] & nxt[:, idx[valid]]
-                num[k, valid, j] += hits.sum(axis=0)
+        den[k] += clear.sum(axis=0)
+        for j in range(N_ACTIONS):
+            idx = nbr[:, j]
+            valid = idx >= 0
+            if not np.any(valid):
+                continue
+            hits = clear[:, valid] & nxt[:, idx[valid]]
+            num[k, valid, j] += hits.sum(axis=0)
         contam = nxt
     final = contam.sum(axis=0, dtype=np.int64)
     return den, num, final
 
 
-def _run_chunks(dyn, horizon, samples, seed, threads, want_field):
+def _run_chunks(dyn, horizon, samples, seed, threads):
     n = dyn.gridmap.n_free
     chunk = max(1, min(2048, 24_000_000 // max(1, horizon * n * 8)))
     ranges = [(s, min(s + chunk, samples)) for s in range(0, samples, chunk)]
-    worker = lambda r: _sample_chunk(dyn, horizon, seed, r[0], r[1], want_field)
+    worker = lambda r: _sample_chunk(dyn, horizon, seed, r[0], r[1])
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(worker, ranges))
@@ -486,9 +541,8 @@ def _run_chunks(dyn, horizon, samples, seed, threads, want_field):
     num = np.zeros((horizon, n, N_ACTIONS), dtype=np.int64)
     final = np.zeros(n, dtype=np.int64)
     for d, nm, f in results:
-        if want_field:
-            den += d
-            num += nm
+        den += d
+        num += nm
         final += f
     return den, num, final
 
@@ -511,7 +565,7 @@ def estimate_contamination_field(
     if samples < 1:
         raise ValidationError(f"sample count must be >= 1, got {samples}")
     dyn = _dynamics(gridmap, model)
-    den, num, final = _run_chunks(dyn, horizon, samples, seed, threads, want_field=True)
+    den, num, final = _run_chunks(dyn, horizon, samples, seed, threads)
     flagged = den == 0
     safe = np.where(flagged, 1, den)[:, :, np.newaxis]
     prob = num / safe
@@ -531,27 +585,10 @@ def estimate_contamination_field(
         kind="monte-carlo",
         samples=samples,
         seed=seed,
-        horizon_marginals=final / samples,
+        # samples contaminated at step k: those not clear then, and at the end
+        marginals=np.vstack([samples - den, final]) / samples,
     )
     return out
-
-
-def contamination_heatmap(
-    gridmap: GridMap,
-    model: HazardModel,
-    horizon: int,
-    samples: int,
-    seed: int,
-    threads: int = 1,
-) -> np.ndarray:
-    """Per-free-cell empirical probability of contamination at the horizon."""
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    if samples < 1:
-        raise ValidationError(f"sample count must be >= 1, got {samples}")
-    dyn = _dynamics(gridmap, model)
-    _, _, final = _run_chunks(dyn, horizon, samples, seed, threads, want_field=False)
-    return final / samples
 
 
 def exact_contamination_field(
@@ -562,7 +599,7 @@ def exact_contamination_field(
 ) -> ContaminationField:
     """Contamination transition field from exact distribution propagation.
 
-    The same pass fills horizon_marginals."""
+    The same pass fills the per-step marginals."""
     _require_exact_size(gridmap.n_free, cell_cap, "exact field needs")
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
@@ -573,18 +610,5 @@ def exact_contamination_field(
         prob=prob,
         flagged=flagged,
         kind="exact",
-        horizon_marginals=marginals,
+        marginals=marginals,
     )
-
-
-def exact_contamination_marginals(
-    gridmap: GridMap,
-    model: HazardModel,
-    horizon: int,
-    cell_cap: int = EXACT_HAZARD_CELL_CAP,
-) -> np.ndarray:
-    """Exact per-cell contamination probability at the horizon."""
-    _require_exact_size(gridmap.n_free, cell_cap, "exact marginals need")
-    if horizon < 0:
-        raise ValidationError(f"horizon must be >= 0, got {horizon}")
-    return _propagate_exact(_dynamics(gridmap, model), horizon)[2]

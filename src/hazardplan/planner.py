@@ -27,21 +27,6 @@ _ROLLOUT_CHUNK = 16384
 
 
 @dataclass(frozen=True)
-class MissionState:
-    """Planner state: visited-target bitmask and cell; x None once contaminated."""
-
-    q: int
-    x: Optional[Cell]
-
-    @property
-    def absorbed_by_hazard(self) -> bool:
-        return self.x is None
-
-
-HAZARD_STATE = MissionState(0, None)
-
-
-@dataclass(frozen=True)
 class PlanQuery:
     """One robot's planning instance against a fixed contamination field."""
 
@@ -83,59 +68,6 @@ class PlanQuery:
         for b, cell in enumerate(self.targets):
             tb[self.gridmap.index(cell)] |= 1 << b
         return tb
-
-    def initial_state(self) -> MissionState:
-        q0 = 0
-        for b, cell in enumerate(self.targets):
-            if cell == self.start:
-                q0 |= 1 << b
-        return MissionState(q0, self.start)
-
-    def goal_state(self) -> MissionState:
-        return MissionState(self.full_mask, self.gridmap.goal)
-
-
-def task_update(q: int, x: Cell, targets: Sequence[Cell]) -> int:
-    """Visited-set update on arrival at x: targets at x are marked visited."""
-    for b, cell in enumerate(targets):
-        if Cell(*cell) == Cell(*x):
-            q |= 1 << b
-    return q
-
-
-def transition_distribution(
-    query: PlanQuery, state: MissionState, u: MoveAction, k: int
-) -> List[Tuple[MissionState, float]]:
-    """One-step outcome distribution at step k; absorbing states self-loop."""
-    if not 0 <= k < query.horizon:
-        raise ValidationError(f"step {k} outside horizon {query.horizon}")
-    if state.absorbed_by_hazard or state == query.goal_state():
-        return [(state, 1.0)]
-    gm = query.gridmap
-    i = gm.index(state.x)
-    u = MoveAction(u)
-    if gm.neighbor_slots[i, u] < 0:
-        raise ValidationError(f"action {u.name} is not admissible at {state.x}")
-    tb = query.target_bits()
-    out: List[Tuple[MissionState, float]] = []
-    hazard_mass = 0.0
-    for j in range(N_ACTIONS):
-        p_move = float(query.kernel.slot_probs[i, u, j])
-        if p_move == 0.0:
-            continue
-        dest = int(gm.neighbor_slots[i, j])
-        ph = float(query.field.prob[k, i, j])
-        hazard_mass += p_move * ph
-        live = p_move * (1.0 - ph)
-        if live > 0.0:
-            q2 = state.q | int(tb[dest])
-            out.append((MissionState(q2, gm.cells[dest]), live))
-    if hazard_mass > 0.0:
-        out.append((HAZARD_STATE, hazard_mass))
-    total = sum(p for _, p in out)
-    if abs(total - 1.0) > 1e-12:
-        raise NumericViolationError(f"transition mass {total!r} at {state}, {u.name}")
-    return out
 
 
 @dataclass

@@ -47,10 +47,8 @@ from .guarantees import (
 from .hazard import (
     EXACT_HAZARD_CELL_CAP,
     ContaminationField,
-    contamination_heatmap,
     estimate_contamination_field,
     exact_contamination_field,
-    exact_contamination_marginals,
 )
 from .planner import ObjectiveCache, PlanResult, rollout
 from .scenario import Scenario, scenario_hash
@@ -116,7 +114,8 @@ def derive_seed(*parts: int) -> int:
 
 
 def build_field(scenario: Scenario, options: PipelineOptions) -> ContaminationField:
-    """The contamination field the planner conditions on, built or validated."""
+    """The contamination field the planner conditions on, built or validated.
+    A field it builds carries the scenario's hash."""
     if options.field is not None:
         fld = options.field
         if fld.n_free != scenario.gridmap.n_free:
@@ -133,20 +132,23 @@ def build_field(scenario: Scenario, options: PipelineOptions) -> ContaminationFi
             raise ValidationError("cached field was built for a different scenario")
         return fld
     if options.field_kind == "exact":
-        return exact_contamination_field(
+        fld = exact_contamination_field(
             scenario.gridmap,
             scenario.hazard,
             scenario.horizon,
             cell_cap=options.exact_cap,
         )
-    return estimate_contamination_field(
-        scenario.gridmap,
-        scenario.hazard,
-        scenario.horizon,
-        samples=options.samples,
-        seed=options.seed,
-        threads=options.threads,
-    )
+    else:
+        fld = estimate_contamination_field(
+            scenario.gridmap,
+            scenario.hazard,
+            scenario.horizon,
+            samples=options.samples,
+            seed=options.seed,
+            threads=options.threads,
+        )
+    fld.scenario_hash = scenario_hash(scenario)
+    return fld
 
 
 def _jsonable(value):
@@ -448,28 +450,9 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
     heat = None
     if options.heatmap:
         t0 = time.perf_counter()
-        if (
-            contamination.horizon_marginals is not None
-            and contamination.horizon == scenario.horizon
-        ):
-            # the pass that built the field also left its horizon marginals
-            heat = contamination.horizon_marginals
-        elif options.field_kind == "exact":
-            heat = exact_contamination_marginals(
-                scenario.gridmap,
-                scenario.hazard,
-                scenario.horizon,
-                cell_cap=options.exact_cap,
-            )
-        else:
-            heat = contamination_heatmap(
-                scenario.gridmap,
-                scenario.hazard,
-                scenario.horizon,
-                samples=options.samples,
-                seed=options.seed,
-                threads=options.threads,
-            )
+        if contamination.marginals is None:
+            raise ValidationError("the field carries no marginals to draw a heatmap from")
+        heat = contamination.marginals[scenario.horizon]
         grid_rows: List[List[Optional[float]]] = []
         gm = scenario.gridmap
         for row in range(gm.height):

@@ -9,6 +9,7 @@ are conventions, not computations.
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,8 +26,8 @@ from hazardplan.allocation import (
     is_partition,
     pair_bit,
 )
-from hazardplan.errors import NumericViolationError
-from hazardplan.grid import Cell, GridMap, MoveAction
+from hazardplan.errors import NumericViolationError, ValidationError
+from hazardplan.grid import Cell, GridMap, MotionKernel, MoveAction, N_ACTIONS
 from hazardplan.guarantees import RatioReport
 
 SQRT2 = math.sqrt(2.0)
@@ -507,9 +508,10 @@ def reference_step_distribution(gm: GridMap, model, dist):
 
 
 def reference_exact_propagation(gm: GridMap, model, horizon: int):
-    """(prob, flagged, horizon marginals) by the scalar dict propagation:
-    per-state accumulation of the field numerators and denominators, then
-    one reference step per time step."""
+    """(prob, flagged, marginals) by the scalar dict propagation: per-state
+    accumulation of the field numerators and denominators, then one
+    reference step per time step. Row k of marginals sums the distribution
+    after k steps, so it is the last row of a run to horizon k."""
     from hazardplan.hazard import _dynamics
 
     dyn = _dynamics(gm, model)
@@ -521,7 +523,14 @@ def reference_exact_propagation(gm: GridMap, model, horizon: int):
     dist: Dict[int, float] = {init_mask: 1.0}
     prob = np.zeros((horizon, n, 5))
     flagged = np.zeros((horizon, n), dtype=bool)
-    for k in range(horizon):
+    marginals = np.zeros((horizon + 1, n))
+    for k in range(horizon + 1):
+        for m, p in dist.items():
+            for i in range(n):
+                if m >> i & 1:
+                    marginals[k, i] += p
+        if k == horizon:
+            break
         den = np.zeros(n)
         num = np.zeros((n, 5))
         for m, p in dist.items():
@@ -546,11 +555,6 @@ def reference_exact_propagation(gm: GridMap, model, horizon: int):
         dist = _reference_step(dyn, dist)
     prob[:, nbr < 0] = 0.0
     prob = np.clip(prob, 0.0, 1.0)
-    marginals = np.zeros(n)
-    for m, p in dist.items():
-        for i in range(n):
-            if m >> i & 1:
-                marginals[i] += p
     return prob, flagged, marginals
 
 
@@ -799,3 +803,83 @@ def _exact_ratios_feasible(values: np.ndarray, n: int, n_robots: int):
         kind="exact-feasible", n_elements=n, alpha_witness=aw, gamma_witness=gw,
         skipped_alpha=skipped_alpha, skipped_gamma=skipped_gamma,
     )
+
+
+# --- Mission-state helpers ---------------------------------------------------
+#
+# The planner's state space spelled out one state at a time: the DP works on
+# whole (mask, cell) tables instead, so these only pin its conventions.
+
+
+@dataclass(frozen=True)
+class MissionState:
+    """Planner state: visited-target bitmask and cell; x None once contaminated."""
+
+    q: int
+    x: Optional[Cell]
+
+    @property
+    def absorbed_by_hazard(self) -> bool:
+        return self.x is None
+
+
+HAZARD_STATE = MissionState(0, None)
+
+
+def initial_state(query) -> MissionState:
+    q0 = 0
+    for b, cell in enumerate(query.targets):
+        if cell == query.start:
+            q0 |= 1 << b
+    return MissionState(q0, query.start)
+
+
+def goal_state(query) -> MissionState:
+    return MissionState(query.full_mask, query.gridmap.goal)
+
+
+def task_update(q: int, x: Cell, targets: Sequence[Cell]) -> int:
+    """Visited-set update on arrival at x: targets at x are marked visited."""
+    for b, cell in enumerate(targets):
+        if Cell(*cell) == Cell(*x):
+            q |= 1 << b
+    return q
+
+
+def transition_distribution(
+    query, state: MissionState, u: MoveAction, k: int
+) -> List[Tuple[MissionState, float]]:
+    """One-step outcome distribution at step k; absorbing states self-loop."""
+    if not 0 <= k < query.horizon:
+        raise ValidationError(f"step {k} outside horizon {query.horizon}")
+    if state.absorbed_by_hazard or state == goal_state(query):
+        return [(state, 1.0)]
+    gm = query.gridmap
+    i = gm.index(state.x)
+    u = MoveAction(u)
+    if gm.neighbor_slots[i, u] < 0:
+        raise ValidationError(f"action {u.name} is not admissible at {state.x}")
+    tb = query.target_bits()
+    out: List[Tuple[MissionState, float]] = []
+    hazard_mass = 0.0
+    for j in range(N_ACTIONS):
+        p_move = float(query.kernel.slot_probs[i, u, j])
+        if p_move == 0.0:
+            continue
+        dest = int(gm.neighbor_slots[i, j])
+        ph = float(query.field.prob[k, i, j])
+        hazard_mass += p_move * ph
+        live = p_move * (1.0 - ph)
+        if live > 0.0:
+            q2 = state.q | int(tb[dest])
+            out.append((MissionState(q2, gm.cells[dest]), live))
+    if hazard_mass > 0.0:
+        out.append((HAZARD_STATE, hazard_mass))
+    total = sum(p for _, p in out)
+    if abs(total - 1.0) > 1e-12:
+        raise NumericViolationError(f"transition mass {total!r} at {state}, {u.name}")
+    return out
+
+
+def motion_prob(kernel: MotionKernel, x_next: Cell, x: Cell, u: MoveAction) -> float:
+    return kernel.probability(x_next, x, u)

@@ -10,11 +10,7 @@ import pytest
 
 from hazardplan.grid import MotionKernel
 from hazardplan.guarantees import exact_ratios, guarantee_values, region_map
-from hazardplan.hazard import (
-    contamination_heatmap,
-    exact_contamination_field,
-    exact_contamination_marginals,
-)
+from hazardplan.hazard import estimate_contamination_field, exact_contamination_field
 from hazardplan.planner import PlanQuery, dp_solve, rollout
 from hazardplan.report import PipelineOptions, canonical_report_json, run_pipeline
 from hazardplan.scenario import load_scenario, parse_scenario
@@ -60,12 +56,13 @@ def test_criterion_2_monte_carlo_field_matches_exact():
     for i in range(8):
         gm = random_gridmap(rng, max_cells=8)
         model = random_hazard(rng, gm)
+        # one field per kind at horizon 4; rows 2 and 4 are the heat at those steps
+        exact = exact_contamination_field(gm, model, 4).marginals
+        est = estimate_contamination_field(gm, model, 4, samples=samples,
+                                           seed=1002 + i).marginals
         for horizon in (2, 4):
-            exact = exact_contamination_marginals(gm, model, horizon)
-            est = contamination_heatmap(gm, model, horizon,
-                                        samples=samples, seed=1002 + i)
-            entries += exact.size
-            exceed += int((np.abs(est - exact) > tol).sum())
+            entries += exact[horizon].size
+            exceed += int((np.abs(est[horizon] - exact[horizon]) > tol).sum())
     frac = exceed / entries
     verdict(2, "sampled contamination within 3-sigma of exact", frac < 0.01,
             f"{entries} entries at M={samples}, tol={tol:.2e}, "

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hazardplan import hazard
@@ -39,6 +40,20 @@ def write_scenario(tmp_path, name="unit.json", **edits):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def count_field_passes(monkeypatch):
+    """Names of the exact propagations and sampler runs made from now on."""
+    calls = []
+    for name in ("_propagate_exact", "_run_chunks"):
+        real = getattr(hazard, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(hazard, name, counted)
+    return calls
 
 
 def run_json(capsys, argv):
@@ -242,19 +257,7 @@ def test_render_paths_runs_the_sampler_once(tmp_path, monkeypatch):
 
 def test_run_that_writes_a_field_cache_builds_its_field_once(tmp_path, monkeypatch):
     path = write_scenario(tmp_path)
-    calls = []
-
-    def count(name):
-        real = getattr(hazard, name)
-
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(hazard, name, counted)
-
-    count("_propagate_exact")
-    count("_run_chunks")
+    calls = count_field_passes(monkeypatch)
     reports = []
     for extra in ([], ["--field-cache", str(tmp_path / "exact.npz")]):
         out = tmp_path / "report.json"
@@ -269,6 +272,42 @@ def test_run_that_writes_a_field_cache_builds_its_field_once(tmp_path, monkeypat
     assert entry(["render", path, "--what", "paths", "--out", str(svg),
                   "--field-cache", str(tmp_path / "mc.npz")]) == 0
     assert calls == ["_run_chunks"]
+
+
+def test_render_heatmap_writes_reads_and_guards_the_field_cache(tmp_path, monkeypatch, capsys):
+    path = write_scenario(tmp_path)
+    cache = str(tmp_path / "fc.npz")
+    first, second = tmp_path / "first.svg", tmp_path / "second.svg"
+    argv = ["render", path, "--what", "heatmap", "--samples", "300", "--seed", "4"]
+    assert entry([*argv, "--field-cache", cache, "--out", str(first)]) == 0
+    assert Path(cache).exists()
+    calls = count_field_passes(monkeypatch)
+    assert entry([*argv, "--field-cache", cache, "--out", str(second)]) == 0
+    assert calls == []
+    assert first.read_bytes() == second.read_bytes()
+    for other in (["--exact-field"], ["--samples", "301", "--seed", "4"],
+                  ["--samples", "300", "--seed", "5"]):
+        assert entry(["render", path, "--what", "heatmap", *other,
+                      "--field-cache", cache, "--out", str(second)]) == 2
+        assert "monte-carlo (300 samples, seed 4)" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_a_broken_field_cache_exits_two(tmp_path, capsys):
+    small = str(Path(__file__).resolve().parent.parent / "scenarios" / "small.json")
+    cache = tmp_path / "fc.npz"
+    cache.write_text("garbage")
+    argv = ["plan", small, "--samples", "100", "--seed", "0", "--field-cache", str(cache)]
+    assert entry(argv) == 2
+    assert "not a readable npz" in capsys.readouterr().err
+    # a hand-written cache without a hash whose every entry reads 2.0
+    horizon, n = 16, 12
+    np.savez_compressed(cache, horizon=horizon, n_free=n, prob=np.full((horizon, n, 5), 2.0),
+                        flagged=np.zeros((horizon, n), dtype=bool),
+                        marginals=np.zeros((horizon + 1, n)), kind=np.array("monte-carlo"),
+                        samples=100, seed=0, scenario_hash=np.array(""))
+    assert entry(argv) == 2
+    assert "prob entries outside [0, 1]" in capsys.readouterr().err
 
 
 def test_render_region_map(tmp_path, capsys):

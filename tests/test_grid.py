@@ -11,8 +11,9 @@ from hazardplan.grid import (
     N_ACTIONS,
     N_SLOTS,
     SLOT_DISPLACEMENTS,
-    motion_prob,
 )
+
+from oracles import motion_prob
 
 
 def test_action_order_and_displacements():

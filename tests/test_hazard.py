@@ -12,11 +12,9 @@ from hazardplan.hazard import (
     HazardModel,
     HazardSource,
     _dynamics,
-    contamination_heatmap,
     contaminate_prob,
     estimate_contamination_field,
     exact_contamination_field,
-    exact_contamination_marginals,
     hazard_step_exact,
     hazard_step_sample,
     remain_clear_prob,
@@ -131,7 +129,7 @@ def test_exact_marginals_match_oracle():
         gm = random_gridmap(rng, max_cells=8)
         model = random_hazard(rng, gm)
         horizon = int(rng.integers(1, 4))
-        got = exact_contamination_marginals(gm, model, horizon)
+        got = exact_contamination_field(gm, model, horizon).marginals[horizon]
         want = oracles.contamination_marginals_oracle(gm, model.sources, horizon)
         assert np.abs(got - want).max() < 1e-12
 
@@ -139,9 +137,10 @@ def test_exact_marginals_match_oracle():
 def test_marginals_monotone_in_time():
     gm = GridMap(4, 3, [Cell(2, 1)], Cell(3, 2))
     model = HazardModel.uniform([Cell(0, 0)], 0.35)
+    marginals = exact_contamination_field(gm, model, 5).marginals
     prev = np.zeros(gm.n_free)
     for k in range(1, 6):
-        cur = exact_contamination_marginals(gm, model, k)
+        cur = marginals[k]
         assert np.all(cur >= prev - 1e-12)
         prev = cur
 
@@ -171,8 +170,9 @@ def assert_matches_reference(gm, model, horizon):
     prob, flagged, marginals = oracles.reference_exact_propagation(gm, model, horizon)
     assert np.array_equal(fld.prob, prob)
     assert np.array_equal(fld.flagged, flagged)
-    assert np.array_equal(fld.horizon_marginals, marginals)
-    assert np.array_equal(exact_contamination_marginals(gm, model, horizon), marginals)
+    # every step's row, not just the horizon's
+    assert marginals.shape == (horizon + 1, gm.n_free)
+    assert np.array_equal(fld.marginals, marginals)
 
 
 def test_exact_propagation_bit_identical_to_reference_on_small_scenario():
@@ -210,8 +210,6 @@ def test_exact_propagation_refuses_grids_beyond_mask_width():
     model = HazardModel.uniform([Cell(0, 0)], 0.5)
     with pytest.raises(CapExceededError):
         exact_contamination_field(gm, model, 2, cell_cap=100)
-    with pytest.raises(CapExceededError):
-        exact_contamination_marginals(gm, model, 2, cell_cap=100)
 
 
 def test_hazard_step_exact_validation():
@@ -263,6 +261,7 @@ def test_estimated_field_close_to_exact():
     est = estimate_contamination_field(gm, model, 3, samples=60_000, seed=99)
     assert np.array_equal(est.flagged, exact.flagged)
     assert np.abs(est.prob - exact.prob).max() < 0.02
+    assert np.abs(est.marginals - exact.marginals).max() < 0.02
 
 
 def test_estimated_field_thread_invariance():
@@ -279,19 +278,35 @@ def test_estimated_field_thread_invariance():
 def test_heatmap_thread_invariance_and_range():
     gm = GridMap(3, 3, [Cell(1, 1)], Cell(2, 2))
     model = HazardModel.uniform([Cell(0, 0)], 0.5)
-    a = contamination_heatmap(gm, model, 4, samples=2000, seed=3, threads=1)
-    b = contamination_heatmap(gm, model, 4, samples=2000, seed=3, threads=3)
+    a = estimate_contamination_field(gm, model, 4, samples=2000, seed=3, threads=1).marginals[4]
+    b = estimate_contamination_field(gm, model, 4, samples=2000, seed=3, threads=3).marginals[4]
     assert np.array_equal(a, b)
     assert a.min() >= 0.0 and a.max() <= 1.0
     assert a[gm.index(Cell(0, 0))] == 1.0
 
 
 def test_mc_horizon_marginals_equal_heatmap():
+    # the horizon row equals the heat at that step of a separate, longer run
     gm = GridMap(4, 3, [Cell(2, 1)], Cell(3, 2))
     model = HazardModel.uniform([Cell(0, 0)], 0.4)
     fld = estimate_contamination_field(gm, model, 5, samples=1500, seed=21, threads=2)
-    heat = contamination_heatmap(gm, model, 5, samples=1500, seed=21)
-    assert np.array_equal(fld.horizon_marginals, heat)
+    heat = estimate_contamination_field(gm, model, 8, samples=1500, seed=21).marginals[5]
+    assert np.array_equal(fld.marginals[5], heat)
+
+
+def test_mc_marginal_rows_do_not_depend_on_horizon_or_threads():
+    rng = np.random.default_rng(707)
+    for _ in range(4):
+        gm = random_gridmap(rng, max_cells=10, max_side=4)
+        model = random_hazard(rng, gm, max_sources=2)
+        long = estimate_contamination_field(gm, model, 6, samples=700, seed=9, threads=1)
+        assert long.marginals.shape == (7, gm.n_free)
+        assert np.array_equal(long.marginals[0], _dynamics(gm, model).initial.astype(float))
+        for k in range(1, 6):
+            for threads in (1, 3):
+                short = estimate_contamination_field(gm, model, k, samples=700, seed=9,
+                                                     threads=threads)
+                assert np.array_equal(long.marginals[: k + 1], short.marginals)
 
 
 def test_field_save_load_roundtrip(tmp_path):
@@ -308,8 +323,107 @@ def test_field_save_load_roundtrip(tmp_path):
     assert back.scenario_hash == "deadbeef"
     assert np.array_equal(back.prob, fld.prob)
     assert np.array_equal(back.flagged, fld.flagged)
-    # the marginals ride along in memory only
-    assert fld.horizon_marginals is not None and back.horizon_marginals is None
+    assert fld.marginals.shape == (4, gm.n_free)
+    assert np.array_equal(back.marginals, fld.marginals)
+
+
+def write_cache(path, **edits):
+    """A valid Monte-Carlo field cache as save writes it, with entries
+    replaced by edits; an edit of None drops the entry."""
+    gm = GridMap(3, 2, [], Cell(2, 1))
+    fld = estimate_contamination_field(gm, HazardModel.uniform([Cell(0, 0)], 0.3), 3,
+                                       samples=200, seed=8)
+    fld.scenario_hash = "deadbeef"
+    fld.save(path)
+    with np.load(path) as npz:
+        data = {key: npz[key] for key in npz.files}
+    for key, value in edits.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = np.asarray(value)
+    np.savez_compressed(path, **data)
+    return str(path)
+
+
+def refused(path, *words):
+    with pytest.raises(ValidationError) as exc:
+        ContaminationField.load(path)
+    message = str(exc.value)
+    assert str(path) in message
+    for word in words:
+        assert word in message
+    return message
+
+
+def test_cache_load_refuses_a_file_that_is_not_an_npz(tmp_path):
+    garbage = tmp_path / "garbage.npz"
+    garbage.write_text("garbage")
+    refused(garbage, "not a readable npz")
+    array = tmp_path / "array.npz"
+    with open(array, "wb") as fh:
+        np.save(fh, np.zeros(3))
+    refused(array, "not a readable npz")
+    refused(tmp_path / "absent.npz", "not a readable npz")
+
+
+def test_cache_load_refuses_a_missing_entry(tmp_path):
+    path = tmp_path / "fc.npz"
+    assert ContaminationField.load(write_cache(path)).scenario_hash == "deadbeef"
+    for key in ("horizon", "n_free", "prob", "flagged", "marginals", "kind",
+                "samples", "seed", "scenario_hash"):
+        refused(write_cache(path, **{key: None}), f"lacks {key}",
+                "delete the cache and rebuild it")
+
+
+def test_cache_load_refuses_wrong_shapes_and_dtypes(tmp_path):
+    path = tmp_path / "fc.npz"
+    n = 6
+    for key, value, word in (
+        ("prob", np.zeros((3, n, 4)), "prob of shape"),
+        ("prob", np.zeros((2, n, 5)), "prob of shape"),
+        ("flagged", np.zeros((3, n + 1), dtype=bool), "flagged of shape"),
+        ("flagged", np.zeros((3, n)), "flagged of dtype"),
+        ("marginals", np.zeros((3, n)), "marginals of shape"),
+        ("marginals", np.zeros((4, n), dtype=np.int64), "marginals of dtype"),
+        ("horizon", 4, "horizon 4 on 6 cells"),
+        ("horizon", [3], "horizon of shape"),
+        ("n_free", 5, "horizon 3 on 5 cells"),
+        ("kind", 1, "kind of dtype"),
+    ):
+        refused(write_cache(path, **{key: value}), word, "delete the cache and rebuild it")
+    refused(write_cache(path, horizon=0, prob=np.zeros((0, n, 5)),
+                        flagged=np.zeros((0, n), dtype=bool), marginals=np.zeros((1, n))),
+            "horizon 0")
+
+
+def test_cache_load_refuses_entries_outside_the_unit_interval(tmp_path):
+    path = tmp_path / "fc.npz"
+    for key, shape, value in (
+        ("prob", (3, 6, 5), 2.0),
+        ("prob", (3, 6, 5), -0.5),
+        ("prob", (3, 6, 5), np.nan),
+        ("marginals", (4, 6), np.inf),
+        ("marginals", (4, 6), 1.5),
+    ):
+        refused(write_cache(path, **{key: np.full(shape, value)}), key, "outside [0, 1]")
+
+
+def test_cache_load_refuses_unknown_kind_and_unsampled_estimate(tmp_path):
+    path = tmp_path / "fc.npz"
+    refused(write_cache(path, kind="guess"), "unknown kind 'guess'")
+    refused(write_cache(path, samples=0), "0 samples")
+    # an exact field records no samples
+    assert ContaminationField.load(write_cache(path, kind="exact", samples=0)).kind == "exact"
+
+
+def test_field_without_marginals_is_not_saved(tmp_path):
+    gm = GridMap(3, 2, [], Cell(2, 1))
+    fld = exact_contamination_field(gm, HazardModel.uniform([Cell(0, 0)], 0.3), 2)
+    fld.marginals = None
+    with pytest.raises(ValidationError):
+        fld.save(tmp_path / "fc.npz")
+    assert not (tmp_path / "fc.npz").exists()
 
 
 def test_source_validation():

@@ -5,19 +5,16 @@ from hazardplan.errors import ValidationError
 from hazardplan.grid import Cell, GridMap, MotionKernel, MoveAction
 from hazardplan.hazard import HazardModel, exact_contamination_field
 from hazardplan.planner import (
-    HAZARD_STATE,
-    MissionState,
     ObjectiveCache,
     PlanQuery,
     dp_solve,
     rollout,
     success_probability,
-    task_update,
-    transition_distribution,
     wilson_interval,
 )
 
 import oracles
+from oracles import HAZARD_STATE, MissionState, task_update, transition_distribution
 from conftest import random_plan_setup, random_tabular_kernel
 
 
@@ -83,7 +80,7 @@ def test_start_on_target_counts_as_visited():
     gm = GridMap(3, 1, [], Cell(2, 0))
     fld = clear_field(gm, 2)
     q = make_query(gm, fld, Cell(0, 0), [Cell(0, 0)], 2)
-    assert q.initial_state().q == 1
+    assert oracles.initial_state(q).q == 1
     assert dp_solve(q).success == 1.0
     # same layout but the target sits ahead and out of reach in the horizon
     q2 = make_query(gm, fld, Cell(0, 0), [Cell(0, 0), Cell(2, 0)], 1)
@@ -111,7 +108,7 @@ def test_transition_distribution_mass_and_absorbing():
     assert abs(sum(p for _, p in out) - 1.0) < 1e-12
     assert any(s == HAZARD_STATE for s, _ in out)
     assert transition_distribution(q, HAZARD_STATE, MoveAction.STAY, 1) == [(HAZARD_STATE, 1.0)]
-    goal_state = q.goal_state()
+    goal_state = oracles.goal_state(q)
     assert transition_distribution(q, goal_state, MoveAction.STAY, 1) == [(goal_state, 1.0)]
     with pytest.raises(ValidationError):
         transition_distribution(q, MissionState(0, Cell(0, 1)), MoveAction.WEST, 0)

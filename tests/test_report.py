@@ -9,12 +9,7 @@ import pytest
 
 from hazardplan.errors import CapExceededError, ValidationError
 from hazardplan import hazard, report
-from hazardplan.hazard import (
-    ContaminationField,
-    contamination_heatmap,
-    estimate_contamination_field,
-    exact_contamination_marginals,
-)
+from hazardplan.hazard import ContaminationField, estimate_contamination_field
 from hazardplan.report import (
     METHOD_ORDER,
     PipelineOptions,
@@ -25,6 +20,8 @@ from hazardplan.report import (
     strip_timing,
 )
 from hazardplan.scenario import parse_scenario, scenario_hash
+
+import oracles
 
 
 def unit_dict():
@@ -313,9 +310,9 @@ def test_exact_heatmap_comes_from_the_field_pass(monkeypatch):
     res = run_pipeline(sc, exact_options(heatmap=True, methods=("forward",),
                                          ratio_source="none"))
     assert len(passes) == 1
-    assert res.heat is res.contamination.horizon_marginals
-    assert np.array_equal(res.heat, exact_contamination_marginals(
-        sc.gridmap, sc.hazard, sc.horizon))
+    assert np.shares_memory(res.heat, res.contamination.marginals)
+    assert np.array_equal(res.heat, oracles.reference_exact_propagation(
+        sc.gridmap, sc.hazard, sc.horizon)[2][sc.horizon])
 
 
 def test_mc_heatmap_comes_from_the_field_sampler_run(monkeypatch):
@@ -324,24 +321,47 @@ def test_mc_heatmap_comes_from_the_field_sampler_run(monkeypatch):
     res = run_pipeline(sc, PipelineOptions(samples=300, seed=5, heatmap=True,
                                            methods=("forward",), ratio_source="none"))
     assert len(runs) == 1
-    heat = contamination_heatmap(sc.gridmap, sc.hazard, sc.horizon, samples=300, seed=5)
+    heat = estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon + 2,
+                                        samples=300, seed=5).marginals[sc.horizon]
     assert np.array_equal(res.heat, heat)
 
 
 @pytest.mark.parametrize("kind", ["exact", "estimate"])
-def test_cached_field_heatmap_falls_back_to_standalone(tmp_path, monkeypatch, kind):
+def test_cached_field_heatmap_reads_saved_marginals(tmp_path, monkeypatch, kind):
     sc = unit_scenario()
     opts = dict(field_kind=kind, samples=300, seed=5, heatmap=True,
                 methods=("forward",), ratio_source="none")
     fresh = run_pipeline(sc, PipelineOptions(**opts))
     fresh.contamination.save(tmp_path / "field.npz")
     loaded = ContaminationField.load(tmp_path / "field.npz")
-    assert loaded.horizon_marginals is None
-    exact_calls = count_calls(monkeypatch, report, "exact_contamination_marginals")
-    mc_calls = count_calls(monkeypatch, report, "contamination_heatmap")
+    assert loaded.scenario_hash == scenario_hash(sc)
+    passes = count_calls(monkeypatch, hazard, "_propagate_exact")
+    runs = count_calls(monkeypatch, hazard, "_run_chunks")
     cached = run_pipeline(sc, PipelineOptions(field=loaded, **opts))
-    assert (len(exact_calls), len(mc_calls)) == ((1, 0) if kind == "exact" else (0, 1))
+    assert (passes, runs) == ([], [])
     assert canonical_report_json(cached.report) == canonical_report_json(fresh.report)
+
+
+def test_longer_cached_field_heatmap_reads_the_scenario_step(monkeypatch):
+    sc = unit_scenario()
+    fresh = run_pipeline(sc, exact_options(heatmap=True, methods=("forward",),
+                                           ratio_source="none"))
+    longer = hazard.exact_contamination_field(sc.gridmap, sc.hazard, sc.horizon + 3)
+    passes = count_calls(monkeypatch, hazard, "_propagate_exact")
+    res = run_pipeline(sc, exact_options(field=longer, heatmap=True, methods=("forward",),
+                                         ratio_source="none"))
+    assert passes == []
+    assert res.report["heatmap"]["rows"] == fresh.report["heatmap"]["rows"]
+
+
+def test_heatmap_of_a_field_without_marginals_is_refused():
+    sc = unit_scenario()
+    fld = estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon, samples=50, seed=1)
+    fld.marginals = None
+    opts = dict(field=fld, methods=("forward",), ratio_source="none")
+    assert "heatmap" not in run_pipeline(sc, PipelineOptions(**opts)).report
+    with pytest.raises(ValidationError, match="no marginals"):
+        run_pipeline(sc, PipelineOptions(heatmap=True, **opts))
 
 
 def test_rollouts_solve_each_robot_mask_once(monkeypatch):
