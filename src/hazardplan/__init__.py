@@ -44,12 +44,8 @@ from .hazard import (
     ContaminationField,
     HazardModel,
     HazardSource,
-    contaminate_prob,
     estimate_contamination_field,
     exact_contamination_field,
-    hazard_step_exact,
-    hazard_step_sample,
-    remain_clear_prob,
 )
 from .planner import (
     ObjectiveCache,
@@ -58,7 +54,6 @@ from .planner import (
     RolloutResult,
     dp_solve,
     rollout,
-    success_probability,
     wilson_interval,
 )
 from .report import (
@@ -104,7 +99,6 @@ __all__ = [
     "brute_force_optimal",
     "build_field",
     "canonical_report_json",
-    "contaminate_prob",
     "dp_solve",
     "estimate_contamination_field",
     "exact_contamination_field",
@@ -114,20 +108,16 @@ __all__ = [
     "ground_value",
     "group_success",
     "guarantee_values",
-    "hazard_step_exact",
-    "hazard_step_sample",
     "is_partition",
     "load_scenario",
     "pair_bit",
     "parse_scenario",
     "region_map",
-    "remain_clear_prob",
     "reverse_greedy",
     "rollout",
     "run_pipeline",
     "scenario_hash",
     "strip_timing",
-    "success_probability",
     "theorem_bounds",
     "wilson_interval",
 ]

@@ -131,19 +131,6 @@ def ground_masks(wmask: int, n_robots: int, n_tasks: int) -> Tuple[int, ...]:
     return tuple(masks)
 
 
-def ground_extension(source: ObjectiveSource, pairs: Iterable[Tuple[int, int]]) -> float:
-    """F extended to arbitrary sets of (task, robot) pairs: each robot prices
-    the union of tasks the set hands it, independent of other robots."""
-    masks = [0] * source.n_robots
-    for task, robot in pairs:
-        if not 0 <= task < source.n_tasks:
-            raise ValidationError(f"task index {task} out of range")
-        if not 0 <= robot < source.n_robots:
-            raise ValidationError(f"robot index {robot} out of range")
-        masks[robot] |= 1 << task
-    return _product(source.value(r, m) for r, m in enumerate(masks))
-
-
 def ground_value(source: ObjectiveSource, wmask: int) -> float:
     return _product(
         source.value(r, m)

@@ -30,13 +30,14 @@ from .errors import (
 )
 from .guarantees import guarantee_values, region_map
 from .hazard import ContaminationField
-from .planner import ObjectiveCache, rollout
+from .planner import rollout
 from .render import heat_pgm, region_svg, scenario_svg
 from .report import (
     DEFAULT_SAMPLES,
     PipelineOptions,
     build_field,
     derive_seed,
+    objective_cache,
     run_pipeline,
 )
 from .scenario import Scenario, load_scenario
@@ -140,18 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _resolve_sampling(args, scenario: Optional[Scenario]) -> Tuple[int, int]:
-    samples = args.samples
-    seed = args.seed
-    if scenario is not None:
-        if samples is None:
-            samples = scenario.mc_samples
-        if seed is None:
-            seed = scenario.mc_seed
-    return (samples if samples is not None else DEFAULT_SAMPLES,
-            seed if seed is not None else 0)
-
-
 def _load(args) -> Scenario:
     if not args.scenario:
         raise ValidationError("this command needs a scenario file")
@@ -159,41 +148,24 @@ def _load(args) -> Scenario:
 
 
 def _cached_field(scenario: Scenario, args, options: PipelineOptions) -> Optional[ContaminationField]:
-    """The --field-cache field: loaded if its provenance matches the request,
-    else built and stored. build_field validates it against the scenario."""
+    """The --field-cache field: loaded if the file exists, else built and
+    stored. build_field decides whether a loaded field may be used."""
     path = args.field_cache
     if not path:
         return None
     if os.path.exists(path):
-        fld = ContaminationField.load(path)
-        have = _field_provenance(fld.kind, fld.samples, fld.seed)
-        want = _field_provenance(
-            "exact" if options.field_kind == "exact" else "monte-carlo",
-            options.samples, options.seed,
-        )
-        if have != want:
-            raise ValidationError(
-                f"field cache {path} holds a field built as {have}, but this run "
-                f"asks for {want}; delete the cache or match its options"
-            )
-        return fld
+        return ContaminationField.load(path)
     fld = build_field(scenario, options)
     fld.save(path)
     return fld
 
 
-def _field_provenance(kind: str, samples: int, seed: int) -> str:
-    """What identifies a field: its kind, plus samples and seed if sampled."""
-    if kind == "exact":
-        return "exact"
-    return f"{kind} ({samples} samples, seed {seed})"
-
-
 def _pipeline_options(scenario: Scenario, args, **extra) -> PipelineOptions:
-    samples, seed = _resolve_sampling(args, scenario)
+    samples = args.samples if args.samples is not None else scenario.mc_samples
+    seed = args.seed if args.seed is not None else scenario.mc_seed
     base = dict(
-        samples=samples,
-        seed=seed,
+        samples=samples if samples is not None else DEFAULT_SAMPLES,
+        seed=seed if seed is not None else 0,
         threads=args.threads,
         field_kind="exact" if args.exact_field else "estimate",
     )
@@ -257,13 +229,6 @@ def _emit(payload, out: Optional[str]) -> None:
         sys.stdout.write(payload)
 
 
-def _make_cache(scenario: Scenario, fld: ContaminationField) -> ObjectiveCache:
-    return ObjectiveCache(
-        scenario.gridmap, scenario.kernel(), fld,
-        scenario.starts, scenario.targets, scenario.horizon,
-    )
-
-
 def _methods_exit(report: Dict) -> int:
     """The exit code of the worst error a pipeline method recorded."""
     return max(
@@ -276,7 +241,7 @@ def _methods_exit(report: Dict) -> int:
 def _cmd_plan(args) -> int:
     scenario = _load(args)
     fld = build_field(scenario, _pipeline_options(scenario, args))
-    cache = _make_cache(scenario, fld)
+    cache = objective_cache(scenario, fld)
     robot = _parse_robot(scenario, args.robot)
     mask = _parse_target_list(scenario, args.targets)
     result = cache.solve(robot, mask)
@@ -320,7 +285,7 @@ def _cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValidationError(f"trial count must be >= 1, got {args.trials}")
     opts = _pipeline_options(scenario, args)
-    cache = _make_cache(scenario, build_field(scenario, opts))
+    cache = objective_cache(scenario, build_field(scenario, opts))
     robot = _parse_robot(scenario, args.robot)
     mask = _parse_target_list(scenario, args.targets)
     result = cache.solve(robot, mask)
@@ -403,7 +368,7 @@ def _cmd_render(args) -> int:
     fmt = _render_format(args)
     if args.what == "region-map":
         if args.f_star is not None:
-            rm = region_map(args.f_star, args.region if getattr(args, "region", 0) else 100)
+            rm = region_map(args.f_star, 100)
             mark = None
         else:
             scenario = _load(args)

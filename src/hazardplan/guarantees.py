@@ -417,16 +417,3 @@ def region_map(
         forward_floor=fwd, reverse_floor=rev,
         forward_better=fwd > rev,
     )
-
-
-def strict_decrease_violations(trace: GreedyTrace) -> List[int]:
-    """Iterations whose objective step was not strict (ties weaken the ratios)."""
-    bad = []
-    for rec in trace.iterations:
-        if trace.kind == "forward":
-            ok = rec.objective_after < rec.objective_before
-        else:
-            ok = rec.objective_after > rec.objective_before
-        if not ok:
-            bad.append(rec.index)
-    return bad

@@ -35,7 +35,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -142,14 +142,6 @@ class _SpreadDynamics:
                     queue.append(k)
         return theta
 
-    def clear_prob_vector(self, contaminated: np.ndarray) -> np.ndarray:
-        """P(cell stays clear one step | current contamination), per free cell.
-
-        Valid for clear cells; contaminated cells are reported as 0 so that
-        1 - value is their (certain) contamination probability.
-        """
-        return _clear_probs(self, contaminated[np.newaxis, :])[0]
-
 
 def _clear_probs(dyn: _SpreadDynamics, contaminated: np.ndarray) -> np.ndarray:
     """Row-wise stay-clear probabilities for a (samples, n_free) contamination
@@ -174,82 +166,6 @@ def _dynamics(gridmap: GridMap, model: HazardModel) -> _SpreadDynamics:
     return _SpreadDynamics(gridmap, model)
 
 
-def remain_clear_prob(
-    gridmap: GridMap, model: HazardModel, x: Cell, contaminated: Iterable[Cell]
-) -> float:
-    """Probability that clear cell x survives one step of spread."""
-    dyn = _dynamics(gridmap, model)
-    x = Cell(*x)
-    i = gridmap.index(x)
-    y = _as_mask(gridmap, contaminated)
-    if y[i]:
-        raise ValidationError(f"{x} is already contaminated")
-    return float(dyn.clear_prob_vector(y)[i])
-
-
-def contaminate_prob(
-    gridmap: GridMap, model: HazardModel, x: Cell, contaminated: Iterable[Cell]
-) -> float:
-    """Probability that x is contaminated after one step (1 if it already is)."""
-    dyn = _dynamics(gridmap, model)
-    i = gridmap.index(Cell(*x))
-    y = _as_mask(gridmap, contaminated)
-    if y[i]:
-        return 1.0
-    return 1.0 - float(dyn.clear_prob_vector(y)[i])
-
-
-def _as_mask(gridmap: GridMap, cells: Iterable[Cell]) -> np.ndarray:
-    mask = np.zeros(gridmap.n_free, dtype=bool)
-    for c in cells:
-        mask[gridmap.index(Cell(*c))] = True
-    return mask
-
-
-def hazard_step_sample(
-    gridmap: GridMap,
-    model: HazardModel,
-    contaminated: Iterable[Cell],
-    rng: np.random.Generator,
-) -> FrozenSet[Cell]:
-    """Draw one spread step. Consumes exactly n_free uniforms from rng."""
-    dyn = _dynamics(gridmap, model)
-    y = _as_mask(gridmap, contaminated)
-    clear_p = dyn.clear_prob_vector(y)
-    draws = rng.random(gridmap.n_free)
-    ignite = (~y) & (draws < 1.0 - clear_p)
-    out = y | ignite
-    return frozenset(gridmap.cells[i] for i in np.nonzero(out)[0])
-
-
-def hazard_step_exact(
-    gridmap: GridMap,
-    model: HazardModel,
-    dist: Mapping[FrozenSet[Cell], float],
-    cell_cap: int = EXACT_HAZARD_CELL_CAP,
-) -> Dict[FrozenSet[Cell], float]:
-    """Push a distribution over contamination sets through one exact step."""
-    _require_exact_size(gridmap.n_free, cell_cap, "exact hazard propagation needs")
-    dyn = _dynamics(gridmap, model)
-    masks: Dict[int, float] = {}
-    for cells, p in dist.items():
-        if p < -FIELD_SUM_TOL:
-            raise ValidationError("negative probability in hazard distribution")
-        m = _cells_to_bits(gridmap, cells)
-        masks[m] = masks.get(m, 0.0) + float(p)
-    total = sum(masks.values())
-    if abs(total - 1.0) > FIELD_SUM_TOL:
-        raise ValidationError(f"hazard distribution sums to {total!r}, not 1")
-    states = np.fromiter(masks.keys(), dtype=np.int64, count=len(masks))
-    probs = np.fromiter(masks.values(), dtype=np.float64, count=len(masks))
-    states, probs, contaminated = _live_states(gridmap.n_free, states, probs)
-    states, probs = _exact_step(states, probs, contaminated, _clear_probs(dyn, contaminated))
-    check = sum(probs.tolist())
-    if abs(check - 1.0) > FIELD_SUM_TOL:
-        raise NumericViolationError(f"exact step output sums to {check!r}")
-    return {_bits_to_cells(gridmap, m): p for m, p in zip(states.tolist(), probs.tolist())}
-
-
 def _require_exact_size(n_free: int, cell_cap: int, what: str) -> None:
     if n_free > cell_cap:
         raise CapExceededError(f"{what} {n_free} free cells <= cap {cell_cap}")
@@ -264,10 +180,6 @@ def _cells_to_bits(gridmap: GridMap, cells: Iterable[Cell]) -> int:
     for c in cells:
         m |= 1 << gridmap.index(Cell(*c))
     return m
-
-
-def _bits_to_cells(gridmap: GridMap, mask: int) -> FrozenSet[Cell]:
-    return frozenset(gridmap.cells[i] for i in range(gridmap.n_free) if mask >> i & 1)
 
 
 def _sequential_sum(a: np.ndarray) -> np.ndarray:
@@ -418,6 +330,8 @@ class ContaminationField:
     def save(self, path) -> None:
         if self.marginals is None:
             raise ValidationError("a field without marginals cannot be cached")
+        if not self.scenario_hash:
+            raise ValidationError("a field without a scenario hash cannot be cached")
         np.savez_compressed(
             path,
             horizon=self.horizon,
@@ -476,6 +390,8 @@ class ContaminationField:
             raise bad(f"holds a field of unknown kind {kind!r}")
         if kind == "monte-carlo" and samples < 1:
             raise bad(f"holds a Monte-Carlo field of {samples} samples")
+        if not str(data["scenario_hash"]):
+            raise bad("holds a field without a scenario hash")
         return cls(
             horizon=h,
             n_free=n,

@@ -10,7 +10,6 @@ reaching the exit with all targets visited within the horizon.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -214,9 +213,9 @@ def dp_solve(query: PlanQuery) -> PlanResult:
 class ObjectiveCache:
     """Memoized per-robot success probabilities over target subsets.
 
-    Keys are (robot index, subset bitmask over the shared target list). The
-    cache is safe for concurrent lookups; counters track distinct plan solves
-    versus hits so allocator cost can be reported.
+    Keys are (robot index, subset bitmask over the shared target list).
+    Counters track distinct plan solves versus hits so allocator cost can be
+    reported.
     """
 
     def __init__(
@@ -239,7 +238,6 @@ class ObjectiveCache:
         if len(set(self.targets)) != len(self.targets):
             raise ValidationError("duplicate target cells")
         self._values: Dict[Tuple[int, int], float] = {}
-        self._lock = threading.Lock()
         self.solve_count = 0
         self.hit_count = 0
 
@@ -273,30 +271,13 @@ class ObjectiveCache:
         if mask < 0 or mask >> self.n_tasks:
             raise ValidationError(f"target mask {mask} out of range")
         key = (robot, mask)
-        with self._lock:
-            if key in self._values:
-                self.hit_count += 1
-                return self._values[key]
-        result = self.solve(robot, mask)
-        with self._lock:
-            self._values[key] = result.success
-            self.solve_count += 1
-        return result.success
-
-
-def success_probability(cache: ObjectiveCache, robot: int, targets) -> float:
-    """f_r for a target subset given as a bitmask or iterable of cells."""
-    if isinstance(targets, (int, np.integer)):
-        mask = int(targets)
-    else:
-        mask = 0
-        wanted = [Cell(*t) for t in targets]
-        for cell in wanted:
-            try:
-                mask |= 1 << cache.targets.index(cell)
-            except ValueError:
-                raise ValidationError(f"{cell} is not a shared target") from None
-    return cache.value(robot, mask)
+        if key in self._values:
+            self.hit_count += 1
+            return self._values[key]
+        success = self.solve(robot, mask).success
+        self._values[key] = success
+        self.solve_count += 1
+        return success
 
 
 @dataclass(frozen=True)

@@ -113,11 +113,35 @@ def derive_seed(*parts: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0] & np.uint64(0x7FFFFFFFFFFFFFFF))
 
 
+def _provenance(kind: str, samples: int, seed: int) -> str:
+    """What identifies a field: its kind, plus samples and seed if sampled."""
+    if kind == "exact":
+        return "exact"
+    return f"{kind} ({samples} samples, seed {seed})"
+
+
 def build_field(scenario: Scenario, options: PipelineOptions) -> ContaminationField:
-    """The contamination field the planner conditions on, built or validated.
-    A field it builds carries the scenario's hash."""
+    """The contamination field the planner conditions on.
+
+    A given options.field is returned only if it is the field the options
+    ask for on this scenario: the same kind (and, if sampled, samples and
+    seed), cell count and scenario hash, and a horizon at least the
+    scenario's. Anything else raises ValidationError. The thread count and
+    the exact cap are not compared: they never change a field's bits.
+    Without a given field a new one is built; it carries the scenario's hash.
+    """
     if options.field is not None:
         fld = options.field
+        have = _provenance(fld.kind, fld.samples, fld.seed)
+        want = _provenance(
+            "exact" if options.field_kind == "exact" else "monte-carlo",
+            options.samples, options.seed,
+        )
+        if have != want:
+            raise ValidationError(
+                f"cached field was built as {have}, but this run asks for {want}; "
+                "rebuild it or match its options"
+            )
         if fld.n_free != scenario.gridmap.n_free:
             raise ValidationError(
                 f"cached field covers {fld.n_free} cells, scenario has "
@@ -128,8 +152,11 @@ def build_field(scenario: Scenario, options: PipelineOptions) -> ContaminationFi
                 f"cached field horizon {fld.horizon} < scenario horizon "
                 f"{scenario.horizon}"
             )
-        if fld.scenario_hash and fld.scenario_hash != scenario_hash(scenario):
-            raise ValidationError("cached field was built for a different scenario")
+        if fld.scenario_hash != scenario_hash(scenario):
+            raise ValidationError(
+                "cached field was built for a different scenario" if fld.scenario_hash
+                else "cached field carries no scenario hash; rebuild it with build_field"
+            )
         return fld
     if options.field_kind == "exact":
         fld = exact_contamination_field(
@@ -149,6 +176,18 @@ def build_field(scenario: Scenario, options: PipelineOptions) -> ContaminationFi
         )
     fld.scenario_hash = scenario_hash(scenario)
     return fld
+
+
+def objective_cache(scenario: Scenario, contamination: ContaminationField) -> ObjectiveCache:
+    """The memoized per-robot values of the scenario's robots and targets."""
+    return ObjectiveCache(
+        scenario.gridmap,
+        scenario.kernel(),
+        contamination,
+        scenario.starts,
+        scenario.targets,
+        scenario.horizon,
+    )
 
 
 def _jsonable(value):
@@ -310,14 +349,7 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
         "seconds": time.perf_counter() - t0,
     }
 
-    cache = ObjectiveCache(
-        scenario.gridmap,
-        scenario.kernel(),
-        contamination,
-        scenario.starts,
-        scenario.targets,
-        scenario.horizon,
-    )
+    cache = objective_cache(scenario, contamination)
     full = (1 << scenario.n_tasks) - 1
     baselines = {
         "f_empty": group_success(cache, [0] * scenario.n_robots),

@@ -10,7 +10,7 @@ are conventions, not computations.
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,17 @@ from hazardplan.allocation import (
 from hazardplan.errors import NumericViolationError, ValidationError
 from hazardplan.grid import Cell, GridMap, MotionKernel, MoveAction, N_ACTIONS
 from hazardplan.guarantees import RatioReport
+from hazardplan.hazard import (
+    EXACT_HAZARD_CELL_CAP,
+    FIELD_SUM_TOL,
+    HazardModel,
+    _cells_to_bits,
+    _clear_probs,
+    _dynamics,
+    _exact_step,
+    _live_states,
+    _require_exact_size,
+)
 
 SQRT2 = math.sqrt(2.0)
 ORTH_STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))
@@ -455,7 +466,7 @@ def brute_force_partitions(value, n_robots: int, n_tasks: int) -> Tuple[Tuple[in
 # --- Scalar exact propagation, kept as the bit-for-bit reference -----------
 #
 # Unlike the oracles above, these loops share the package's stay-clear kernel
-# (clear_prob_vector) on purpose: they pin the propagation's arithmetic order,
+# (_clear_probs) on purpose: they pin the propagation's arithmetic order,
 # so the vectorized propagation must agree with them exactly, not approximately.
 
 
@@ -468,7 +479,7 @@ def _reference_step(dyn, masks: Dict[int, float]) -> Dict[int, float]:
         if p == 0.0:
             continue
         y = np.array([(m >> i) & 1 for i in range(n)], dtype=bool)
-        pc = 1.0 - dyn.clear_prob_vector(y)
+        pc = 1.0 - _clear_probs(dyn, y[np.newaxis])[0]
         forced = m
         uncertain: List[Tuple[int, float]] = []
         for i in np.nonzero(~y)[0]:
@@ -492,8 +503,6 @@ def _reference_step(dyn, masks: Dict[int, float]) -> Dict[int, float]:
 
 def reference_step_distribution(gm: GridMap, model, dist):
     """hazard_step_exact computed with the scalar reference step."""
-    from hazardplan.hazard import _dynamics
-
     masks: Dict[int, float] = {}
     for cells, p in dist.items():
         m = 0
@@ -512,8 +521,6 @@ def reference_exact_propagation(gm: GridMap, model, horizon: int):
     accumulation of the field numerators and denominators, then one
     reference step per time step. Row k of marginals sums the distribution
     after k steps, so it is the last row of a run to horizon k."""
-    from hazardplan.hazard import _dynamics
-
     dyn = _dynamics(gm, model)
     n = gm.n_free
     nbr = gm.neighbor_slots[:, :5]
@@ -537,7 +544,7 @@ def reference_exact_propagation(gm: GridMap, model, horizon: int):
             if p == 0.0:
                 continue
             y = np.array([(m >> i) & 1 for i in range(n)], dtype=bool)
-            pc_next = 1.0 - dyn.clear_prob_vector(y)
+            pc_next = 1.0 - _clear_probs(dyn, y[np.newaxis])[0]
             pc_next[y] = 1.0
             clear = ~y
             den += p * clear
@@ -883,3 +890,133 @@ def transition_distribution(
 
 def motion_prob(kernel: MotionKernel, x_next: Cell, x: Cell, u: MoveAction) -> float:
     return kernel.probability(x_next, x, u)
+
+
+# --- Helpers only tests call ------------------------------------------------
+#
+# Cell-set forms of one hazard step, the success value of a target list, F
+# on arbitrary sets of (task, robot) pairs and the tie check of a greedy
+# trace. The package works on whole arrays and bitmasks and never needs
+# them; the one-step hazard helpers run on its vectorized kernels, so their
+# tests check those kernels.
+
+
+def remain_clear_prob(
+    gridmap: GridMap, model: HazardModel, x: Cell, contaminated: Iterable[Cell]
+) -> float:
+    """Probability that clear cell x survives one step of spread."""
+    dyn = _dynamics(gridmap, model)
+    x = Cell(*x)
+    i = gridmap.index(x)
+    y = _as_mask(gridmap, contaminated)
+    if y[i]:
+        raise ValidationError(f"{x} is already contaminated")
+    return float(_clear_probs(dyn, y[np.newaxis])[0][i])
+
+
+def contaminate_prob(
+    gridmap: GridMap, model: HazardModel, x: Cell, contaminated: Iterable[Cell]
+) -> float:
+    """Probability that x is contaminated after one step (1 if it already is)."""
+    dyn = _dynamics(gridmap, model)
+    i = gridmap.index(Cell(*x))
+    y = _as_mask(gridmap, contaminated)
+    if y[i]:
+        return 1.0
+    return 1.0 - float(_clear_probs(dyn, y[np.newaxis])[0][i])
+
+
+def _as_mask(gridmap: GridMap, cells: Iterable[Cell]) -> np.ndarray:
+    mask = np.zeros(gridmap.n_free, dtype=bool)
+    for c in cells:
+        mask[gridmap.index(Cell(*c))] = True
+    return mask
+
+
+def hazard_step_sample(
+    gridmap: GridMap,
+    model: HazardModel,
+    contaminated: Iterable[Cell],
+    rng: np.random.Generator,
+) -> FrozenSet[Cell]:
+    """Draw one spread step. Consumes exactly n_free uniforms from rng."""
+    dyn = _dynamics(gridmap, model)
+    y = _as_mask(gridmap, contaminated)
+    clear_p = _clear_probs(dyn, y[np.newaxis])[0]
+    draws = rng.random(gridmap.n_free)
+    ignite = (~y) & (draws < 1.0 - clear_p)
+    out = y | ignite
+    return frozenset(gridmap.cells[i] for i in np.nonzero(out)[0])
+
+
+def hazard_step_exact(
+    gridmap: GridMap,
+    model: HazardModel,
+    dist: Mapping[FrozenSet[Cell], float],
+    cell_cap: int = EXACT_HAZARD_CELL_CAP,
+) -> Dict[FrozenSet[Cell], float]:
+    """Push a distribution over contamination sets through one exact step."""
+    _require_exact_size(gridmap.n_free, cell_cap, "exact hazard propagation needs")
+    dyn = _dynamics(gridmap, model)
+    masks: Dict[int, float] = {}
+    for cells, p in dist.items():
+        if p < -FIELD_SUM_TOL:
+            raise ValidationError("negative probability in hazard distribution")
+        m = _cells_to_bits(gridmap, cells)
+        masks[m] = masks.get(m, 0.0) + float(p)
+    total = sum(masks.values())
+    if abs(total - 1.0) > FIELD_SUM_TOL:
+        raise ValidationError(f"hazard distribution sums to {total!r}, not 1")
+    states = np.fromiter(masks.keys(), dtype=np.int64, count=len(masks))
+    probs = np.fromiter(masks.values(), dtype=np.float64, count=len(masks))
+    states, probs, contaminated = _live_states(gridmap.n_free, states, probs)
+    states, probs = _exact_step(states, probs, contaminated, _clear_probs(dyn, contaminated))
+    check = sum(probs.tolist())
+    if abs(check - 1.0) > FIELD_SUM_TOL:
+        raise NumericViolationError(f"exact step output sums to {check!r}")
+    return {_bits_to_cells(gridmap, m): p for m, p in zip(states.tolist(), probs.tolist())}
+
+
+def _bits_to_cells(gridmap: GridMap, mask: int) -> FrozenSet[Cell]:
+    return frozenset(gridmap.cells[i] for i in range(gridmap.n_free) if mask >> i & 1)
+
+
+def success_probability(cache, robot: int, targets) -> float:
+    """f_r for a target subset given as a bitmask or iterable of cells."""
+    if isinstance(targets, (int, np.integer)):
+        mask = int(targets)
+    else:
+        mask = 0
+        wanted = [Cell(*t) for t in targets]
+        for cell in wanted:
+            try:
+                mask |= 1 << cache.targets.index(cell)
+            except ValueError:
+                raise ValidationError(f"{cell} is not a shared target") from None
+    return cache.value(robot, mask)
+
+
+def ground_extension(source: ObjectiveSource, pairs: Iterable[Tuple[int, int]]) -> float:
+    """F extended to arbitrary sets of (task, robot) pairs: each robot prices
+    the union of tasks the set hands it, independent of other robots."""
+    masks = [0] * source.n_robots
+    for task, robot in pairs:
+        if not 0 <= task < source.n_tasks:
+            raise ValidationError(f"task index {task} out of range")
+        if not 0 <= robot < source.n_robots:
+            raise ValidationError(f"robot index {robot} out of range")
+        masks[robot] |= 1 << task
+    return _product(source.value(r, m) for r, m in enumerate(masks))
+
+
+def strict_decrease_violations(trace: GreedyTrace) -> List[int]:
+    """Iterations whose objective step was not strict (ties weaken the ratios)."""
+    bad = []
+    for rec in trace.iterations:
+        if trace.kind == "forward":
+            ok = rec.objective_after < rec.objective_before
+        else:
+            ok = rec.objective_after > rec.objective_before
+        if not ok:
+            bad.append(rec.index)
+    return bad

@@ -10,7 +10,6 @@ from hazardplan.allocation import (
     auction_round,
     brute_force_optimal,
     forward_greedy,
-    ground_extension,
     ground_masks,
     ground_value,
     group_success,
@@ -24,6 +23,7 @@ from hazardplan.report import PipelineOptions, build_field
 from hazardplan.scenario import load_scenario
 
 import oracles
+from oracles import ground_extension
 from conftest import TableSource, random_cache, random_monotone_tables
 
 

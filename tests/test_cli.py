@@ -310,6 +310,21 @@ def test_a_broken_field_cache_exits_two(tmp_path, capsys):
     assert "prob entries outside [0, 1]" in capsys.readouterr().err
 
 
+def test_an_unhashed_field_cache_exits_two(tmp_path, capsys):
+    small = str(Path(__file__).resolve().parent.parent / "scenarios" / "small.json")
+    cache = tmp_path / "fc.npz"
+    argv = ["plan", small, "--samples", "100", "--seed", "0", "--field-cache", str(cache)]
+    assert entry(argv) == 0
+    # the cache as a version that saved no hash wrote it: valid values, empty hash
+    with np.load(cache) as npz:
+        data = {key: npz[key] for key in npz.files}
+    np.savez_compressed(cache, **dict(data, scenario_hash=np.array("")))
+    capsys.readouterr()
+    assert entry(argv) == 2
+    err = capsys.readouterr().err
+    assert "without a scenario hash" in err and "rebuild" in err
+
+
 def test_render_region_map(tmp_path, capsys):
     out = tmp_path / "region.svg"
     assert entry(["render", "--what", "region-map", "--f-star", "0.6",

@@ -21,11 +21,11 @@ from hazardplan.guarantees import (
     greedy_ratios,
     guarantee_values,
     region_map,
-    strict_decrease_violations,
     theorem_bounds,
 )
 
 import oracles
+from oracles import strict_decrease_violations
 from conftest import TableSource, random_monotone_tables, random_strict_tables
 
 

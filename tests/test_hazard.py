@@ -12,16 +12,18 @@ from hazardplan.hazard import (
     HazardModel,
     HazardSource,
     _dynamics,
-    contaminate_prob,
     estimate_contamination_field,
     exact_contamination_field,
-    hazard_step_exact,
-    hazard_step_sample,
-    remain_clear_prob,
 )
 from hazardplan.scenario import load_scenario
 
 import oracles
+from oracles import (
+    contaminate_prob,
+    hazard_step_exact,
+    hazard_step_sample,
+    remain_clear_prob,
+)
 from conftest import random_gridmap, random_hazard
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -424,6 +426,20 @@ def test_field_without_marginals_is_not_saved(tmp_path):
     with pytest.raises(ValidationError):
         fld.save(tmp_path / "fc.npz")
     assert not (tmp_path / "fc.npz").exists()
+
+
+def test_field_without_scenario_hash_is_not_saved(tmp_path):
+    gm = GridMap(3, 2, [], Cell(2, 1))
+    fld = estimate_contamination_field(gm, HazardModel.uniform([Cell(0, 0)], 0.3), 3,
+                                       samples=200, seed=8)
+    with pytest.raises(ValidationError, match="without a scenario hash"):
+        fld.save(tmp_path / "fc.npz")
+    assert not (tmp_path / "fc.npz").exists()
+
+
+def test_cache_load_refuses_an_empty_scenario_hash(tmp_path):
+    refused(write_cache(tmp_path / "fc.npz", scenario_hash=""), "without a scenario hash",
+            "delete the cache and rebuild it")
 
 
 def test_source_validation():

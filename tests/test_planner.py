@@ -9,12 +9,17 @@ from hazardplan.planner import (
     PlanQuery,
     dp_solve,
     rollout,
-    success_probability,
     wilson_interval,
 )
 
 import oracles
-from oracles import HAZARD_STATE, MissionState, task_update, transition_distribution
+from oracles import (
+    HAZARD_STATE,
+    MissionState,
+    success_probability,
+    task_update,
+    transition_distribution,
+)
 from conftest import random_plan_setup, random_tabular_kernel
 
 

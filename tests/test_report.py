@@ -154,36 +154,88 @@ def test_derive_seed_stable_distinct_in_range():
         assert 0 <= s < 1 << 63
 
 
+def stamped(fld, sc):
+    fld.scenario_hash = scenario_hash(sc)
+    return fld
+
+
 def test_cached_field_reused_and_validated():
     sc = unit_scenario()
-    fld = estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon,
-                                       samples=200, seed=3)
+    sampling = dict(samples=200, seed=3)
+    fld = stamped(estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon, **sampling), sc)
     res = run_pipeline(sc, PipelineOptions(field=fld, methods=("forward",),
-                                           ratio_source="none"))
+                                           ratio_source="none", **sampling))
     assert res.contamination is fld
     assert res.report["field"]["samples"] == 200
 
-    short = estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon - 1,
-                                         samples=50, seed=3)
-    with pytest.raises(ValidationError):
-        build_field(sc, PipelineOptions(field=short))
+    short = stamped(estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon - 1,
+                                                 **sampling), sc)
+    with pytest.raises(ValidationError, match="horizon 11 < scenario horizon 12"):
+        build_field(sc, PipelineOptions(field=short, **sampling))
 
     other = unit_scenario(goal=[3, 2])
-    fld.scenario_hash = scenario_hash(sc)
-    with pytest.raises(ValidationError):
-        build_field(other, PipelineOptions(field=fld))
+    with pytest.raises(ValidationError, match="different scenario"):
+        build_field(other, PipelineOptions(field=fld, **sampling))
 
     moved = unit_dict()
-    moved["grid"]["obstacles"] = [[2, 1]]
-    with pytest.raises(ValidationError):
-        build_field(parse_scenario(moved), PipelineOptions(field=short))
+    moved["grid"]["obstacles"] = [[3, 1]]
+    with pytest.raises(ValidationError, match="different scenario"):
+        build_field(parse_scenario(moved), PipelineOptions(field=fld, **sampling))
+
+    open_grid = unit_dict()
+    open_grid["grid"]["obstacles"] = []
+    with pytest.raises(ValidationError, match="covers 11 cells, scenario has 12"):
+        build_field(parse_scenario(open_grid), PipelineOptions(field=fld, **sampling))
 
 
 def test_longer_cached_horizon_is_accepted():
     sc = unit_scenario()
-    fld = estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon + 4,
-                                       samples=100, seed=1)
-    assert build_field(sc, PipelineOptions(field=fld)) is fld
+    fld = stamped(estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon + 4,
+                                               samples=100, seed=1), sc)
+    assert build_field(sc, PipelineOptions(field=fld, samples=100, seed=1)) is fld
+
+
+@pytest.mark.parametrize("asked, want", [
+    (dict(field_kind="exact", samples=5000, seed=7), "asks for exact"),
+    (dict(samples=201, seed=3), "asks for monte-carlo (201 samples, seed 3)"),
+    (dict(samples=200, seed=4), "asks for monte-carlo (200 samples, seed 4)"),
+])
+def test_given_field_of_another_kind_or_sampling_is_refused(asked, want):
+    sc = unit_scenario()
+    fld = stamped(estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon,
+                                               samples=200, seed=3), sc)
+    for call in (build_field, run_pipeline):
+        with pytest.raises(ValidationError) as exc:
+            call(sc, PipelineOptions(field=fld, methods=("forward",), ratio_source="none",
+                                     **asked))
+        assert "built as monte-carlo (200 samples, seed 3)" in str(exc.value)
+        assert want in str(exc.value)
+
+
+def test_given_exact_field_is_refused_for_a_sampled_run():
+    sc = unit_scenario()
+    fld = stamped(hazard.exact_contamination_field(sc.gridmap, sc.hazard, sc.horizon), sc)
+    assert build_field(sc, exact_options(field=fld, samples=123, seed=9)) is fld
+    for call in (build_field, run_pipeline):
+        with pytest.raises(ValidationError, match="built as exact, but this run asks for "
+                                                  r"monte-carlo \(10000 samples, seed 0\)"):
+            call(sc, PipelineOptions(field=fld))
+
+
+def test_given_field_of_another_scenario_or_without_a_hash_is_refused():
+    sc = unit_scenario()
+    faster = unit_dict()
+    faster["hazards"][0]["theta"] = 0.3
+    fld = estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon, samples=200, seed=3)
+    opts = dict(samples=200, seed=3, methods=("forward",), ratio_source="none")
+    for stamp, words in (("", "no scenario hash"),
+                         (scenario_hash(parse_scenario(faster)), "different scenario")):
+        fld.scenario_hash = stamp
+        for call in (build_field, run_pipeline):
+            with pytest.raises(ValidationError, match=words):
+                call(sc, PipelineOptions(field=fld, **opts))
+    fld.scenario_hash = scenario_hash(sc)
+    assert run_pipeline(sc, PipelineOptions(field=fld, **opts)).contamination is fld
 
 
 def test_exact_field_cap_enforced():
@@ -346,7 +398,7 @@ def test_longer_cached_field_heatmap_reads_the_scenario_step(monkeypatch):
     sc = unit_scenario()
     fresh = run_pipeline(sc, exact_options(heatmap=True, methods=("forward",),
                                            ratio_source="none"))
-    longer = hazard.exact_contamination_field(sc.gridmap, sc.hazard, sc.horizon + 3)
+    longer = stamped(hazard.exact_contamination_field(sc.gridmap, sc.hazard, sc.horizon + 3), sc)
     passes = count_calls(monkeypatch, hazard, "_propagate_exact")
     res = run_pipeline(sc, exact_options(field=longer, heatmap=True, methods=("forward",),
                                          ratio_source="none"))
@@ -356,9 +408,10 @@ def test_longer_cached_field_heatmap_reads_the_scenario_step(monkeypatch):
 
 def test_heatmap_of_a_field_without_marginals_is_refused():
     sc = unit_scenario()
-    fld = estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon, samples=50, seed=1)
+    fld = stamped(estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon,
+                                               samples=50, seed=1), sc)
     fld.marginals = None
-    opts = dict(field=fld, methods=("forward",), ratio_source="none")
+    opts = dict(field=fld, samples=50, seed=1, methods=("forward",), ratio_source="none")
     assert "heatmap" not in run_pipeline(sc, PipelineOptions(**opts)).report
     with pytest.raises(ValidationError, match="no marginals"):
         run_pipeline(sc, PipelineOptions(heatmap=True, **opts))

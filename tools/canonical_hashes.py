@@ -1,0 +1,82 @@
+"""sha256 of the outputs that must stay byte-identical across refactors.
+
+    python3 tools/canonical_hashes.py
+
+Runs, in one process and with the program imported from this checkout's
+``src/``:
+
+- the two README ``allocate`` reports (small.json with the exact field and
+  exact ratios, paper17x13.json with both greedy allocators, greedy ratios
+  and 100,000 rollout trials), each fresh, writing a ``--field-cache`` and
+  reading it back; a report is hashed as ``canonical_report_json``, which
+  leaves out the wall-clock ``seconds`` keys;
+- the ``render --what heatmap|paths`` SVGs on both scenarios;
+- the README ``plan`` and ``simulate`` outputs.
+
+It prints one ``<sha256>  <command>`` line per output. Run the same file in
+two checkouts and diff what they print. Outputs and caches go to a temporary
+directory that is removed at the end. The whole run takes about a minute.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from hazardplan import cli  # noqa: E402
+from hazardplan.report import canonical_report_json  # noqa: E402
+
+SMALL = str(ROOT / "scenarios" / "small.json")
+PAPER = str(ROOT / "scenarios" / "paper17x13.json")
+ALLOCATE = {
+    "small": ["allocate", SMALL, "--exact-field", "--ratios", "exact", "--heatmap"],
+    "paper": ["allocate", PAPER, "--method", "forward,reverse", "--ratios", "greedy",
+              "--rollout-trials", "100000"],
+}
+RENDER = [
+    ["render", SMALL, "--what", "heatmap", "--exact-field"],
+    ["render", PAPER, "--what", "heatmap", "--samples", "2000"],
+    ["render", SMALL, "--what", "paths", "--method", "forward", "--exact-field"],
+    ["render", SMALL, "--what", "paths", "--method", "reverse", "--exact-field"],
+    ["render", PAPER, "--what", "paths", "--method", "reverse", "--samples", "2000"],
+]
+OTHER = [
+    ["plan", SMALL, "--robot", "b", "--targets", "i,iii"],
+    ["simulate", SMALL, "--robot", "b", "--targets", "i", "--trials", "20000"],
+]
+
+
+def _run(argv, out: Path) -> bytes:
+    code = cli.main([*argv, "--out", str(out)])
+    if code != 0:
+        raise SystemExit(f"exit {code}: {' '.join(argv)}")
+    return out.read_bytes()
+
+
+def _shown(argv) -> str:
+    return " ".join(Path(a).name if a in (SMALL, PAPER) else a for a in argv)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        out = work / "out"
+        for name, argv in ALLOCATE.items():
+            cache = ["--field-cache", str(work / f"{name}.npz")]
+            for label, extra in (("fresh", []), ("cache written", cache), ("cache read", cache)):
+                report = json.loads(_run(argv + extra, out))
+                digest = hashlib.sha256(canonical_report_json(report).encode()).hexdigest()
+                print(f"{digest}  {_shown(argv)}  [{label}]", flush=True)
+        for argv in RENDER + OTHER:
+            print(f"{hashlib.sha256(_run(argv, out)).hexdigest()}  {_shown(argv)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
