@@ -14,16 +14,31 @@ The planner consumes the spread only through the transition field
 p[k](x', x) = P(x' contaminated at k+1 | x clear at k), stored for x' in
 {x} union orthogonal neighbors, which mirrors the five move slots.
 
+Every stay-clear probability is read from one table per grid and model,
+lut[x, code], where bit j - 1 of the 8-bit code marks x's slot-j
+neighbour contaminated. Its entries are the products above, taken in
+slot order 1..8.
+
 On small maps the distribution over contamination sets is propagated
 exactly. Live states are int64 bitmasks held in arrays, and each step
 enumerates the ignition outcomes of all of them at once. One pass yields
 the transition field and the per-cell contamination marginals of every
 step 0..horizon. Sums run in the order of a scalar loop over states and
 outcomes, so the result does not depend on how the arrays are laid out.
-The Monte-Carlo estimator derives the same per-step marginals from the
-counts its sampler run keeps for the field. Either builder stores them in
-ContaminationField.marginals, which is the only source of contamination
-heat, and which a field cache saves along with the field.
+
+The Monte-Carlo sampler is event-driven. Sample i draws all its uniforms,
+shaped (horizon, n_free), from its own stream seeded by (seed, i). A cell
+can only ignite on a draw below the largest ignition probability its row
+of lut holds, so only those few draws are kept, grouped by step. A step
+compares each of its kept draws with 1 - lut[x, code] and updates the
+neighbour codes from its ignitions alone, so a step costs what its kept
+draws and ignitions cost, not samples x cells. The step at which each
+(sample, cell) ignited gives every integer count of the field at the end,
+and chunks of samples are summed in a fixed order, so the field is the
+same bits for any chunking or thread count. The same counts give the per-step
+marginals. Either builder stores them in ContaminationField.marginals,
+which is the only source of contamination heat, and which a field cache
+saves along with the field.
 """
 
 from __future__ import annotations
@@ -115,6 +130,51 @@ class _SpreadDynamics:
         self.theta = self._theta_field()
         self.w_orth = 1.0 - self.theta
         self.w_diag = 1.0 - self.theta / SQRT2
+        self.lut = self._stay_clear_table()
+        # rev[y, j - 1] = the cell whose slot j is y, or n for none: the cells
+        # whose code bit j - 1 an ignition of y sets
+        nbr = gridmap.neighbor_slots
+        self.rev = np.full((n, N_SLOTS - 1), n, dtype=np.intp)
+        for j in range(1, N_SLOTS):
+            has = nbr[:, j] >= 0
+            self.rev[nbr[has, j], j - 1] = np.nonzero(has)[0]
+        # the sampler's lookup: ignite[x * 512 + b] = 1 - lut[x, b] for a
+        # neighbour code b < 256, and 0 when bit 8 of b marks x contaminated
+        self.ignite = np.hstack([1.0 - self.lut, np.zeros_like(self.lut)]).ravel()
+        self.max_ignite = 1.0 - self.lut.min(axis=1)
+
+    def _stay_clear_table(self) -> np.ndarray:
+        """lut[x, code] = P(clear cell x stays clear for one step) when bit
+        j - 1 of the 8-bit code marks slot j's neighbour contaminated. The
+        neighbours' weights multiply in slot order 1..8, starting from 1.0,
+        so every entry is the product a slot-by-slot loop would form."""
+        nbr = self.gridmap.neighbor_slots
+        lut = np.ones((self.gridmap.n_free, 1 << (N_SLOTS - 1)))
+        codes = np.arange(lut.shape[1])
+        for j in range(1, N_SLOTS):
+            has = nbr[:, j] >= 0
+            weights = self.w_orth if j < N_ACTIONS else self.w_diag
+            on = (codes >> (j - 1)) & 1 == 1
+            lut[np.ix_(has, on)] *= weights[nbr[has, j]][:, np.newaxis]
+        return lut
+
+    def codes(self, contaminated: np.ndarray) -> np.ndarray:
+        """Neighbour codes of a (rows, n_free) contamination matrix: bit j - 1
+        of codes[r, x] is set when slot j's neighbour of x is contaminated."""
+        # a missing neighbour has index -1, which picks the all-clear pad column
+        padded = np.concatenate([contaminated, np.zeros((len(contaminated), 1), bool)], axis=1)
+        nbr = self.gridmap.neighbor_slots
+        out = np.zeros(contaminated.shape, dtype=np.intp)
+        for j in range(1, N_SLOTS):
+            out |= padded[:, nbr[:, j]].astype(np.intp) << (j - 1)
+        return out
+
+    def stay_clear(self, contaminated: np.ndarray) -> np.ndarray:
+        """Row-wise stay-clear probabilities of a (rows, n_free) contamination
+        matrix, read from lut; entries at contaminated cells are 0."""
+        clear = self.lut[np.arange(self.gridmap.n_free), self.codes(contaminated)]
+        clear[contaminated] = 0.0
+        return clear
 
     def _theta_field(self) -> np.ndarray:
         """Per-cell spread speed: each cell inherits the speed of the nearest
@@ -141,24 +201,6 @@ class _SpreadDynamics:
                     theta[k] = theta[i]
                     queue.append(k)
         return theta
-
-
-def _clear_probs(dyn: _SpreadDynamics, contaminated: np.ndarray) -> np.ndarray:
-    """Row-wise stay-clear probabilities for a (samples, n_free) contamination
-    matrix; entries at contaminated cells are forced to 0."""
-    nbr = dyn.gridmap.neighbor_slots
-    pnc = np.ones_like(contaminated, dtype=np.float64)
-    for j in range(1, N_SLOTS):
-        idx = nbr[:, j]
-        valid = idx >= 0
-        if not np.any(valid):
-            continue
-        weights = dyn.w_orth if j < N_ACTIONS else dyn.w_diag
-        sel = idx[valid]
-        factors = np.where(contaminated[:, sel], weights[sel], 1.0)
-        pnc[:, valid] *= factors
-    pnc[contaminated] = 0.0
-    return pnc
 
 
 @lru_cache(maxsize=16)
@@ -283,7 +325,7 @@ def _propagate_exact(dyn: _SpreadDynamics, horizon: int):
         marginals[k] = _sequential_sum(np.where(contaminated, probs[:, np.newaxis], 0.0))
         if k == horizon:
             break
-        clear = _clear_probs(dyn, contaminated)
+        clear = dyn.stay_clear(contaminated)
         pc_next = 1.0 - clear
         is_clear = ~contaminated
         den = _sequential_sum(np.where(is_clear, probs[:, np.newaxis], 0.0))
@@ -413,54 +455,104 @@ def _sample_chunk(
     stop: int,
 ):
     """Simulate trajectories for samples [start, stop) on their own RNG
-    streams. Chunking and threading never change the draws a sample sees."""
-    gm = dyn.gridmap
-    n = gm.n_free
+    streams and count them for the field. Chunking and threading never
+    change the draws a sample sees.
+
+    Cell x of a sample ignites at step k when it is clear and its draw
+    u[k, x] < 1 - lut[x, code], code being x's neighbour code then. No code
+    gives more than dyn.max_ignite[x], so only draws below that bound are
+    kept, in step order; a step looks at its own kept draws and updates the
+    codes from its ignitions alone. Each (sample, cell) records the step it
+    ignited at, and every count is read from those steps at the end.
+    """
+    n = dyn.gridmap.n_free
     m = stop - start
-    nbr = gm.neighbor_slots[:, :N_ACTIONS]
-    uniforms = np.empty((m, horizon, n))
-    for row, i in enumerate(range(start, stop)):
+    width = n + 1  # per-sample stride: column n takes the bits of missing neighbours
+    uniforms = np.empty((horizon, n))
+    kept, draws = [], []
+    for i in range(start, stop):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-        uniforms[row] = rng.random((horizon, n))
-    contam = np.broadcast_to(dyn.initial, (m, n)).copy()
-    den = np.zeros((horizon, n), dtype=np.int64)
-    num = np.zeros((horizon, n, N_ACTIONS), dtype=np.int64)
+        rng.random(out=uniforms)
+        kept.append(np.flatnonzero(uniforms < dyn.max_ignite))
+        draws.append(uniforms.ravel()[kept[-1]])
+    sample = np.repeat(np.arange(m), [len(a) for a in kept])
+    step, cell = np.divmod(np.concatenate(kept), n)
+    # group the kept draws by step; their order within a step does not matter
+    order = np.argsort(step.astype(np.min_scalar_type(horizon)), kind="stable")
+    at = (sample * width + cell)[order]
+    draws = np.concatenate(draws)[order]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(step, minlength=horizon))]).tolist()
+    # key[s * width + x] = x * 512 + (256 once x is contaminated) + code
+    first = np.arange(width) * 512
+    first[:n] += dyn.initial * 256 + dyn.codes(dyn.initial[np.newaxis])[0]
+    key = np.tile(first, m)
+    # ignition offsets: x itself, then the cells whose slot j is x
+    cells = np.arange(n)[:, np.newaxis]
+    spread = np.hstack([cells, dyn.rev]) - cells
+    bits = 1 << np.roll(np.arange(N_SLOTS), 1)
+    # the step a (sample, cell) ignited at: -1 from the start, horizon for never
+    fired = np.tile(np.append(np.where(dyn.initial, -1, horizon), horizon), m)
     for k in range(horizon):
-        clear = ~contam
-        pc = 1.0 - _clear_probs(dyn, contam)
-        ignite = clear & (uniforms[:, k, :] < pc)
-        nxt = contam | ignite
-        den[k] += clear.sum(axis=0)
-        for j in range(N_ACTIONS):
-            idx = nbr[:, j]
-            valid = idx >= 0
-            if not np.any(valid):
-                continue
-            hits = clear[:, valid] & nxt[:, idx[valid]]
-            num[k, valid, j] += hits.sum(axis=0)
-        contam = nxt
-    final = contam.sum(axis=0, dtype=np.int64)
-    return den, num, final
+        here = at[bounds[k]:bounds[k + 1]]
+        hit = here[draws[bounds[k]:bounds[k + 1]] < dyn.ignite[key[here]]]
+        if len(hit):
+            fired[hit] = k
+            np.bitwise_or.at(key, hit[:, np.newaxis] + spread[hit % width], bits)
+    return _chunk_counts(dyn, fired.reshape(m, width), horizon)
+
+
+def _chunk_counts(dyn: _SpreadDynamics, fired: np.ndarray, horizon: int):
+    """(den, num, final) of a chunk from the (samples, n_free + 1) steps at
+    which each cell ignited (-1 from the start, horizon for never)."""
+    m, n = fired.shape[0], fired.shape[1] - 1
+    sample, cell = np.nonzero(fired[:, :n] < horizon)
+    when = fired[sample, cell]
+    # hist[t + 1, x] = samples in which x ignited at step t
+    hist = np.bincount((when + 1) * n + cell, minlength=(horizon + 1) * n)
+    hist = hist.reshape(horizon + 1, n)
+    den = m - np.cumsum(hist, axis=0)[:-1]
+    num = np.empty((horizon, n, N_ACTIONS), dtype=np.int64)
+    num[:, :, 0] = hist[1:]
+    # Slot j of x counts the steps k with x clear at k and its slot-j
+    # neighbour y contaminated at k + 1: max(when_y, 0) <= k <= min(when_x, H - 1).
+    # Each (sample, y) opens that run of steps for the cells whose slot j is y.
+    orth = N_ACTIONS - 1
+    x = dyn.rev[cell, :orth]
+    first = np.broadcast_to(np.maximum(when, 0)[:, np.newaxis], x.shape)
+    last = np.minimum(fired[sample[:, np.newaxis], x], horizon - 1)
+    keep = (x < n) & (first <= last)
+    entry = (x * orth + np.arange(orth))[keep]
+    size = (horizon + 1) * n * orth
+    runs = np.bincount(first[keep] * n * orth + entry, minlength=size)
+    runs -= np.bincount((last[keep] + 1) * n * orth + entry, minlength=size)
+    num[:, :, 1:] = np.cumsum(runs.reshape(horizon + 1, n, orth), axis=0)[:horizon]
+    return den, num, hist.sum(axis=0)
 
 
 def _run_chunks(dyn, horizon, samples, seed, threads):
+    """Integer (den, num, final) of samples [0, samples), added up chunk by
+    chunk in chunk order as the chunks arrive."""
     n = dyn.gridmap.n_free
     chunk = max(1, min(2048, 24_000_000 // max(1, horizon * n * 8)))
     ranges = [(s, min(s + chunk, samples)) for s in range(0, samples, chunk)]
     worker = lambda r: _sample_chunk(dyn, horizon, seed, r[0], r[1])
+    totals = (
+        np.zeros((horizon, n), dtype=np.int64),
+        np.zeros((horizon, n, N_ACTIONS), dtype=np.int64),
+        np.zeros(n, dtype=np.int64),
+    )
+
+    def add(results):
+        for parts in results:
+            for total, part in zip(totals, parts):
+                total += part
+
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, ranges))
+            add(pool.map(worker, ranges))
     else:
-        results = [worker(r) for r in ranges]
-    den = np.zeros((horizon, n), dtype=np.int64)
-    num = np.zeros((horizon, n, N_ACTIONS), dtype=np.int64)
-    final = np.zeros(n, dtype=np.int64)
-    for d, nm, f in results:
-        den += d
-        num += nm
-        final += f
-    return den, num, final
+        add(map(worker, ranges))
+    return totals
 
 
 def estimate_contamination_field(

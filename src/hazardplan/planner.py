@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericViolationError, ValidationError
 from .grid import Cell, GridMap, MotionKernel, MoveAction, N_ACTIONS
-from .hazard import ContaminationField, HazardModel, _clear_probs, _dynamics
+from .hazard import ContaminationField, HazardModel, _dynamics
 
 VALUE_TOL = 1e-9
 WILSON_Z95 = 1.959963984540054
@@ -405,7 +405,7 @@ def _rollout_joint_chunk(
         slot = _motion_slots(query, rng, x, act, m)
         dest = nbr[x, slot]
         hazard_draws = rng.random((m, n))
-        pc = 1.0 - _clear_probs(dyn, contam)
+        pc = 1.0 - dyn.stay_clear(contam)
         ignite = (~contam) & (hazard_draws < pc)
         contam = contam | ignite
         active = alive & ~success

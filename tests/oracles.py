@@ -27,14 +27,14 @@ from hazardplan.allocation import (
     pair_bit,
 )
 from hazardplan.errors import NumericViolationError, ValidationError
-from hazardplan.grid import Cell, GridMap, MotionKernel, MoveAction, N_ACTIONS
+from hazardplan.grid import Cell, GridMap, MotionKernel, MoveAction, N_ACTIONS, N_SLOTS
 from hazardplan.guarantees import RatioReport
 from hazardplan.hazard import (
     EXACT_HAZARD_CELL_CAP,
     FIELD_SUM_TOL,
     HazardModel,
+    _SpreadDynamics,
     _cells_to_bits,
-    _clear_probs,
     _dynamics,
     _exact_step,
     _live_states,
@@ -287,6 +287,9 @@ def value_recursion_oracle(query) -> float:
                     acc += surv * value(k + 1, q | tb[dest], dest)
             if acc > best:
                 best = acc
+        # dp_solve clips each step's values to [0, 1] as probabilities; a
+        # kernel row summing to 1 + 2**-52 would otherwise carry 1 + 2**-52
+        best = min(best, 1.0)
         memo[key] = best
         return best
 
@@ -463,11 +466,77 @@ def brute_force_partitions(value, n_robots: int, n_tasks: int) -> Tuple[Tuple[in
     return best_masks, float(best)
 
 
+# --- Stay-clear kernel and Monte-Carlo sampler, kept as the references ------
+#
+# The package reads stay-clear products from a per-cell table indexed by
+# neighbour codes, and its sampler works from each step's ignitions. These
+# are the dense forms it replaced: eight np.where passes per call, and a
+# sampler that rebuilds every (sample, cell) probability and recounts every
+# slot each step. The package must agree with them bit for bit.
+
+
+def _clear_probs(dyn: _SpreadDynamics, contaminated: np.ndarray) -> np.ndarray:
+    """Row-wise stay-clear probabilities for a (samples, n_free) contamination
+    matrix; entries at contaminated cells are forced to 0."""
+    nbr = dyn.gridmap.neighbor_slots
+    pnc = np.ones_like(contaminated, dtype=np.float64)
+    for j in range(1, N_SLOTS):
+        idx = nbr[:, j]
+        valid = idx >= 0
+        if not np.any(valid):
+            continue
+        weights = dyn.w_orth if j < N_ACTIONS else dyn.w_diag
+        sel = idx[valid]
+        factors = np.where(contaminated[:, sel], weights[sel], 1.0)
+        pnc[:, valid] *= factors
+    pnc[contaminated] = 0.0
+    return pnc
+
+
+def reference_sample_chunk(
+    dyn: _SpreadDynamics,
+    horizon: int,
+    seed: int,
+    start: int,
+    stop: int,
+):
+    """Simulate trajectories for samples [start, stop) on their own RNG
+    streams. Chunking and threading never change the draws a sample sees."""
+    gm = dyn.gridmap
+    n = gm.n_free
+    m = stop - start
+    nbr = gm.neighbor_slots[:, :N_ACTIONS]
+    uniforms = np.empty((m, horizon, n))
+    for row, i in enumerate(range(start, stop)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+        uniforms[row] = rng.random((horizon, n))
+    contam = np.broadcast_to(dyn.initial, (m, n)).copy()
+    den = np.zeros((horizon, n), dtype=np.int64)
+    num = np.zeros((horizon, n, N_ACTIONS), dtype=np.int64)
+    for k in range(horizon):
+        clear = ~contam
+        pc = 1.0 - _clear_probs(dyn, contam)
+        ignite = clear & (uniforms[:, k, :] < pc)
+        nxt = contam | ignite
+        den[k] += clear.sum(axis=0)
+        for j in range(N_ACTIONS):
+            idx = nbr[:, j]
+            valid = idx >= 0
+            if not np.any(valid):
+                continue
+            hits = clear[:, valid] & nxt[:, idx[valid]]
+            num[k, valid, j] += hits.sum(axis=0)
+        contam = nxt
+    final = contam.sum(axis=0, dtype=np.int64)
+    return den, num, final
+
+
 # --- Scalar exact propagation, kept as the bit-for-bit reference -----------
 #
-# Unlike the oracles above, these loops share the package's stay-clear kernel
-# (_clear_probs) on purpose: they pin the propagation's arithmetic order,
-# so the vectorized propagation must agree with them exactly, not approximately.
+# Unlike the scalar oracles, these loops use the dense stay-clear kernel
+# (_clear_probs above), which the package's table reproduces bit for bit, on
+# purpose: they pin the propagation's arithmetic order, so the vectorized
+# propagation must agree with them exactly, not approximately.
 
 
 def _reference_step(dyn, masks: Dict[int, float]) -> Dict[int, float]:
@@ -897,8 +966,8 @@ def motion_prob(kernel: MotionKernel, x_next: Cell, x: Cell, u: MoveAction) -> f
 # Cell-set forms of one hazard step, the success value of a target list, F
 # on arbitrary sets of (task, robot) pairs and the tie check of a greedy
 # trace. The package works on whole arrays and bitmasks and never needs
-# them; the one-step hazard helpers run on its vectorized kernels, so their
-# tests check those kernels.
+# them; the one-step hazard helpers run on the dense stay-clear kernel above
+# and the package's exact step, so their tests check those kernels.
 
 
 def remain_clear_prob(

@@ -12,6 +12,8 @@ from hazardplan.hazard import (
     HazardModel,
     HazardSource,
     _dynamics,
+    _run_chunks,
+    _sample_chunk,
     estimate_contamination_field,
     exact_contamination_field,
 )
@@ -273,8 +275,84 @@ def test_estimated_field_thread_invariance():
     b = estimate_contamination_field(gm, model, 4, samples=3000, seed=11, threads=4)
     assert np.array_equal(a.prob, b.prob)
     assert np.array_equal(a.flagged, b.flagged)
+    assert np.array_equal(a.marginals, b.marginals)
     c = estimate_contamination_field(gm, model, 4, samples=3000, seed=12, threads=1)
     assert not np.array_equal(a.prob, c.prob)
+
+
+def spread_setup(rng, case):
+    """A grid of 1-5 by 1-5 cells and a hazard on it. Cases 0-4 are a single
+    free cell, no sources, speed 0, speed 1 and heavy obstacles; later cases
+    draw the obstacle share, 0-3 sources and speeds among 0, 1 and (0, 1)."""
+    while True:
+        width, height = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        cells = [Cell(c, r) for c in range(width) for r in range(height)]
+        share = {0: 1.0, 4: 0.7}.get(case, rng.choice([0.0, 0.2, 0.5, 0.8]))
+        n_obs = min(len(cells) - 1, int(share * len(cells)))
+        order = [cells[i] for i in rng.permutation(len(cells))]
+        free = order[n_obs:]
+        if case in (3, 4) and len(free) < 3:
+            continue
+        gm = GridMap(width, height, order[:n_obs], free[0])
+        n_sources = 0 if case == 1 else int(rng.integers(0, min(3, gm.n_free) + 1))
+        if case in (2, 3, 4):
+            n_sources = max(1, n_sources)
+        speeds = [{2: 0.0, 3: 1.0}.get(case, rng.choice([0.0, 1.0, rng.uniform()]))
+                  for _ in range(n_sources)]
+        picks = rng.permutation(gm.n_free)[:n_sources]
+        model = HazardModel(sources=tuple(
+            HazardSource(cells=frozenset([gm.cells[int(i)]]), theta=float(theta))
+            for i, theta in zip(picks, speeds)
+        ))
+        return gm, model
+
+
+def assert_counts_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+def test_sampler_bit_identical_to_reference_random_sweep():
+    rng = np.random.default_rng(808)
+    for case in range(50):
+        gm, model = spread_setup(rng, case)
+        dyn = _dynamics(gm, model)
+        horizon, seed = int(rng.integers(1, 9)), int(rng.integers(0, 1000))
+        want = oracles.reference_sample_chunk(dyn, horizon, seed, 0, 300)
+        assert_counts_equal(_run_chunks(dyn, horizon, 300, seed, 1), want)
+        # a chunk that does not start at sample 0 sees the same streams
+        assert_counts_equal(_sample_chunk(dyn, horizon, seed, 40, 77),
+                            oracles.reference_sample_chunk(dyn, horizon, seed, 40, 77))
+
+
+@pytest.fixture(scope="module")
+def paper_reference():
+    sc = load_scenario(SCENARIOS / "paper17x13.json")
+    dyn = _dynamics(sc.gridmap, sc.hazard)
+    samples = 600
+    parts = [oracles.reference_sample_chunk(dyn, sc.horizon, 0, lo, lo + 200)
+             for lo in range(0, samples, 200)]
+    return dyn, sc.horizon, samples, [sum(p[i] for p in parts) for i in range(3)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sampler_bit_identical_to_reference_on_paper_scenario(paper_reference, threads):
+    dyn, horizon, samples, want = paper_reference
+    # several chunks, so two threads run them side by side
+    assert_counts_equal(_run_chunks(dyn, horizon, samples, 0, threads), want)
+
+
+def test_stay_clear_table_matches_reference_kernel():
+    rng = np.random.default_rng(909)
+    paper = load_scenario(SCENARIOS / "paper17x13.json")
+    setups = [(paper.gridmap, paper.hazard)] + [spread_setup(rng, case) for case in range(30)]
+    for gm, model in setups:
+        dyn = _dynamics(gm, model)
+        for density in (0.0, 0.1, 0.5, 1.0):
+            contaminated = rng.random((40, gm.n_free)) < density
+            assert np.array_equal(dyn.stay_clear(contaminated),
+                                  oracles._clear_probs(dyn, contaminated))
 
 
 def test_heatmap_thread_invariance_and_range():

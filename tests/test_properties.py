@@ -1,13 +1,22 @@
 """Property tests on hypothesis-drawn grids of at most 12 free cells: the
-package DP and the exact field against the scalar oracles."""
+package DP and the exact field against the scalar oracles, the allocators'
+partitions, and both greedy guarantees under exact ratios."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from hazardplan.allocation import (
+    brute_force_optimal,
+    forward_greedy,
+    group_success,
+    is_partition,
+    reverse_greedy,
+)
 from hazardplan.grid import Cell, GridMap, MotionKernel
+from hazardplan.guarantees import exact_ratios, theorem_bounds
 from hazardplan.hazard import HazardModel, HazardSource, exact_contamination_field
-from hazardplan.planner import PlanQuery, dp_solve
+from hazardplan.planner import ObjectiveCache, PlanQuery, dp_solve
 
 import oracles
 from conftest import random_tabular_kernel
@@ -61,3 +70,70 @@ def test_dp_value_equals_value_recursion_oracle(grid, horizon, data):
     query = PlanQuery(gridmap=gm, kernel=kernel, field=fld, start=start,
                       targets=tuple(targets), horizon=horizon)
     assert dp_solve(query).success == oracles.value_recursion_oracle(query)
+
+
+@st.composite
+def allocation_instances(draw):
+    """1-3 robots sharing 1-3 targets on a hazard_grids grid, with
+    deterministic motion and the exact field of horizon 1-5."""
+    gm, model = draw(hazard_grids())
+    horizon = draw(st.integers(1, 5))
+    starts = draw(st.lists(st.sampled_from(gm.cells), min_size=1, max_size=3))
+    targets = draw(st.lists(st.sampled_from(gm.cells), unique=True, min_size=1, max_size=3))
+    fld = exact_contamination_field(gm, model, horizon)
+    return ObjectiveCache(gm, MotionKernel.deterministic(gm), fld, starts, targets, horizon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(allocation_instances())
+def test_allocators_return_partitions(cache):
+    best, f_star = brute_force_optimal(cache)
+    assert is_partition(best, cache.n_tasks)
+    assert group_success(cache, best) == f_star
+    for allocate in (forward_greedy, reverse_greedy):
+        masks, _ = allocate(cache)
+        assert is_partition(masks, cache.n_tasks)
+        assert group_success(cache, masks) <= f_star
+
+
+@st.composite
+def comb_instances(draw):
+    """A comb of 8 or 11 free cells: a corridor along row 0 to the goal at
+    (4, 0) and dead-end teeth of depth 1-2 at columns 0, 2 and 4. The hazard
+    starts at the end of one tooth, a target sits in each other tooth, and
+    2-3 robots start on the corridor. Every visit is a costly detour, so
+    values often fall strictly with each task: the regime the guarantees
+    are stated in."""
+    depth = draw(st.integers(1, 2))
+    gm = GridMap(5, depth + 1, [Cell(c, r) for c in (1, 3) for r in range(1, depth + 1)],
+                 Cell(4, 0))
+    fire = draw(st.sampled_from([0, 2, 4]))
+    targets = [Cell(c, draw(st.integers(1, depth))) for c in (0, 2, 4) if c != fire]
+    model = HazardModel.uniform([Cell(fire, depth)], draw(st.floats(0.1, 0.45)))
+    starts = [Cell(c, 0) for c in draw(st.lists(st.integers(0, 4), min_size=2, max_size=3))]
+    horizon = draw(st.integers(4 + 4 * depth, 7 + 4 * depth))
+    fld = exact_contamination_field(gm, model, horizon)
+    return ObjectiveCache(gm, MotionKernel.deterministic(gm), fld, starts, targets, horizon)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(comb_instances())
+def test_greedy_guarantees_hold_under_exact_ratios(cache):
+    ratios = exact_ratios(cache)
+    # the theorems assume every added task strictly lowers F: no skipped triple
+    assume(ratios.skipped_alpha == 0 and ratios.skipped_gamma == 0)
+    assume(ratios.alpha < 1.0 and ratios.gamma > 0.0)
+    n_r, full = cache.n_robots, (1 << cache.n_tasks) - 1
+    _, f_star = brute_force_optimal(cache)
+    bounds = theorem_bounds(
+        f_empty=group_success(cache, (0,) * n_r),
+        f_full=group_success(cache, (full,) * n_r),
+        f_star=f_star,
+        f_forward=group_success(cache, forward_greedy(cache)[0]),
+        f_reverse=group_success(cache, reverse_greedy(cache)[0]),
+        alpha=ratios.alpha,
+        gamma=ratios.gamma,
+        ratio_kind=ratios.kind,
+    )
+    assert bounds.forward_ok is True
+    assert bounds.reverse_ok is True

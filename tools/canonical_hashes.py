@@ -11,11 +11,15 @@ Runs, in one process and with the program imported from this checkout's
   reading it back; a report is hashed as ``canonical_report_json``, which
   leaves out the wall-clock ``seconds`` keys;
 - the ``render --what heatmap|paths`` SVGs on both scenarios;
-- the README ``plan`` and ``simulate`` outputs.
+- the README ``plan`` and ``simulate`` outputs;
+- the ``prob``, ``flagged`` and ``marginals`` bytes of two fields built
+  through the library: paper17x13.json's Monte-Carlo field (10,000 samples,
+  seed 0) and small.json's exact field. These show any bit a field builder
+  moves, even one that no report or image reads.
 
 It prints one ``<sha256>  <command>`` line per output. Run the same file in
 two checkouts and diff what they print. Outputs and caches go to a temporary
-directory that is removed at the end. The whole run takes about a minute.
+directory that is removed at the end. The whole run takes under a minute.
 """
 
 from __future__ import annotations
@@ -30,7 +34,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from hazardplan import cli  # noqa: E402
+from hazardplan.hazard import (  # noqa: E402
+    estimate_contamination_field,
+    exact_contamination_field,
+)
 from hazardplan.report import canonical_report_json  # noqa: E402
+from hazardplan.scenario import load_scenario  # noqa: E402
 
 SMALL = str(ROOT / "scenarios" / "small.json")
 PAPER = str(ROOT / "scenarios" / "paper17x13.json")
@@ -63,6 +72,16 @@ def _shown(argv) -> str:
     return " ".join(Path(a).name if a in (SMALL, PAPER) else a for a in argv)
 
 
+def _fields():
+    """(label, field) of the two fields whose bytes are hashed."""
+    paper = load_scenario(PAPER)
+    yield "paper17x13.json monte-carlo 10000 samples seed 0", estimate_contamination_field(
+        paper.gridmap, paper.hazard, paper.horizon, samples=10_000, seed=0)
+    small = load_scenario(SMALL)
+    yield "small.json exact", exact_contamination_field(small.gridmap, small.hazard,
+                                                        small.horizon)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -75,6 +94,10 @@ def main() -> int:
                 print(f"{digest}  {_shown(argv)}  [{label}]", flush=True)
         for argv in RENDER + OTHER:
             print(f"{hashlib.sha256(_run(argv, out)).hexdigest()}  {_shown(argv)}", flush=True)
+    for label, field in _fields():
+        for name in ("prob", "flagged", "marginals"):
+            digest = hashlib.sha256(getattr(field, name).tobytes()).hexdigest()
+            print(f"{digest}  field {label}  [{name}]", flush=True)
     return 0
 
 
