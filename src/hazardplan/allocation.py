@@ -31,7 +31,10 @@ BRUTE_FORCE_CAP = 10**6
 
 
 class ObjectiveSource(Protocol):
-    """Anything that can price (robot, target-subset) pairs; usually ObjectiveCache."""
+    """Anything that can price (robot, target-subset) pairs; usually
+    ObjectiveCache. solve_count counts the distinct pairs priced so far."""
+
+    solve_count: int
 
     @property
     def n_robots(self) -> int: ...
@@ -174,14 +177,10 @@ def auction_round(bids: Sequence[Bid], f_values: Mapping[int, float]) -> int:
     return winner.robot
 
 
-def _solve_count(source) -> int:
-    return getattr(source, "solve_count", 0)
-
-
 def _greedy(source: ObjectiveSource, kind: str) -> Tuple[Tuple[int, ...], GreedyTrace]:
     """The auction loop behind both directions; see the module docstring."""
     n_r, n_t = source.n_robots, source.n_tasks
-    solves0 = _solve_count(source)
+    solves0 = source.solve_count
     forward = kind == "forward"
     full = (1 << n_t) - 1
     start = 0 if forward else full
@@ -268,7 +267,7 @@ def _greedy(source: ObjectiveSource, kind: str) -> Tuple[Tuple[int, ...], Greedy
     if not is_partition(masks, n_t):
         raise NumericViolationError(f"{kind} greedy did not end at a partition")
     trace.allocation = tuple(masks)
-    trace.plan_solves = _solve_count(source) - solves0
+    trace.plan_solves = source.solve_count - solves0
     return tuple(masks), trace
 
 

@@ -305,22 +305,27 @@ class GuaranteeReport:
         )}
 
 
+def _require_nonvacuous(alpha: float, gamma: float) -> None:
+    if not 0.0 <= alpha <= 1.0 or not 0.0 <= gamma <= 1.0:
+        raise ValidationError(f"ratios outside [0, 1]: alpha={alpha}, gamma={gamma}")
+    if alpha >= 1.0 or gamma <= 0.0:
+        raise VacuousBoundError(f"bounds are vacuous at alpha={alpha}, gamma={gamma}")
+
+
+def _floors(f_star, alpha, gamma):
+    """Both floors, element-wise on scalars or arrays of ratios."""
+    c = gamma * (1.0 - alpha)
+    return f_star / c + (c - 1.0) / c, f_star * gamma / (1.0 + gamma * alpha)
+
+
 def guarantee_values(f_star: float, alpha: float, gamma: float) -> Tuple[float, float]:
     """A-priori success floors for both directions at optimum F*.
 
     Forward: F* / (gamma (1-alpha)) + (gamma (1-alpha) - 1) / (gamma (1-alpha));
     reverse: F* gamma / (1 + gamma alpha). Vacuous at alpha = 1 or gamma = 0.
     """
-    if not 0.0 <= alpha <= 1.0 or not 0.0 <= gamma <= 1.0:
-        raise ValidationError(f"ratios outside [0, 1]: alpha={alpha}, gamma={gamma}")
-    if alpha >= 1.0 or gamma <= 0.0:
-        raise VacuousBoundError(
-            f"bounds are vacuous at alpha={alpha}, gamma={gamma}"
-        )
-    c = gamma * (1.0 - alpha)
-    g_fwd = f_star / c + (c - 1.0) / c
-    g_rev = f_star * gamma / (1.0 + gamma * alpha)
-    return g_fwd, g_rev
+    _require_nonvacuous(alpha, gamma)
+    return _floors(f_star, alpha, gamma)
 
 
 def theorem_bounds(
@@ -345,10 +350,7 @@ def theorem_bounds(
     degenerate to trivially true statements, so the whole evaluation is
     refused as vacuous rather than silently reported.
     """
-    if not 0.0 <= alpha <= 1.0 or not 0.0 <= gamma <= 1.0:
-        raise ValidationError(f"ratios outside [0, 1]: alpha={alpha}, gamma={gamma}")
-    if alpha >= 1.0 or gamma <= 0.0:
-        raise VacuousBoundError(f"bounds are vacuous at alpha={alpha}, gamma={gamma}")
+    _require_nonvacuous(alpha, gamma)
     report = GuaranteeReport(
         f_empty=f_empty, f_full=f_full, f_star=f_star,
         f_forward=f_forward, f_reverse=f_reverse,
@@ -356,9 +358,7 @@ def theorem_bounds(
     )
     if f_star is None:
         return report
-    g_fwd, g_rev = guarantee_values(f_star, alpha, gamma)
-    report.g_forward = g_fwd
-    report.g_reverse = g_rev
+    report.g_forward, report.g_reverse = _floors(f_star, alpha, gamma)
     c = gamma * (1.0 - alpha)
     if f_forward is not None:
         report.forward_lhs = c * (f_forward - f_empty)
@@ -409,9 +409,7 @@ def region_map(
     if alphas[-1] >= 1.0 or gammas[0] <= 0.0:
         raise VacuousBoundError("region grid touches alpha=1 or gamma=0")
     A, G = np.meshgrid(alphas, gammas)
-    c = G * (1.0 - A)
-    fwd = f_star / c + (c - 1.0) / c
-    rev = f_star * G / (1.0 + G * A)
+    fwd, rev = _floors(f_star, A, G)
     return RegionMap(
         f_star=f_star, alphas=alphas, gammas=gammas,
         forward_floor=fwd, reverse_floor=rev,

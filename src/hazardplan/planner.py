@@ -71,10 +71,9 @@ class PlanQuery:
 
 @dataclass
 class PlanResult:
-    """DP output: value tables, greedy policy, and the start-state value."""
+    """DP output: the greedy policy and the start-state value f = V^0(s0)."""
 
     query: PlanQuery
-    values: np.ndarray  # (horizon+1, 2^t, n_free)
     policy: np.ndarray  # (horizon, 2^t, n_free) int8 action ids
     success: float
     diagnostics: Tuple[str, ...] = ()
@@ -123,19 +122,21 @@ def _reachability_diagnostics(query: PlanQuery) -> List[str]:
 
 
 def _stub_result(query: PlanQuery, diagnostics: List[str]) -> PlanResult:
-    n = query.gridmap.n_free
-    nq = 1 << len(query.targets)
+    shape = (query.horizon, 1 << len(query.targets), query.gridmap.n_free)
     return PlanResult(
         query=query,
-        values=np.zeros((query.horizon + 1, nq, n)),
-        policy=np.zeros((query.horizon, nq, n), dtype=np.int8),
+        policy=np.zeros(shape, dtype=np.int8),
         success=0.0,
         diagnostics=tuple(diagnostics),
     )
 
 
 def dp_solve(query: PlanQuery) -> PlanResult:
-    """Backward value recursion; returns tables, greedy policy and f = V^0(s0)."""
+    """Backward value recursion; returns the greedy policy and f = V^0(s0).
+
+    Step k reads only step k + 1, so two (2^t, n) value layers are kept, and
+    each kernel term updates every mask row at once.
+    """
     gm = query.gridmap
     fld = query.field
     n = gm.n_free
@@ -164,14 +165,15 @@ def dp_solve(query: PlanQuery) -> PlanResult:
     nbr = gm.neighbor_slots[:, :N_ACTIONS]
     admissible = nbr >= 0
     kernel_terms = [list(query.kernel.action_terms(u)) for u in range(N_ACTIONS)]
+    masks = np.arange(nq)[:, np.newaxis]
 
-    values = np.zeros((horizon + 1, nq, n))
-    values[horizon, full, goal_idx] = 1.0
+    values = np.zeros((nq, n))
+    values[full, goal_idx] = 1.0
     policy = np.zeros((horizon, nq, n), dtype=np.int8)
     for k in range(horizon - 1, -1, -1):
-        vflat = values[k + 1].reshape(-1)
+        vflat = values.reshape(-1)
         best = np.full((nq, n), -1.0)
-        bestu = np.zeros((nq, n), dtype=np.int8)
+        bestu = policy[k]
         for u in range(N_ACTIONS):
             acc = np.zeros((nq, n))
             for j, w in kernel_terms[u]:
@@ -180,32 +182,25 @@ def dp_solve(query: PlanQuery) -> PlanResult:
                     continue
                 dsel = nbr[sel, j]
                 surv = w[sel] * (1.0 - fld.prob[k, sel, j])
-                tbd = tb[dsel]
-                for q in range(nq):
-                    rows = q | tbd
-                    acc[q, sel] += surv * vflat[rows * n + dsel]
+                acc[:, sel] += surv * vflat[(masks | tb[dsel]) * n + dsel]
             acc[:, ~admissible[:, u]] = -1.0
             better = acc > best
             best = np.where(better, acc, best)
             bestu[better] = u
         # The completed-mission state is absorbing.
-        best[full, goal_idx] = values[k + 1, full, goal_idx]
+        best[full, goal_idx] = values[full, goal_idx]
         bestu[full, goal_idx] = MoveAction.STAY
         if best.max() > 1.0 + VALUE_TOL or best.min() < -VALUE_TOL:
             raise NumericViolationError(
                 f"value outside [0, 1] at step {k}: [{best.min()}, {best.max()}]"
             )
         np.clip(best, 0.0, 1.0, out=best)
-        values[k] = best
-        policy[k] = bestu
+        values = best
 
-    q0 = int(tb[start_idx])
-    success = float(values[0, q0, start_idx])
     return PlanResult(
         query=query,
-        values=values,
         policy=policy,
-        success=success,
+        success=float(values[int(tb[start_idx]), start_idx]),
         diagnostics=tuple(diagnostics),
     )
 
@@ -322,14 +317,10 @@ def rollout(
     if mode == "joint" and model is None:
         raise ValidationError("joint rollout needs the hazard model")
     successes = 0
-    chunk_starts = list(range(0, trials, _ROLLOUT_CHUNK))
-    for ci, lo in enumerate(chunk_starts):
+    for ci, lo in enumerate(range(0, trials, _ROLLOUT_CHUNK)):
         m = min(_ROLLOUT_CHUNK, trials - lo)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, ci))))
-        if mode == "model":
-            successes += _rollout_model_chunk(result, rng, m)
-        else:
-            successes += _rollout_joint_chunk(result, model, rng, m)
+        successes += _rollout_chunk(result, model if mode == "joint" else None, rng, m)
     rate = successes / trials
     lo95, hi95 = wilson_interval(successes, trials)
     return RolloutResult(
@@ -348,7 +339,13 @@ def _motion_slots(query, rng, x, act, m):
     return np.minimum(slots, N_ACTIONS - 1)
 
 
-def _rollout_model_chunk(result: PlanResult, rng: np.random.Generator, m: int) -> int:
+def _rollout_chunk(
+    result: PlanResult, model: Optional[HazardModel], rng: np.random.Generator, m: int
+) -> int:
+    """Successes of m trials of the policy. Each step draws the motion, then
+    the hazard: with no model, one uniform per trial against the field's
+    contamination probability of the realized move; with a model, one spread
+    step of each trial's own contamination, checked at the destination."""
     query = result.query
     gm = query.gridmap
     fld = query.field
@@ -357,59 +354,34 @@ def _rollout_model_chunk(result: PlanResult, rng: np.random.Generator, m: int) -
     full = query.full_mask
     start = gm.index(query.start)
     goal = gm.goal_index
+    if model is None:
+        contam = None
+        dead_at_start = fld.flagged[0, start]
+    else:
+        dyn = _dynamics(gm, model)
+        contam = np.broadcast_to(dyn.initial, (m, gm.n_free)).copy()
+        dead_at_start = dyn.initial[start]
+    if dead_at_start:
+        return 0
+    if int(tb[start]) == full and start == goal:
+        return m
     x = np.full(m, start, dtype=np.int64)
     q = np.full(m, int(tb[start]), dtype=np.int64)
     alive = np.ones(m, dtype=bool)
     success = np.zeros(m, dtype=bool)
-    if fld.flagged[0, start]:
-        return 0
-    if int(tb[start]) == full and start == goal:
-        return m
-    for k in range(query.horizon):
-        act = result.policy[k, q, x]
-        slot = _motion_slots(query, rng, x, act, m)
-        draws = rng.random(m)
-        ph = fld.prob[k, x, slot]
-        dest = nbr[x, slot]
-        active = alive & ~success
-        die = active & (draws < ph)
-        alive[die] = False
-        move = active & ~die
-        x[move] = dest[move]
-        q[move] = q[move] | tb[x[move]]
-        reached = move & (q == full) & (x == goal)
-        success[reached] = True
-    return int(success.sum())
-
-
-def _rollout_joint_chunk(
-    result: PlanResult, model: HazardModel, rng: np.random.Generator, m: int
-) -> int:
-    query = result.query
-    gm = query.gridmap
-    dyn = _dynamics(gm, model)
-    n = gm.n_free
-    nbr = gm.neighbor_slots[:, :N_ACTIONS]
-    tb = query.target_bits()
-    full = query.full_mask
-    start = gm.index(query.start)
-    goal = gm.goal_index
-    contam = np.broadcast_to(dyn.initial, (m, n)).copy()
-    x = np.full(m, start, dtype=np.int64)
-    q = np.full(m, int(tb[start]), dtype=np.int64)
-    alive = ~contam[:, start]
-    success = alive & (int(tb[start]) == full) & (start == goal)
     rows = np.arange(m)
     for k in range(query.horizon):
         act = result.policy[k, q, x]
         slot = _motion_slots(query, rng, x, act, m)
         dest = nbr[x, slot]
-        hazard_draws = rng.random((m, n))
-        pc = 1.0 - dyn.stay_clear(contam)
-        ignite = (~contam) & (hazard_draws < pc)
-        contam = contam | ignite
+        if contam is None:
+            hit = rng.random(m) < fld.prob[k, x, slot]
+        else:
+            pc = 1.0 - dyn.stay_clear(contam)
+            contam |= ~contam & (rng.random(contam.shape) < pc)
+            hit = contam[rows, dest]
         active = alive & ~success
-        die = active & contam[rows, dest]
+        die = active & hit
         alive[die] = False
         move = active & ~die
         x[move] = dest[move]

@@ -20,7 +20,6 @@ from hazardplan.allocation import (
     IterationRecord,
     ObjectiveSource,
     _product,
-    _solve_count,
     auction_round,
     ground_value,
     is_partition,
@@ -40,6 +39,7 @@ from hazardplan.hazard import (
     _live_states,
     _require_exact_size,
 )
+from hazardplan.planner import VALUE_TOL, _motion_slots
 
 SQRT2 = math.sqrt(2.0)
 ORTH_STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))
@@ -651,14 +651,14 @@ def reference_forward_greedy(source: ObjectiveSource) -> Tuple[Tuple[int, ...], 
     from bidding and from the winner products, with a note.
     """
     n_r, n_t = source.n_robots, source.n_tasks
-    solves0 = _solve_count(source)
+    solves0 = source.solve_count
     masks = [0] * n_r
     if n_t == 0:
         trace = GreedyTrace(
             kind="forward", n_robots=n_r, n_tasks=0,
             start_masks=tuple(masks), baseline_f=tuple(source.value(r, 0) for r in range(n_r)),
             allocation=tuple(masks), notes=("degenerate: no tasks to assign",),
-            plan_solves=_solve_count(source) - solves0,
+            plan_solves=source.solve_count - solves0,
         )
         return tuple(masks), trace
     f_empty = [source.value(r, 0) for r in range(n_r)]
@@ -677,7 +677,7 @@ def reference_forward_greedy(source: ObjectiveSource) -> Tuple[Tuple[int, ...], 
             kind="forward", n_robots=n_r, n_tasks=n_t,
             start_masks=(0,) * n_r, baseline_f=tuple(f_empty),
             allocation=tuple(masks), excluded=excluded, notes=tuple(notes),
-            plan_solves=_solve_count(source) - solves0,
+            plan_solves=source.solve_count - solves0,
         )
         return tuple(masks), trace
     f_cur: Dict[int, float] = {r: f_empty[r] for r in range(n_r)}
@@ -736,7 +736,7 @@ def reference_forward_greedy(source: ObjectiveSource) -> Tuple[Tuple[int, ...], 
             )
         )
     trace.allocation = tuple(masks)
-    trace.plan_solves = _solve_count(source) - solves0
+    trace.plan_solves = source.solve_count - solves0
     return tuple(masks), trace
 
 
@@ -746,7 +746,7 @@ def reference_reverse_greedy(source: ObjectiveSource) -> Tuple[Tuple[int, ...], 
     its value being the f_r gain; a task leaves the open set the moment a
     single holder remains."""
     n_r, n_t = source.n_robots, source.n_tasks
-    solves0 = _solve_count(source)
+    solves0 = source.solve_count
     full = (1 << n_t) - 1
     masks = [full] * n_r
     baseline = tuple(source.value(r, full) for r in range(n_r))
@@ -757,7 +757,7 @@ def reference_reverse_greedy(source: ObjectiveSource) -> Tuple[Tuple[int, ...], 
     if n_t == 0 or n_r == 1:
         trace.allocation = tuple(masks)
         trace.notes = ("degenerate: nothing to remove",)
-        trace.plan_solves = _solve_count(source) - solves0
+        trace.plan_solves = source.solve_count - solves0
         return tuple(masks), trace
     f_cur: Dict[int, float] = {r: baseline[r] for r in range(n_r)}
     open_tasks = set(range(n_t))
@@ -821,7 +821,7 @@ def reference_reverse_greedy(source: ObjectiveSource) -> Tuple[Tuple[int, ...], 
     if not is_partition(masks, n_t):
         raise NumericViolationError("reverse greedy did not end at a partition")
     trace.allocation = tuple(masks)
-    trace.plan_solves = _solve_count(source) - solves0
+    trace.plan_solves = source.solve_count - solves0
     return tuple(masks), trace
 
 
@@ -879,6 +879,137 @@ def _exact_ratios_feasible(values: np.ndarray, n: int, n_robots: int):
         kind="exact-feasible", n_elements=n, alpha_witness=aw, gamma_witness=gw,
         skipped_alpha=skipped_alpha, skipped_gamma=skipped_gamma,
     )
+
+
+# --- DP and rollout references ----------------------------------------------
+#
+# The planner's DP keeps two value layers and updates every mask row at once,
+# and one rollout walk serves both modes. These are the forms it replaced: a
+# DP that stores all horizon + 1 layers and loops over masks in Python, and
+# one chunk function per rollout mode. The package must agree with them bit
+# for bit: the same success and policy, and the same successes per chunk.
+
+
+def reference_dp_solve(query):
+    """(values, policy, success) with the full (horizon + 1, 2^t, n) value
+    table; a start or target flagged at step 0 gives all-zero tables."""
+    gm = query.gridmap
+    fld = query.field
+    n = gm.n_free
+    nq = 1 << len(query.targets)
+    full = nq - 1
+    horizon = query.horizon
+    start_idx = gm.index(query.start)
+    goal_idx = gm.goal_index
+    tb = query.target_bits()
+    values = np.zeros((horizon + 1, nq, n))
+    policy = np.zeros((horizon, nq, n), dtype=np.int8)
+    if fld.flagged[0, start_idx] or any(fld.flagged[0, gm.index(c)] for c in query.targets):
+        return values, policy, 0.0
+
+    nbr = gm.neighbor_slots[:, :N_ACTIONS]
+    admissible = nbr >= 0
+    kernel_terms = [list(query.kernel.action_terms(u)) for u in range(N_ACTIONS)]
+    values[horizon, full, goal_idx] = 1.0
+    for k in range(horizon - 1, -1, -1):
+        vflat = values[k + 1].reshape(-1)
+        best = np.full((nq, n), -1.0)
+        bestu = np.zeros((nq, n), dtype=np.int8)
+        for u in range(N_ACTIONS):
+            acc = np.zeros((nq, n))
+            for j, w in kernel_terms[u]:
+                sel = w > 0
+                if not np.any(sel):
+                    continue
+                dsel = nbr[sel, j]
+                surv = w[sel] * (1.0 - fld.prob[k, sel, j])
+                tbd = tb[dsel]
+                for q in range(nq):
+                    rows = q | tbd
+                    acc[q, sel] += surv * vflat[rows * n + dsel]
+            acc[:, ~admissible[:, u]] = -1.0
+            better = acc > best
+            best = np.where(better, acc, best)
+            bestu[better] = u
+        best[full, goal_idx] = values[k + 1, full, goal_idx]
+        bestu[full, goal_idx] = MoveAction.STAY
+        if best.max() > 1.0 + VALUE_TOL or best.min() < -VALUE_TOL:
+            raise NumericViolationError(
+                f"value outside [0, 1] at step {k}: [{best.min()}, {best.max()}]"
+            )
+        np.clip(best, 0.0, 1.0, out=best)
+        values[k] = best
+        policy[k] = bestu
+    return values, policy, float(values[0, int(tb[start_idx]), start_idx])
+
+
+def reference_rollout_model_chunk(result, rng: np.random.Generator, m: int) -> int:
+    query = result.query
+    gm = query.gridmap
+    fld = query.field
+    nbr = gm.neighbor_slots[:, :N_ACTIONS]
+    tb = query.target_bits()
+    full = query.full_mask
+    start = gm.index(query.start)
+    goal = gm.goal_index
+    x = np.full(m, start, dtype=np.int64)
+    q = np.full(m, int(tb[start]), dtype=np.int64)
+    alive = np.ones(m, dtype=bool)
+    success = np.zeros(m, dtype=bool)
+    if fld.flagged[0, start]:
+        return 0
+    if int(tb[start]) == full and start == goal:
+        return m
+    for k in range(query.horizon):
+        act = result.policy[k, q, x]
+        slot = _motion_slots(query, rng, x, act, m)
+        draws = rng.random(m)
+        ph = fld.prob[k, x, slot]
+        dest = nbr[x, slot]
+        active = alive & ~success
+        die = active & (draws < ph)
+        alive[die] = False
+        move = active & ~die
+        x[move] = dest[move]
+        q[move] = q[move] | tb[x[move]]
+        reached = move & (q == full) & (x == goal)
+        success[reached] = True
+    return int(success.sum())
+
+
+def reference_rollout_joint_chunk(result, model, rng: np.random.Generator, m: int) -> int:
+    query = result.query
+    gm = query.gridmap
+    dyn = _dynamics(gm, model)
+    n = gm.n_free
+    nbr = gm.neighbor_slots[:, :N_ACTIONS]
+    tb = query.target_bits()
+    full = query.full_mask
+    start = gm.index(query.start)
+    goal = gm.goal_index
+    contam = np.broadcast_to(dyn.initial, (m, n)).copy()
+    x = np.full(m, start, dtype=np.int64)
+    q = np.full(m, int(tb[start]), dtype=np.int64)
+    alive = ~contam[:, start]
+    success = alive & (int(tb[start]) == full) & (start == goal)
+    rows = np.arange(m)
+    for k in range(query.horizon):
+        act = result.policy[k, q, x]
+        slot = _motion_slots(query, rng, x, act, m)
+        dest = nbr[x, slot]
+        hazard_draws = rng.random((m, n))
+        pc = 1.0 - dyn.stay_clear(contam)
+        ignite = (~contam) & (hazard_draws < pc)
+        contam = contam | ignite
+        active = alive & ~success
+        die = active & contam[rows, dest]
+        alive[die] = False
+        move = active & ~die
+        x[move] = dest[move]
+        q[move] = q[move] | tb[x[move]]
+        reached = move & (q == full) & (x == goal)
+        success[reached] = True
+    return int(success.sum())
 
 
 # --- Mission-state helpers ---------------------------------------------------

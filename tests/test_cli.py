@@ -117,6 +117,26 @@ def test_allocate_method_subset_and_out_file(tmp_path, capsys):
     assert "ratios" not in rep
 
 
+def test_failed_bound_with_skipped_exact_triples_is_reported_not_raised(tmp_path, capsys):
+    # reverse greedy reaches F = 0 here, so many marginals tie at 0 and the
+    # exact scan skips triples: the theorems' regime is left, the reverse
+    # check fails, and the report says so instead of exiting 4
+    path = write_scenario(
+        tmp_path, grid={"width": 4, "height": 2, "obstacles": [[2, 1]]}, goal=[1, 0],
+        horizon=3,
+        robots=[{"name": "p", "start": [2, 0]}, {"name": "q", "start": [0, 1]}],
+        targets=[{"name": "t0", "cell": [1, 0]}, {"name": "t1", "cell": [3, 0]},
+                 {"name": "t2", "cell": [2, 0]}],
+        hazards=[{"label": "fire", "cells": [[0, 0]], "theta": 0.2593}],
+    )
+    code, rep = run_json(capsys, ["allocate", path, "--exact-field", "--ratios", "exact"])
+    assert code == 0
+    assert rep["ratios"]["exact"]["skipped_alpha"] > 0
+    assert rep["ratios"]["exact"]["skipped_gamma"] > 0
+    assert rep["guarantees"]["reverse_ok"] is False
+    assert rep["guarantees"]["forward_ok"] is True
+
+
 def test_allocate_capped_brute_exits_three(tmp_path, capsys):
     path = write_scenario(tmp_path, caps={"brute_force": 2})
     code, rep = run_json(capsys, ["allocate", path, "--exact-field",

@@ -1,16 +1,25 @@
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hazardplan.errors import ValidationError
 from hazardplan.grid import Cell, GridMap, MotionKernel, MoveAction
-from hazardplan.hazard import HazardModel, exact_contamination_field
+from hazardplan.hazard import (
+    HazardModel,
+    estimate_contamination_field,
+    exact_contamination_field,
+)
 from hazardplan.planner import (
     ObjectiveCache,
     PlanQuery,
+    _rollout_chunk,
     dp_solve,
     rollout,
     wilson_interval,
 )
+from hazardplan.scenario import load_scenario
 
 import oracles
 from oracles import (
@@ -21,6 +30,8 @@ from oracles import (
     transition_distribution,
 )
 from conftest import random_plan_setup, random_tabular_kernel
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def clear_field(gm, horizon):
@@ -77,8 +88,69 @@ def test_values_stay_in_unit_interval():
     for _ in range(10):
         gm, _, horizon, fld, start, targets = random_plan_setup(rng)
         res = dp_solve(make_query(gm, fld, start, targets, horizon))
-        assert res.values.min() >= 0.0
-        assert res.values.max() <= 1.0
+        assert 0.0 <= res.success <= 1.0
+
+
+def paper_sweep_query(n_targets):
+    """Robot 0 of paper17x13 on its five targets plus extra ones at seeded
+    free cells away from the starts, goal, targets and hazard, as the plan
+    sweep adds them, against a 300-sample field."""
+    sc = load_scenario(SCENARIOS / "paper17x13.json")
+    gm = sc.gridmap
+    taken = set(sc.starts) | {gm.goal} | set(sc.targets) | set(sc.hazard.initial_cells)
+    extra = random.Random(0).sample([c for c in gm.cells if c not in taken], n_targets - 5)
+    fld = estimate_contamination_field(gm, sc.hazard, sc.horizon, samples=300, seed=0)
+    return PlanQuery(gridmap=gm, kernel=sc.kernel(), field=fld, start=sc.starts[0],
+                     targets=tuple(sc.targets) + tuple(extra), horizon=sc.horizon)
+
+
+@pytest.mark.parametrize("n_targets", [5, 8])
+def test_dp_equals_reference_on_paper_sweep(n_targets):
+    query = paper_sweep_query(n_targets)
+    res = dp_solve(query)
+    _, policy, success = oracles.reference_dp_solve(query)
+    assert res.success == success
+    assert np.array_equal(res.policy, policy)
+
+
+def rollout_cases():
+    """(plan result, hazard model, trials per chunk) over small.json with its
+    deterministic motion and with a slippery tabular kernel, paper17x13, and
+    a corridor whose starts die at once, finish at once, or walk."""
+    small = load_scenario(SCENARIOS / "small.json")
+    small_fld = exact_contamination_field(small.gridmap, small.hazard, small.horizon)
+    slip = random_tabular_kernel(np.random.default_rng(3), small.gridmap)
+    paper = load_scenario(SCENARIOS / "paper17x13.json")
+    paper_fld = estimate_contamination_field(paper.gridmap, paper.hazard, paper.horizon,
+                                             samples=300, seed=0)
+    full = (1 << small.n_tasks) - 1
+    for sc, fld, kernel, robots, masks, m in (
+        (small, small_fld, small.kernel(), range(3), (0, 0b0101, full), 3000),
+        (small, small_fld, slip, range(3), (0b0011, full), 3000),
+        (paper, paper_fld, paper.kernel(), (0,), (0b10001,), 500),
+    ):
+        cache = ObjectiveCache(sc.gridmap, kernel, fld, sc.starts, sc.targets, sc.horizon)
+        for r in robots:
+            for mask in masks:
+                yield cache.solve(r, mask), sc.hazard, m
+    gm = GridMap(3, 1, [], Cell(2, 0))
+    model = HazardModel.uniform([Cell(0, 0)], 0.5)
+    fld = exact_contamination_field(gm, model, 3)
+    for start, targets in ((Cell(0, 0), ()), (Cell(2, 0), ()), (Cell(1, 0), (Cell(2, 0),))):
+        yield dp_solve(make_query(gm, fld, start, targets, 3)), model, 3000
+
+
+def chunk_rng(ci):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, ci))))
+
+
+def test_rollout_chunks_equal_reference_in_both_modes():
+    for result, model, m in rollout_cases():
+        for ci in range(2):
+            assert (_rollout_chunk(result, None, chunk_rng(ci), m)
+                    == oracles.reference_rollout_model_chunk(result, chunk_rng(ci), m))
+            assert (_rollout_chunk(result, model, chunk_rng(ci), m)
+                    == oracles.reference_rollout_joint_chunk(result, model, chunk_rng(ci), m))
 
 
 def test_start_on_target_counts_as_visited():

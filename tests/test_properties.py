@@ -1,6 +1,7 @@
 """Property tests on hypothesis-drawn grids of at most 12 free cells: the
-package DP and the exact field against the scalar oracles, the allocators'
-partitions, and both greedy guarantees under exact ratios."""
+package DP and the exact field against the scalar oracles, the DP against
+its full-table reference, the allocators' partitions, and both greedy
+guarantees under exact ratios."""
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -70,6 +71,33 @@ def test_dp_value_equals_value_recursion_oracle(grid, horizon, data):
     query = PlanQuery(gridmap=gm, kernel=kernel, field=fld, start=start,
                       targets=tuple(targets), horizon=horizon)
     assert dp_solve(query).success == oracles.value_recursion_oracle(query)
+
+
+@settings(max_examples=120, deadline=None)
+@given(hazard_grids(), st.integers(1, 6), st.data())
+def test_dp_equals_reference_dp(grid, horizon, data):
+    """success and policy are == to the full-table, per-mask reference."""
+    gm, model = grid
+    fld = exact_contamination_field(gm, model, horizon)
+    targets = data.draw(st.lists(st.sampled_from(gm.cells), unique=True, max_size=4))
+    sources = sorted(model.initial_cells)
+    if sources and len(targets) < 4 and data.draw(st.booleans(), label="target on a source"):
+        source = data.draw(st.sampled_from(sources))
+        targets = targets if source in targets else targets + [source]
+    if targets and data.draw(st.booleans(), label="start on a target"):
+        start = data.draw(st.sampled_from(targets))
+    else:
+        start = data.draw(st.sampled_from(gm.cells))
+    if data.draw(st.booleans(), label="deterministic"):
+        kernel = MotionKernel.deterministic(gm)
+    else:
+        kernel = random_tabular_kernel(np.random.default_rng(data.draw(st.integers(0, 2**32))), gm)
+    query = PlanQuery(gridmap=gm, kernel=kernel, field=fld, start=start,
+                      targets=tuple(targets), horizon=horizon)
+    res = dp_solve(query)
+    _, policy, success = oracles.reference_dp_solve(query)
+    assert res.success == success
+    assert np.array_equal(res.policy, policy)
 
 
 @st.composite

@@ -7,11 +7,14 @@ Runs, in one process and with the program imported from this checkout's
 
 - the two README ``allocate`` reports (small.json with the exact field and
   exact ratios, paper17x13.json with both greedy allocators, greedy ratios
-  and 100,000 rollout trials), each fresh, writing a ``--field-cache`` and
-  reading it back; a report is hashed as ``canonical_report_json``, which
-  leaves out the wall-clock ``seconds`` keys;
+  and 100,000 rollout trials) and a small.json report with 20,000 joint-mode
+  rollout trials, each fresh, writing a ``--field-cache`` and reading it
+  back; a report is hashed as ``canonical_report_json``, which leaves out
+  the wall-clock ``seconds`` keys;
 - the ``render --what heatmap|paths`` SVGs on both scenarios;
-- the README ``plan`` and ``simulate`` outputs;
+- the README ``plan`` and ``simulate`` outputs, a joint-mode ``simulate``
+  and a ``plan`` on every paper17x13.json target;
+- a region-map SVG and a ``bounds`` output, which print the guarantee floors;
 - the ``prob``, ``flagged`` and ``marginals`` bytes of two fields built
   through the library: paper17x13.json's Monte-Carlo field (10,000 samples,
   seed 0) and small.json's exact field. These show any bit a field builder
@@ -47,6 +50,8 @@ ALLOCATE = {
     "small": ["allocate", SMALL, "--exact-field", "--ratios", "exact", "--heatmap"],
     "paper": ["allocate", PAPER, "--method", "forward,reverse", "--ratios", "greedy",
               "--rollout-trials", "100000"],
+    "small joint": ["allocate", SMALL, "--exact-field", "--rollout-trials", "20000",
+                    "--rollout-mode", "joint"],
 }
 RENDER = [
     ["render", SMALL, "--what", "heatmap", "--exact-field"],
@@ -58,6 +63,11 @@ RENDER = [
 OTHER = [
     ["plan", SMALL, "--robot", "b", "--targets", "i,iii"],
     ["simulate", SMALL, "--robot", "b", "--targets", "i", "--trials", "20000"],
+    ["simulate", SMALL, "--robot", "b", "--targets", "i", "--mode", "joint",
+     "--trials", "20000"],
+    ["plan", PAPER, "--targets", "all", "--samples", "2000"],
+    ["render", "--what", "region-map", "--f-star", "0.2"],
+    ["bounds", "--f-star", "0.2", "--alpha", "0.3", "--gamma", "0.8", "--region", "40"],
 ]
 
 
@@ -87,7 +97,7 @@ def main() -> int:
         work = Path(tmp)
         out = work / "out"
         for name, argv in ALLOCATE.items():
-            cache = ["--field-cache", str(work / f"{name}.npz")]
+            cache = ["--field-cache", str(work / f"{name.replace(' ', '_')}.npz")]
             for label, extra in (("fresh", []), ("cache written", cache), ("cache read", cache)):
                 report = json.loads(_run(argv + extra, out))
                 digest = hashlib.sha256(canonical_report_json(report).encode()).hexdigest()
