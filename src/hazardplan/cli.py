@@ -30,6 +30,9 @@ from .errors import (
 )
 from .guarantees import guarantee_values, region_map
 from .hazard import ContaminationField
+# plan and simulate call planner.dp_solve through the module, so a wrapper put
+# on it (bench/tracing.py) sees their solves
+from . import planner
 from .planner import rollout
 from .render import heat_pgm, region_svg, scenario_svg
 from .report import (
@@ -244,7 +247,7 @@ def _cmd_plan(args) -> int:
     cache = objective_cache(scenario, fld)
     robot = _parse_robot(scenario, args.robot)
     mask = _parse_target_list(scenario, args.targets)
-    result = cache.solve(robot, mask)
+    result = planner.dp_solve(cache.query(robot, mask))
     out = {
         "robot": scenario.robot_names[robot],
         "start": list(scenario.starts[robot]),
@@ -288,7 +291,7 @@ def _cmd_simulate(args) -> int:
     cache = objective_cache(scenario, build_field(scenario, opts))
     robot = _parse_robot(scenario, args.robot)
     mask = _parse_target_list(scenario, args.targets)
-    result = cache.solve(robot, mask)
+    result = planner.dp_solve(cache.query(robot, mask))
     rr = rollout(
         result, mode=args.mode, trials=args.trials,
         seed=derive_seed(opts.seed, 0, robot),

@@ -14,7 +14,7 @@ class ValidationError(HazardPlanError):
 
 
 class CapExceededError(HazardPlanError):
-    """An exact enumeration would exceed its configured size cap."""
+    """An exact enumeration or a DP table would exceed its size cap."""
 
 
 class NumericViolationError(HazardPlanError):

@@ -47,7 +47,6 @@ import math
 import zipfile
 import zlib
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
@@ -548,6 +547,8 @@ def _run_chunks(dyn, horizon, samples, seed, threads):
                 total += part
 
     if threads > 1 and len(ranges) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay for it
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             add(pool.map(worker, ranges))
     else:

@@ -6,6 +6,12 @@ target visited). Moves succeed per the motion kernel; arrival at x' survives
 with probability 1 - p[k](x', x) from the contamination field. dp_solve runs
 the standard backward finite-horizon recursion, maximizing the probability of
 reaching the exit with all targets visited within the horizon.
+
+Since a visited target no longer matters, the mission "visit S" from (q, x)
+is the mission "visit L" from (q | (L ^ S), x) for any L containing S. So
+one solve over a robot's whole target set L holds every subset's value and
+policy, and ObjectiveCache prices all of a robot's subsets from that one
+sweep.
 """
 
 from __future__ import annotations
@@ -16,13 +22,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NumericViolationError, ValidationError
+from .errors import CapExceededError, NumericViolationError, ValidationError
 from .grid import Cell, GridMap, MotionKernel, MoveAction, N_ACTIONS
 from .hazard import ContaminationField, HazardModel, _dynamics
 
 VALUE_TOL = 1e-9
 WILSON_Z95 = 1.959963984540054
 _ROLLOUT_CHUNK = 16384
+# Largest dp_solve, in bytes of its policy and working layers: a quarter of
+# an 8 GB machine, so a query that fits leaves room for the field, the
+# allocators and whatever else runs beside it.
+DP_TABLE_CAP = 2 << 30
+# Bytes per (mask, cell) of the float64 layers one DP step holds at once
+# besides the policy: the two value layers, the running action value,
+# np.where's output and the gather's index and product temporaries. Measured
+# peaks on paper17x13 at 5-12 targets were 49-59.
+_DP_LAYER_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -76,6 +91,7 @@ class PlanResult:
     query: PlanQuery
     policy: np.ndarray  # (horizon, 2^t, n_free) int8 action ids
     success: float
+    start_values: np.ndarray  # (2^t,) V^0(q, start) for every visited-set q
     diagnostics: Tuple[str, ...] = ()
 
     def greedy_path(self) -> List[Cell]:
@@ -121,21 +137,46 @@ def _reachability_diagnostics(query: PlanQuery) -> List[str]:
     return diags
 
 
+def _diagnose(query: PlanQuery) -> Tuple[List[str], bool]:
+    """Reachability notes and step-0 contamination notes; True when the start
+    or a target is flagged at step 0, so the query's value is 0."""
+    gm = query.gridmap
+    flagged = query.field.flagged[0]
+    diagnostics = _reachability_diagnostics(query)
+    if flagged[gm.index(query.start)]:
+        diagnostics.append(
+            f"start {tuple(query.start)} is almost surely contaminated at step 0"
+        )
+        return diagnostics, True
+    bad_targets = [c for c in query.targets if flagged[gm.index(c)]]
+    for c in bad_targets:
+        diagnostics.append(f"target {tuple(c)} is almost surely contaminated at step 0")
+    return diagnostics, bool(bad_targets)
+
+
 def _stub_result(query: PlanQuery, diagnostics: List[str]) -> PlanResult:
-    shape = (query.horizon, 1 << len(query.targets), query.gridmap.n_free)
+    nq = 1 << len(query.targets)
     return PlanResult(
         query=query,
-        policy=np.zeros(shape, dtype=np.int8),
+        policy=np.zeros((query.horizon, nq, query.gridmap.n_free), dtype=np.int8),
         success=0.0,
         diagnostics=tuple(diagnostics),
+        start_values=np.zeros(nq),
     )
+
+
+def dp_table_bytes(n_targets: int, n_free: int, horizon: int) -> int:
+    """Estimated peak bytes of a dp_solve: the int8 policy plus the float64
+    layers of one step."""
+    return (1 << n_targets) * n_free * (horizon + _DP_LAYER_BYTES)
 
 
 def dp_solve(query: PlanQuery) -> PlanResult:
     """Backward value recursion; returns the greedy policy and f = V^0(s0).
 
     Step k reads only step k + 1, so two (2^t, n) value layers are kept, and
-    each kernel term updates every mask row at once.
+    each kernel term updates every mask row at once. A query whose tables
+    would pass DP_TABLE_CAP raises CapExceededError before any is allocated.
     """
     gm = query.gridmap
     fld = query.field
@@ -144,22 +185,18 @@ def dp_solve(query: PlanQuery) -> PlanResult:
     nq = 1 << t
     full = nq - 1
     horizon = query.horizon
+    need = dp_table_bytes(t, n, horizon)
+    if need > DP_TABLE_CAP:
+        raise CapExceededError(
+            f"planning {t} targets over {n} cells and {horizon} steps needs about "
+            f"{need / 2**30:.1f} GiB > cap {DP_TABLE_CAP / 2**30:.1f} GiB"
+        )
     start_idx = gm.index(query.start)
     goal_idx = gm.goal_index
     tb = query.target_bits()
 
-    diagnostics = _reachability_diagnostics(query)
-    if fld.flagged[0, start_idx]:
-        diagnostics.append(
-            f"start {tuple(query.start)} is almost surely contaminated at step 0"
-        )
-        return _stub_result(query, diagnostics)
-    bad_targets = [c for c in query.targets if fld.flagged[0, gm.index(c)]]
-    if bad_targets:
-        for c in bad_targets:
-            diagnostics.append(
-                f"target {tuple(c)} is almost surely contaminated at step 0"
-            )
+    diagnostics, doomed = _diagnose(query)
+    if doomed:
         return _stub_result(query, diagnostics)
 
     nbr = gm.neighbor_slots[:, :N_ACTIONS]
@@ -202,15 +239,52 @@ def dp_solve(query: PlanQuery) -> PlanResult:
         policy=policy,
         success=float(values[int(tb[start_idx]), start_idx]),
         diagnostics=tuple(diagnostics),
+        start_values=values[:, start_idx].copy(),
     )
+
+
+class _Lattice:
+    """One robot's dp_solve over its live targets, those not flagged at step
+    0, read as every live subset's solve. Bit i of the lattice's masks is the
+    i-th live target; a subset's visited set q sits in the lattice row that
+    also marks every live target outside the subset as visited."""
+
+    def __init__(self, live: Tuple[int, ...], result: Optional[PlanResult]):
+        self.live = live  # shared-list bits of the live targets, in order
+        self.live_mask = sum(1 << b for b in live)
+        self.result = result  # None when the start is flagged at step 0
+        if result is not None:
+            query = result.query
+            self.start_bits = int(query.target_bits()[query.gridmap.index(query.start)])
+
+    def _outside(self, mask: int) -> int:
+        """Lattice bits of the live targets outside the subset ``mask``."""
+        return sum(1 << i for i, b in enumerate(self.live) if not mask >> b & 1)
+
+    def rows(self, mask: int) -> np.ndarray:
+        """Lattice row of each visited set q of the live subset ``mask``: bit
+        j of q lands on the lattice bit of the subset's j-th target."""
+        bits = [i for i, b in enumerate(self.live) if mask >> b & 1]
+        q = np.arange(1 << len(bits))
+        rows = np.full_like(q, self._outside(mask))
+        for j, i in enumerate(bits):
+            rows |= (q >> j & 1) << i
+        return rows
+
+    def value(self, mask: int) -> float:
+        if self.result is None or mask & ~self.live_mask:
+            return 0.0
+        return float(self.result.start_values[self._outside(mask) | self.start_bits])
 
 
 class ObjectiveCache:
     """Memoized per-robot success probabilities over target subsets.
 
-    Keys are (robot index, subset bitmask over the shared target list).
-    Counters track distinct plan solves versus hits so allocator cost can be
-    reported.
+    Keys are (robot index, subset bitmask over the shared target list). The
+    first value asked of a robot runs one dp_solve over all its live targets,
+    and every subset of that robot is then a lookup in it. Counters track
+    distinct (robot, mask) values versus repeat lookups so allocator cost can
+    be reported.
     """
 
     def __init__(
@@ -232,6 +306,7 @@ class ObjectiveCache:
             raise ValidationError("at least one robot start is required")
         if len(set(self.targets)) != len(self.targets):
             raise ValidationError("duplicate target cells")
+        self._lattices: Dict[int, _Lattice] = {}
         self._values: Dict[Tuple[int, int], float] = {}
         self.solve_count = 0
         self.hit_count = 0
@@ -257,8 +332,33 @@ class ObjectiveCache:
             horizon=self.horizon,
         )
 
+    def _lattice(self, robot: int) -> _Lattice:
+        if robot not in self._lattices:
+            query = self.query(robot, 0)  # checks grid, field and horizon before indexing
+            flagged = self.contamination.flagged[0]
+            index = self.gridmap.index
+            live = tuple(b for b, c in enumerate(self.targets) if not flagged[index(c)])
+            result = None
+            if not flagged[index(query.start)]:
+                result = dp_solve(self.query(robot, sum(1 << b for b in live)))
+            self._lattices[robot] = _Lattice(live, result)
+        return self._lattices[robot]
+
     def solve(self, robot: int, mask: int) -> PlanResult:
-        return dp_solve(self.query(robot, mask))
+        """The PlanResult dp_solve gives for this subset, cut from the lattice."""
+        query = self.query(robot, mask)
+        diagnostics, doomed = _diagnose(query)
+        if doomed:
+            return _stub_result(query, diagnostics)
+        lattice = self._lattice(robot)
+        rows = lattice.rows(mask)
+        return PlanResult(
+            query=query,
+            policy=lattice.result.policy[:, rows],
+            success=lattice.value(mask),
+            start_values=lattice.result.start_values[rows],
+            diagnostics=tuple(diagnostics),
+        )
 
     def value(self, robot: int, mask: int) -> float:
         if not 0 <= robot < self.n_robots:
@@ -269,7 +369,7 @@ class ObjectiveCache:
         if key in self._values:
             self.hit_count += 1
             return self._values[key]
-        success = self.solve(robot, mask).success
+        success = self._lattice(robot).value(mask)
         self._values[key] = success
         self.solve_count += 1
         return success
@@ -329,12 +429,13 @@ def rollout(
     )
 
 
-def _motion_slots(query, rng, x, act, m):
-    """Realized landing slot per trial; one uniform per trial when stochastic."""
+def _motion_slots(query, rng, x, act, m, live=slice(None)):
+    """Realized landing slot per trial; one uniform per trial when stochastic.
+    All m uniforms are drawn, and the ``live`` rows of them are used."""
     if query.kernel.kind == "deterministic":
         return act
     cum = query.kernel.slot_probs.cumsum(axis=2)
-    r = rng.random(m)
+    r = rng.random(m)[live]
     slots = (cum[x, act] <= r[:, None]).sum(axis=1)
     return np.minimum(slots, N_ACTIONS - 1)
 
@@ -345,7 +446,10 @@ def _rollout_chunk(
     """Successes of m trials of the policy. Each step draws the motion, then
     the hazard: with no model, one uniform per trial against the field's
     contamination probability of the realized move; with a model, one spread
-    step of each trial's own contamination, checked at the destination."""
+    step of each trial's own contamination, checked at the destination.
+    Every step draws for all m trials, so the stream never depends on which
+    trials are left, but only the trials still walking are moved: a trial
+    leaves the arrays the step it is contaminated or completes the mission."""
     query = result.query
     gm = query.gridmap
     fld = query.field
@@ -365,27 +469,28 @@ def _rollout_chunk(
         return 0
     if int(tb[start]) == full and start == goal:
         return m
+    live = np.arange(m)  # trial ids still walking
     x = np.full(m, start, dtype=np.int64)
     q = np.full(m, int(tb[start]), dtype=np.int64)
-    alive = np.ones(m, dtype=bool)
-    success = np.zeros(m, dtype=bool)
-    rows = np.arange(m)
+    successes = 0
     for k in range(query.horizon):
         act = result.policy[k, q, x]
-        slot = _motion_slots(query, rng, x, act, m)
+        slot = _motion_slots(query, rng, x, act, m, live)
         dest = nbr[x, slot]
         if contam is None:
-            hit = rng.random(m) < fld.prob[k, x, slot]
+            hit = rng.random(m)[live] < fld.prob[k, x, slot]
         else:
             pc = 1.0 - dyn.stay_clear(contam)
-            contam |= ~contam & (rng.random(contam.shape) < pc)
-            hit = contam[rows, dest]
-        active = alive & ~success
-        die = active & hit
-        alive[die] = False
-        move = active & ~die
-        x[move] = dest[move]
-        q[move] = q[move] | tb[x[move]]
-        reached = move & (q == full) & (x == goal)
-        success[reached] = True
-    return int(success.sum())
+            contam |= ~contam & (rng.random((m, gm.n_free))[live] < pc)
+            hit = contam[np.arange(live.size), dest]
+        x = dest
+        q = q | tb[x]
+        done = (q == full) & (x == goal)
+        successes += int(np.count_nonzero(done & ~hit))
+        walking = ~(hit | done)
+        live, x, q = live[walking], x[walking], q[walking]
+        if contam is not None:
+            contam = contam[walking]
+        if not live.size:
+            break
+    return successes

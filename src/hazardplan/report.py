@@ -50,7 +50,7 @@ from .hazard import (
     estimate_contamination_field,
     exact_contamination_field,
 )
-from .planner import ObjectiveCache, PlanResult, rollout
+from .planner import ObjectiveCache, rollout
 from .scenario import Scenario, scenario_hash
 
 METHOD_ORDER = ("forward", "reverse", "brute")
@@ -450,17 +450,13 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
 
     if options.rollout_trials > 0:
         report["rollouts"] = {}
-        # the full policy table of a (robot, mask) both methods chose is built once
-        policies: Dict[Tuple[int, int], PlanResult] = {}
         for mi, name in enumerate(("forward", "reverse")):
             if name not in methods or "error" in methods[name]:
                 continue
             entries = []
             for r in range(scenario.n_robots):
                 mask = methods[name]["masks"][r]
-                if (r, mask) not in policies:
-                    policies[(r, mask)] = cache.solve(r, mask)
-                result = policies[(r, mask)]
+                result = cache.solve(r, mask)
                 rr = rollout(
                     result,
                     mode=options.rollout_mode,

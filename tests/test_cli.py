@@ -10,6 +10,7 @@ from hazardplan import hazard
 from hazardplan.cli import entry
 from hazardplan.guarantees import guarantee_values
 from hazardplan.report import canonical_report_json
+from hazardplan.scenario import load_scenario
 from hazardplan._version import VERSION
 
 
@@ -366,3 +367,17 @@ def test_exact_field_cap_exits_three(tmp_path, capsys):
     path = write_scenario(tmp_path, caps={"exact_hazard_cells": 4})
     assert entry(["allocate", path, "--exact-field"]) == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_plan_over_the_dp_table_cap_exits_three(tmp_path, capsys):
+    """paper17x13 with 20 targets: one robot's DP would need a ~16 GB policy."""
+    paper = Path(__file__).resolve().parent.parent / "scenarios" / "paper17x13.json"
+    data = json.loads(paper.read_text())
+    sc = load_scenario(str(paper))
+    taken = set(sc.starts) | {sc.gridmap.goal} | set(sc.targets) | set(sc.hazard.initial_cells)
+    extra = [c for c in sc.gridmap.cells if c not in taken][:15]
+    data["targets"] += [{"name": f"x{i}", "cell": list(c)} for i, c in enumerate(extra)]
+    path = tmp_path / "paper20.json"
+    path.write_text(json.dumps(data))
+    assert entry(["plan", str(path), "--targets", "all", "--samples", "50"]) == 3
+    assert "cap" in capsys.readouterr().err

@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hazardplan.errors import ValidationError
+from hazardplan.errors import CapExceededError, ValidationError
 from hazardplan.grid import Cell, GridMap, MotionKernel, MoveAction
 from hazardplan.hazard import (
     HazardModel,
@@ -12,10 +13,12 @@ from hazardplan.hazard import (
     exact_contamination_field,
 )
 from hazardplan.planner import (
+    DP_TABLE_CAP,
     ObjectiveCache,
     PlanQuery,
     _rollout_chunk,
     dp_solve,
+    dp_table_bytes,
     rollout,
     wilson_interval,
 )
@@ -111,6 +114,19 @@ def test_dp_equals_reference_on_paper_sweep(n_targets):
     _, policy, success = oracles.reference_dp_solve(query)
     assert res.success == success
     assert np.array_equal(res.policy, policy)
+
+
+def test_dp_over_the_table_cap_raises_before_allocating():
+    query = paper_sweep_query(20)
+    assert dp_table_bytes(20, query.gridmap.n_free, query.horizon) > DP_TABLE_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="cap"):
+            dp_solve(query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def rollout_cases():

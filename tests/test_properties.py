@@ -1,7 +1,10 @@
 """Property tests on hypothesis-drawn grids of at most 12 free cells: the
 package DP and the exact field against the scalar oracles, the DP against
-its full-table reference, the allocators' partitions, and both greedy
-guarantees under exact ratios."""
+its full-table reference, the objective cache's one-sweep lattice against
+per-subset solves, the allocators' partitions, and both greedy guarantees
+under exact ratios."""
+
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -16,8 +19,14 @@ from hazardplan.allocation import (
 )
 from hazardplan.grid import Cell, GridMap, MotionKernel
 from hazardplan.guarantees import exact_ratios, theorem_bounds
-from hazardplan.hazard import HazardModel, HazardSource, exact_contamination_field
+from hazardplan.hazard import (
+    HazardModel,
+    HazardSource,
+    estimate_contamination_field,
+    exact_contamination_field,
+)
 from hazardplan.planner import ObjectiveCache, PlanQuery, dp_solve
+from hazardplan.scenario import load_scenario
 
 import oracles
 from conftest import random_tabular_kernel
@@ -98,6 +107,51 @@ def test_dp_equals_reference_dp(grid, horizon, data):
     _, policy, success = oracles.reference_dp_solve(query)
     assert res.success == success
     assert np.array_equal(res.policy, policy)
+
+
+def assert_lattice_matches_subset_solves(cache):
+    """Every robot's every subset: value is == the subset's own dp_solve
+    success, and solve is that dp_solve, policy and diagnostics included."""
+    for r in range(cache.n_robots):
+        for mask in range(1 << cache.n_tasks):
+            want = dp_solve(cache.query(r, mask))
+            got = cache.solve(r, mask)
+            assert cache.value(r, mask) == want.success
+            assert got.success == want.success
+            assert got.diagnostics == want.diagnostics
+            assert np.array_equal(got.start_values, want.start_values)
+            assert np.array_equal(got.policy, want.policy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hazard_grids(), st.integers(1, 5), st.data())
+def test_lattice_equals_per_subset_dp(grid, horizon, data):
+    gm, model = grid
+    fld = exact_contamination_field(gm, model, horizon)
+    targets = data.draw(st.lists(st.sampled_from(gm.cells), unique=True, max_size=4))
+    starts = data.draw(st.lists(st.sampled_from(gm.cells), min_size=1, max_size=3))
+    sources = sorted(model.initial_cells)
+    if sources and len(targets) < 4 and data.draw(st.booleans(), label="target on a source"):
+        source = data.draw(st.sampled_from(sources))
+        targets = targets if source in targets else targets + [source]
+    if sources and data.draw(st.booleans(), label="start on a source"):
+        starts[0] = data.draw(st.sampled_from(sources))
+    if targets and data.draw(st.booleans(), label="start on a target"):
+        starts[-1] = data.draw(st.sampled_from(targets))
+    if data.draw(st.booleans(), label="deterministic"):
+        kernel = MotionKernel.deterministic(gm)
+    else:
+        kernel = random_tabular_kernel(np.random.default_rng(data.draw(st.integers(0, 2**32))), gm)
+    assert_lattice_matches_subset_solves(
+        ObjectiveCache(gm, kernel, fld, starts, targets, horizon))
+
+
+def test_lattice_equals_per_subset_dp_on_paper17x13():
+    sc = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "paper17x13.json")
+    fld = estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon, samples=300, seed=0)
+    cache = ObjectiveCache(sc.gridmap, sc.kernel(), fld, sc.starts, sc.targets, sc.horizon)
+    assert cache.n_robots == 3 and cache.n_tasks == 5
+    assert_lattice_matches_subset_solves(cache)
 
 
 @st.composite

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hazardplan.errors import CapExceededError, ValidationError
-from hazardplan import hazard, report
+from hazardplan import hazard, planner, report
 from hazardplan.hazard import ContaminationField, estimate_contamination_field
 from hazardplan.report import (
     METHOD_ORDER,
@@ -417,23 +417,29 @@ def test_heatmap_of_a_field_without_marginals_is_refused():
         run_pipeline(sc, PipelineOptions(heatmap=True, **opts))
 
 
-def test_rollouts_solve_each_robot_mask_once(monkeypatch):
+def test_rollouts_read_policies_from_the_lattice(monkeypatch):
     sc = unit_scenario()
-    seen = []
-    real = report.rollout
+    seen, solved = [], []
+    real_rollout, real_solve = report.rollout, planner.dp_solve
 
     def recording(result, **kwargs):
         seen.append(result)
-        return real(result, **kwargs)
+        return real_rollout(result, **kwargs)
+
+    def counting(query):
+        solved.append(len(query.targets))
+        return real_solve(query)
 
     monkeypatch.setattr(report, "rollout", recording)
+    monkeypatch.setattr(planner, "dp_solve", counting)
     opts = exact_options(rollout_trials=50, methods=("forward", "reverse"),
                          ratio_source="none")
     res = run_pipeline(sc, opts)
     pairs = [(r, res.report["methods"][name]["masks"][r])
              for name in ("forward", "reverse") for r in range(sc.n_robots)]
     assert len(seen) == len(pairs)
-    # one policy object per distinct (robot, mask): a shared pick is solved once
-    assert len({id(p) for p in seen}) == len(set(pairs)) < len(pairs)
+    # one DP per robot over all its targets; rollout policies are cut from it
+    assert solved == [sc.n_tasks] * sc.n_robots
     for (r, mask), result in zip(pairs, seen):
         assert result.success == res.cache.value(r, mask)
+        assert np.array_equal(result.policy, real_solve(res.cache.query(r, mask)).policy)

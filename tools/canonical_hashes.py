@@ -12,6 +12,9 @@ Runs, in one process and with the program imported from this checkout's
   back; a report is hashed as ``canonical_report_json``, which leaves out
   the wall-clock ``seconds`` keys;
 - the ``render --what heatmap|paths`` SVGs on both scenarios;
+- a small.json report (exact field, exact ratios) on a copy of the scenario
+  with target ``i`` moved onto the fire source (3, 3), where the target is
+  contaminated at step 0 and every method's F is 0;
 - the README ``plan`` and ``simulate`` outputs, a joint-mode ``simulate``
   and a ``plan`` on every paper17x13.json target;
 - a region-map SVG and a ``bounds`` output, which print the guarantee floors;
@@ -69,6 +72,7 @@ OTHER = [
     ["render", "--what", "region-map", "--f-star", "0.2"],
     ["bounds", "--f-star", "0.2", "--alpha", "0.3", "--gamma", "0.8", "--region", "40"],
 ]
+FLAGGED_TARGET = ("i", [3, 3])  # small.json's fire source
 
 
 def _run(argv, out: Path) -> bytes:
@@ -80,6 +84,18 @@ def _run(argv, out: Path) -> bytes:
 
 def _shown(argv) -> str:
     return " ".join(Path(a).name if a in (SMALL, PAPER) else a for a in argv)
+
+
+def _flagged_target_scenario(work: Path) -> Path:
+    """small.json with one target moved onto the fire source."""
+    data = json.loads(Path(SMALL).read_text())
+    name, cell = FLAGGED_TARGET
+    for target in data["targets"]:
+        if target["name"] == name:
+            target["cell"] = cell
+    path = work / "small-flagged-target.json"
+    path.write_text(json.dumps(data))
+    return path
 
 
 def _fields():
@@ -102,6 +118,13 @@ def main() -> int:
                 report = json.loads(_run(argv + extra, out))
                 digest = hashlib.sha256(canonical_report_json(report).encode()).hexdigest()
                 print(f"{digest}  {_shown(argv)}  [{label}]", flush=True)
+        flagged = ["allocate", str(_flagged_target_scenario(work)), "--exact-field",
+                   "--ratios", "exact"]
+        report = json.loads(_run(flagged, out))
+        digest = hashlib.sha256(canonical_report_json(report).encode()).hexdigest()
+        name, cell = FLAGGED_TARGET
+        print(f"{digest}  allocate small.json with target {name} at {tuple(cell)} "
+              f"{' '.join(flagged[2:])}", flush=True)
         for argv in RENDER + OTHER:
             print(f"{hashlib.sha256(_run(argv, out)).hexdigest()}  {_shown(argv)}", flush=True)
     for label, field in _fields():
