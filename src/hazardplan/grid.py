@@ -110,33 +110,11 @@ class GridMap:
     def is_free(self, cell: Cell) -> bool:
         return self._in_bounds(cell) and cell not in self.obstacles
 
-    def free_cells(self) -> FrozenSet[Cell]:
-        return frozenset(self.cells)
-
     def index(self, cell: Cell) -> int:
         try:
             return self.cell_index[Cell(*cell)]
         except KeyError:
             raise ValidationError(f"{cell} is not a free cell") from None
-
-    def orthogonal_neighbors(self, cell: Cell) -> FrozenSet[Cell]:
-        i = self.index(cell)
-        return frozenset(
-            self.cells[k] for k in self.neighbor_slots[i, 1:5] if k >= 0
-        )
-
-    def diagonal_neighbors(self, cell: Cell) -> FrozenSet[Cell]:
-        i = self.index(cell)
-        return frozenset(
-            self.cells[k] for k in self.neighbor_slots[i, 5:9] if k >= 0
-        )
-
-    def admissible_actions(self, cell: Cell) -> Tuple[MoveAction, ...]:
-        """Actions whose target cell is free; STAY is always admissible."""
-        i = self.index(cell)
-        return tuple(
-            MoveAction(u) for u in range(N_ACTIONS) if self.neighbor_slots[i, u] >= 0
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GridMap):
@@ -221,16 +199,6 @@ class MotionKernel:
                 if admissible[i, u] and (i, u) not in seen:
                     probs[i, u, u] = 1.0
         return cls(gridmap, "tabular", probs)
-
-    def probability(self, x_next: Cell, x: Cell, u: MoveAction) -> float:
-        i = self.gridmap.index(x)
-        u = MoveAction(u)
-        if self.gridmap.neighbor_slots[i, u] < 0:
-            raise ValidationError(f"action {u.name} is not admissible at {x}")
-        j = _slot_of(self.gridmap, i, Cell(*x_next))
-        if j is None or j >= N_ACTIONS:
-            return 0.0
-        return float(self.slot_probs[i, u, j])
 
     def action_terms(self, u: int):
         """Yield (slot, weight-vector) pairs with any positive mass for action u."""

@@ -8,16 +8,19 @@ the standard backward finite-horizon recursion, maximizing the probability of
 reaching the exit with all targets visited within the horizon.
 
 Since a visited target no longer matters, the mission "visit S" from (q, x)
-is the mission "visit L" from (q | (L ^ S), x) for any L containing S. So
-one solve over a robot's whole target set L holds every subset's value and
-policy, and ObjectiveCache prices all of a robot's subsets from that one
-sweep.
+is the mission "visit T" from (q | (T ^ S), x) for any T containing S. So
+one solve over all of a scenario's targets T is every subset's plan: the
+subset S only starts the walk in the visited set (T ^ S) | start_q.
+ObjectiveCache holds that one plan per robot and prices every subset from it.
+A target contaminated at step 0 needs no special case: entering it has
+probability 1 of contamination, so every mission that must visit it is worth
+exactly 0.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,9 +93,13 @@ class PlanResult:
 
     query: PlanQuery
     policy: np.ndarray  # (horizon, 2^t, n_free) int8 action ids
-    success: float
     start_values: np.ndarray  # (2^t,) V^0(q, start) for every visited-set q
+    start_q: int  # the visited set the walk starts in
     diagnostics: Tuple[str, ...] = ()
+
+    @property
+    def success(self) -> float:
+        return float(self.start_values[self.start_q])
 
     def greedy_path(self) -> List[Cell]:
         """Cells visited when every move lands as aimed and no hazard strikes."""
@@ -100,7 +107,7 @@ class PlanResult:
         tb = self.query.target_bits()
         full = self.query.full_mask
         x = gm.index(self.query.start)
-        q = int(tb[x])
+        q = self.start_q
         path = [gm.cells[x]]
         for k in range(self.query.horizon):
             if q == full and x == gm.goal_index:
@@ -137,9 +144,9 @@ def _reachability_diagnostics(query: PlanQuery) -> List[str]:
     return diags
 
 
-def _diagnose(query: PlanQuery) -> Tuple[List[str], bool]:
-    """Reachability notes and step-0 contamination notes; True when the start
-    or a target is flagged at step 0, so the query's value is 0."""
+def _diagnose(query: PlanQuery) -> List[str]:
+    """Reachability notes, then the start's step-0 contamination or else each
+    target's."""
     gm = query.gridmap
     flagged = query.field.flagged[0]
     diagnostics = _reachability_diagnostics(query)
@@ -147,22 +154,11 @@ def _diagnose(query: PlanQuery) -> Tuple[List[str], bool]:
         diagnostics.append(
             f"start {tuple(query.start)} is almost surely contaminated at step 0"
         )
-        return diagnostics, True
-    bad_targets = [c for c in query.targets if flagged[gm.index(c)]]
-    for c in bad_targets:
-        diagnostics.append(f"target {tuple(c)} is almost surely contaminated at step 0")
-    return diagnostics, bool(bad_targets)
-
-
-def _stub_result(query: PlanQuery, diagnostics: List[str]) -> PlanResult:
-    nq = 1 << len(query.targets)
-    return PlanResult(
-        query=query,
-        policy=np.zeros((query.horizon, nq, query.gridmap.n_free), dtype=np.int8),
-        success=0.0,
-        diagnostics=tuple(diagnostics),
-        start_values=np.zeros(nq),
-    )
+        return diagnostics
+    for c in query.targets:
+        if flagged[gm.index(c)]:
+            diagnostics.append(f"target {tuple(c)} is almost surely contaminated at step 0")
+    return diagnostics
 
 
 def dp_table_bytes(n_targets: int, n_free: int, horizon: int) -> int:
@@ -194,10 +190,6 @@ def dp_solve(query: PlanQuery) -> PlanResult:
     start_idx = gm.index(query.start)
     goal_idx = gm.goal_index
     tb = query.target_bits()
-
-    diagnostics, doomed = _diagnose(query)
-    if doomed:
-        return _stub_result(query, diagnostics)
 
     nbr = gm.neighbor_slots[:, :N_ACTIONS]
     admissible = nbr >= 0
@@ -237,54 +229,22 @@ def dp_solve(query: PlanQuery) -> PlanResult:
     return PlanResult(
         query=query,
         policy=policy,
-        success=float(values[int(tb[start_idx]), start_idx]),
-        diagnostics=tuple(diagnostics),
-        start_values=values[:, start_idx].copy(),
+        # Every move off a start contaminated at step 0 is contaminated, but
+        # a start on the goal with nothing to visit is already complete.
+        start_values=values[:, start_idx] * (not fld.flagged[0, start_idx]),
+        start_q=int(tb[start_idx]),
+        diagnostics=tuple(_diagnose(query)),
     )
-
-
-class _Lattice:
-    """One robot's dp_solve over its live targets, those not flagged at step
-    0, read as every live subset's solve. Bit i of the lattice's masks is the
-    i-th live target; a subset's visited set q sits in the lattice row that
-    also marks every live target outside the subset as visited."""
-
-    def __init__(self, live: Tuple[int, ...], result: Optional[PlanResult]):
-        self.live = live  # shared-list bits of the live targets, in order
-        self.live_mask = sum(1 << b for b in live)
-        self.result = result  # None when the start is flagged at step 0
-        if result is not None:
-            query = result.query
-            self.start_bits = int(query.target_bits()[query.gridmap.index(query.start)])
-
-    def _outside(self, mask: int) -> int:
-        """Lattice bits of the live targets outside the subset ``mask``."""
-        return sum(1 << i for i, b in enumerate(self.live) if not mask >> b & 1)
-
-    def rows(self, mask: int) -> np.ndarray:
-        """Lattice row of each visited set q of the live subset ``mask``: bit
-        j of q lands on the lattice bit of the subset's j-th target."""
-        bits = [i for i, b in enumerate(self.live) if mask >> b & 1]
-        q = np.arange(1 << len(bits))
-        rows = np.full_like(q, self._outside(mask))
-        for j, i in enumerate(bits):
-            rows |= (q >> j & 1) << i
-        return rows
-
-    def value(self, mask: int) -> float:
-        if self.result is None or mask & ~self.live_mask:
-            return 0.0
-        return float(self.result.start_values[self._outside(mask) | self.start_bits])
 
 
 class ObjectiveCache:
     """Memoized per-robot success probabilities over target subsets.
 
     Keys are (robot index, subset bitmask over the shared target list). The
-    first value asked of a robot runs one dp_solve over all its live targets,
-    and every subset of that robot is then a lookup in it. Counters track
-    distinct (robot, mask) values versus repeat lookups so allocator cost can
-    be reported.
+    first value asked of a robot runs one dp_solve over all the targets, and
+    every subset of that robot is then a start state of that plan. Counters
+    track distinct (robot, mask) values versus repeat lookups so allocator
+    cost can be reported.
     """
 
     def __init__(
@@ -306,7 +266,9 @@ class ObjectiveCache:
             raise ValidationError("at least one robot start is required")
         if len(set(self.targets)) != len(self.targets):
             raise ValidationError("duplicate target cells")
-        self._lattices: Dict[int, _Lattice] = {}
+        self._plans: Dict[int, PlanResult] = {}
+        # Memo of the values asked for: a repeat lookup, the allocators' most
+        # frequent call, skips the validation and the plan lookup.
         self._values: Dict[Tuple[int, int], float] = {}
         self.solve_count = 0
         self.hit_count = 0
@@ -332,45 +294,31 @@ class ObjectiveCache:
             horizon=self.horizon,
         )
 
-    def _lattice(self, robot: int) -> _Lattice:
-        if robot not in self._lattices:
-            query = self.query(robot, 0)  # checks grid, field and horizon before indexing
-            flagged = self.contamination.flagged[0]
-            index = self.gridmap.index
-            live = tuple(b for b, c in enumerate(self.targets) if not flagged[index(c)])
-            result = None
-            if not flagged[index(query.start)]:
-                result = dp_solve(self.query(robot, sum(1 << b for b in live)))
-            self._lattices[robot] = _Lattice(live, result)
-        return self._lattices[robot]
-
-    def solve(self, robot: int, mask: int) -> PlanResult:
-        """The PlanResult dp_solve gives for this subset, cut from the lattice."""
-        query = self.query(robot, mask)
-        diagnostics, doomed = _diagnose(query)
-        if doomed:
-            return _stub_result(query, diagnostics)
-        lattice = self._lattice(robot)
-        rows = lattice.rows(mask)
-        return PlanResult(
-            query=query,
-            policy=lattice.result.policy[:, rows],
-            success=lattice.value(mask),
-            start_values=lattice.result.start_values[rows],
-            diagnostics=tuple(diagnostics),
-        )
-
-    def value(self, robot: int, mask: int) -> float:
+    def _entry(self, robot: int, mask: int) -> Tuple[PlanResult, int]:
+        """The robot's plan over all the targets, solved on first use, and the
+        visited set it starts in for the subset ``mask``: every target
+        outside the subset counts as visited."""
         if not 0 <= robot < self.n_robots:
             raise ValidationError(f"robot index {robot} out of range")
         if mask < 0 or mask >> self.n_tasks:
             raise ValidationError(f"target mask {mask} out of range")
+        if robot not in self._plans:
+            self._plans[robot] = dp_solve(self.query(robot, (1 << self.n_tasks) - 1))
+        plan = self._plans[robot]
+        return plan, (plan.query.full_mask ^ mask) | plan.start_q
+
+    def solve(self, robot: int, mask: int) -> PlanResult:
+        """The robot's plan, entered at the subset's start state."""
+        plan, start_q = self._entry(robot, mask)
+        return replace(plan, start_q=start_q)
+
+    def value(self, robot: int, mask: int) -> float:
         key = (robot, mask)
         if key in self._values:
             self.hit_count += 1
             return self._values[key]
-        success = self._lattice(robot).value(mask)
-        self._values[key] = success
+        plan, start_q = self._entry(robot, mask)
+        success = self._values[key] = float(plan.start_values[start_q])
         self.solve_count += 1
         return success
 
@@ -467,11 +415,11 @@ def _rollout_chunk(
         dead_at_start = dyn.initial[start]
     if dead_at_start:
         return 0
-    if int(tb[start]) == full and start == goal:
+    if result.start_q == full and start == goal:
         return m
     live = np.arange(m)  # trial ids still walking
     x = np.full(m, start, dtype=np.int64)
-    q = np.full(m, int(tb[start]), dtype=np.int64)
+    q = np.full(m, result.start_q, dtype=np.int64)
     successes = 0
     for k in range(query.horizon):
         act = result.policy[k, q, x]

@@ -69,7 +69,6 @@ class PipelineOptions:
     rollout_trials: int = 0
     rollout_mode: str = "model"  # "model" or "joint"
     ratio_source: str = "auto"  # "auto", "exact", "greedy", "none"
-    ratio_cap: int = RATIO_ENUM_CAP
     brute_cap: int = BRUTE_FORCE_CAP
     exact_cap: int = EXACT_HAZARD_CELL_CAP
     region_resolution: int = 0
@@ -290,12 +289,12 @@ def _ratio_blocks(
     n = cache.n_tasks * cache.n_robots
     want = options.ratio_source
     if want == "auto":
-        want = "exact" if (3**n) * n <= options.ratio_cap else "greedy"
+        want = "exact" if (3**n) * n <= RATIO_ENUM_CAP else "greedy"
         raw["auto_selected"] = want
     if want == "none":
         return None, raw
     if want == "exact":
-        chosen = exact_ratios(cache, cap=options.ratio_cap)
+        chosen = exact_ratios(cache, cap=RATIO_ENUM_CAP)
         raw["exact"] = chosen.to_dict()
         return chosen, raw
     per_trace = {}

@@ -17,6 +17,8 @@ from hazardplan.hazard import (
 )
 from hazardplan.planner import ObjectiveCache
 
+from oracles import admissible_actions
+
 
 def connected_free_cells(gm: GridMap) -> bool:
     seen = {gm.cells[0]}
@@ -116,7 +118,7 @@ def random_tabular_kernel(rng: np.random.Generator, gm: GridMap) -> MotionKernel
     """Kernel with random slip rows on roughly half the admissible pairs."""
     table = {}
     for cell in gm.cells:
-        for u in gm.admissible_actions(cell):
+        for u in admissible_actions(gm, cell):
             if rng.random() < 0.5:
                 continue
             support = [cell]

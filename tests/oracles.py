@@ -26,7 +26,7 @@ from hazardplan.allocation import (
     pair_bit,
 )
 from hazardplan.errors import NumericViolationError, ValidationError
-from hazardplan.grid import Cell, GridMap, MotionKernel, MoveAction, N_ACTIONS, N_SLOTS
+from hazardplan.grid import Cell, GridMap, MotionKernel, MoveAction, N_ACTIONS, N_SLOTS, _slot_of
 from hazardplan.guarantees import RatioReport
 from hazardplan.hazard import (
     EXACT_HAZARD_CELL_CAP,
@@ -943,6 +943,18 @@ def reference_dp_solve(query):
     return values, policy, float(values[0, int(tb[start_idx]), start_idx])
 
 
+def lattice_rows(n_tasks: int, mask: int) -> np.ndarray:
+    """The row of a robot's plan over all n_tasks targets that stands for
+    each visited set q of the subset ``mask``: bit j of q is the subset's
+    j-th target, and every target outside the subset counts as visited."""
+    bits = [b for b in range(n_tasks) if mask >> b & 1]
+    q = np.arange(1 << len(bits))
+    rows = np.full_like(q, ((1 << n_tasks) - 1) ^ mask)
+    for j, b in enumerate(bits):
+        rows |= (q >> j & 1) << b
+    return rows
+
+
 def reference_rollout_model_chunk(result, rng: np.random.Generator, m: int) -> int:
     query = result.query
     gm = query.gridmap
@@ -1089,16 +1101,41 @@ def transition_distribution(
 
 
 def motion_prob(kernel: MotionKernel, x_next: Cell, x: Cell, u: MoveAction) -> float:
-    return kernel.probability(x_next, x, u)
+    """P(x_next | x, u); raises when u is not admissible at x."""
+    gm = kernel.gridmap
+    i = gm.index(x)
+    u = MoveAction(u)
+    if gm.neighbor_slots[i, u] < 0:
+        raise ValidationError(f"action {u.name} is not admissible at {x}")
+    j = _slot_of(gm, i, Cell(*x_next))
+    if j is None or j >= N_ACTIONS:
+        return 0.0
+    return float(kernel.slot_probs[i, u, j])
 
 
 # --- Helpers only tests call ------------------------------------------------
 #
-# Cell-set forms of one hazard step, the success value of a target list, F
-# on arbitrary sets of (task, robot) pairs and the tie check of a greedy
-# trace. The package works on whole arrays and bitmasks and never needs
+# Cell-set forms of a cell's neighbours and admissible moves and of one
+# hazard step, the success value of a target list, F on arbitrary sets of
+# (task, robot) pairs and the tie check of a greedy trace. The package works on whole arrays and bitmasks and never needs
 # them; the one-step hazard helpers run on the dense stay-clear kernel above
 # and the package's exact step, so their tests check those kernels.
+
+
+def orthogonal_neighbors(gm: GridMap, cell: Cell) -> FrozenSet[Cell]:
+    i = gm.index(cell)
+    return frozenset(gm.cells[k] for k in gm.neighbor_slots[i, 1:5] if k >= 0)
+
+
+def diagonal_neighbors(gm: GridMap, cell: Cell) -> FrozenSet[Cell]:
+    i = gm.index(cell)
+    return frozenset(gm.cells[k] for k in gm.neighbor_slots[i, 5:9] if k >= 0)
+
+
+def admissible_actions(gm: GridMap, cell: Cell) -> Tuple[MoveAction, ...]:
+    """Actions whose target cell is free; STAY is always admissible."""
+    i = gm.index(cell)
+    return tuple(MoveAction(u) for u in range(N_ACTIONS) if gm.neighbor_slots[i, u] >= 0)
 
 
 def remain_clear_prob(

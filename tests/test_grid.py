@@ -13,7 +13,7 @@ from hazardplan.grid import (
     SLOT_DISPLACEMENTS,
 )
 
-from oracles import motion_prob
+from oracles import admissible_actions, diagonal_neighbors, motion_prob, orthogonal_neighbors
 
 
 def test_action_order_and_displacements():
@@ -53,22 +53,22 @@ def test_neighbor_slots_follow_displacements():
 def test_admissible_actions_respect_walls_and_obstacles():
     gm = GridMap(3, 3, [Cell(1, 1)], Cell(0, 0))
     # corner cell: stay plus the two inward moves
-    assert gm.admissible_actions(Cell(0, 0)) == (MoveAction.STAY, MoveAction.NORTH, MoveAction.EAST)
+    assert admissible_actions(gm, Cell(0, 0)) == (MoveAction.STAY, MoveAction.NORTH, MoveAction.EAST)
     # obstacle blocks the move into it
-    acts = gm.admissible_actions(Cell(1, 0))
+    acts = admissible_actions(gm, Cell(1, 0))
     assert MoveAction.NORTH not in acts
     assert set(acts) == {MoveAction.STAY, MoveAction.EAST, MoveAction.WEST}
 
 
 def test_neighbors_sets():
     gm = GridMap(3, 3, [], Cell(1, 1))
-    assert gm.orthogonal_neighbors(Cell(1, 1)) == frozenset(
+    assert orthogonal_neighbors(gm, Cell(1, 1)) == frozenset(
         {Cell(1, 2), Cell(2, 1), Cell(1, 0), Cell(0, 1)}
     )
-    assert gm.diagonal_neighbors(Cell(1, 1)) == frozenset(
+    assert diagonal_neighbors(gm, Cell(1, 1)) == frozenset(
         {Cell(2, 2), Cell(2, 0), Cell(0, 0), Cell(0, 2)}
     )
-    assert gm.orthogonal_neighbors(Cell(0, 0)) == frozenset({Cell(0, 1), Cell(1, 0)})
+    assert orthogonal_neighbors(gm, Cell(0, 0)) == frozenset({Cell(0, 1), Cell(1, 0)})
 
 
 def test_gridmap_validation():
@@ -98,7 +98,7 @@ def test_deterministic_kernel_moves_as_aimed():
     kern = MotionKernel.deterministic(gm)
     assert kern.kind == "deterministic"
     for i, cell in enumerate(gm.cells):
-        for u in gm.admissible_actions(cell):
+        for u in admissible_actions(gm, cell):
             row = kern.slot_probs[i, u]
             assert row[u] == 1.0
             assert row.sum() == 1.0
@@ -113,7 +113,7 @@ def test_motion_prob_queries():
     assert motion_prob(kern, Cell(1, 0), Cell(0, 0), MoveAction.EAST) == 1.0
     assert motion_prob(kern, Cell(0, 0), Cell(0, 0), MoveAction.EAST) == 0.0
     with pytest.raises(ValidationError):
-        kern.probability(Cell(0, 0), Cell(0, 0), MoveAction.NORTH)
+        motion_prob(kern, Cell(0, 0), Cell(0, 0), MoveAction.NORTH)
 
 
 def test_tabular_kernel_slip_row():

@@ -130,9 +130,11 @@ def test_dp_over_the_table_cap_raises_before_allocating():
 
 
 def rollout_cases():
-    """(plan result, hazard model, trials per chunk) over small.json with its
-    deterministic motion and with a slippery tabular kernel, paper17x13, and
-    a corridor whose starts die at once, finish at once, or walk."""
+    """(plan result, the subset's own dp_solve, hazard model, trials per
+    chunk) over small.json with its deterministic motion and with a slippery
+    tabular kernel, paper17x13, and a corridor whose starts die at once,
+    finish at once, or walk. The plan result is the cache's, which walks the
+    robot's plan over all targets from the subset's start state."""
     small = load_scenario(SCENARIOS / "small.json")
     small_fld = exact_contamination_field(small.gridmap, small.hazard, small.horizon)
     slip = random_tabular_kernel(np.random.default_rng(3), small.gridmap)
@@ -148,12 +150,13 @@ def rollout_cases():
         cache = ObjectiveCache(sc.gridmap, kernel, fld, sc.starts, sc.targets, sc.horizon)
         for r in robots:
             for mask in masks:
-                yield cache.solve(r, mask), sc.hazard, m
+                yield cache.solve(r, mask), dp_solve(cache.query(r, mask)), sc.hazard, m
     gm = GridMap(3, 1, [], Cell(2, 0))
     model = HazardModel.uniform([Cell(0, 0)], 0.5)
     fld = exact_contamination_field(gm, model, 3)
     for start, targets in ((Cell(0, 0), ()), (Cell(2, 0), ()), (Cell(1, 0), (Cell(2, 0),))):
-        yield dp_solve(make_query(gm, fld, start, targets, 3)), model, 3000
+        result = dp_solve(make_query(gm, fld, start, targets, 3))
+        yield result, result, model, 3000
 
 
 def chunk_rng(ci):
@@ -161,12 +164,12 @@ def chunk_rng(ci):
 
 
 def test_rollout_chunks_equal_reference_in_both_modes():
-    for result, model, m in rollout_cases():
+    for result, reference, model, m in rollout_cases():
         for ci in range(2):
             assert (_rollout_chunk(result, None, chunk_rng(ci), m)
-                    == oracles.reference_rollout_model_chunk(result, chunk_rng(ci), m))
+                    == oracles.reference_rollout_model_chunk(reference, chunk_rng(ci), m))
             assert (_rollout_chunk(result, model, chunk_rng(ci), m)
-                    == oracles.reference_rollout_joint_chunk(result, model, chunk_rng(ci), m))
+                    == oracles.reference_rollout_joint_chunk(reference, model, chunk_rng(ci), m))
 
 
 def test_start_on_target_counts_as_visited():
@@ -227,6 +230,13 @@ def test_flagged_start_and_target_stub():
     res = dp_solve(make_query(gm, fld, Cell(2, 0), [Cell(0, 0)], 3))
     assert res.success == 0.0
     assert any("target (0, 0)" in d for d in res.diagnostics)
+    # a start on a contaminated goal with nothing to visit is not a success
+    gm = GridMap(3, 1, [], Cell(0, 0))
+    fld = exact_contamination_field(gm, model, 3)
+    res = dp_solve(make_query(gm, fld, Cell(0, 0), [], 3))
+    assert res.success == 0.0
+    assert res.greedy_path() == [Cell(0, 0)]
+    assert res.diagnostics == ("start (0, 0) is almost surely contaminated at step 0",)
 
 
 def test_unreachable_target_diagnosed():
@@ -347,6 +357,10 @@ def test_objective_cache_counters_and_validation():
         cache.value(0, 7)
     with pytest.raises(ValidationError):
         cache.value(0, -1)
+    with pytest.raises(ValidationError):
+        cache.solve(0, -1)
+    with pytest.raises(ValidationError):
+        cache.solve(2, 0)
     assert success_probability(cache, 0, 3) == v1
     assert success_probability(cache, 0, [Cell(2, 0), Cell(0, 1)]) == v1
     with pytest.raises(ValidationError):

@@ -276,7 +276,7 @@ def test_vacuous_guarantees_recorded_not_raised():
     assert "alpha=1" in rep["guarantees"]["reason"]
 
 
-def test_ratio_source_none_and_auto_selection():
+def test_ratio_source_none_and_auto_selection(monkeypatch):
     bare = run_pipeline(unit_scenario(), PipelineOptions(
         field_kind="exact", ratio_source="none")).report
     assert "ratios" not in bare and "guarantees" not in bare
@@ -285,8 +285,9 @@ def test_ratio_source_none_and_auto_selection():
         field_kind="exact", ratio_source="auto")).report
     assert auto["ratios"]["auto_selected"] == "exact"
 
+    monkeypatch.setattr(report, "RATIO_ENUM_CAP", 100)
     forced = run_pipeline(unit_scenario(), PipelineOptions(
-        field_kind="exact", ratio_source="auto", ratio_cap=100,
+        field_kind="exact", ratio_source="auto",
         methods=("forward", "reverse"))).report
     assert forced["ratios"]["auto_selected"] == "greedy"
     assert "combined" in forced["ratios"]
@@ -438,8 +439,12 @@ def test_rollouts_read_policies_from_the_lattice(monkeypatch):
     pairs = [(r, res.report["methods"][name]["masks"][r])
              for name in ("forward", "reverse") for r in range(sc.n_robots)]
     assert len(seen) == len(pairs)
-    # one DP per robot over all its targets; rollout policies are cut from it
+    # one DP per robot over all the targets; each rollout walks that plan
+    # from its subset's start state
     assert solved == [sc.n_tasks] * sc.n_robots
     for (r, mask), result in zip(pairs, seen):
-        assert result.success == res.cache.value(r, mask)
-        assert np.array_equal(result.policy, real_solve(res.cache.query(r, mask)).policy)
+        want = real_solve(res.cache.query(r, mask))
+        assert result.success == res.cache.value(r, mask) == want.success
+        assert result.greedy_path() == want.greedy_path()
+        rows = oracles.lattice_rows(sc.n_tasks, mask)
+        assert np.array_equal(result.policy[:, rows], want.policy)

@@ -15,6 +15,10 @@ Runs, in one process and with the program imported from this checkout's
 - a small.json report (exact field, exact ratios) on a copy of the scenario
   with target ``i`` moved onto the fire source (3, 3), where the target is
   contaminated at step 0 and every method's F is 0;
+- on that copy, on one with robot ``b`` starting on the fire source and on
+  one with the goal moved there too: robot ``b``'s ``plan`` with
+  ``--targets all`` and ``none`` on both field kinds, its ``simulate`` in
+  model and joint mode and an ``allocate`` report with rollouts;
 - the README ``plan`` and ``simulate`` outputs, a joint-mode ``simulate``
   and a ``plan`` on every paper17x13.json target;
 - a region-map SVG and a ``bounds`` output, which print the guarantee floors;
@@ -72,7 +76,25 @@ OTHER = [
     ["render", "--what", "region-map", "--f-star", "0.2"],
     ["bounds", "--f-star", "0.2", "--alpha", "0.3", "--gamma", "0.8", "--region", "40"],
 ]
-FLAGGED_TARGET = ("i", [3, 3])  # small.json's fire source
+FIRE = [3, 3]  # small.json's fire source
+# small.json copies with a cell contaminated at step 0 where the planner needs
+# it clear: (label, target moved onto the fire, robot whose start moves onto
+# it, whether the goal moves onto it)
+ON_FIRE = [
+    ("target i", "i", None, False),
+    ("robot b", None, "b", False),
+    ("robot b and goal", None, "b", True),
+]
+ON_FIRE_COMMANDS = [
+    ["plan", "--robot", "b", "--targets", "all", "--exact-field"],
+    ["plan", "--robot", "b", "--targets", "none", "--exact-field"],
+    ["plan", "--robot", "b", "--targets", "all", "--samples", "2000"],
+    ["plan", "--robot", "b", "--targets", "none", "--samples", "2000"],
+    ["simulate", "--robot", "b", "--targets", "all", "--exact-field", "--trials", "5000"],
+    ["simulate", "--robot", "b", "--targets", "all", "--exact-field", "--trials", "5000",
+     "--mode", "joint"],
+    ["allocate", "--exact-field", "--rollout-trials", "5000"],
+]
 
 
 def _run(argv, out: Path) -> bytes:
@@ -86,16 +108,26 @@ def _shown(argv) -> str:
     return " ".join(Path(a).name if a in (SMALL, PAPER) else a for a in argv)
 
 
-def _flagged_target_scenario(work: Path) -> Path:
-    """small.json with one target moved onto the fire source."""
+def _on_fire_scenario(work: Path, target, robot, goal: bool) -> Path:
+    """small.json with a target, a robot's start and/or the goal moved onto
+    the fire source."""
     data = json.loads(Path(SMALL).read_text())
-    name, cell = FLAGGED_TARGET
-    for target in data["targets"]:
-        if target["name"] == name:
-            target["cell"] = cell
-    path = work / "small-flagged-target.json"
+    for entry in data["targets"]:
+        if entry["name"] == target:
+            entry["cell"] = FIRE
+    for entry in data["robots"]:
+        if entry["name"] == robot:
+            entry["start"] = FIRE
+    if goal:
+        data["goal"] = FIRE
+    path = work / f"small-on-fire-{target}-{robot}-{goal}.json"
     path.write_text(json.dumps(data))
     return path
+
+
+def _report_digest(argv, out: Path) -> str:
+    report = json.loads(_run(argv, out))
+    return hashlib.sha256(canonical_report_json(report).encode()).hexdigest()
 
 
 def _fields():
@@ -115,16 +147,20 @@ def main() -> int:
         for name, argv in ALLOCATE.items():
             cache = ["--field-cache", str(work / f"{name.replace(' ', '_')}.npz")]
             for label, extra in (("fresh", []), ("cache written", cache), ("cache read", cache)):
-                report = json.loads(_run(argv + extra, out))
-                digest = hashlib.sha256(canonical_report_json(report).encode()).hexdigest()
-                print(f"{digest}  {_shown(argv)}  [{label}]", flush=True)
-        flagged = ["allocate", str(_flagged_target_scenario(work)), "--exact-field",
-                   "--ratios", "exact"]
-        report = json.loads(_run(flagged, out))
-        digest = hashlib.sha256(canonical_report_json(report).encode()).hexdigest()
-        name, cell = FLAGGED_TARGET
-        print(f"{digest}  allocate small.json with target {name} at {tuple(cell)} "
-              f"{' '.join(flagged[2:])}", flush=True)
+                print(f"{_report_digest(argv + extra, out)}  {_shown(argv)}  [{label}]",
+                      flush=True)
+        for label, target, robot, goal in ON_FIRE:
+            path = str(_on_fire_scenario(work, target, robot, goal))
+            where = f"small.json with {label} at {tuple(FIRE)}"
+            if target is not None:
+                flagged = ["allocate", path, "--exact-field", "--ratios", "exact"]
+                print(f"{_report_digest(flagged, out)}  allocate {where} "
+                      f"{' '.join(flagged[2:])}", flush=True)
+            for command, *rest in ON_FIRE_COMMANDS:
+                argv = [command, path, *rest]
+                digest = (_report_digest(argv, out) if command == "allocate"
+                          else hashlib.sha256(_run(argv, out)).hexdigest())
+                print(f"{digest}  {command} {where} {' '.join(rest)}", flush=True)
         for argv in RENDER + OTHER:
             print(f"{hashlib.sha256(_run(argv, out)).hexdigest()}  {_shown(argv)}", flush=True)
     for label, field in _fields():
