@@ -1,0 +1,5 @@
+"""``python -m hazardplan``: the hazardplan command line."""
+from .cli import entry
+
+if __name__ == "__main__":
+    raise SystemExit(entry())

@@ -328,7 +328,7 @@ def _cmd_bounds(args) -> int:
         except VacuousBoundError as exc:
             out["vacuous"] = True
             out["reason"] = str(exc)
-        if args.region > 0:
+        if args.region:
             out["region_map"] = region_map(args.f_star, args.region).to_dict()
         _emit(out, args.out)
         return EXIT_OK

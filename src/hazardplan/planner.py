@@ -5,7 +5,10 @@ its cell, plus two absorbing outcomes (contaminated, or at the exit with every
 target visited). Moves succeed per the motion kernel; arrival at x' survives
 with probability 1 - p[k](x', x) from the contamination field. dp_solve runs
 the standard backward finite-horizon recursion, maximizing the probability of
-reaching the exit with all targets visited within the horizon.
+reaching the exit with all targets visited within the horizon. Its value
+layers are cell-major, one row of 2^t visited sets per cell. Each step first
+remaps the rows of the target cells, since arriving on one sets its bit; then
+every kernel term is a copy of whole rows, scaled per cell.
 
 Since a visited target no longer matters, the mission "visit S" from (q, x)
 is the mission "visit T" from (q | (T ^ S), x) for any T containing S. So
@@ -36,11 +39,13 @@ _ROLLOUT_CHUNK = 16384
 # an 8 GB machine, so a query that fits leaves room for the field, the
 # allocators and whatever else runs beside it.
 DP_TABLE_CAP = 2 << 30
-# Bytes per (mask, cell) of the float64 layers one DP step holds at once
-# besides the policy: the two value layers, the running action value,
-# np.where's output and the gather's index and product temporaries. Measured
-# peaks on paper17x13 at 5-12 targets were 49-59.
-_DP_LAYER_BYTES = 64
+# Bytes per (mask, cell) of the layers dp_solve holds besides the policy:
+# two float64 value layers, an action's value and, when an action has
+# several kernel terms, one term's product, plus a bool and an int8 layer.
+# Traced peaks on paper17x13 at 8-12 targets were 27-28 with deterministic
+# and 35-39 with tabular motion. Below 8 targets a fixed ~0.2 MB of per-query
+# arrays weighs more per (mask, cell), in solves of at most 3 MiB.
+_DP_LAYER_BYTES = 40
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,7 @@ def _diagnose(query: PlanQuery) -> List[str]:
 
 
 def dp_table_bytes(n_targets: int, n_free: int, horizon: int) -> int:
-    """Estimated peak bytes of a dp_solve: the int8 policy plus the float64
+    """Estimated peak bytes of a dp_solve: the int8 policy plus the working
     layers of one step."""
     return (1 << n_targets) * n_free * (horizon + _DP_LAYER_BYTES)
 
@@ -170,9 +175,10 @@ def dp_table_bytes(n_targets: int, n_free: int, horizon: int) -> int:
 def dp_solve(query: PlanQuery) -> PlanResult:
     """Backward value recursion; returns the greedy policy and f = V^0(s0).
 
-    Step k reads only step k + 1, so two (2^t, n) value layers are kept, and
-    each kernel term updates every mask row at once. A query whose tables
-    would pass DP_TABLE_CAP raises CapExceededError before any is allocated.
+    Step k reads only step k + 1, so two cell-major (n, 2^t) value layers
+    are kept: each kernel term copies one whole row of 2^t values per cell.
+    A query whose tables would pass DP_TABLE_CAP raises CapExceededError
+    before any is allocated.
     """
     gm = query.gridmap
     fld = query.field
@@ -191,47 +197,78 @@ def dp_solve(query: PlanQuery) -> PlanResult:
     goal_idx = gm.goal_index
     tb = query.target_bits()
 
-    nbr = gm.neighbor_slots[:, :N_ACTIONS]
-    admissible = nbr >= 0
-    kernel_terms = [list(query.kernel.action_terms(u)) for u in range(N_ACTIONS)]
-    masks = np.arange(nq)[:, np.newaxis]
+    # Every kernel term as a row of (slot, weight per cell), grouped by
+    # action in order. An action with no term at any cell is skipped: its
+    # value layer would never be written.
+    slots, weights, actions = [], [], []
+    for u in range(N_ACTIONS):
+        terms = list(query.kernel.action_terms(u))
+        if terms:
+            actions.append((u, range(len(slots), len(slots) + len(terms))))
+            slots += [j for j, _ in terms]
+            weights += [w for _, w in terms]
+    weights = np.array(weights)
+    sel = weights > 0
+    # A cell outside a term's support reads its own row with weight 0, so it
+    # adds exactly +0.0.
+    dest = np.where(sel, gm.neighbor_slots[:, slots].T, np.arange(n))
+    # Arriving on a target sets its bit: row d of a layer, read at visited
+    # set q, is the value at q | tb[d].
+    tcells = np.flatnonzero(tb)
+    arrive = np.arange(nq) | tb[tcells, np.newaxis]
 
-    values = np.zeros((nq, n))
-    values[full, goal_idx] = 1.0
-    policy = np.zeros((horizon, nq, n), dtype=np.int8)
+    values = np.zeros((n, nq))
+    values[goal_idx, full] = 1.0
+    best = np.empty((n, nq))
+    acc = np.empty((n, nq))
+    tmp = np.empty((n, nq)) if len(slots) > len(actions) else None
+    better = np.empty((n, nq), dtype=bool)
+    bestu = np.empty((n, nq), dtype=np.int8)
+    policy = np.empty((horizon, nq, n), dtype=np.int8)
+
+    def action_value(terms, surv, out):
+        """Sum over an action's terms, in order, of survival times the row
+        the term lands on. Every index is valid; mode="clip" only spares
+        take the copy it makes of ``out`` under the default mode."""
+        first, *rest = terms
+        np.take(values, dest[first], axis=0, out=out, mode="clip")
+        out *= surv[first, :, np.newaxis]
+        for i in rest:
+            np.take(values, dest[i], axis=0, out=tmp, mode="clip")
+            np.multiply(tmp, surv[i, :, np.newaxis], out=tmp)
+            out += tmp
+
     for k in range(horizon - 1, -1, -1):
-        vflat = values.reshape(-1)
-        best = np.full((nq, n), -1.0)
-        bestu = policy[k]
-        for u in range(N_ACTIONS):
-            acc = np.zeros((nq, n))
-            for j, w in kernel_terms[u]:
-                sel = w > 0
-                if not np.any(sel):
-                    continue
-                dsel = nbr[sel, j]
-                surv = w[sel] * (1.0 - fld.prob[k, sel, j])
-                acc[:, sel] += surv * vflat[(masks | tb[dsel]) * n + dsel]
-            acc[:, ~admissible[:, u]] = -1.0
-            better = acc > best
-            best = np.where(better, acc, best)
-            bestu[better] = u
+        values[tcells] = values[tcells[:, np.newaxis], arrive]
+        surv = np.where(sel, weights * (1.0 - fld.prob[k][:, slots].T), 0.0)
+        # STAY is admissible and has mass at every cell, so best >= 0 after
+        # it. An action inadmissible at a cell has no mass there and is worth
+        # 0.0 there, which the strict > never picks.
+        action_value(actions[0][1], surv, best)
+        bestu.fill(MoveAction.STAY)
+        for u, terms in actions[1:]:
+            action_value(terms, surv, acc)
+            np.greater(acc, best, out=better)
+            np.copyto(bestu, u, where=better)
+            np.maximum(best, acc, out=best)
         # The completed-mission state is absorbing.
-        best[full, goal_idx] = values[full, goal_idx]
-        bestu[full, goal_idx] = MoveAction.STAY
-        if best.max() > 1.0 + VALUE_TOL or best.min() < -VALUE_TOL:
+        best[goal_idx, full] = values[goal_idx, full]
+        bestu[goal_idx, full] = MoveAction.STAY
+        # NaN fails both comparisons, so a NaN value raises too.
+        if not (-VALUE_TOL <= best.min() and best.max() <= 1.0 + VALUE_TOL):
             raise NumericViolationError(
                 f"value outside [0, 1] at step {k}: [{best.min()}, {best.max()}]"
             )
         np.clip(best, 0.0, 1.0, out=best)
-        values = best
+        policy[k] = bestu.T
+        values, best = best, values
 
     return PlanResult(
         query=query,
         policy=policy,
         # Every move off a start contaminated at step 0 is contaminated, but
         # a start on the goal with nothing to visit is already complete.
-        start_values=values[:, start_idx] * (not fld.flagged[0, start_idx]),
+        start_values=values[start_idx] * (not fld.flagged[0, start_idx]),
         start_q=int(tb[start_idx]),
         diagnostics=tuple(_diagnose(query)),
     )

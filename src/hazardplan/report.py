@@ -78,8 +78,16 @@ class PipelineOptions:
     def __post_init__(self):
         if self.samples < 1:
             raise ValidationError(f"sample count must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.threads < 1:
             raise ValidationError(f"thread count must be >= 1, got {self.threads}")
+        if self.rollout_trials < 0:
+            raise ValidationError(f"rollout trial count must be >= 0, got {self.rollout_trials}")
+        if self.region_resolution < 0:
+            raise ValidationError(
+                f"region resolution must be >= 0, got {self.region_resolution}"
+            )
         if self.exact_cap < 1:
             raise ValidationError(f"exact cell cap must be >= 1, got {self.exact_cap}")
         if self.field_kind not in ("estimate", "exact"):

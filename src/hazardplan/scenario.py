@@ -345,7 +345,7 @@ def parse_scenario(data: Dict) -> Scenario:
         if "samples" in mc
         else None
     )
-    mc_seed = _as_int(mc["seed"], "monte_carlo.seed") if "seed" in mc else None
+    mc_seed = _as_int(mc["seed"], "monte_carlo.seed", minimum=0) if "seed" in mc else None
     caps = data.get("caps", {})
     if not isinstance(caps, dict):
         _fail("caps", "must be an object")

@@ -1,6 +1,9 @@
 """Command-line driver: subcommands end to end, exit codes, output routing."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +71,15 @@ def test_version_flag(capsys):
         entry(["--version"])
     assert exc.value.code == 0
     assert VERSION in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "hazardplan", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert VERSION in done.stdout
 
 
 def test_plan_by_name_and_index(tmp_path, capsys):
@@ -151,6 +163,33 @@ def test_allocate_unknown_method_exits_two(tmp_path, capsys):
     path = write_scenario(tmp_path)
     assert entry(["allocate", path, "--method", "anneal"]) == 2
     assert "unknown methods" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_two(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    assert entry(["plan", path, "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_negative_scenario_seed_exits_two(tmp_path, capsys):
+    path = write_scenario(tmp_path, monte_carlo={"samples": 400, "seed": -1})
+    assert entry(["plan", path]) == 2
+    assert "monte_carlo.seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_negative_rollout_trials_exit_two(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    assert entry(["allocate", path, "--exact-field", "--rollout-trials", "-5"]) == 2
+    assert "rollout trial count must be >= 0, got -5" in capsys.readouterr().err
+
+
+def test_negative_region_exits_two(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    assert entry(["allocate", path, "--exact-field", "--region", "-3"]) == 2
+    assert "region resolution must be >= 0, got -3" in capsys.readouterr().err
+    assert entry(["bounds", "--f-star", "0.5", "--alpha", "0.2", "--gamma", "0.9",
+                  "--region", "-3"]) == 2
+    assert "resolution must be >= 2" in capsys.readouterr().err
 
 
 def test_field_cache_written_reused_and_guarded(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -107,13 +108,44 @@ def paper_sweep_query(n_targets):
                      targets=tuple(sc.targets) + tuple(extra), horizon=sc.horizon)
 
 
-@pytest.mark.parametrize("n_targets", [5, 8])
-def test_dp_equals_reference_on_paper_sweep(n_targets):
+@pytest.mark.parametrize("n_targets, slip", [(5, False), (8, False), (5, True)],
+                         ids=["5", "8", "5-slip"])
+def test_dp_equals_reference_on_paper_sweep(n_targets, slip):
+    """Policy and every start value, under the scenario's motion and under a
+    slippery tabular kernel whose actions sum several terms."""
     query = paper_sweep_query(n_targets)
+    if slip:
+        kernel = random_tabular_kernel(np.random.default_rng(7), query.gridmap)
+        query = replace(query, kernel=kernel)
     res = dp_solve(query)
-    _, policy, success = oracles.reference_dp_solve(query)
+    values, policy, success = oracles.reference_dp_solve(query)
+    start = query.gridmap.index(query.start)
     assert res.success == success
     assert np.array_equal(res.policy, policy)
+    assert np.array_equal(res.start_values,
+                          values[0][:, start] * (not query.field.flagged[0, start]))
+
+
+@pytest.mark.parametrize("slip", [False, True])
+@pytest.mark.parametrize("width, height", [(1, 4), (4, 1)])
+def test_corridor_actions_with_no_move_anywhere(width, height, slip):
+    """In a corridor two moves are inadmissible at every cell, so their
+    actions have no kernel term at all. The goal sits on a target."""
+    gm = GridMap(width, height, [], Cell(width - 1, height - 1))
+    along = sorted(gm.cells, key=lambda c: c.col + c.row)
+    kernel = (random_tabular_kernel(np.random.default_rng(5), gm) if slip
+              else MotionKernel.deterministic(gm))
+    across = (MoveAction.NORTH, MoveAction.SOUTH) if height == 1 else (
+        MoveAction.EAST, MoveAction.WEST)
+    assert all(not list(kernel.action_terms(u)) for u in across)
+    fld = exact_contamination_field(gm, HazardModel.uniform([along[0]], 0.3), 8)
+    # the walk must step next to the fire before it turns for the goal
+    query = make_query(gm, fld, along[2], [gm.goal, along[1]], 8, kernel)
+    res = dp_solve(query)
+    values, policy, success = oracles.reference_dp_solve(query)
+    assert 0.0 < res.success == success < 1.0
+    assert np.array_equal(res.policy, policy)
+    assert np.array_equal(res.start_values, values[0][:, gm.index(along[2])])
 
 
 def test_dp_over_the_table_cap_raises_before_allocating():
