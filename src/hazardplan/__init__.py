@@ -15,7 +15,6 @@ from .allocation import (
     auction_round,
     brute_force_optimal,
     forward_greedy,
-    ground_value,
     group_success,
     is_partition,
     pair_bit,
@@ -105,7 +104,6 @@ __all__ = [
     "exact_ratios",
     "forward_greedy",
     "greedy_ratios",
-    "ground_value",
     "group_success",
     "guarantee_values",
     "is_partition",

@@ -25,6 +25,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Protocol, Sequence, Tuple
 
+import numpy as np
+
 from .errors import CapExceededError, NumericViolationError, ValidationError
 
 BRUTE_FORCE_CAP = 10**6
@@ -32,9 +34,12 @@ BRUTE_FORCE_CAP = 10**6
 
 class ObjectiveSource(Protocol):
     """Anything that can price (robot, target-subset) pairs; usually
-    ObjectiveCache. solve_count counts the distinct pairs priced so far."""
+    ObjectiveCache. solve_count counts the distinct pairs priced so far and
+    hit_count the repeat lookups. price_table(robot) holds value(robot, m)
+    at index m for every mask m and counts as a lookup of each mask."""
 
     solve_count: int
+    hit_count: int
 
     @property
     def n_robots(self) -> int: ...
@@ -43,6 +48,8 @@ class ObjectiveSource(Protocol):
     def n_tasks(self) -> int: ...
 
     def value(self, robot: int, mask: int) -> float: ...
+
+    def price_table(self, robot: int) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -122,23 +129,6 @@ def is_partition(allocation: Sequence[int], n_tasks: int) -> bool:
 def pair_bit(task: int, robot: int, n_robots: int) -> int:
     """Bit index of ground pair (task, robot) in the task-major layout."""
     return task * n_robots + robot
-
-
-def ground_masks(wmask: int, n_robots: int, n_tasks: int) -> Tuple[int, ...]:
-    """Split a ground-set bitmask into per-robot target masks."""
-    masks = [0] * n_robots
-    for t in range(n_tasks):
-        for r in range(n_robots):
-            if wmask >> pair_bit(t, r, n_robots) & 1:
-                masks[r] |= 1 << t
-    return tuple(masks)
-
-
-def ground_value(source: ObjectiveSource, wmask: int) -> float:
-    return _product(
-        source.value(r, m)
-        for r, m in enumerate(ground_masks(wmask, source.n_robots, source.n_tasks))
-    )
 
 
 def _score(bid: Bid, f_values: Mapping[int, float]) -> Tuple[int, float]:

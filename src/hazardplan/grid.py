@@ -177,8 +177,11 @@ class MotionKernel:
             seen.add((i, int(u)))
             total = 0.0
             for nxt, p in row.items():
-                if p < 0:
-                    raise ValidationError(f"negative motion probability at {cell}, {u.name}")
+                # NaN fails every comparison, so test for the good case
+                if not float(p) >= 0.0:
+                    raise ValidationError(
+                        f"motion probability {p!r} at {cell}, {u.name} is negative or NaN"
+                    )
                 j = _slot_of(gridmap, i, Cell(*nxt))
                 if j is None or j >= N_ACTIONS:
                     raise ValidationError(

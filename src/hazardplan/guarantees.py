@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .allocation import GreedyTrace, ObjectiveSource, ground_value, pair_bit
+from .allocation import GreedyTrace, ObjectiveSource, pair_bit
 from .errors import (
     CapExceededError,
     InsufficientObservationsError,
@@ -159,7 +159,9 @@ def exact_ratios(source: ObjectiveSource, cap: int = RATIO_ENUM_CAP) -> RatioRep
     Chains range over the full power set of pairs. Restricting them to sets
     that assign each task at most once could only tighten the ratios (smaller
     alpha, larger gamma), so the full scan errs on the safe side of the bounds
-    the theorems certify.
+    the theorems certify. The 2^n ground values are gathered from one price
+    table per robot (_ground_values), with the bits and the lookup counts of
+    a set-by-set product.
     """
     n = source.n_tasks * source.n_robots
     if n < 1:
@@ -167,8 +169,29 @@ def exact_ratios(source: ObjectiveSource, cap: int = RATIO_ENUM_CAP) -> RatioRep
     work = (3**n) * n
     if work > cap:
         raise CapExceededError(f"ratio enumeration needs {work} triples > cap {cap}")
-    values = np.array([ground_value(source, wm) for wm in range(1 << n)])
-    return exact_ratios_from_values(values, n, cap=cap)
+    return exact_ratios_from_values(_ground_values(source), n, cap=cap)
+
+
+def _ground_values(source: ObjectiveSource) -> np.ndarray:
+    """F of every set of task-robot pairs, indexed by ground mask.
+
+    Each robot's mask of a ground set gathers f_r from the robot's price
+    table, and the factors multiply in robot order 0..R-1 from 1.0, as
+    group_success does, so every value has the bits of the set-by-set
+    product. The source counts the R * 2^n lookups that product makes: a
+    table is one lookup of each of its masks, and every other lookup repeats
+    one of them, so it adds to hit_count.
+    """
+    n_r, n_t = source.n_robots, source.n_tasks
+    ground = np.arange(1 << (n_t * n_r), dtype=np.int64)
+    values = np.ones(len(ground))
+    for r in range(n_r):
+        masks = np.zeros_like(ground)
+        for t in range(n_t):
+            masks |= (ground >> pair_bit(t, r, n_r) & 1) << t
+        values *= source.price_table(r)[masks]
+    source.hit_count += n_r * (len(ground) - (1 << n_t))
+    return values
 
 
 def _trace_observations(trace: GreedyTrace) -> Dict[Tuple[int, int], List[Tuple[int, float]]]:

@@ -21,10 +21,13 @@ slot order 1..8.
 
 On small maps the distribution over contamination sets is propagated
 exactly. Live states are int64 bitmasks held in arrays, and each step
-enumerates the ignition outcomes of all of them at once. One pass yields
-the transition field and the per-cell contamination marginals of every
-step 0..horizon. Sums run in the order of a scalar loop over states and
-outcomes, so the result does not depend on how the arrays are laid out.
+enumerates their ignition outcomes a block of rows at a time. Each block is
+merged into the next states with np.unique and np.bincount, which add
+every state's outcomes from 0.0 in (source state, combo) order and keep
+states in order of first appearance, as a scalar loop over states and
+outcomes into a dict would. So the result does not depend on how the arrays
+are laid out or on the block size. One pass yields the transition field and
+the per-cell contamination marginals of every step 0..horizon.
 
 The Monte-Carlo sampler is event-driven. Sample i draws all its uniforms,
 shaped (horizon, n_free), from its own stream seeded by (seed, i). A cell
@@ -49,7 +52,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +62,7 @@ from .grid import Cell, GridMap, N_ACTIONS, N_SLOTS
 SQRT2 = math.sqrt(2.0)
 EXACT_HAZARD_CELL_CAP = 12
 EXACT_MASK_BITS = 62
-_STEP_ROWS = 1024
+_STEP_ROWS = 16384
 FIELD_SUM_TOL = 1e-10
 FIELD_KINDS = ("exact", "monte-carlo")
 # what a field cache holds, by entry: the numpy dtype kinds it may have
@@ -247,12 +250,17 @@ def _exact_step(
 
     Each clear cell of a state ignites independently with 1 - clear. Cells
     certain to ignite join the state's mask; the outcomes of the uncertain
-    cells are enumerated by _outcomes and summed into the next states in
-    (source state, combo) order, which also fixes the order of the returned
-    states (by first appearance). That is the arithmetic of a scalar loop
-    over states and combos, so the result is bit-for-bit reproducible.
-    States are expanded a few at a time, so the working set stays near
-    _STEP_ROWS outcome rows.
+    cells are enumerated by _outcomes, a block of about _STEP_ROWS rows at a
+    time, and merged into the running next states. A block's merge groups
+    the running states followed by the block's rows with np.unique and sums
+    each group with np.bincount, which adds its weights in input order from
+    0.0. So a running state's sum gains the block's outcomes in (source
+    state, combo) order, and a new state starts from 0.0 as well. Sorting
+    the groups by first index keeps the running states in place and appends
+    the new ones by first appearance. That is the arithmetic and the order
+    of a scalar loop over states and combos into a dict, so the result is
+    bit-for-bit reproducible, and the working set stays near _STEP_ROWS
+    outcome rows plus the next states.
     """
     n = contaminated.shape[1]
     bits = np.left_shift(1, np.arange(n, dtype=np.int64))
@@ -261,20 +269,21 @@ def _exact_step(
     uncertain = free & (ignite > 0.0) & (ignite < 1.0)
     base = states | ((free & (ignite >= 1.0)) * bits).sum(axis=1)
     ends = np.cumsum(np.left_shift(1, uncertain.sum(axis=1)))
-    nxt: Dict[int, float] = {}
+    keys = np.empty(0, dtype=np.int64)
+    sums = np.empty(0)
     lo = 0
     while lo < len(states):
         start = ends[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, start + _STEP_ROWS, side="right")))
-        rows = _outcomes(base[lo:hi], probs[lo:hi], uncertain[lo:hi], ignite[lo:hi], bits)
-        for m, p in zip(*(r.tolist() for r in rows)):
-            nxt[m] = nxt.get(m, 0.0) + p
+        masks, block = _outcomes(base[lo:hi], probs[lo:hi], uncertain[lo:hi], ignite[lo:hi], bits)
+        keys, first, inv = np.unique(
+            np.concatenate([keys, masks]), return_index=True, return_inverse=True
+        )
+        sums = np.bincount(inv, weights=np.concatenate([sums, block]), minlength=len(keys))
+        order = np.argsort(first)
+        keys, sums = keys[order], sums[order]
         lo = hi
-    count = len(nxt)
-    return (
-        np.fromiter(nxt.keys(), dtype=np.int64, count=count),
-        np.fromiter(nxt.values(), dtype=np.float64, count=count),
-    )
+    return keys, sums
 
 
 def _outcomes(

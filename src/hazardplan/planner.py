@@ -349,6 +349,18 @@ class ObjectiveCache:
         plan, start_q = self._entry(robot, mask)
         return replace(plan, start_q=start_q)
 
+    def price_table(self, robot: int) -> np.ndarray:
+        """f_r of every target subset, indexed by mask: one gather from the
+        robot's plan. It counts as one value lookup of each mask."""
+        plan, _ = self._entry(robot, 0)
+        masks = np.arange(1 << self.n_tasks)
+        table = plan.start_values[(plan.query.full_mask ^ masks) | plan.start_q]
+        fresh = [m for m in range(len(table)) if (robot, m) not in self._values]
+        self._values.update(((robot, m), float(table[m])) for m in fresh)
+        self.solve_count += len(fresh)
+        self.hit_count += len(table) - len(fresh)
+        return table
+
     def value(self, robot: int, mask: int) -> float:
         key = (robot, mask)
         if key in self._values:

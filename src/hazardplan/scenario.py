@@ -12,10 +12,16 @@ else in the package are positions in the arrays here.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+# CPython's built-in _sha256 gives hashlib.sha256's digest without loading
+# OpenSSL, which costs a few MB resident; Python 3.12 and later lack it
+try:
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .errors import ValidationError
 from .grid import Cell, GridMap, MotionKernel, MoveAction
@@ -197,7 +203,7 @@ class Scenario:
 
 def scenario_hash(scenario: Scenario) -> str:
     """Stable content hash used to tie reports and cached fields to inputs."""
-    return hashlib.sha256(scenario.canonical_json().encode()).hexdigest()
+    return sha256(scenario.canonical_json().encode()).hexdigest()
 
 
 def parse_scenario(data: Dict) -> Scenario:

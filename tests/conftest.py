@@ -143,6 +143,7 @@ class TableSource:
             if len(t) != n_masks:
                 raise ValueError("ragged tables")
         self.solve_count = 0
+        self.hit_count = 0
         self._seen = set()
 
     @property
@@ -155,10 +156,15 @@ class TableSource:
 
     def value(self, robot: int, mask: int) -> float:
         key = (robot, mask)
-        if key not in self._seen:
+        if key in self._seen:
+            self.hit_count += 1
+        else:
             self._seen.add(key)
             self.solve_count += 1
         return self.tables[robot][mask]
+
+    def price_table(self, robot: int) -> np.ndarray:
+        return np.array([self.value(robot, m) for m in range(1 << self.n_tasks)])
 
 
 def random_strict_tables(

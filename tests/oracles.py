@@ -21,7 +21,6 @@ from hazardplan.allocation import (
     ObjectiveSource,
     _product,
     auction_round,
-    ground_value,
     is_partition,
     pair_bit,
 )
@@ -823,6 +822,24 @@ def reference_reverse_greedy(source: ObjectiveSource) -> Tuple[Tuple[int, ...], 
     trace.allocation = tuple(masks)
     trace.plan_solves = source.solve_count - solves0
     return tuple(masks), trace
+
+
+def ground_masks(wmask: int, n_robots: int, n_tasks: int) -> Tuple[int, ...]:
+    """Split a ground-set bitmask into per-robot target masks."""
+    masks = [0] * n_robots
+    for t in range(n_tasks):
+        for r in range(n_robots):
+            if wmask >> pair_bit(t, r, n_robots) & 1:
+                masks[r] |= 1 << t
+    return tuple(masks)
+
+
+def ground_value(source: ObjectiveSource, wmask: int) -> float:
+    """F of one ground set, priced robot by robot through source.value."""
+    return _product(
+        source.value(r, m)
+        for r, m in enumerate(ground_masks(wmask, source.n_robots, source.n_tasks))
+    )
 
 
 def exact_ratios_feasible(source):

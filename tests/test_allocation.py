@@ -10,8 +10,6 @@ from hazardplan.allocation import (
     auction_round,
     brute_force_optimal,
     forward_greedy,
-    ground_masks,
-    ground_value,
     group_success,
     is_partition,
     pair_bit,
@@ -23,7 +21,7 @@ from hazardplan.report import PipelineOptions, build_field
 from hazardplan.scenario import load_scenario
 
 import oracles
-from oracles import ground_extension
+from oracles import ground_extension, ground_masks, ground_value
 from conftest import TableSource, random_cache, random_monotone_tables
 
 

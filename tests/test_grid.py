@@ -143,6 +143,17 @@ def test_tabular_kernel_validation():
         MotionKernel.tabular(gm, {(Cell(0, 0), MoveAction.EAST): {Cell(1, 0): 0.5}})
 
 
+@pytest.mark.parametrize("row", [
+    {Cell(1, 0): float("nan")},
+    {Cell(1, 0): 1.0, Cell(0, 0): float("nan")},
+])
+def test_tabular_kernel_rejects_nan(row):
+    # NaN passes both "p < 0" and "abs(total - 1) > tol" as False
+    gm = GridMap(3, 1, [], Cell(2, 0))
+    with pytest.raises(ValidationError, match="NaN"):
+        MotionKernel.tabular(gm, {(Cell(0, 0), MoveAction.EAST): row})
+
+
 def test_tabular_rows_sum_to_one_within_tolerance():
     gm = GridMap(2, 2, [], Cell(1, 1))
     table = {

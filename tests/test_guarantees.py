@@ -4,7 +4,6 @@ import pytest
 from hazardplan.allocation import (
     brute_force_optimal,
     forward_greedy,
-    ground_value,
     group_success,
     reverse_greedy,
 )
@@ -25,7 +24,7 @@ from hazardplan.guarantees import (
 )
 
 import oracles
-from oracles import strict_decrease_violations
+from oracles import ground_value, strict_decrease_violations
 from conftest import TableSource, random_monotone_tables, random_strict_tables
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hazardplan import hazard
 from hazardplan.errors import CapExceededError, ValidationError
 from hazardplan.grid import Cell, GridMap, MoveAction
 from hazardplan.hazard import (
@@ -205,6 +206,32 @@ def test_hazard_step_exact_bit_identical_to_reference_over_steps():
             # same states, same order of first appearance, same bits
             assert list(got.items()) == list(want.items())
             dist = got
+
+
+@pytest.mark.parametrize("step_rows", [1, 4])
+def test_exact_step_merges_blocks_bit_identically(monkeypatch, step_rows):
+    # small blocks make the running merge cross many of them in every step
+    monkeypatch.setattr(hazard, "_STEP_ROWS", step_rows)
+    rng = np.random.default_rng(707)
+    for _ in range(10):
+        gm = random_gridmap(rng, max_cells=10, max_side=4)
+        model = random_hazard(rng, gm, max_sources=3)
+        dist = {frozenset(model.initial_cells): 1.0}
+        for _ in range(3):
+            got = hazard_step_exact(gm, model, dist)
+            want = oracles.reference_step_distribution(gm, model, dist)
+            # same states, same order of first appearance, same bits
+            assert list(got.items()) == list(want.items())
+            dist = got
+
+
+def test_exact_field_does_not_depend_on_the_block_size(monkeypatch):
+    sc = load_scenario(SCENARIOS / "small.json")
+    want = exact_contamination_field(sc.gridmap, sc.hazard, sc.horizon)
+    monkeypatch.setattr(hazard, "_STEP_ROWS", 64)
+    got = exact_contamination_field(sc.gridmap, sc.hazard, sc.horizon)
+    for key in ("prob", "flagged", "marginals"):
+        assert np.array_equal(getattr(got, key), getattr(want, key))
 
 
 def test_exact_propagation_refuses_grids_beyond_mask_width():

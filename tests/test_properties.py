@@ -1,8 +1,9 @@
 """Property tests on hypothesis-drawn grids of at most 12 free cells: the
 package DP and the exact field against the scalar oracles, the DP against
 its full-table reference, the objective cache's one plan per robot against
-per-subset solves, the allocators' partitions, and both greedy guarantees
-under exact ratios."""
+per-subset solves, the ground values of exact ratios against the set-by-set
+product, the allocators' partitions, and both greedy guarantees under exact
+ratios."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +20,7 @@ from hazardplan.allocation import (
     reverse_greedy,
 )
 from hazardplan.grid import Cell, GridMap, MotionKernel
-from hazardplan.guarantees import exact_ratios, theorem_bounds
+from hazardplan.guarantees import _ground_values, exact_ratios, theorem_bounds
 from hazardplan.hazard import (
     HazardModel,
     HazardSource,
@@ -30,7 +31,7 @@ from hazardplan.planner import ObjectiveCache, PlanQuery, _rollout_chunk, dp_sol
 from hazardplan.scenario import load_scenario
 
 import oracles
-from conftest import random_tabular_kernel
+from conftest import TableSource, random_tabular_kernel
 
 MAX_FREE = 12
 # the oracle field sums the same terms in another order, so entries may
@@ -196,6 +197,54 @@ def test_allocators_return_partitions(cache):
         masks, _ = allocate(cache)
         assert is_partition(masks, cache.n_tasks)
         assert group_success(cache, masks) <= f_star
+
+
+def assert_ground_values_match_loop(make, primed):
+    """_ground_values on one source against oracles.ground_value on a twin:
+    the same bits, and the same counters after the same earlier lookups and
+    after a later lookup of every (robot, mask)."""
+    src, ref = make(), make()
+    for source in (src, ref):
+        for robot, mask in primed:
+            source.value(robot, mask)
+    got = _ground_values(src)
+    n = src.n_tasks * src.n_robots
+    want = np.array([oracles.ground_value(ref, wm) for wm in range(1 << n)])
+    assert np.array_equal(got, want)
+    assert (src.solve_count, src.hit_count) == (ref.solve_count, ref.hit_count)
+    for source in (src, ref):
+        for robot in range(source.n_robots):
+            for mask in range(1 << source.n_tasks):
+                source.value(robot, mask)
+    assert (src.solve_count, src.hit_count) == (ref.solve_count, ref.hit_count)
+
+
+def primed_lookups(data, n_robots, n_tasks):
+    return data.draw(st.lists(st.tuples(st.integers(0, n_robots - 1),
+                                        st.integers(0, (1 << n_tasks) - 1)), max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_ground_values_equal_set_by_set_product_on_tables(n_robots, n_tasks, data):
+    # values with ties, zeros and ones, and values with every bit in play
+    value = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    tables = data.draw(st.lists(st.lists(value, min_size=1 << n_tasks, max_size=1 << n_tasks),
+                                min_size=n_robots, max_size=n_robots))
+    make = lambda: TableSource([dict(enumerate(t)) for t in tables])
+    assert_ground_values_match_loop(make, primed_lookups(data, n_robots, n_tasks))
+
+
+@settings(max_examples=50, deadline=None)
+@given(hazard_grids(), st.integers(1, 4), st.data())
+def test_ground_values_equal_set_by_set_product_on_a_cache(grid, horizon, data):
+    gm, model = grid
+    fld = exact_contamination_field(gm, model, horizon)
+    starts = data.draw(st.lists(st.sampled_from(gm.cells), min_size=1, max_size=3))
+    targets = data.draw(st.lists(st.sampled_from(gm.cells), unique=True, min_size=1, max_size=3))
+    kernel = MotionKernel.deterministic(gm)
+    make = lambda: ObjectiveCache(gm, kernel, fld, starts, targets, horizon)
+    assert_ground_values_match_loop(make, primed_lookups(data, len(starts), len(targets)))
 
 
 @st.composite

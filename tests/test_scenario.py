@@ -1,7 +1,13 @@
 """Scenario file parsing, validation diagnostics, and canonical hashing."""
 
 import copy
+import hashlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +22,8 @@ from hazardplan.scenario import (
 )
 
 from oracles import motion_prob
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def base_dict():
@@ -269,3 +277,27 @@ def test_load_scenario_error_mapping(tmp_path):
     not_object.write_text("[1, 2]")
     with pytest.raises(ValidationError, match="JSON object"):
         load_scenario(not_object)
+
+
+@pytest.mark.parametrize("name", ["small.json", "paper17x13.json"])
+def test_scenario_hash_is_the_sha256_of_the_canonical_json(name):
+    sc = load_scenario(ROOT / "scenarios" / name)
+    assert scenario_hash(sc) == hashlib.sha256(sc.canonical_json().encode()).hexdigest()
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None,
+                    reason="this Python has no built-in _sha256, so hashlib is the fallback")
+def test_exact_allocate_leaves_openssl_unloaded():
+    # hashlib loads OpenSSL (_hashlib), a few MB resident, for one digest
+    code = (
+        "import contextlib, io, sys\n"
+        "from hazardplan.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['allocate', 'scenarios/small.json', '--exact-field'])\n"
+        "print(code, '_hashlib' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
