@@ -18,6 +18,13 @@ ObjectiveCache holds that one plan per robot and prices every subset from it.
 A target contaminated at step 0 needs no special case: entering it has
 probability 1 of contamination, so every mission that must visit it is worth
 exactly 0.
+
+rollout simulates a plan in chunks of trials. In model mode with
+deterministic motion no draw moves a trial, so every trial follows the plan's
+one walk with no hit (PlanResult._walk, the walk greedy_path lists) until it
+is hit: a chunk is then one row of uniforms per step of that walk against the
+step's contamination probability. Tabular motion and joint mode move the
+trials one by one.
 """
 
 from __future__ import annotations
@@ -106,25 +113,33 @@ class PlanResult:
     def success(self) -> float:
         return float(self.start_values[self.start_q])
 
-    def greedy_path(self) -> List[Cell]:
-        """Cells visited when every move lands as aimed and no hazard strikes."""
+    def _walk(self) -> Tuple[List[Tuple[int, int]], bool]:
+        """The plan's walk when every move lands as aimed and no hazard
+        strikes: the (cell index, action) of each step it takes, ending at
+        the step that completes the mission, and whether it completes it
+        within the horizon. A walk that starts complete takes no step."""
         gm = self.query.gridmap
         tb = self.query.target_bits()
         full = self.query.full_mask
         x = gm.index(self.query.start)
         q = self.start_q
-        path = [gm.cells[x]]
+        steps = []
         for k in range(self.query.horizon):
             if q == full and x == gm.goal_index:
                 break
             u = int(self.policy[k, q, x])
-            if u == MoveAction.STAY:
-                continue
-            dest = int(gm.neighbor_slots[x, u])
-            x = dest
+            steps.append((x, u))
+            x = int(gm.neighbor_slots[x, u])
             q |= int(tb[x])
-            path.append(gm.cells[x])
-        return path
+        return steps, q == full and x == gm.goal_index
+
+    def greedy_path(self) -> List[Cell]:
+        """Cells visited when every move lands as aimed and no hazard strikes."""
+        gm = self.query.gridmap
+        steps, _ = self._walk()
+        return [self.query.start] + [
+            gm.cells[gm.neighbor_slots[x, u]] for x, u in steps if u != MoveAction.STAY
+        ]
 
 
 def _reachability_diagnostics(query: PlanQuery) -> List[str]:
@@ -405,7 +420,12 @@ def rollout(
     (the process the DP optimizes, so the mean equals the DP value). Mode
     "joint" samples full hazard trajectories and checks occupancy against
     them, which requires the hazard model. Chunk sizes are fixed so results
-    never depend on threading or platform parallelism.
+    never depend on threading or platform parallelism. Each chunk draws from
+    its own stream, keyed by (seed, chunk index).
+
+    A model-mode chunk with deterministic motion prices the plan's one walk;
+    tabular motion and joint mode walk the trials one by one. Both count
+    what the trial-by-trial walk counts on the same stream (_rollout_chunk).
     """
     if mode not in ("model", "joint"):
         raise ValidationError(f"unknown rollout mode {mode!r}")
@@ -426,15 +446,29 @@ def rollout(
     )
 
 
-def _motion_slots(query, rng, x, act, m, live=slice(None)):
-    """Realized landing slot per trial; one uniform per trial when stochastic.
-    All m uniforms are drawn, and the ``live`` rows of them are used."""
-    if query.kernel.kind == "deterministic":
+def _slot_tables(kernel: MotionKernel):
+    """What _motion_slots draws from: None for deterministic motion, else the
+    running sums of each (cell, action) row of slot probabilities and the
+    row's last slot with mass."""
+    if kernel.kind == "deterministic":
+        return None
+    probs = kernel.slot_probs
+    last = N_ACTIONS - 1 - np.argmax(probs[:, :, ::-1] > 0, axis=2)
+    return probs.cumsum(axis=2), last
+
+
+def _motion_slots(tables, rng, x, act, m, live=slice(None)):
+    """Realized landing slot per trial, from _slot_tables; one uniform per
+    trial unless motion is deterministic. All m uniforms are drawn, and the
+    ``live`` rows of them are used. A row may sum to up to KERNEL_ROW_TOL
+    short of 1, and a draw at or above its sum lands on its last slot with
+    mass."""
+    if tables is None:
         return act
-    cum = query.kernel.slot_probs.cumsum(axis=2)
+    cum, last = tables
     r = rng.random(m)[live]
     slots = (cum[x, act] <= r[:, None]).sum(axis=1)
-    return np.minimum(slots, N_ACTIONS - 1)
+    return np.minimum(slots, last[x, act])
 
 
 def _rollout_chunk(
@@ -445,8 +479,19 @@ def _rollout_chunk(
     contamination probability of the realized move; with a model, one spread
     step of each trial's own contamination, checked at the destination.
     Every step draws for all m trials, so the stream never depends on which
-    trials are left, but only the trials still walking are moved: a trial
-    leaves the arrays the step it is contaminated or completes the mission."""
+    trials are left.
+
+    With no model and deterministic motion, no draw moves a trial, so every
+    trial follows the plan's walk with no hit, one (cell, action) per step,
+    until it is hit. If that walk does not complete the mission within the
+    horizon, no trial succeeds. Otherwise step k draws its m uniforms, as
+    the trial-by-trial walk does, and a trial succeeds when none of its
+    draws up to the completing step falls below that step's contamination
+    probability. The trial-by-trial walk stops drawing once no trial is
+    left, and the draws it skips are never read, so the counts are equal.
+
+    Otherwise only the trials still walking are moved: a trial leaves the
+    arrays the step it is contaminated or completes the mission."""
     query = result.query
     gm = query.gridmap
     fld = query.field
@@ -466,13 +511,24 @@ def _rollout_chunk(
         return 0
     if result.start_q == full and start == goal:
         return m
+    tables = _slot_tables(query.kernel)
+    if contam is None and tables is None:
+        steps, complete = result._walk()
+        if not complete:
+            return 0
+        alive = np.ones(m, dtype=bool)
+        u = np.empty(m)
+        for k, (x, slot) in enumerate(steps):
+            # u < p, not u >= p: a NaN probability hits no trial
+            alive &= ~(rng.random(out=u) < fld.prob[k, x, slot])
+        return int(np.count_nonzero(alive))
     live = np.arange(m)  # trial ids still walking
     x = np.full(m, start, dtype=np.int64)
     q = np.full(m, result.start_q, dtype=np.int64)
     successes = 0
     for k in range(query.horizon):
         act = result.policy[k, q, x]
-        slot = _motion_slots(query, rng, x, act, m, live)
+        slot = _motion_slots(tables, rng, x, act, m, live)
         dest = nbr[x, slot]
         if contam is None:
             hit = rng.random(m)[live] < fld.prob[k, x, slot]

@@ -38,7 +38,7 @@ from hazardplan.hazard import (
     _live_states,
     _require_exact_size,
 )
-from hazardplan.planner import VALUE_TOL, _motion_slots
+from hazardplan.planner import VALUE_TOL, _motion_slots, _slot_tables
 
 SQRT2 = math.sqrt(2.0)
 ORTH_STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))
@@ -981,6 +981,7 @@ def reference_rollout_model_chunk(result, rng: np.random.Generator, m: int) -> i
     full = query.full_mask
     start = gm.index(query.start)
     goal = gm.goal_index
+    tables = _slot_tables(query.kernel)
     x = np.full(m, start, dtype=np.int64)
     q = np.full(m, int(tb[start]), dtype=np.int64)
     alive = np.ones(m, dtype=bool)
@@ -991,7 +992,7 @@ def reference_rollout_model_chunk(result, rng: np.random.Generator, m: int) -> i
         return m
     for k in range(query.horizon):
         act = result.policy[k, q, x]
-        slot = _motion_slots(query, rng, x, act, m)
+        slot = _motion_slots(tables, rng, x, act, m)
         draws = rng.random(m)
         ph = fld.prob[k, x, slot]
         dest = nbr[x, slot]
@@ -1016,6 +1017,7 @@ def reference_rollout_joint_chunk(result, model, rng: np.random.Generator, m: in
     full = query.full_mask
     start = gm.index(query.start)
     goal = gm.goal_index
+    tables = _slot_tables(query.kernel)
     contam = np.broadcast_to(dyn.initial, (m, n)).copy()
     x = np.full(m, start, dtype=np.int64)
     q = np.full(m, int(tb[start]), dtype=np.int64)
@@ -1024,7 +1026,7 @@ def reference_rollout_joint_chunk(result, model, rng: np.random.Generator, m: in
     rows = np.arange(m)
     for k in range(query.horizon):
         act = result.policy[k, q, x]
-        slot = _motion_slots(query, rng, x, act, m)
+        slot = _motion_slots(tables, rng, x, act, m)
         dest = nbr[x, slot]
         hazard_draws = rng.random((m, n))
         pc = 1.0 - dyn.stay_clear(contam)

@@ -13,11 +13,14 @@ from hazardplan.hazard import (
     estimate_contamination_field,
     exact_contamination_field,
 )
+from hazardplan import planner
 from hazardplan.planner import (
     DP_TABLE_CAP,
     ObjectiveCache,
     PlanQuery,
+    _motion_slots,
     _rollout_chunk,
+    _slot_tables,
     dp_solve,
     dp_table_bytes,
     rollout,
@@ -202,6 +205,81 @@ def test_rollout_chunks_equal_reference_in_both_modes():
                     == oracles.reference_rollout_model_chunk(reference, chunk_rng(ci), m))
             assert (_rollout_chunk(result, model, chunk_rng(ci), m)
                     == oracles.reference_rollout_joint_chunk(reference, model, chunk_rng(ci), m))
+
+
+def waiting_plan():
+    """A 3x1 corridor whose start is safe to stay on and whose first move is
+    riskier at steps 0-1 than after: over 5 steps the plan waits three times,
+    as late as a tie with moving lets it, then walks to the exit."""
+    gm = GridMap(3, 1, [], Cell(2, 0))
+    fld = clear_field(gm, 5)
+    prob = np.full_like(fld.prob, 0.1)
+    prob[:, 0, MoveAction.STAY] = 0.0
+    prob[:2, 0, MoveAction.EAST] = 0.5
+    return dp_solve(make_query(gm, replace(fld, prob=prob), Cell(0, 0), (), 5))
+
+
+def test_model_chunk_prices_a_walk_that_waits():
+    res = waiting_plan()
+    steps, complete = res._walk()
+    stay, east = MoveAction.STAY, MoveAction.EAST
+    assert steps == [(0, stay)] * 3 + [(0, east), (1, east)] and complete
+    assert res.greedy_path() == [Cell(0, 0), Cell(1, 0), Cell(2, 0)]
+    for ci in range(3):
+        count = _rollout_chunk(res, None, chunk_rng(ci), 3000)
+        assert count == oracles.reference_rollout_model_chunk(res, chunk_rng(ci), 3000)
+        assert 0 < count < 3000
+
+
+def test_model_chunk_of_a_walk_that_never_completes_is_zero():
+    gm = GridMap(4, 1, [], Cell(3, 0))
+    model = HazardModel.uniform([Cell(3, 0)], 0.5)
+    fld = exact_contamination_field(gm, model, 2)
+    # the exit is three moves away, one more than the horizon
+    res = dp_solve(make_query(gm, fld, Cell(0, 0), (), 2))
+    assert res._walk() == ([(0, MoveAction.STAY), (0, MoveAction.STAY)], False)
+    assert _rollout_chunk(res, None, chunk_rng(0), 500) == 0
+    assert oracles.reference_rollout_model_chunk(res, chunk_rng(0), 500) == 0
+
+
+def test_rollout_over_several_chunks_equals_oracle_chunks(monkeypatch):
+    res = waiting_plan()
+    monkeypatch.setattr(planner, "_ROLLOUT_CHUNK", 1000)
+    seed, trials = 9, 2500
+    want = sum(
+        oracles.reference_rollout_model_chunk(
+            res, np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, ci)))),
+            min(1000, trials - 1000 * ci))
+        for ci in range(3)
+    )
+    rr = rollout(res, mode="model", trials=trials, seed=seed)
+    assert rr.successes == want
+    assert rr.trials == trials
+
+
+class FixedDraws:
+    """Stands in for a Generator: every uniform it draws is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, m):
+        return np.full(m, self.value)
+
+
+def test_motion_slot_of_a_draw_past_a_short_row_sum_is_its_last_with_mass():
+    gm = GridMap(3, 1, [], Cell(2, 0))
+    # the row sums to 1 - 4e-13, inside the kernel's tolerance
+    kernel = MotionKernel.tabular(gm, {
+        (Cell(0, 0), MoveAction.EAST): {Cell(0, 0): 0.1, Cell(1, 0): 0.9 - 4e-13},
+    })
+    tables = _slot_tables(kernel)
+    x = np.zeros(1, dtype=np.int64)
+    act = np.full(1, MoveAction.EAST, dtype=np.int8)
+    for draw, slot in ((0.0, MoveAction.STAY), (0.1 - 1e-12, MoveAction.STAY),
+                       (0.1, MoveAction.EAST), (1 - 1e-13, MoveAction.EAST)):
+        assert _motion_slots(tables, FixedDraws(draw), x, act, 1).tolist() == [slot]
+    assert _slot_tables(MotionKernel.deterministic(gm)) is None
 
 
 def test_start_on_target_counts_as_visited():

@@ -1,7 +1,8 @@
 """Property tests on hypothesis-drawn grids of at most 12 free cells: the
 package DP and the exact field against the scalar oracles, the DP against
 its full-table reference, the objective cache's one plan per robot against
-per-subset solves, the ground values of exact ratios against the set-by-set
+per-subset solves, model-mode rollouts of deterministic motion against the
+trial-by-trial oracle, the ground values of exact ratios against the set-by-set
 product, the allocators' partitions, and both greedy guarantees under exact
 ratios."""
 
@@ -173,6 +174,25 @@ def test_lattice_equals_per_subset_dp_on_paper17x13():
     cache = ObjectiveCache(sc.gridmap, sc.kernel(), fld, sc.starts, sc.targets, sc.horizon)
     assert cache.n_robots == 3 and cache.n_tasks == 5
     assert_lattice_matches_subset_solves(cache, sc.hazard, 40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hazard_grids(), st.integers(1, 6), st.data())
+def test_model_rollout_of_deterministic_motion_equals_oracle(grid, horizon, data):
+    """With deterministic motion a model-mode chunk prices the plan's one
+    walk. Its count is == the oracle's trial-by-trial walk on the same
+    stream, for the cache's plan and for the subset's own dp_solve."""
+    gm, model = grid
+    fld = exact_contamination_field(gm, model, horizon)
+    targets = data.draw(st.lists(st.sampled_from(gm.cells), unique=True, max_size=3))
+    start = data.draw(st.sampled_from(gm.cells))
+    cache = ObjectiveCache(gm, MotionKernel.deterministic(gm), fld, [start], targets, horizon)
+    mask = data.draw(st.integers(0, (1 << len(targets)) - 1))
+    want = dp_solve(cache.query(0, mask))
+    for ci in range(2):
+        count = oracles.reference_rollout_model_chunk(want, chunk_rng(ci), 300)
+        assert _rollout_chunk(want, None, chunk_rng(ci), 300) == count
+        assert _rollout_chunk(cache.solve(0, mask), None, chunk_rng(ci), 300) == count
 
 
 @st.composite

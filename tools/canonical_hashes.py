@@ -19,6 +19,11 @@ Runs, in one process and with the program imported from this checkout's
   one with the goal moved there too: robot ``b``'s ``plan`` with
   ``--targets all`` and ``none`` on both field kinds, its ``simulate`` in
   model and joint mode and an ``allocate`` report with rollouts;
+- on a copy of small.json with four slippery (tabular) motion rows along
+  its corridor: robot ``b``'s model-mode ``simulate`` and an ``allocate``
+  report with 5,000 rollout trials. Every other rollout here has
+  deterministic motion, where a model-mode chunk prices the plan's one
+  walk; these are the ones that walk trial by trial;
 - the README ``plan`` and ``simulate`` outputs, a joint-mode ``simulate``
   and a ``plan`` on every paper17x13.json target;
 - a region-map SVG and a ``bounds`` output, which print the guarantee floors;
@@ -27,8 +32,8 @@ Runs, in one process and with the program imported from this checkout's
   seed 0) and small.json's exact field. These show any bit a field builder
   moves, even one that no report or image reads.
 
-It prints one ``<sha256>  <command>`` line per output. Run the same file in
-two checkouts and diff what they print. Outputs and caches go to a temporary
+It prints one ``<sha256>  <command>`` line per output, 50 in all. Run the
+same file in two checkouts and diff what they print. Outputs and caches go to a temporary
 directory that is removed at the end. The whole run takes under a minute.
 """
 
@@ -96,6 +101,19 @@ ON_FIRE_COMMANDS = [
     ["allocate", "--exact-field", "--rollout-trials", "5000"],
 ]
 
+# small.json's motion with slippery rows along the corridor, as scenario
+# "motion.rows" entries: a move east may stay put or slide into a tooth
+SLIPPERY_ROWS = [
+    {"cell": [1, 2], "action": "EAST", "next": [[2, 2, 0.9], [1, 3, 0.1]]},
+    {"cell": [2, 2], "action": "EAST", "next": [[3, 2, 0.8], [2, 2, 0.2]]},
+    {"cell": [3, 2], "action": "EAST", "next": [[4, 2, 0.85], [3, 1, 0.05], [3, 3, 0.1]]},
+    {"cell": [5, 2], "action": "EAST", "next": [[6, 2, 0.9], [5, 2, 0.1]]},
+]
+SLIPPERY_COMMANDS = [
+    ["simulate", "--robot", "b", "--targets", "all", "--exact-field", "--trials", "5000"],
+    ["allocate", "--exact-field", "--rollout-trials", "5000"],
+]
+
 
 def _run(argv, out: Path) -> bytes:
     code = cli.main([*argv, "--out", str(out)])
@@ -125,9 +143,25 @@ def _on_fire_scenario(work: Path, target, robot, goal: bool) -> Path:
     return path
 
 
+def _slippery_scenario(work: Path) -> Path:
+    """small.json with the SLIPPERY_ROWS tabular motion."""
+    data = json.loads(Path(SMALL).read_text())
+    data["motion"] = {"kind": "tabular", "rows": SLIPPERY_ROWS}
+    path = work / "small-slippery.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
 def _report_digest(argv, out: Path) -> str:
     report = json.loads(_run(argv, out))
     return hashlib.sha256(canonical_report_json(report).encode()).hexdigest()
+
+
+def _command_digest(argv, out: Path) -> str:
+    """An ``allocate`` report's digest, or the sha256 of any other output."""
+    if argv[0] == "allocate":
+        return _report_digest(argv, out)
+    return hashlib.sha256(_run(argv, out)).hexdigest()
 
 
 def _fields():
@@ -157,10 +191,13 @@ def main() -> int:
                 print(f"{_report_digest(flagged, out)}  allocate {where} "
                       f"{' '.join(flagged[2:])}", flush=True)
             for command, *rest in ON_FIRE_COMMANDS:
-                argv = [command, path, *rest]
-                digest = (_report_digest(argv, out) if command == "allocate"
-                          else hashlib.sha256(_run(argv, out)).hexdigest())
+                digest = _command_digest([command, path, *rest], out)
                 print(f"{digest}  {command} {where} {' '.join(rest)}", flush=True)
+        path = str(_slippery_scenario(work))
+        for command, *rest in SLIPPERY_COMMANDS:
+            digest = _command_digest([command, path, *rest], out)
+            print(f"{digest}  {command} small.json with slippery motion {' '.join(rest)}",
+                  flush=True)
         for argv in RENDER + OTHER:
             print(f"{hashlib.sha256(_run(argv, out)).hexdigest()}  {_shown(argv)}", flush=True)
     for label, field in _fields():
