@@ -35,8 +35,9 @@ BRUTE_FORCE_CAP = 10**6
 class ObjectiveSource(Protocol):
     """Anything that can price (robot, target-subset) pairs; usually
     ObjectiveCache. solve_count counts the distinct pairs priced so far and
-    hit_count the repeat lookups. price_table(robot) holds value(robot, m)
-    at index m for every mask m and counts as a lookup of each mask."""
+    hit_count the repeat lookups; neither counts DP runs. price_table(robot)
+    holds value(robot, m) at index m for every mask m and counts as a lookup
+    of each mask."""
 
     solve_count: int
     hit_count: int

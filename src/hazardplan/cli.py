@@ -21,13 +21,7 @@ import sys
 from typing import Dict, Optional, Sequence, Tuple
 
 from ._version import VERSION
-from .errors import (
-    CapExceededError,
-    HazardPlanError,
-    NumericViolationError,
-    ValidationError,
-    VacuousBoundError,
-)
+from .errors import HazardPlanError, ValidationError, VacuousBoundError
 from .guarantees import guarantee_values, region_map
 from .hazard import ContaminationField
 # plan and simulate call planner.dp_solve through the module, so a wrapper put
@@ -55,6 +49,11 @@ _ERROR_EXITS = {
     "CapExceededError": EXIT_CAP,
     "NumericViolationError": EXIT_NUMERIC,
 }
+
+
+def _exit_code(kind: str) -> int:
+    """The exit code of an error kind, a HazardPlanError class name."""
+    return _ERROR_EXITS.get(kind, EXIT_VALIDATION)
 
 
 def _add_common(p: argparse.ArgumentParser, scenario_optional: bool = False) -> None:
@@ -235,25 +234,37 @@ def _emit(payload, out: Optional[str]) -> None:
 def _methods_exit(report: Dict) -> int:
     """The exit code of the worst error a pipeline method recorded."""
     return max(
-        (_ERROR_EXITS.get(block["error_kind"], EXIT_NUMERIC)
+        (_exit_code(block["error_kind"])
          for block in report["methods"].values() if "error_kind" in block),
         default=EXIT_OK,
     )
 
 
-def _cmd_plan(args) -> int:
+def _subset_plan(args):
+    """Scenario, options and --robot index, the subset's own dp_solve of the
+    --targets subset, and the output's head: robot name and target names."""
     scenario = _load(args)
-    fld = build_field(scenario, _pipeline_options(scenario, args))
-    cache = objective_cache(scenario, fld)
+    opts = _pipeline_options(scenario, args)
+    cache = objective_cache(scenario, build_field(scenario, opts))
     robot = _parse_robot(scenario, args.robot)
     mask = _parse_target_list(scenario, args.targets)
     result = planner.dp_solve(cache.query(robot, mask))
-    out = {
+    head = {
         "robot": scenario.robot_names[robot],
-        "start": list(scenario.starts[robot]),
         "targets": [scenario.target_names[t]
                     for t in range(scenario.n_tasks) if mask >> t & 1],
-        "horizon": scenario.horizon,
+    }
+    return scenario, opts, robot, result, head
+
+
+def _cmd_plan(args) -> int:
+    _, _, _, result, head = _subset_plan(args)
+    query = result.query
+    fld = query.field
+    out = {
+        **head,
+        "start": list(query.start),
+        "horizon": query.horizon,
         "field": {"kind": fld.kind, "samples": fld.samples, "seed": fld.seed},
         "success": result.success,
         "diagnostics": list(result.diagnostics),
@@ -284,33 +295,14 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scenario = _load(args)
     if args.trials < 1:
         raise ValidationError(f"trial count must be >= 1, got {args.trials}")
-    opts = _pipeline_options(scenario, args)
-    cache = objective_cache(scenario, build_field(scenario, opts))
-    robot = _parse_robot(scenario, args.robot)
-    mask = _parse_target_list(scenario, args.targets)
-    result = planner.dp_solve(cache.query(robot, mask))
+    scenario, opts, robot, result, head = _subset_plan(args)
     rr = rollout(
-        result, mode=args.mode, trials=args.trials,
-        seed=derive_seed(opts.seed, 0, robot),
+        result, trials=args.trials, seed=derive_seed(opts.seed, 0, robot),
         model=scenario.hazard if args.mode == "joint" else None,
     )
-    out = {
-        "robot": scenario.robot_names[robot],
-        "targets": [scenario.target_names[t]
-                    for t in range(scenario.n_tasks) if mask >> t & 1],
-        "planned": result.success,
-        "mode": rr.mode,
-        "trials": rr.trials,
-        "successes": rr.successes,
-        "rate": rr.rate,
-        "ci_low": rr.ci_low,
-        "ci_high": rr.ci_high,
-        "planned_in_ci": bool(rr.ci_low <= result.success <= rr.ci_high),
-    }
-    _emit(out, args.out)
+    _emit({**head, **rr.to_dict()}, args.out)
     return EXIT_OK
 
 
@@ -447,18 +439,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def entry(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return main(argv)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except NumericViolationError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except HazardPlanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code = _exit_code(type(exc).__name__)
+        prefix = "internal error" if code == EXIT_NUMERIC else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

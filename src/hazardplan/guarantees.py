@@ -15,7 +15,7 @@ forms are evaluated cross-multiplied so no degenerate denominator is divided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +30,11 @@ from .errors import (
 
 RATIO_ENUM_CAP = 10**7
 BOUND_TOL = 1e-12
+# The region map's ratio grid stops short of the vacuous edges alpha = 1 and
+# gamma = 0; its memory grows with the square of the resolution.
+REGION_ALPHAS = (0.0, 0.99)
+REGION_GAMMAS = (0.01, 1.0)
+REGION_RESOLUTION_CAP = 1000
 
 
 @dataclass
@@ -47,32 +52,28 @@ class RatioReport:
     observations: int = 0
 
     def to_dict(self) -> Dict:
-        return {
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "kind": self.kind,
-            "n_elements": self.n_elements,
-            "alpha_witness": list(self.alpha_witness) if self.alpha_witness else None,
-            "gamma_witness": list(self.gamma_witness) if self.gamma_witness else None,
-            "skipped_alpha": self.skipped_alpha,
-            "skipped_gamma": self.skipped_gamma,
-            "observations": self.observations,
-        }
+        return asdict(self)
 
 
-def exact_ratios_from_values(
-    values: Sequence[float], n: int, cap: int = RATIO_ENUM_CAP
-) -> RatioReport:
-    """Exact alpha and gamma of a set function given as a table over 2^n.
+def exact_ratios_fit(n: int) -> bool:
+    """Whether exact ratios over n ground elements fit RATIO_ENUM_CAP. The
+    triple space is 3^n * n; the cap guards the request even though the scan
+    is organized as subset-extreme sweeps rather than raw triples."""
+    return (3**n) * n <= RATIO_ENUM_CAP
 
-    The triple space is 3^n * n; the cap guards the request even though the
-    scan below is organized as subset-extreme sweeps rather than raw triples.
-    """
+
+def _require_ratios_fit(n: int) -> None:
+    if not exact_ratios_fit(n):
+        raise CapExceededError(
+            f"ratio enumeration needs {(3**n) * n} triples > cap {RATIO_ENUM_CAP}"
+        )
+
+
+def exact_ratios_from_values(values: Sequence[float], n: int) -> RatioReport:
+    """Exact alpha and gamma of a set function given as a table over 2^n."""
     if n < 1:
         raise ValidationError("ground set must be nonempty")
-    work = (3**n) * n
-    if work > cap:
-        raise CapExceededError(f"ratio enumeration needs {work} triples > cap {cap}")
+    _require_ratios_fit(n)
     size = 1 << n
     F = np.asarray(values, dtype=float)
     if F.shape != (size,):
@@ -153,7 +154,7 @@ def _resolve_witness(F: np.ndarray, site: Tuple[int, int, float]) -> Tuple[int, 
     return (b_mask, b_mask, e)
 
 
-def exact_ratios(source: ObjectiveSource, cap: int = RATIO_ENUM_CAP) -> RatioReport:
+def exact_ratios(source: ObjectiveSource) -> RatioReport:
     """Exact ratios of the extended group objective over task-robot pairs.
 
     Chains range over the full power set of pairs. Restricting them to sets
@@ -166,10 +167,8 @@ def exact_ratios(source: ObjectiveSource, cap: int = RATIO_ENUM_CAP) -> RatioRep
     n = source.n_tasks * source.n_robots
     if n < 1:
         raise ValidationError("need at least one task and one robot")
-    work = (3**n) * n
-    if work > cap:
-        raise CapExceededError(f"ratio enumeration needs {work} triples > cap {cap}")
-    return exact_ratios_from_values(_ground_values(source), n, cap=cap)
+    _require_ratios_fit(n)
+    return exact_ratios_from_values(_ground_values(source), n)
 
 
 def _ground_values(source: ObjectiveSource) -> np.ndarray:
@@ -320,12 +319,7 @@ class GuaranteeReport:
     reverse_ok: Optional[bool] = None
 
     def to_dict(self) -> Dict:
-        return {k: getattr(self, k) for k in (
-            "f_empty", "f_full", "f_star", "f_forward", "f_reverse",
-            "alpha", "gamma", "ratio_kind", "g_forward", "g_reverse",
-            "forward_lhs", "forward_rhs", "forward_ok",
-            "reverse_lhs", "reverse_rhs", "reverse_ok",
-        )}
+        return asdict(self)
 
 
 def _require_nonvacuous(alpha: float, gamma: float) -> None:
@@ -360,7 +354,6 @@ def theorem_bounds(
     alpha: float,
     gamma: float,
     ratio_kind: str = "exact",
-    tol: float = BOUND_TOL,
 ) -> GuaranteeReport:
     """Check both greedy guarantees in cross-multiplied, sign-safe form.
 
@@ -386,11 +379,11 @@ def theorem_bounds(
     if f_forward is not None:
         report.forward_lhs = c * (f_forward - f_empty)
         report.forward_rhs = f_star - f_empty
-        report.forward_ok = bool(report.forward_lhs >= report.forward_rhs - tol)
+        report.forward_ok = bool(report.forward_lhs >= report.forward_rhs - BOUND_TOL)
     if f_reverse is not None:
         report.reverse_lhs = gamma * (f_star - f_full)
         report.reverse_rhs = (1.0 + gamma * alpha) * (f_reverse - f_full)
-        report.reverse_ok = bool(report.reverse_lhs <= report.reverse_rhs + tol)
+        report.reverse_ok = bool(report.reverse_lhs <= report.reverse_rhs + BOUND_TOL)
     return report
 
 
@@ -416,21 +409,17 @@ class RegionMap:
         }
 
 
-def region_map(
-    f_star: float,
-    resolution: int = 100,
-    alpha_range: Tuple[float, float] = (0.0, 0.99),
-    gamma_range: Tuple[float, float] = (0.01, 1.0),
-) -> RegionMap:
-    """Evaluate both guarantee floors on a grid of ratio values."""
+def region_map(f_star: float, resolution: int = 100) -> RegionMap:
+    """Evaluate both guarantee floors on a resolution x resolution grid over
+    REGION_ALPHAS x REGION_GAMMAS."""
     if resolution < 2:
         raise ValidationError("resolution must be >= 2")
+    if resolution > REGION_RESOLUTION_CAP:
+        raise CapExceededError(f"region resolution {resolution} > cap {REGION_RESOLUTION_CAP}")
     if not 0.0 <= f_star <= 1.0:
         raise ValidationError(f"F* must lie in [0, 1], got {f_star}")
-    alphas = np.linspace(alpha_range[0], alpha_range[1], resolution)
-    gammas = np.linspace(gamma_range[0], gamma_range[1], resolution)
-    if alphas[-1] >= 1.0 or gammas[0] <= 0.0:
-        raise VacuousBoundError("region grid touches alpha=1 or gamma=0")
+    alphas = np.linspace(*REGION_ALPHAS, resolution)
+    gammas = np.linspace(*REGION_GAMMAS, resolution)
     A, G = np.meshgrid(alphas, gammas)
     fwd, rev = _floors(f_star, A, G)
     return RegionMap(

@@ -325,8 +325,8 @@ def _propagate_exact(dyn: _SpreadDynamics, horizon: int):
     dest = np.where(valid_slots, nbr, 0)
     states = np.array([_cells_to_bits(dyn.gridmap, dyn.model.initial_cells)], dtype=np.int64)
     probs = np.ones(1)
-    prob = np.zeros((horizon, n, N_ACTIONS))
-    flagged = np.zeros((horizon, n), dtype=bool)
+    den = np.empty((horizon, n))
+    num = np.empty((horizon, n, N_ACTIONS))
     marginals = np.zeros((horizon + 1, n))
     for k in range(horizon + 1):
         states, probs, contaminated = _live_states(n, states, probs)
@@ -336,23 +336,27 @@ def _propagate_exact(dyn: _SpreadDynamics, horizon: int):
         clear = dyn.stay_clear(contaminated)
         pc_next = 1.0 - clear
         is_clear = ~contaminated
-        den = _sequential_sum(np.where(is_clear, probs[:, np.newaxis], 0.0))
-        num = np.empty((n, N_ACTIONS))
+        den[k] = _sequential_sum(np.where(is_clear, probs[:, np.newaxis], 0.0))
         for j in range(N_ACTIONS):
             hits = probs[:, np.newaxis] * pc_next[:, dest[:, j]]
-            num[:, j] = _sequential_sum(np.where(valid_slots[:, j] & is_clear, hits, 0.0))
-        flag_k = den == 0.0
-        flagged[k] = flag_k
-        safe = np.where(flag_k, 1.0, den)
-        prob[k] = num / safe[:, np.newaxis]
-        prob[k, flag_k, :] = 1.0
+            num[k, :, j] = _sequential_sum(np.where(valid_slots[:, j] & is_clear, hits, 0.0))
         states, probs = _exact_step(states, probs, contaminated, clear)
         total = sum(probs.tolist())
         if abs(total - 1.0) > FIELD_SUM_TOL:
             raise NumericViolationError(f"exact propagation mass {total!r} at step {k}")
-    prob[:, ~valid_slots] = 0.0
-    prob = np.clip(prob, 0.0, 1.0)
-    return prob, flagged, marginals
+    prob, flagged = _transition_field(dyn.gridmap, den, num)
+    return np.clip(prob, 0.0, 1.0), flagged, marginals
+
+
+def _transition_field(gridmap: GridMap, den: np.ndarray, num: np.ndarray):
+    """(prob, flagged) = num / den: den[k, x] weighs x clear at step k, and
+    num[k, x, slot] the part of it with the slot's cell contaminated at k + 1.
+    A row where den is 0 is flagged and set to 1; blocked slots are 0."""
+    flagged = den == 0
+    prob = num / np.where(flagged, 1, den)[:, :, np.newaxis]
+    prob[flagged] = 1.0
+    prob[:, gridmap.neighbor_slots[:, :N_ACTIONS] < 0] = 0.0
+    return prob, flagged
 
 
 @dataclass
@@ -584,12 +588,7 @@ def estimate_contamination_field(
         raise ValidationError(f"sample count must be >= 1, got {samples}")
     dyn = _dynamics(gridmap, model)
     den, num, final = _run_chunks(dyn, horizon, samples, seed, threads)
-    flagged = den == 0
-    safe = np.where(flagged, 1, den)[:, :, np.newaxis]
-    prob = num / safe
-    prob[flagged] = 1.0
-    valid_slots = gridmap.neighbor_slots[:, :N_ACTIONS] >= 0
-    prob[:, ~valid_slots] = 0.0
+    prob, flagged = _transition_field(gridmap, den, num)
     # Step-0 conditioning is deterministic: exactly the initial cells flag.
     if not np.array_equal(flagged[0], dyn.initial):
         raise NumericViolationError("step-0 flags disagree with the initial contamination")

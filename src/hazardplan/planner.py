@@ -30,7 +30,7 @@ trials one by one.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +40,7 @@ from .grid import Cell, GridMap, MotionKernel, MoveAction, N_ACTIONS
 from .hazard import ContaminationField, HazardModel, _dynamics
 
 VALUE_TOL = 1e-9
+MAX_TARGETS = 20
 WILSON_Z95 = 1.959963984540054
 _ROLLOUT_CHUNK = 16384
 # Largest dp_solve, in bytes of its policy and working layers: a quarter of
@@ -75,8 +76,8 @@ class PlanQuery:
             gm.index(t)
         if len(set(self.targets)) != len(self.targets):
             raise ValidationError("duplicate target cells in query")
-        if len(self.targets) > 20:
-            raise ValidationError("more than 20 targets for one robot")
+        if len(self.targets) > MAX_TARGETS:
+            raise ValidationError(f"more than {MAX_TARGETS} targets for one robot")
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         if self.field.n_free != gm.n_free:
@@ -294,9 +295,9 @@ class ObjectiveCache:
 
     Keys are (robot index, subset bitmask over the shared target list). The
     first value asked of a robot runs one dp_solve over all the targets, and
-    every subset of that robot is then a start state of that plan. Counters
-    track distinct (robot, mask) values versus repeat lookups so allocator
-    cost can be reported.
+    every subset of that robot is then a start state of that plan.
+    solve_count counts the distinct (robot, mask) values priced and
+    hit_count the repeat lookups, not DP runs: one dp_solve runs per robot.
     """
 
     def __init__(
@@ -389,17 +390,27 @@ class ObjectiveCache:
 
 @dataclass(frozen=True)
 class RolloutResult:
-    mode: str
+    """Empirical success of a plan's rollouts, beside its planned value."""
+
+    mode: str  # "model" or "joint"
     trials: int
     successes: int
     rate: float
     ci_low: float
     ci_high: float
+    planned: float
+
+    def to_dict(self) -> Dict:
+        # bool(): json cannot write the numpy bool of a numpy bound's comparison
+        inside = bool(self.ci_low <= self.planned <= self.ci_high)
+        return {**asdict(self), "planned_in_ci": inside}
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z95) -> Tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
+    """95% Wilson score interval of a binomial rate."""
     if trials <= 0:
         raise ValidationError("trials must be positive")
+    z = WILSON_Z95
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -409,40 +420,35 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z95) -> Tuple
 
 def rollout(
     result: PlanResult,
-    mode: str,
     trials: int,
     seed: int,
     model: Optional[HazardModel] = None,
 ) -> RolloutResult:
     """Simulate the policy and report its empirical success rate.
 
-    mode "model" draws per-step contamination independently from the field
-    (the process the DP optimizes, so the mean equals the DP value). Mode
-    "joint" samples full hazard trajectories and checks occupancy against
-    them, which requires the hazard model. Chunk sizes are fixed so results
-    never depend on threading or platform parallelism. Each chunk draws from
-    its own stream, keyed by (seed, chunk index).
+    Without a hazard model ("model" mode) each step draws contamination
+    independently from the field (the process the DP optimizes, so the mean
+    equals the DP value). With one ("joint" mode) each trial samples a full
+    hazard trajectory and checks occupancy against it. Chunk sizes are fixed
+    so results never depend on threading or platform parallelism. Each chunk
+    draws from its own stream, keyed by (seed, chunk index).
 
     A model-mode chunk with deterministic motion prices the plan's one walk;
     tabular motion and joint mode walk the trials one by one. Both count
     what the trial-by-trial walk counts on the same stream (_rollout_chunk).
     """
-    if mode not in ("model", "joint"):
-        raise ValidationError(f"unknown rollout mode {mode!r}")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    if mode == "joint" and model is None:
-        raise ValidationError("joint rollout needs the hazard model")
     successes = 0
     for ci, lo in enumerate(range(0, trials, _ROLLOUT_CHUNK)):
         m = min(_ROLLOUT_CHUNK, trials - lo)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, ci))))
-        successes += _rollout_chunk(result, model if mode == "joint" else None, rng, m)
-    rate = successes / trials
+        successes += _rollout_chunk(result, model, rng, m)
     lo95, hi95 = wilson_interval(successes, trials)
     return RolloutResult(
-        mode=mode, trials=trials, successes=successes,
-        rate=rate, ci_low=lo95, ci_high=hi95,
+        mode="model" if model is None else "joint", trials=trials,
+        successes=successes, rate=successes / trials,
+        ci_low=lo95, ci_high=hi95, planned=result.success,
     )
 
 

@@ -36,10 +36,10 @@ from .errors import (
 )
 from .grid import Cell
 from .guarantees import (
-    RATIO_ENUM_CAP,
     RatioReport,
     combine_ratio_reports,
     exact_ratios,
+    exact_ratios_fit,
     greedy_ratios,
     region_map,
     theorem_bounds,
@@ -222,10 +222,9 @@ def strip_timing(report):
     return report
 
 
-def canonical_report_json(report: Dict, strip: bool = True) -> str:
-    """Canonical serialization; identical runs produce identical bytes."""
-    data = strip_timing(report) if strip else report
-    return json.dumps(_jsonable(data), sort_keys=True, separators=(",", ":"))
+def canonical_report_json(report: Dict) -> str:
+    """Canonical serialization without timings: identical runs, identical bytes."""
+    return json.dumps(_jsonable(strip_timing(report)), sort_keys=True, separators=(",", ":"))
 
 
 def _scenario_block(scenario: Scenario) -> Dict:
@@ -291,18 +290,15 @@ def _ratio_blocks(
     options: PipelineOptions,
     cache: ObjectiveCache,
     traces: Dict[str, GreedyTrace],
-) -> Tuple[Optional[RatioReport], Dict]:
-    """Pick the ratio estimate the guarantees will use, plus raw per-source data."""
+) -> Tuple[RatioReport, Dict]:
+    """Pick the "auto", "exact" or "greedy" ratios the guarantees will use, plus raw data."""
     raw: Dict = {}
-    n = cache.n_tasks * cache.n_robots
     want = options.ratio_source
     if want == "auto":
-        want = "exact" if (3**n) * n <= RATIO_ENUM_CAP else "greedy"
+        want = "exact" if exact_ratios_fit(cache.n_tasks * cache.n_robots) else "greedy"
         raw["auto_selected"] = want
-    if want == "none":
-        return None, raw
     if want == "exact":
-        chosen = exact_ratios(cache, cap=RATIO_ENUM_CAP)
+        chosen = exact_ratios(cache)
         raw["exact"] = chosen.to_dict()
         return chosen, raw
     per_trace = {}
@@ -449,11 +445,8 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
                 "ratio_kind": ratio_report.kind,
             }
         if options.region_resolution > 0 and objectives.get("brute") is not None:
-            try:
-                rm = region_map(objectives["brute"], options.region_resolution)
-                report["region_map"] = rm.to_dict()
-            except VacuousBoundError as exc:
-                report["region_map"] = {"vacuous": True, "reason": str(exc)}
+            rm = region_map(objectives["brute"], options.region_resolution)
+            report["region_map"] = rm.to_dict()
 
     if options.rollout_trials > 0:
         report["rollouts"] = {}
@@ -466,25 +459,11 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
                 result = cache.solve(r, mask)
                 rr = rollout(
                     result,
-                    mode=options.rollout_mode,
                     trials=options.rollout_trials,
                     seed=derive_seed(options.seed, mi, r),
                     model=scenario.hazard if options.rollout_mode == "joint" else None,
                 )
-                entries.append(
-                    {
-                        "robot": scenario.robot_names[r],
-                        "mask": mask,
-                        "planned": result.success,
-                        "mode": rr.mode,
-                        "trials": rr.trials,
-                        "successes": rr.successes,
-                        "rate": rr.rate,
-                        "ci_low": rr.ci_low,
-                        "ci_high": rr.ci_high,
-                        "planned_in_ci": bool(rr.ci_low <= result.success <= rr.ci_high),
-                    }
-                )
+                entries.append({"robot": scenario.robot_names[r], "mask": mask, **rr.to_dict()})
             report["rollouts"][name] = entries
 
     heat = None

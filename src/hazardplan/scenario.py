@@ -26,8 +26,8 @@ except ImportError:
 from .errors import ValidationError
 from .grid import Cell, GridMap, MotionKernel, MoveAction
 from .hazard import HazardModel, HazardSource
+from .planner import MAX_TARGETS
 
-MAX_TARGETS = 20
 FORMAT_VERSION = 1
 
 

@@ -220,7 +220,7 @@ def test_criterion_7_rollouts_match_planned_success():
         p = res.success
         if not 0.01 < p < 0.99:
             continue
-        rr = rollout(res, mode="model", trials=trials, seed=1007 + attempts)
+        rr = rollout(res, trials=trials, seed=1007 + attempts)
         band = 3.0 * np.sqrt(p * (1.0 - p) / trials)
         worst = max(worst, abs(rr.rate - p) / band)
         done += 1

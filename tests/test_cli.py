@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hazardplan import hazard
+from hazardplan import cli, errors, guarantees, hazard
 from hazardplan.cli import entry
 from hazardplan.guarantees import guarantee_values
 from hazardplan.report import canonical_report_json
@@ -190,6 +190,36 @@ def test_negative_region_exits_two(tmp_path, capsys):
     assert entry(["bounds", "--f-star", "0.5", "--alpha", "0.2", "--gamma", "0.9",
                   "--region", "-3"]) == 2
     assert "resolution must be >= 2" in capsys.readouterr().err
+
+
+def test_region_over_the_cap_exits_three(tmp_path, capsys):
+    """A region map allocates about 33 bytes per grid point, so the cap
+    refuses it before its grid is built."""
+    too_fine = str(guarantees.REGION_RESOLUTION_CAP + 1)
+    assert entry(["bounds", "--f-star", "0.2", "--alpha", "0.3", "--gamma", "0.8",
+                  "--region", too_fine]) == 3
+    assert capsys.readouterr().err.startswith("error: region resolution")
+    path = write_scenario(tmp_path)
+    assert entry(["allocate", path, "--exact-field", "--region", too_fine]) == 3
+    assert "region resolution" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, code", [
+    ("ValidationError", 2),
+    ("CapExceededError", 3),
+    ("NumericViolationError", 4),
+    ("VacuousBoundError", 2),
+    ("InsufficientObservationsError", 2),
+    ("HazardPlanError", 2),
+])
+def test_entry_maps_every_error_kind_to_its_exit(monkeypatch, capsys, kind, code):
+    def failing(args):
+        raise getattr(errors, kind)("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "bounds", failing)
+    assert entry(["bounds"]) == code
+    prefix = "internal error: " if code == 4 else "error: "
+    assert capsys.readouterr().err == prefix + "boom\n"
 
 
 def test_field_cache_written_reused_and_guarded(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hazardplan.allocation import (
     group_success,
     reverse_greedy,
 )
+from hazardplan import guarantees
 from hazardplan.errors import (
     CapExceededError,
     InsufficientObservationsError,
@@ -103,16 +104,18 @@ def test_single_pair_ground_set_is_trivially_tight():
     assert rep.gamma == 1.0
 
 
-def test_exact_ratios_validation_and_cap():
+def test_exact_ratios_validation_and_cap(monkeypatch):
     with pytest.raises(ValidationError):
         exact_ratios_from_values([1.0], 0)
     with pytest.raises(ValidationError):
         exact_ratios_from_values([1.0, 0.5, 0.2], 2)
+    monkeypatch.setattr(guarantees, "RATIO_ENUM_CAP", 100)
     with pytest.raises(CapExceededError):
-        exact_ratios_from_values(np.ones(1 << 10), 10, cap=100)
+        exact_ratios_from_values(np.ones(1 << 10), 10)
     src = TableSource([{0: 1.0, 1: 0.5}])
+    monkeypatch.setattr(guarantees, "RATIO_ENUM_CAP", 1)
     with pytest.raises(CapExceededError):
-        exact_ratios(src, cap=1)
+        exact_ratios(src)
 
 
 def test_feasible_only_ratios_never_looser():
@@ -275,10 +278,9 @@ def test_region_map_validation():
         region_map(0.5, resolution=1)
     with pytest.raises(ValidationError):
         region_map(1.5)
-    with pytest.raises(VacuousBoundError):
-        region_map(0.5, alpha_range=(0.0, 1.0))
-    with pytest.raises(VacuousBoundError):
-        region_map(0.5, gamma_range=(0.0, 1.0))
+    # refused before the grid is allocated
+    with pytest.raises(CapExceededError, match="region resolution"):
+        region_map(0.5, resolution=guarantees.REGION_RESOLUTION_CAP + 1)
 
 
 def test_strict_decrease_violations_flags_ties():

@@ -252,7 +252,7 @@ def test_rollout_over_several_chunks_equals_oracle_chunks(monkeypatch):
             min(1000, trials - 1000 * ci))
         for ci in range(3)
     )
-    rr = rollout(res, mode="model", trials=trials, seed=seed)
+    rr = rollout(res, trials=trials, seed=seed)
     assert rr.successes == want
     assert rr.trials == trials
 
@@ -394,7 +394,7 @@ def test_rollout_model_mode_matches_exact_policy_value():
     assert res.success > 0.0
     exact = oracles.model_mode_policy_success(res)
     assert exact == pytest.approx(res.success, abs=1e-12)
-    rr = rollout(res, mode="model", trials=20_000, seed=17)
+    rr = rollout(res, trials=20_000, seed=17)
     assert rr.ci_low <= exact <= rr.ci_high
 
 
@@ -404,7 +404,7 @@ def test_rollout_joint_mode_matches_exact_joint_chain():
     fld = exact_contamination_field(gm, model, 5)
     res = dp_solve(make_query(gm, fld, Cell(0, 0), [Cell(2, 0)], 5))
     exact = oracles.exact_joint_policy_success(res, model.sources)
-    rr = rollout(res, mode="joint", trials=20_000, seed=18, model=model)
+    rr = rollout(res, trials=20_000, seed=18, model=model)
     assert rr.ci_low <= exact <= rr.ci_high
 
 
@@ -413,13 +413,13 @@ def test_rollout_reproducible_and_seed_sensitive():
     model = HazardModel.uniform([Cell(0, 1)], 0.4)
     fld = exact_contamination_field(gm, model, 4)
     res = dp_solve(make_query(gm, fld, Cell(0, 0), [Cell(2, 0)], 4))
-    a = rollout(res, mode="model", trials=5000, seed=7)
-    b = rollout(res, mode="model", trials=5000, seed=7)
-    c = rollout(res, mode="model", trials=5000, seed=8)
+    a = rollout(res, trials=5000, seed=7)
+    b = rollout(res, trials=5000, seed=7)
+    c = rollout(res, trials=5000, seed=8)
     assert a.successes == b.successes
     assert a.successes != c.successes
     # chunked trial counts agree with a single chunk on the shared prefix
-    d = rollout(res, mode="model", trials=40_000, seed=7)
+    d = rollout(res, trials=40_000, seed=7)
     assert d.trials == 40_000
 
 
@@ -428,11 +428,7 @@ def test_rollout_validation():
     fld = clear_field(gm, 2)
     res = dp_solve(make_query(gm, fld, Cell(0, 0), [], 2))
     with pytest.raises(ValidationError):
-        rollout(res, mode="weird", trials=10, seed=1)
-    with pytest.raises(ValidationError):
-        rollout(res, mode="model", trials=0, seed=1)
-    with pytest.raises(ValidationError):
-        rollout(res, mode="joint", trials=10, seed=1)
+        rollout(res, trials=0, seed=1)
 
 
 def test_wilson_interval_known_values():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hazardplan.errors import CapExceededError, ValidationError
-from hazardplan import hazard, planner, report
+from hazardplan import guarantees, hazard, planner, report
 from hazardplan.hazard import ContaminationField, estimate_contamination_field
 from hazardplan.report import (
     METHOD_ORDER,
@@ -285,7 +285,7 @@ def test_ratio_source_none_and_auto_selection(monkeypatch):
         field_kind="exact", ratio_source="auto")).report
     assert auto["ratios"]["auto_selected"] == "exact"
 
-    monkeypatch.setattr(report, "RATIO_ENUM_CAP", 100)
+    monkeypatch.setattr(guarantees, "RATIO_ENUM_CAP", 100)
     forced = run_pipeline(unit_scenario(), PipelineOptions(
         field_kind="exact", ratio_source="auto",
         methods=("forward", "reverse"))).report
