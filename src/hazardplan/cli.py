@@ -226,8 +226,6 @@ def _emit(payload, out: Optional[str]) -> None:
         with open(out, mode) as fh:
             fh.write(payload)
     else:
-        if isinstance(payload, bytes):
-            raise ValidationError("binary output needs --out FILE")
         sys.stdout.write(payload)
 
 
@@ -244,10 +242,12 @@ def _subset_plan(args):
     """Scenario, options and --robot index, the subset's own dp_solve of the
     --targets subset, and the output's head: robot name and target names."""
     scenario = _load(args)
-    opts = _pipeline_options(scenario, args)
-    cache = objective_cache(scenario, build_field(scenario, opts))
     robot = _parse_robot(scenario, args.robot)
     mask = _parse_target_list(scenario, args.targets)
+    planner.require_dp_table_fits(mask.bit_count(), scenario.gridmap.n_free,
+                                  scenario.horizon)
+    opts = _pipeline_options(scenario, args)
+    cache = objective_cache(scenario, build_field(scenario, opts))
     result = planner.dp_solve(cache.query(robot, mask))
     head = {
         "robot": scenario.robot_names[robot],
@@ -361,6 +361,10 @@ def _render_format(args) -> str:
 
 def _cmd_render(args) -> int:
     fmt = _render_format(args)
+    if fmt != "svg" and args.what != "heatmap":
+        raise ValidationError(f"--what {args.what} renders as SVG only")
+    if fmt == "pgm" and not args.out:
+        raise ValidationError("binary output needs --out FILE")
     if args.what == "region-map":
         if args.f_star is not None:
             rm = region_map(args.f_star, 100)
@@ -382,8 +386,6 @@ def _cmd_render(args) -> int:
             mark = (
                 (g["alpha"], g["gamma"]) if "alpha" in g and "gamma" in g else None
             )
-        if fmt != "svg":
-            raise ValidationError("region-map renders as SVG only")
         _emit(region_svg(rm, mark=mark), args.out)
         return EXIT_OK
 
@@ -400,8 +402,6 @@ def _cmd_render(args) -> int:
         return EXIT_OK
 
     # paths: draw the chosen allocator's greedy trajectories over the heat.
-    if fmt != "svg":
-        raise ValidationError("paths render as SVG only")
     opts = _pipeline_options(
         scenario, args, methods=(args.method,), ratio_source="none", heatmap=True,
     )

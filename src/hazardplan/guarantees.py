@@ -69,89 +69,71 @@ def _require_ratios_fit(n: int) -> None:
         )
 
 
+def _subset_fold(table: np.ndarray, op) -> None:
+    """In place, table[B] becomes op over table[A] for every submask A of B:
+    one pass per bit folds each set without the bit into the set with it."""
+    for b in range(table.size.bit_length() - 1):
+        pairs = table.reshape(-1, 2, 1 << b)
+        op(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+
+
 def exact_ratios_from_values(values: Sequence[float], n: int) -> RatioReport:
-    """Exact alpha and gamma of a set function given as a table over 2^n."""
+    """Exact alpha and gamma of a set function given as a table over 2^n.
+
+    For each element e, the sets B without e are numbered 0..2^(n-1)-1 in
+    ascending order of their other bits, so A is a subset of B exactly when
+    A's number is a submask of B's. The extremes of the marginal over every
+    A subset of B are subset folds of these arrays. A witness (A, B, e) names
+    the first B, in ascending order, of the best e, and the largest A under
+    B whose marginal is the extreme.
+    """
     if n < 1:
         raise ValidationError("ground set must be nonempty")
     _require_ratios_fit(n)
-    size = 1 << n
     F = np.asarray(values, dtype=float)
-    if F.shape != (size,):
-        raise ValidationError(f"expected {size} subset values, got {F.shape}")
-    all_masks = np.arange(size)
-    popcount = np.array([int(m).bit_count() for m in range(size)], dtype=np.int64)
-    with_bit = [np.nonzero(all_masks & (1 << b))[0] for b in range(n)]
+    if F.shape != (1 << n,):
+        raise ValidationError(f"expected {1 << n} subset values, got {F.shape}")
+    if not np.isfinite(F).all():
+        raise ValidationError("subset values must be finite")
+    numbers = np.arange(1 << (n - 1))
+    subsets = np.ones(len(numbers), dtype=np.int64)  # 2^|B|
+    _subset_fold(subsets, np.add)
 
-    alpha, gamma = 0.0, 1.0
-    alpha_site: Optional[Tuple[int, int, float]] = None  # (B, e, target marg at A)
-    gamma_site: Optional[Tuple[int, int, float]] = None
-    skipped_alpha = 0
-    skipped_gamma = 0
+    def witness(rho, b, e, target):
+        """(A, B, e) as ground masks: bit e goes back between the others."""
+        a = np.flatnonzero(((numbers & ~b) == 0) & (rho == target))[-1]
+        a_mask, b_mask = (int(m >> e << (e + 1) | m & ((1 << e) - 1)) for m in (a, b))
+        return (a_mask, b_mask, e)
+
+    report = RatioReport(alpha=0.0, gamma=1.0, kind="exact", n_elements=n)
     for e in range(n):
-        bit = 1 << e
-        has_e = (all_masks & bit) > 0
-        no_e = all_masks[~has_e]
-        marg = np.full(size, np.nan)
-        marg[no_e] = F[no_e | bit] - F[no_e]
-        mx = np.where(np.isnan(marg), -np.inf, marg)
-        mn = np.where(np.isnan(marg), np.inf, marg)
-        neg = np.where(np.isnan(marg), 0, (marg < 0).astype(np.int64))
-        for b in range(n):
-            if b == e:
-                continue
-            idx = with_bit[b]
-            low = idx ^ (1 << b)
-            mx[idx] = np.maximum(mx[idx], mx[low])
-            mn[idx] = np.minimum(mn[idx], mn[low])
-            neg[idx] += neg[low]
-        b_masks = all_masks[~has_e]
-        rho_b = marg[b_masks]
-        amax = mx[b_masks]
-        amin = mn[b_masks]
-        negb = rho_b < 0
-        if np.any(negb):
-            cand = 1.0 - amax[negb] / rho_b[negb]
+        pairs = F.reshape(-1, 2, 1 << e)
+        rho = (pairs[:, 1] - pairs[:, 0]).ravel()
+        amax, amin = rho.copy(), rho.copy()
+        negs = (rho < 0).astype(np.int64)
+        _subset_fold(amax, np.maximum)
+        _subset_fold(amin, np.minimum)
+        _subset_fold(negs, np.add)
+        neg = np.flatnonzero(rho < 0)
+        if len(neg):
+            cand = 1.0 - amax[neg] / rho[neg]
             i = int(np.argmax(cand))
-            if cand[i] > alpha:
-                alpha = float(cand[i])
-                bm = int(b_masks[negb][i])
-                alpha_site = (bm, e, float(amax[negb][i]))
-        useg = negb & (amin < 0)
-        if np.any(useg):
-            cand = rho_b[useg] / amin[useg]
+            if cand[i] > report.alpha:
+                report.alpha = float(cand[i])
+                report.alpha_witness = witness(rho, neg[i], e, amax[neg[i]])
+        useg = neg[amin[neg] < 0]
+        if len(useg):
+            cand = rho[useg] / amin[useg]
             i = int(np.argmin(cand))
-            if cand[i] < gamma:
-                gamma = float(cand[i])
-                bm = int(b_masks[useg][i])
-                gamma_site = (bm, e, float(amin[useg][i]))
-        zerob = rho_b == 0.0
-        skipped_alpha += int((2 ** popcount[b_masks[zerob]]).sum())
-        skipped_gamma += int(neg[b_masks[zerob]].sum())
-
-    alpha = min(1.0, max(0.0, alpha))
-    gamma = min(1.0, max(0.0, gamma))
-    report = RatioReport(alpha=alpha, gamma=gamma, kind="exact", n_elements=n,
-                         skipped_alpha=skipped_alpha, skipped_gamma=skipped_gamma)
-    if alpha_site is not None:
-        report.alpha_witness = _resolve_witness(F, alpha_site)
-    if gamma_site is not None:
-        report.gamma_witness = _resolve_witness(F, gamma_site)
+            if cand[i] < report.gamma:
+                report.gamma = float(cand[i])
+                report.gamma_witness = witness(rho, useg[i], e, amin[useg[i]])
+        zero = rho == 0.0
+        report.skipped_alpha += int(subsets[zero].sum())
+        report.skipped_gamma += int(negs[zero].sum())
+    report.alpha = min(1.0, max(0.0, report.alpha))
+    report.gamma = min(1.0, max(0.0, report.gamma))
     return report
-
-
-def _resolve_witness(F: np.ndarray, site: Tuple[int, int, float]) -> Tuple[int, int, int]:
-    """Recover the sub-chain A achieving the recorded extreme marginal."""
-    b_mask, e, target = site
-    bit = 1 << e
-    sub = b_mask
-    while True:
-        rho = float(F[sub | bit] - F[sub])
-        if rho == target:
-            return (sub, b_mask, e)
-        if sub == 0:
-            break
-        sub = (sub - 1) & b_mask
-    return (b_mask, b_mask, e)
 
 
 def exact_ratios(source: ObjectiveSource) -> RatioReport:
@@ -174,23 +156,23 @@ def exact_ratios(source: ObjectiveSource) -> RatioReport:
 def _ground_values(source: ObjectiveSource) -> np.ndarray:
     """F of every set of task-robot pairs, indexed by ground mask.
 
-    Each robot's mask of a ground set gathers f_r from the robot's price
-    table, and the factors multiply in robot order 0..R-1 from 1.0, as
-    group_success does, so every value has the bits of the set-by-set
-    product. The source counts the R * 2^n lookups that product makes: a
-    table is one lookup of each of its masks, and every other lookup repeats
-    one of them, so it adds to hit_count.
+    The ground masks span one axis of length 2 per pair, highest bit first.
+    Robot r's price table spans the axes of its pairs t * R + r, whose order
+    is the table's own, so it broadcasts over the rest. The factors multiply
+    in robot order 0..R-1 from 1.0, as group_success does, so every value has
+    the bits of the set-by-set product. The source counts the R * 2^n lookups
+    that product makes: a table is one lookup of each of its masks, and every
+    other lookup repeats one of them, so it adds to hit_count.
     """
     n_r, n_t = source.n_robots, source.n_tasks
-    ground = np.arange(1 << (n_t * n_r), dtype=np.int64)
-    values = np.ones(len(ground))
+    n = n_t * n_r
+    values = np.ones((2,) * n)
     for r in range(n_r):
-        masks = np.zeros_like(ground)
-        for t in range(n_t):
-            masks |= (ground >> pair_bit(t, r, n_r) & 1) << t
-        values *= source.price_table(r)[masks]
-    source.hit_count += n_r * (len(ground) - (1 << n_t))
-    return values
+        # axis k holds ground bit n - 1 - k; the robot's bits keep length 2
+        shape = [2 if (n - 1 - k) % n_r == r else 1 for k in range(n)]
+        values *= source.price_table(r).reshape(shape)
+    source.hit_count += n_r * ((1 << n) - (1 << n_t))
+    return values.ravel()
 
 
 def _trace_observations(trace: GreedyTrace) -> Dict[Tuple[int, int], List[Tuple[int, float]]]:
@@ -409,13 +391,19 @@ class RegionMap:
         }
 
 
-def region_map(f_star: float, resolution: int = 100) -> RegionMap:
-    """Evaluate both guarantee floors on a resolution x resolution grid over
-    REGION_ALPHAS x REGION_GAMMAS."""
+def require_region_resolution(resolution: int) -> None:
+    """A region map needs at least 2 and at most REGION_RESOLUTION_CAP
+    points per axis."""
     if resolution < 2:
         raise ValidationError("resolution must be >= 2")
     if resolution > REGION_RESOLUTION_CAP:
         raise CapExceededError(f"region resolution {resolution} > cap {REGION_RESOLUTION_CAP}")
+
+
+def region_map(f_star: float, resolution: int = 100) -> RegionMap:
+    """Evaluate both guarantee floors on a resolution x resolution grid over
+    REGION_ALPHAS x REGION_GAMMAS."""
+    require_region_resolution(resolution)
     if not 0.0 <= f_star <= 1.0:
         raise ValidationError(f"F* must lie in [0, 1], got {f_star}")
     alphas = np.linspace(*REGION_ALPHAS, resolution)

@@ -188,6 +188,16 @@ def dp_table_bytes(n_targets: int, n_free: int, horizon: int) -> int:
     return (1 << n_targets) * n_free * (horizon + _DP_LAYER_BYTES)
 
 
+def require_dp_table_fits(n_targets: int, n_free: int, horizon: int) -> None:
+    """Refuse a dp_solve whose tables would pass DP_TABLE_CAP."""
+    need = dp_table_bytes(n_targets, n_free, horizon)
+    if need > DP_TABLE_CAP:
+        raise CapExceededError(
+            f"planning {n_targets} targets over {n_free} cells and {horizon} steps "
+            f"needs about {need / 2**30:.1f} GiB > cap {DP_TABLE_CAP / 2**30:.1f} GiB"
+        )
+
+
 def dp_solve(query: PlanQuery) -> PlanResult:
     """Backward value recursion; returns the greedy policy and f = V^0(s0).
 
@@ -203,12 +213,7 @@ def dp_solve(query: PlanQuery) -> PlanResult:
     nq = 1 << t
     full = nq - 1
     horizon = query.horizon
-    need = dp_table_bytes(t, n, horizon)
-    if need > DP_TABLE_CAP:
-        raise CapExceededError(
-            f"planning {t} targets over {n} cells and {horizon} steps needs about "
-            f"{need / 2**30:.1f} GiB > cap {DP_TABLE_CAP / 2**30:.1f} GiB"
-        )
+    require_dp_table_fits(t, n, horizon)
     start_idx = gm.index(query.start)
     goal_idx = gm.goal_index
     tb = query.target_bits()

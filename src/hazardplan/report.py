@@ -42,6 +42,7 @@ from .guarantees import (
     exact_ratios_fit,
     greedy_ratios,
     region_map,
+    require_region_resolution,
     theorem_bounds,
 )
 from .hazard import (
@@ -50,7 +51,7 @@ from .hazard import (
     estimate_contamination_field,
     exact_contamination_field,
 )
-from .planner import ObjectiveCache, rollout
+from .planner import ObjectiveCache, require_dp_table_fits, rollout
 from .scenario import Scenario, scenario_hash
 
 METHOD_ORDER = ("forward", "reverse", "brute")
@@ -88,6 +89,8 @@ class PipelineOptions:
             raise ValidationError(
                 f"region resolution must be >= 0, got {self.region_resolution}"
             )
+        if self.region_resolution > 0:
+            require_region_resolution(self.region_resolution)
         if self.exact_cap < 1:
             raise ValidationError(f"exact cell cap must be >= 1, got {self.exact_cap}")
         if self.field_kind not in ("estimate", "exact"):
@@ -343,6 +346,8 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
         "field_kind": options.field_kind,
     }
 
+    # the baselines solve each robot's full target set: refuse it before the field
+    require_dp_table_fits(scenario.n_tasks, scenario.gridmap.n_free, scenario.horizon)
     t0 = time.perf_counter()
     contamination = build_field(scenario, options)
     report["field"] = {

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hazardplan import guarantees
 from hazardplan.grid import MotionKernel
 from hazardplan.guarantees import exact_ratios, guarantee_values, region_map
 from hazardplan.hazard import estimate_contamination_field, exact_contamination_field
@@ -256,3 +257,20 @@ def test_shipped_small_scenario_theorems_end_to_end():
     assert f_star <= 1.0
     assert 0.0 < g["alpha"] < 1.0 and 0.0 < g["gamma"] < 1.0
     assert g["g_reverse"] <= rep["methods"]["reverse"]["objective"] + 1e-12
+
+
+def test_paper_scenario_theorems_under_exact_ratios(monkeypatch):
+    # paper17x13 has 5 tasks x 3 robots = 15 pairs. The cap admits n <= 12,
+    # so it is raised to exactly the 3^15 * 15 triples of this run. A
+    # 1,000-sample field at seed 0 keeps the run near 0.2 s. On it no pair's
+    # marginal is 0, so no triple is skipped and run_pipeline itself would
+    # raise on a failed check.
+    monkeypatch.setattr(guarantees, "RATIO_ENUM_CAP", 3**15 * 15)
+    sc = load_scenario(SCENARIOS / "paper17x13.json")
+    rep = run_pipeline(sc, PipelineOptions(samples=1000, seed=0, ratio_source="exact")).report
+    ratios, g = rep["ratios"]["exact"], rep["guarantees"]
+    assert ratios["n_elements"] == 15
+    assert ratios["skipped_alpha"] == 0 and ratios["skipped_gamma"] == 0
+    assert g["ratio_kind"] == "exact"
+    assert g["forward_ok"] is True and g["reverse_ok"] is True
+    assert 0.0 < g["alpha"] < 1.0 and 0.0 < g["gamma"] < 1.0

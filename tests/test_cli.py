@@ -438,8 +438,9 @@ def test_exact_field_cap_exits_three(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_plan_over_the_dp_table_cap_exits_three(tmp_path, capsys):
-    """paper17x13 with 20 targets: one robot's DP would need a ~16 GB policy."""
+def paper_with_20_targets(tmp_path):
+    """paper17x13 with 15 more targets: one robot's DP over all 20 would
+    need a ~16 GB policy."""
     paper = Path(__file__).resolve().parent.parent / "scenarios" / "paper17x13.json"
     data = json.loads(paper.read_text())
     sc = load_scenario(str(paper))
@@ -448,5 +449,53 @@ def test_plan_over_the_dp_table_cap_exits_three(tmp_path, capsys):
     data["targets"] += [{"name": f"x{i}", "cell": list(c)} for i, c in enumerate(extra)]
     path = tmp_path / "paper20.json"
     path.write_text(json.dumps(data))
-    assert entry(["plan", str(path), "--targets", "all", "--samples", "50"]) == 3
+    return str(path)
+
+
+def test_plan_over_the_dp_table_cap_exits_three(tmp_path, capsys):
+    path = paper_with_20_targets(tmp_path)
+    assert entry(["plan", path, "--targets", "all", "--samples", "50"]) == 3
     assert "cap" in capsys.readouterr().err
+
+
+SMALL = str(Path(__file__).resolve().parent.parent / "scenarios" / "small.json")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["allocate", SMALL, "--exact-field", "--region", "1001"], 3,
+     "error: region resolution 1001 > cap 1000"),
+    (["allocate", SMALL, "--exact-field", "--region", "1"], 2,
+     "error: resolution must be >= 2"),
+    (["bounds", SMALL, "--exact-field", "--region", "1001"], 3,
+     "error: region resolution 1001 > cap 1000"),
+    (["plan", SMALL, "--exact-field", "--robot", "zzz"], 2, "error: unknown robot 'zzz'"),
+    (["plan", SMALL, "--exact-field", "--targets", "nowhere"], 2,
+     "error: unknown target 'nowhere'"),
+    (["simulate", SMALL, "--exact-field", "--robot", "zzz"], 2, "error: unknown robot 'zzz'"),
+    (["render", SMALL, "--exact-field", "--what", "region-map", "--format", "pgm"], 2,
+     "error: --what region-map renders as SVG only"),
+    (["render", SMALL, "--exact-field", "--what", "paths", "--format", "pgm"], 2,
+     "error: --what paths renders as SVG only"),
+    (["render", SMALL, "--exact-field", "--what", "heatmap", "--format", "pgm"], 2,
+     "error: binary output needs --out FILE"),
+], ids=["allocate-region-over-cap", "allocate-region-1", "bounds-region-over-cap",
+        "plan-robot", "plan-targets", "simulate-robot", "region-map-pgm", "paths-pgm",
+        "heatmap-pgm-stdout"])
+def test_refusals_the_arguments_decide_build_no_field(tmp_path, monkeypatch, capsys,
+                                                      argv, code, message):
+    calls = count_field_passes(monkeypatch)
+    cache = tmp_path / "field.npz"
+    assert entry([*argv, "--field-cache", str(cache)]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert calls == [] and not cache.exists()
+
+
+@pytest.mark.parametrize("command", [["allocate"], ["plan", "--targets", "all"]],
+                         ids=["allocate", "plan"])
+def test_dp_over_the_cap_is_refused_before_the_field(tmp_path, monkeypatch, capsys, command):
+    path = paper_with_20_targets(tmp_path)
+    calls = count_field_passes(monkeypatch)
+    assert entry([command[0], path, *command[1:], "--samples", "50"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: planning 20 targets over ") and "> cap 2.0 GiB" in err
+    assert calls == []

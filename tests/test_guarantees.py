@@ -29,17 +29,57 @@ from oracles import ground_value, strict_decrease_violations
 from conftest import TableSource, random_monotone_tables, random_strict_tables
 
 
+def submasks(b_mask):
+    """Every submask of b_mask, largest first."""
+    sub = b_mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & b_mask
+
+
+def assert_witness(F, witness, ratio, extreme, candidate):
+    """The witness rule the canonical reports hash: e is outside B, A is a
+    subset of B, the clamped candidate at (A, B, e) is the reported ratio bit
+    for bit, and A is the largest submask of B whose marginal is the extreme
+    of the marginals over B's submasks."""
+    a_mask, b_mask, e = witness
+    bit = 1 << e
+    assert not b_mask & bit and a_mask & ~b_mask == 0
+    rho = {s: F[s | bit] - F[s] for s in submasks(b_mask)}
+    assert min(1.0, max(0.0, candidate(rho[a_mask], rho[b_mask]))) == ratio
+    target = extreme(rho.values())
+    assert a_mask == next(s for s in submasks(b_mask) if rho[s] == target)
+
+
 def test_exact_ratios_match_naive_enumeration():
     rng = np.random.default_rng(80)
+    draws = (  # uniform, and two tie-heavy kinds
+        lambda size: rng.random(size),
+        lambda size: np.round(rng.random(size), 1),
+        lambda size: rng.choice([0.0, 0.5, 1.0], size),
+    )
     for n in (2, 3, 4, 5):
-        for _ in range(15):
-            values = rng.random(1 << n)
-            rep = exact_ratios_from_values(values, n)
-            a, g, sa, sg = oracles.naive_ratios(values, n)
-            assert rep.alpha == pytest.approx(a, abs=1e-12)
-            assert rep.gamma == pytest.approx(g, abs=1e-12)
-            assert rep.skipped_alpha == sa
-            assert rep.skipped_gamma == sg
+        for draw in draws:
+            for _ in range(15):
+                values = draw(1 << n)
+                rep = exact_ratios_from_values(values, n)
+                a, g, sa, sg = oracles.naive_ratios(values, n)
+                assert rep.alpha == pytest.approx(a, abs=1e-12)
+                assert rep.gamma == pytest.approx(g, abs=1e-12)
+                assert rep.skipped_alpha == sa
+                assert rep.skipped_gamma == sg
+                if rep.alpha_witness is None:
+                    assert rep.alpha == 0.0
+                else:
+                    assert_witness(values, rep.alpha_witness, rep.alpha, max,
+                                   lambda rho_a, rho_b: 1.0 - rho_a / rho_b)
+                if rep.gamma_witness is None:
+                    assert rep.gamma == 1.0
+                else:
+                    assert_witness(values, rep.gamma_witness, rep.gamma, min,
+                                   lambda rho_a, rho_b: rho_b / rho_a)
 
 
 def test_exact_ratios_match_naive_on_group_objectives():
@@ -109,6 +149,10 @@ def test_exact_ratios_validation_and_cap(monkeypatch):
         exact_ratios_from_values([1.0], 0)
     with pytest.raises(ValidationError):
         exact_ratios_from_values([1.0, 0.5, 0.2], 2)
+    # a NaN must not read as alpha = 0 and gamma = 1 with no skipped triple
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            exact_ratios_from_values([1.0, bad, 0.5, 0.2], 2)
     monkeypatch.setattr(guarantees, "RATIO_ENUM_CAP", 100)
     with pytest.raises(CapExceededError):
         exact_ratios_from_values(np.ones(1 << 10), 10)
