@@ -307,6 +307,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    given = [flag for flag, value in (("--f-star", args.f_star), ("--alpha", args.alpha),
+                                      ("--gamma", args.gamma)) if value is not None]
+    if args.scenario is not None and given:
+        raise ValidationError(
+            f"bounds with a scenario computes F*, alpha and gamma from it; drop "
+            f"{', '.join(given)} or the scenario"
+        )
     if args.scenario is None:
         if args.f_star is None or args.alpha is None or args.gamma is None:
             raise ValidationError(
@@ -365,6 +372,13 @@ def _cmd_render(args) -> int:
         raise ValidationError(f"--what {args.what} renders as SVG only")
     if fmt == "pgm" and not args.out:
         raise ValidationError("binary output needs --out FILE")
+    if args.f_star is not None and args.what != "region-map":
+        raise ValidationError(f"--f-star applies to --what region-map, not {args.what}")
+    if args.f_star is not None and args.scenario:
+        raise ValidationError(
+            "render --what region-map draws either the given --f-star or the "
+            "scenario's optimum; drop one of them"
+        )
     if args.what == "region-map":
         if args.f_star is not None:
             rm = region_map(args.f_star, 100)

@@ -29,19 +29,24 @@ outcomes into a dict would. So the result does not depend on how the arrays
 are laid out or on the block size. One pass yields the transition field and
 the per-cell contamination marginals of every step 0..horizon.
 
-The Monte-Carlo sampler is event-driven. Sample i draws all its uniforms,
-shaped (horizon, n_free), from its own stream seeded by (seed, i). A cell
-can only ignite on a draw below the largest ignition probability its row
-of lut holds, so only those few draws are kept, grouped by step. A step
-compares each of its kept draws with 1 - lut[x, code] and updates the
-neighbour codes from its ignitions alone, so a step costs what its kept
-draws and ignitions cost, not samples x cells. The step at which each
-(sample, cell) ignited gives every integer count of the field at the end,
-and chunks of samples are summed in a fixed order, so the field is the
-same bits for any chunking or thread count. The same counts give the per-step
-marginals. Either builder stores them in ContaminationField.marginals,
-which is the only source of contamination heat, and which a field cache
-saves along with the field.
+The Monte-Carlo sampler is event-driven. Samples are split into blocks of
+_block_size(horizon, n_free) samples, a size no thread count changes, and
+block b reads one stream, PCG64(SeedSequence((seed, b))). A cell can only
+ignite on a draw below the largest ignition probability its row of lut
+holds, so only those draws are made: each cell's positions among the
+block's (step, sample) pairs come from geometric gaps, and each such event
+gets a value uniform below that bound (_block_events states the rule). A
+step compares each of its events with 1 - lut[x, code] and updates the
+neighbour codes from its ignitions alone, so a step costs what its events
+and ignitions cost, not samples x cells. The step at which each (sample,
+cell) ignited gives every integer count of the field at the end, and
+blocks are summed in block order, so the field is the same bits for any
+thread count. A field of S samples is a prefix of a larger one only when S
+ends a block; its first k steps are the same bits for every longer horizon
+with the same block size. The same counts give the per-step marginals.
+Either builder stores them in ContaminationField.marginals, which is the
+only source of contamination heat, and which a field cache saves along with
+the field.
 """
 
 from __future__ import annotations
@@ -63,14 +68,23 @@ SQRT2 = math.sqrt(2.0)
 EXACT_HAZARD_CELL_CAP = 12
 EXACT_MASK_BITS = 62
 _STEP_ROWS = 16384
+# the sampler's event stream (_block_events): steps per round, and each
+# cell's geometric batch as its mean count plus sigmas and slack
+_ROUND_STEPS = 4
+_EVENT_SIGMAS = 6.0
+_EVENT_SLACK = 16
 FIELD_SUM_TOL = 1e-10
 FIELD_KINDS = ("exact", "monte-carlo")
+# The field cache layout, raised whenever a builder would give other bits for
+# the same kind, samples and seed, so that no older cache is read as current.
+# Format 2: the sampler's block streams.
+FIELD_CACHE_FORMAT = 2
 # what a field cache holds, by entry: the numpy dtype kinds it may have
 _CACHE_DTYPES = {
-    "horizon": "iu", "n_free": "iu", "samples": "iu", "seed": "iu",
+    "format": "iu", "horizon": "iu", "n_free": "iu", "samples": "iu", "seed": "iu",
     "kind": "U", "scenario_hash": "U", "prob": "f", "flagged": "b", "marginals": "f",
 }
-_CACHE_SCALARS = ("horizon", "n_free", "samples", "seed", "kind", "scenario_hash")
+_CACHE_SCALARS = ("format", "horizon", "n_free", "samples", "seed", "kind", "scenario_hash")
 
 
 @dataclass(frozen=True)
@@ -388,6 +402,7 @@ class ContaminationField:
             raise ValidationError("a field without a scenario hash cannot be cached")
         np.savez_compressed(
             path,
+            format=FIELD_CACHE_FORMAT,
             horizon=self.horizon,
             n_free=self.n_free,
             prob=self.prob,
@@ -424,6 +439,8 @@ class ContaminationField:
         for key in _CACHE_SCALARS:
             if data[key].ndim:
                 raise bad(f"holds {key} of shape {data[key].shape}, not a scalar")
+        if int(data["format"]) != FIELD_CACHE_FORMAT:
+            raise bad(f"has format {int(data['format'])}, not {FIELD_CACHE_FORMAT}")
         h, n = int(data["horizon"]), int(data["n_free"])
         shapes = {"prob": (h, n, N_ACTIONS), "flagged": (h, n), "marginals": (h + 1, n)}
         for key, shape in shapes.items():
@@ -459,40 +476,90 @@ class ContaminationField:
         )
 
 
-def _sample_chunk(
+def _block_size(horizon: int, n_free: int) -> int:
+    """Samples per block: a fixed function of the problem size, never of the
+    thread count, so the blocks and their streams are the same for any run."""
+    return max(1, min(2048, 24_000_000 // max(1, horizon * n_free * 8)))
+
+
+def _batch_sizes(span: int, p: np.ndarray) -> np.ndarray:
+    """Gaps one geometric batch draws per cell: its mean event count over
+    span positions plus _EVENT_SIGMAS standard deviations and _EVENT_SLACK."""
+    mean = span * p
+    return np.ceil(mean + _EVENT_SIGMAS * np.sqrt(mean * (1.0 - p))).astype(np.int64) + _EVENT_SLACK
+
+
+def _block_events(rng: np.random.Generator, p: np.ndarray, m: int, horizon: int):
+    """The draws of one block of m samples that can ignite: (position, cell,
+    value) of every event at the positions step * m + sample below
+    m * horizon, in the order they are drawn.
+
+    Each cell x with p[x] > 0 holds an event at each position independently
+    with probability p[x], and an event's value is uniform on [0, p[x]). A
+    cell's positions are its running sum of geometric(p[x]) gaps, from -1.
+    The stream is read in rounds of _ROUND_STEPS steps, until a round ends
+    at or past the horizon. In each round, the cells whose last position
+    lies before the round's end draw a batch of _batch_sizes(round length)
+    gaps each, in ascending cell order, in one rng.geometric call, and then
+    one value per gap in one rng.random call. Cells still short of the end
+    draw further batches the same way, together, until all pass it.
+
+    A round's draws depend on the rounds before it and not on the horizon,
+    so the events of a step are the same for every horizon that reaches it.
+    """
+    span, length = _ROUND_STEPS * m, m * horizon
+    cells = np.flatnonzero(p > 0.0).astype(np.int32)
+    q = p[cells]
+    size = _batch_sizes(span, q)
+    last = np.full(len(cells), -1, dtype=np.int64)
+    # empty first parts, so a block in which no cell can ignite has no events
+    pos_parts, cell_parts, val_parts = [np.empty(0, np.int64)], [cells[:0]], [q[:0]]
+    for end in range(span, length + span, span):
+        need = np.flatnonzero(last < end)
+        while len(need):
+            batch = size[need]
+            bound = np.repeat(q[need], batch)
+            run = np.cumsum(rng.geometric(bound))
+            ends = np.cumsum(batch)
+            # running sums restart at each cell; int64 wrap-around cancels in the difference
+            pos_parts.append(run + np.repeat(last[need] - np.append(0, run[ends[:-1] - 1]), batch))
+            cell_parts.append(np.repeat(cells[need], batch))
+            val_parts.append(rng.random(len(bound)) * bound)
+            last[need] = pos_parts[-1][ends - 1]
+            need = need[last[need] < end]
+    pos, cell, val = (np.concatenate(a) for a in (pos_parts, cell_parts, val_parts))
+    keep = pos < length
+    return pos[keep].astype(np.int32), cell[keep], val[keep]
+
+
+def _sample_block(
     dyn: _SpreadDynamics,
     horizon: int,
     seed: int,
-    start: int,
-    stop: int,
+    block: int,
+    m: int,
 ):
-    """Simulate trajectories for samples [start, stop) on their own RNG
-    streams and count them for the field. Chunking and threading never
-    change the draws a sample sees.
+    """Simulate the m trajectories of one block on the block's RNG stream,
+    PCG64(SeedSequence((seed, block))), and count them for the field.
 
-    Cell x of a sample ignites at step k when it is clear and its draw
-    u[k, x] < 1 - lut[x, code], code being x's neighbour code then. No code
-    gives more than dyn.max_ignite[x], so only draws below that bound are
-    kept, in step order; a step looks at its own kept draws and updates the
-    codes from its ignitions alone. Each (sample, cell) records the step it
-    ignited at, and every count is read from those steps at the end.
+    Cell x of a sample ignites at step k when it is clear and its draw at
+    (k, x) falls below 1 - lut[x, code], code being x's neighbour code then.
+    No code gives more than dyn.max_ignite[x], so only draws below that
+    bound can ignite, and only those are drawn (_block_events), over the
+    block's step-major positions step * m + sample. A step looks at its own
+    events and updates the codes from its ignitions alone. Each (sample,
+    cell) records the step it ignited at, and every count is read from
+    those steps at the end.
     """
     n = dyn.gridmap.n_free
-    m = stop - start
     width = n + 1  # per-sample stride: column n takes the bits of missing neighbours
-    uniforms = np.empty((horizon, n))
-    kept, draws = [], []
-    for i in range(start, stop):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-        rng.random(out=uniforms)
-        kept.append(np.flatnonzero(uniforms < dyn.max_ignite))
-        draws.append(uniforms.ravel()[kept[-1]])
-    sample = np.repeat(np.arange(m), [len(a) for a in kept])
-    step, cell = np.divmod(np.concatenate(kept), n)
-    # group the kept draws by step; their order within a step does not matter
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
+    pos, cell, draws = _block_events(rng, dyn.max_ignite, m, horizon)
+    step, sample = np.divmod(pos, m)
+    # group the events by step; their order within a step does not matter
     order = np.argsort(step.astype(np.min_scalar_type(horizon)), kind="stable")
     at = (sample * width + cell)[order]
-    draws = np.concatenate(draws)[order]
+    draws = draws[order]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(step, minlength=horizon))]).tolist()
     # key[s * width + x] = x * 512 + (256 once x is contaminated) + code
     first = np.arange(width) * 512
@@ -542,12 +609,12 @@ def _chunk_counts(dyn: _SpreadDynamics, fired: np.ndarray, horizon: int):
 
 
 def _run_chunks(dyn, horizon, samples, seed, threads):
-    """Integer (den, num, final) of samples [0, samples), added up chunk by
-    chunk in chunk order as the chunks arrive."""
+    """Integer (den, num, final) of samples [0, samples), added up block by
+    block in block order as the blocks arrive."""
     n = dyn.gridmap.n_free
-    chunk = max(1, min(2048, 24_000_000 // max(1, horizon * n * 8)))
-    ranges = [(s, min(s + chunk, samples)) for s in range(0, samples, chunk)]
-    worker = lambda r: _sample_chunk(dyn, horizon, seed, r[0], r[1])
+    size = _block_size(horizon, n)
+    blocks = [(b, min(size, samples - b * size)) for b in range(-(-samples // size))]
+    worker = lambda r: _sample_block(dyn, horizon, seed, r[0], r[1])
     totals = (
         np.zeros((horizon, n), dtype=np.int64),
         np.zeros((horizon, n, N_ACTIONS), dtype=np.int64),
@@ -559,13 +626,13 @@ def _run_chunks(dyn, horizon, samples, seed, threads):
             for total, part in zip(totals, parts):
                 total += part
 
-    if threads > 1 and len(ranges) > 1:
+    if threads > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay for it
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            add(pool.map(worker, ranges))
+            add(pool.map(worker, blocks))
     else:
-        add(map(worker, ranges))
+        add(map(worker, blocks))
     return totals
 
 
@@ -579,7 +646,7 @@ def estimate_contamination_field(
 ) -> ContaminationField:
     """Monte-Carlo estimate of the contamination transition field.
 
-    Counts are integers summed in a fixed chunk order before any division, so
+    Counts are integers summed in a fixed block order before any division, so
     the result is bitwise identical for any thread count.
     """
     if horizon < 1:

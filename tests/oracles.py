@@ -27,6 +27,7 @@ from hazardplan.allocation import (
 from hazardplan.errors import NumericViolationError, ValidationError
 from hazardplan.grid import Cell, GridMap, MotionKernel, MoveAction, N_ACTIONS, N_SLOTS, _slot_of
 from hazardplan.guarantees import RatioReport
+from hazardplan import hazard as hazard_module
 from hazardplan.hazard import (
     EXACT_HAZARD_CELL_CAP,
     FIELD_SUM_TOL,
@@ -468,10 +469,12 @@ def brute_force_partitions(value, n_robots: int, n_tasks: int) -> Tuple[Tuple[in
 # --- Stay-clear kernel and Monte-Carlo sampler, kept as the references ------
 #
 # The package reads stay-clear products from a per-cell table indexed by
-# neighbour codes, and its sampler works from each step's ignitions. These
-# are the dense forms it replaced: eight np.where passes per call, and a
-# sampler that rebuilds every (sample, cell) probability and recounts every
-# slot each step. The package must agree with them bit for bit.
+# neighbour codes, and its sampler draws only the events that can ignite and
+# works from each step's ignitions. These are the dense forms it replaced:
+# eight np.where passes per call, and a step loop that rebuilds every
+# (sample, cell) probability and recounts every slot each step, driven by
+# the block's events replayed with scalar draws. The package must agree
+# with them bit for bit.
 
 
 def _clear_probs(dyn: _SpreadDynamics, contaminated: np.ndarray) -> np.ndarray:
@@ -492,29 +495,19 @@ def _clear_probs(dyn: _SpreadDynamics, contaminated: np.ndarray) -> np.ndarray:
     return pnc
 
 
-def reference_sample_chunk(
-    dyn: _SpreadDynamics,
-    horizon: int,
-    seed: int,
-    start: int,
-    stop: int,
-):
-    """Simulate trajectories for samples [start, stop) on their own RNG
-    streams. Chunking and threading never change the draws a sample sees."""
-    gm = dyn.gridmap
-    n = gm.n_free
-    m = stop - start
-    nbr = gm.neighbor_slots[:, :N_ACTIONS]
-    uniforms = np.empty((m, horizon, n))
-    for row, i in enumerate(range(start, stop)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-        uniforms[row] = rng.random((horizon, n))
+def _dense_counts(dyn: _SpreadDynamics, uniforms: np.ndarray, clear_probs=_clear_probs):
+    """(den, num, final) of trajectories driven by a (samples, horizon,
+    n_free) matrix of draws: a clear cell ignites when its draw falls below
+    its ignition probability. Every (sample, cell) probability is rebuilt
+    and every slot recounted at each step."""
+    m, horizon, n = uniforms.shape
+    nbr = dyn.gridmap.neighbor_slots[:, :N_ACTIONS]
     contam = np.broadcast_to(dyn.initial, (m, n)).copy()
     den = np.zeros((horizon, n), dtype=np.int64)
     num = np.zeros((horizon, n, N_ACTIONS), dtype=np.int64)
     for k in range(horizon):
         clear = ~contam
-        pc = 1.0 - _clear_probs(dyn, contam)
+        pc = 1.0 - clear_probs(dyn, contam)
         ignite = clear & (uniforms[:, k, :] < pc)
         nxt = contam | ignite
         den[k] += clear.sum(axis=0)
@@ -528,6 +521,76 @@ def reference_sample_chunk(
         contam = nxt
     final = contam.sum(axis=0, dtype=np.int64)
     return den, num, final
+
+
+def per_sample_stream_chunk(
+    dyn: _SpreadDynamics,
+    horizon: int,
+    seed: int,
+    start: int,
+    stop: int,
+):
+    """The sampler as it was before block streams: sample i drew all its
+    (horizon, n_free) uniforms from its own stream seeded by (seed, i).
+    Its draws differ from the package's, but its counts have the same
+    distribution, so it serves as a distribution oracle. It reads the
+    package's stay-clear table, which matches _clear_probs bit for bit, as
+    that is three times faster at paper scale."""
+    n = dyn.gridmap.n_free
+    uniforms = np.empty((stop - start, horizon, n))
+    for row, i in enumerate(range(start, stop)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+        uniforms[row] = rng.random((horizon, n))
+    return _dense_counts(dyn, uniforms, _SpreadDynamics.stay_clear)
+
+
+def _batch_size(span: int, p: float) -> int:
+    """One cell's geometric batch: its mean event count over span positions
+    plus the package's sigmas and slack, read at call time."""
+    mean = span * p
+    return math.ceil(mean + hazard_module._EVENT_SIGMAS * math.sqrt(mean * (1.0 - p))) + (
+        hazard_module._EVENT_SLACK
+    )
+
+
+def reference_block_events(dyn: _SpreadDynamics, horizon: int, seed: int, block: int, m: int):
+    """The block's events as (position, cell, value) in the order they are
+    drawn, and the number of top-up rounds drawn, from scalar rng.geometric
+    and rng.random calls made in the order the package's stream rule
+    (hazard._block_events) lays down."""
+    p = dyn.max_ignite
+    span, length = hazard_module._ROUND_STEPS * m, m * horizon
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
+    cells = [x for x in range(dyn.gridmap.n_free) if p[x] > 0.0]
+    last = {x: -1 for x in cells}
+    events: List[Tuple[int, int, float]] = []
+    topups = 0
+
+    def batch(xs):
+        drawn = []
+        for x in xs:
+            for _ in range(_batch_size(span, p[x])):
+                last[x] += int(rng.geometric(p[x]))
+                drawn.append((last[x], x))
+        events.extend((at, x, rng.random() * p[x]) for at, x in drawn)
+
+    for end in range(span, length + span, span):
+        need = [x for x in cells if last[x] < end]
+        while need:
+            batch(need)
+            need = [x for x in need if last[x] < end]
+            topups += bool(need)
+    return [e for e in events if e[0] < length], topups
+
+
+def reference_sample_block(dyn: _SpreadDynamics, horizon: int, seed: int, block: int, m: int):
+    """Counts of the block's m trajectories: its events put at their
+    (sample, step, cell) in a matrix of 1.0, which no ignition probability
+    exceeds, then the dense step loop."""
+    uniforms = np.ones((m, horizon, dyn.gridmap.n_free))
+    for at, x, value in reference_block_events(dyn, horizon, seed, block, m)[0]:
+        uniforms[at % m, at // m, x] = value
+    return _dense_counts(dyn, uniforms)
 
 
 # --- Scalar exact propagation, kept as the bit-for-bit reference -----------

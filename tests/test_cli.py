@@ -392,12 +392,28 @@ def test_a_broken_field_cache_exits_two(tmp_path, capsys):
     assert "not a readable npz" in capsys.readouterr().err
     # a hand-written cache without a hash whose every entry reads 2.0
     horizon, n = 16, 12
-    np.savez_compressed(cache, horizon=horizon, n_free=n, prob=np.full((horizon, n, 5), 2.0),
+    np.savez_compressed(cache, format=hazard.FIELD_CACHE_FORMAT, horizon=horizon, n_free=n,
+                        prob=np.full((horizon, n, 5), 2.0),
                         flagged=np.zeros((horizon, n), dtype=bool),
                         marginals=np.zeros((horizon + 1, n)), kind=np.array("monte-carlo"),
                         samples=100, seed=0, scenario_hash=np.array(""))
     assert entry(argv) == 2
     assert "prob entries outside [0, 1]" in capsys.readouterr().err
+
+
+def test_a_field_cache_of_the_per_sample_sampler_exits_two(tmp_path, capsys):
+    small = str(Path(__file__).resolve().parent.parent / "scenarios" / "small.json")
+    cache = tmp_path / "fc.npz"
+    argv = ["plan", small, "--samples", "100", "--seed", "0", "--field-cache", str(cache)]
+    assert entry(argv) == 0
+    # the cache as the per-sample sampler wrote it: no format entry
+    with np.load(cache) as npz:
+        data = {key: npz[key] for key in npz.files if key != "format"}
+    np.savez_compressed(cache, **data)
+    capsys.readouterr()
+    assert entry(argv) == 2
+    err = capsys.readouterr().err
+    assert "lacks format" in err and "delete the cache and rebuild it" in err
 
 
 def test_an_unhashed_field_cache_exits_two(tmp_path, capsys):
@@ -478,9 +494,21 @@ SMALL = str(Path(__file__).resolve().parent.parent / "scenarios" / "small.json")
      "error: --what paths renders as SVG only"),
     (["render", SMALL, "--exact-field", "--what", "heatmap", "--format", "pgm"], 2,
      "error: binary output needs --out FILE"),
+    (["bounds", SMALL, "--exact-field", "--f-star", "0.1", "--alpha", "0.5", "--gamma", "0.5"],
+     2, "error: bounds with a scenario computes F*, alpha and gamma from it; "
+        "drop --f-star, --alpha, --gamma or the scenario"),
+    (["bounds", SMALL, "--exact-field", "--gamma", "0.5"], 2,
+     "error: bounds with a scenario computes F*, alpha and gamma from it; drop --gamma"),
+    (["render", SMALL, "--exact-field", "--what", "region-map", "--f-star", "0.3"], 2,
+     "error: render --what region-map draws either the given --f-star or the scenario's"),
+    (["render", SMALL, "--exact-field", "--what", "heatmap", "--f-star", "0.3"], 2,
+     "error: --f-star applies to --what region-map, not heatmap"),
+    (["render", SMALL, "--exact-field", "--what", "paths", "--f-star", "0.3"], 2,
+     "error: --f-star applies to --what region-map, not paths"),
 ], ids=["allocate-region-over-cap", "allocate-region-1", "bounds-region-over-cap",
         "plan-robot", "plan-targets", "simulate-robot", "region-map-pgm", "paths-pgm",
-        "heatmap-pgm-stdout"])
+        "heatmap-pgm-stdout", "bounds-scenario-and-numbers", "bounds-scenario-and-gamma",
+        "region-map-scenario-and-f-star", "heatmap-f-star", "paths-f-star"])
 def test_refusals_the_arguments_decide_build_no_field(tmp_path, monkeypatch, capsys,
                                                       argv, code, message):
     calls = count_field_passes(monkeypatch)

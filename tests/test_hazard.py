@@ -13,8 +13,9 @@ from hazardplan.hazard import (
     HazardModel,
     HazardSource,
     _dynamics,
+    _block_events,
     _run_chunks,
-    _sample_chunk,
+    _sample_block,
     estimate_contamination_field,
     exact_contamination_field,
 )
@@ -340,17 +341,54 @@ def assert_counts_equal(got, want):
         assert np.array_equal(a, b)
 
 
-def test_sampler_bit_identical_to_reference_random_sweep():
+def reference_blocks(dyn, horizon, samples, seed, size):
+    """The counts of samples [0, samples) added up block by block, each
+    block from the scalar reference of its stream."""
+    parts = [oracles.reference_sample_block(dyn, horizon, seed, b, min(size, samples - b * size))
+             for b in range(-(-samples // size))]
+    return [sum(p[i] for p in parts) for i in range(3)]
+
+
+def test_sampler_bit_identical_to_reference_random_sweep(monkeypatch):
+    # blocks of 128 samples, so 300 samples end in a short third block
+    monkeypatch.setattr(hazard, "_block_size", lambda horizon, n_free: 128)
     rng = np.random.default_rng(808)
+    sure = never = 0
     for case in range(50):
         gm, model = spread_setup(rng, case)
         dyn = _dynamics(gm, model)
+        sure += int(np.sum(dyn.max_ignite == 1.0))
+        never += int(np.sum(dyn.max_ignite == 0.0))
         horizon, seed = int(rng.integers(1, 9)), int(rng.integers(0, 1000))
-        want = oracles.reference_sample_chunk(dyn, horizon, seed, 0, 300)
-        assert_counts_equal(_run_chunks(dyn, horizon, 300, seed, 1), want)
-        # a chunk that does not start at sample 0 sees the same streams
-        assert_counts_equal(_sample_chunk(dyn, horizon, seed, 40, 77),
-                            oracles.reference_sample_chunk(dyn, horizon, seed, 40, 77))
+        assert_counts_equal(_run_chunks(dyn, horizon, 300, seed, 1),
+                            reference_blocks(dyn, horizon, 300, seed, 128))
+    # speeds 1 and 0 give cells that may ignite at every draw and at none
+    assert sure and never
+
+
+def test_sampler_replays_rounds_and_top_ups(monkeypatch):
+    """Rounds of one step and batches with no margin make the stream carry
+    events from round to round and draw top-up batches; the package must
+    still replay the rule event by event."""
+    monkeypatch.setattr(hazard, "_ROUND_STEPS", 1)
+    monkeypatch.setattr(hazard, "_EVENT_SIGMAS", 0.0)
+    monkeypatch.setattr(hazard, "_EVENT_SLACK", 0)
+    rng = np.random.default_rng(818)
+    topups = 0
+    for case in range(30):
+        gm, model = spread_setup(rng, case)
+        dyn = _dynamics(gm, model)
+        horizon, seed, m = int(rng.integers(1, 9)), int(rng.integers(0, 1000)), 45
+        events, drawn = oracles.reference_block_events(dyn, horizon, seed, 2, m)
+        topups += drawn
+        stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 2))))
+        pos, cell, value = _block_events(stream, dyn.max_ignite, m, horizon)
+        assert pos.tolist() == [e[0] for e in events]
+        assert cell.tolist() == [e[1] for e in events]
+        assert value.tolist() == [e[2] for e in events]
+        assert_counts_equal(_sample_block(dyn, horizon, seed, 2, m),
+                            oracles.reference_sample_block(dyn, horizon, seed, 2, m))
+    assert topups > 0
 
 
 @pytest.fixture(scope="module")
@@ -358,16 +396,43 @@ def paper_reference():
     sc = load_scenario(SCENARIOS / "paper17x13.json")
     dyn = _dynamics(sc.gridmap, sc.hazard)
     samples = 600
-    parts = [oracles.reference_sample_chunk(dyn, sc.horizon, 0, lo, lo + 200)
-             for lo in range(0, samples, 200)]
-    return dyn, sc.horizon, samples, [sum(p[i] for p in parts) for i in range(3)]
+    size = hazard._block_size(sc.horizon, sc.gridmap.n_free)
+    assert samples > 2 * size  # several blocks, the last one short
+    return dyn, sc.horizon, samples, reference_blocks(dyn, sc.horizon, samples, 0, size)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sampler_bit_identical_to_reference_on_paper_scenario(paper_reference, threads):
     dyn, horizon, samples, want = paper_reference
-    # several chunks, so two threads run them side by side
+    # several blocks, so two threads run them side by side
     assert_counts_equal(_run_chunks(dyn, horizon, samples, 0, threads), want)
+
+
+def test_paper_field_marginals_agree_with_per_sample_streams():
+    """The block streams draw other numbers than the per-sample streams the
+    sampler used before, from the same distribution. Per entry, the two
+    estimates of 10,000 samples differ by a binomial noise of
+    sigma = sqrt(2 p (1 - p) / 10,000). The heat row is held to 4 sigma;
+    every entry, of some 15,000, to 5 sigma, a family-wise false alarm rate
+    under 1%. Entries with a pooled p of 0 or 1 must agree exactly."""
+    sc = load_scenario(SCENARIOS / "paper17x13.json")
+    dyn = _dynamics(sc.gridmap, sc.hazard)
+    samples = 10_000
+    new = estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon, samples, 0).marginals
+    den = np.zeros((sc.horizon, sc.gridmap.n_free), dtype=np.int64)
+    final = np.zeros(sc.gridmap.n_free, dtype=np.int64)
+    for lo in range(0, samples, 250):
+        part_den, _, part_final = oracles.per_sample_stream_chunk(dyn, sc.horizon, 0, lo, lo + 250)
+        den += part_den
+        final += part_final
+    old = np.vstack([samples - den, final]) / samples
+    pooled = (old + new) / 2
+    sigma = np.sqrt(2 * pooled * (1 - pooled) / samples)
+    assert np.array_equal(old[sigma == 0], new[sigma == 0])
+    z = np.abs(old - new)[sigma > 0] / sigma[sigma > 0]
+    heat = sigma[-1] > 0
+    assert z.max() <= 5.0
+    assert (np.abs(old[-1] - new[-1])[heat] / sigma[-1][heat]).max() <= 4.0
 
 
 def test_stay_clear_table_matches_reference_kernel():
@@ -477,10 +542,23 @@ def test_cache_load_refuses_a_file_that_is_not_an_npz(tmp_path):
 def test_cache_load_refuses_a_missing_entry(tmp_path):
     path = tmp_path / "fc.npz"
     assert ContaminationField.load(write_cache(path)).scenario_hash == "deadbeef"
-    for key in ("horizon", "n_free", "prob", "flagged", "marginals", "kind",
+    for key in ("format", "horizon", "n_free", "prob", "flagged", "marginals", "kind",
                 "samples", "seed", "scenario_hash"):
         refused(write_cache(path, **{key: None}), f"lacks {key}",
                 "delete the cache and rebuild it")
+
+
+def test_cache_load_refuses_a_cache_of_another_format(tmp_path):
+    """A cache the per-sample sampler wrote has no format entry. Its field
+    is not the one this sampler builds for the same samples and seed, so it
+    is refused, as is any other format number."""
+    path = tmp_path / "fc.npz"
+    with np.load(write_cache(path)) as npz:
+        assert int(npz["format"]) == hazard.FIELD_CACHE_FORMAT
+    refused(write_cache(path, format=None), "lacks format", "delete the cache and rebuild it")
+    refused(write_cache(path, format=hazard.FIELD_CACHE_FORMAT - 1),
+            f"has format {hazard.FIELD_CACHE_FORMAT - 1}, not {hazard.FIELD_CACHE_FORMAT}",
+            "delete the cache and rebuild it")
 
 
 def test_cache_load_refuses_wrong_shapes_and_dtypes(tmp_path):
