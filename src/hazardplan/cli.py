@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="how to obtain curvature/submodularity ratios")
     p.add_argument("--rollout-trials", type=int, default=0,
                    help="validate each allocation with this many rollouts")
-    p.add_argument("--rollout-mode", default="model", choices=("model", "joint"))
+    p.add_argument("--rollout-mode", default=None, choices=("model", "joint"),
+                   help="model (default) or joint; needs --rollout-trials")
     p.add_argument("--region", type=int, default=0, metavar="RES",
                    help="attach a RES x RES guarantee region map")
     p.add_argument("--heatmap", action="store_true",
@@ -285,7 +286,7 @@ def _cmd_allocate(args) -> int:
         methods=methods,
         ratio_source=args.ratios,
         rollout_trials=args.rollout_trials,
-        rollout_mode=args.rollout_mode,
+        rollout_mode=args.rollout_mode or "model",
         region_resolution=args.region,
         heatmap=args.heatmap,
     )
@@ -445,8 +446,24 @@ _COMMANDS = {
 }
 
 
+def _refuse_dropped_flags(args) -> None:
+    """Refuse, before anything loads, a flag that the other flags given
+    would make the run ignore."""
+    if args.exact_field and args.samples is not None:
+        raise ValidationError(
+            "--samples sizes a Monte-Carlo field, but --exact-field builds an "
+            "exact one; drop one of them"
+        )
+    if getattr(args, "rollout_mode", None) is not None and not args.rollout_trials:
+        raise ValidationError(
+            "--rollout-mode picks how --rollout-trials are run, and no trials "
+            "were asked for; add --rollout-trials N or drop --rollout-mode"
+        )
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    _refuse_dropped_flags(args)
     return _COMMANDS[args.command](args)
 
 

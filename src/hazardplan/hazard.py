@@ -21,13 +21,17 @@ slot order 1..8.
 
 On small maps the distribution over contamination sets is propagated
 exactly. Live states are int64 bitmasks held in arrays, and each step
-enumerates their ignition outcomes a block of rows at a time. Each block is
-merged into the next states with np.unique and np.bincount, which add
-every state's outcomes from 0.0 in (source state, combo) order and keep
-states in order of first appearance, as a scalar loop over states and
-outcomes into a dict would. So the result does not depend on how the arrays
-are laid out or on the block size. One pass yields the transition field and
-the per-cell contamination marginals of every step 0..horizon.
+enumerates their ignition outcomes a block of rows at a time. The states of
+a block with the same number u of uncertain cells are built together by
+doubling a (2^u, states) table once per cell, in ascending cell order.
+Each block is merged into the next states by a stable sort on the masks
+cast to the narrowest unsigned type that holds them (a radix sort up to 16
+cells) and np.bincount, which add every state's outcomes from 0.0 in
+(source state, combo) order and keep states in order of first appearance,
+as a scalar loop over states and outcomes into a dict would. So the result
+does not depend on how the arrays are laid out or on the block size. One
+pass yields the transition field and the per-cell contamination marginals
+of every step 0..horizon.
 
 The Monte-Carlo sampler is event-driven. Samples are split into blocks of
 _block_size(horizon, n_free) samples, a size no thread count changes, and
@@ -264,15 +268,17 @@ def _exact_step(
 
     Each clear cell of a state ignites independently with 1 - clear. Cells
     certain to ignite join the state's mask; the outcomes of the uncertain
-    cells are enumerated by _outcomes, a block of about _STEP_ROWS rows at a
+    cells are built by _outcomes, a block of about _STEP_ROWS rows at a
     time, and merged into the running next states. A block's merge groups
-    the running states followed by the block's rows with np.unique and sums
-    each group with np.bincount, which adds its weights in input order from
-    0.0. So a running state's sum gains the block's outcomes in (source
-    state, combo) order, and a new state starts from 0.0 as well. Sorting
-    the groups by first index keeps the running states in place and appends
-    the new ones by first appearance. That is the arithmetic and the order
-    of a scalar loop over states and combos into a dict, so the result is
+    the running states followed by the block's rows with _first_groups, a
+    stable sort on masks cast to the narrowest unsigned type that holds n
+    bits, and sums each group with np.bincount, which adds its weights in
+    input order from 0.0. So a running state's sum gains the block's
+    outcomes in (source state, combo) order, and a new state starts from 0.0
+    as well. Sorting the groups by first index, again on the narrowest type
+    that holds it, keeps the running states in place and appends the new
+    ones by first appearance. That is the arithmetic and the order of a
+    scalar loop over states and combos into a dict, so the result is
     bit-for-bit reproducible, and the working set stays near _STEP_ROWS
     outcome rows plus the next states.
     """
@@ -290,14 +296,29 @@ def _exact_step(
         start = ends[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, start + _STEP_ROWS, side="right")))
         masks, block = _outcomes(base[lo:hi], probs[lo:hi], uncertain[lo:hi], ignite[lo:hi], bits)
-        keys, first, inv = np.unique(
-            np.concatenate([keys, masks]), return_index=True, return_inverse=True
-        )
+        keys, first, inv = _first_groups(np.concatenate([keys, masks]), n)
         sums = np.bincount(inv, weights=np.concatenate([sums, block]), minlength=len(keys))
-        order = np.argsort(first)
+        order = np.argsort(first.astype(np.min_scalar_type(len(inv))), kind="stable")
         keys, sums = keys[order], sums[order]
         lo = hi
     return keys, sums
+
+
+def _first_groups(masks: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique(masks, return_index=True, return_inverse=True) for n-bit
+    masks: the sorted distinct masks, each one's first index and each row's
+    group. A stable sort keeps each group's rows in input order, so its
+    first row is the first occurrence; on masks of at most 16 bits it is a
+    radix sort."""
+    order = np.argsort(masks.astype(np.min_scalar_type((1 << n) - 1)), kind="stable")
+    ordered = masks[order]
+    new = np.empty(len(masks), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    inv = np.empty(len(masks), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return ordered[starts], order[starts], inv
 
 
 def _outcomes(
@@ -309,20 +330,48 @@ def _outcomes(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Every ignition outcome of a few states as (mask, probability) rows in
     (state, combo) order. Combo bit b stands for the state's b-th lowest
-    uncertain cell; probabilities are multiplied in ascending cell order."""
-    sizes = np.left_shift(1, uncertain.sum(axis=1))
-    src = np.repeat(np.arange(len(base)), sizes)
-    combo = np.arange(len(src)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    mask = base[src]
-    prob = probs[src]
-    for i in np.nonzero(uncertain.any(axis=0))[0]:
-        u = uncertain[src, i]
-        hit = u & (combo & 1 == 1)
-        q = ignite[src, i]
-        # a factor of exactly 1.0 leaves rows where cell i is not uncertain as they are
-        prob *= np.where(u, np.where(hit, q, 1.0 - q), 1.0)
-        mask[hit] |= bits[i]
-        combo >>= u
+    uncertain cell; probabilities are multiplied in ascending cell order.
+
+    The states with u uncertain cells are built together by doubling, as a
+    (2^u, g) table with one column per state: once its i-th lowest cell is
+    taken, rows c < 2^(i+1) hold every combo of cells 0..i, and row c + 2^i
+    is row c with cell i ignited. So each row gains its factors one at a
+    time in ascending cell order, from the state's probability. The tables
+    share one buffer, and one scatter puts their rows in (state, combo)
+    order."""
+    counts = uncertain.sum(axis=1)
+    sizes = np.left_shift(1, counts)
+    offsets = np.cumsum(sizes) - sizes
+    total = int(offsets[-1] + sizes[-1])
+    table_probs = np.empty(total)
+    table_masks = np.empty(total, dtype=np.int64)
+    dest = np.empty(total, dtype=np.intp)
+    lo = 0
+    # np.bincount, not np.unique: numpy 2's np.unique without return_index
+    # imports numpy.ma on first use, about 0.5 MB resident
+    for u in np.flatnonzero(np.bincount(counts)).tolist():
+        rows = np.flatnonzero(counts == u)
+        width = 1 << u
+        hi = lo + width * len(rows)
+        p = table_probs[lo:hi].reshape(width, len(rows))
+        m = table_masks[lo:hi].reshape(width, len(rows))
+        p[0] = probs[rows]
+        m[0] = base[rows]
+        cells = np.nonzero(uncertain[rows])[1].reshape(len(rows), u).T
+        q = ignite[rows, cells]
+        stay = 1.0 - q
+        bit = bits[cells]
+        for i in range(u):
+            w = 1 << i
+            np.multiply(p[:w], q[i], out=p[w:2 * w])
+            p[:w] *= stay[i]
+            np.bitwise_or(m[:w], bit[i], out=m[w:2 * w])
+        np.add(offsets[rows], np.arange(width)[:, np.newaxis], out=dest[lo:hi].reshape(m.shape))
+        lo = hi
+    mask = np.empty(total, dtype=np.int64)
+    prob = np.empty(total)
+    mask[dest] = table_masks
+    prob[dest] = table_probs
     return mask, prob
 
 

@@ -647,6 +647,32 @@ def reference_step_distribution(gm: GridMap, model, dist):
     }
 
 
+def reference_outcomes(
+    base: np.ndarray,
+    probs: np.ndarray,
+    uncertain: np.ndarray,
+    ignite: np.ndarray,
+    bits: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """hazard._outcomes as one pass per cell uncertain in any of the states:
+    each pass touches every outcome row and multiplies the rows where the
+    cell is not uncertain by exactly 1.0. Rows in (state, combo) order,
+    combo bit b standing for the state's b-th lowest uncertain cell."""
+    sizes = np.left_shift(1, uncertain.sum(axis=1))
+    src = np.repeat(np.arange(len(base)), sizes)
+    combo = np.arange(len(src)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    mask = base[src]
+    prob = probs[src]
+    for i in np.nonzero(uncertain.any(axis=0))[0]:
+        u = uncertain[src, i]
+        hit = u & (combo & 1 == 1)
+        q = ignite[src, i]
+        prob *= np.where(u, np.where(hit, q, 1.0 - q), 1.0)
+        mask[hit] |= bits[i]
+        combo >>= u
+    return mask, prob
+
+
 def reference_exact_propagation(gm: GridMap, model, horizon: int):
     """(prob, flagged, marginals) by the scalar dict propagation: per-state
     accumulation of the field numerators and denominators, then one

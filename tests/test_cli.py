@@ -241,8 +241,8 @@ def test_field_cache_of_another_kind_or_sampling_is_refused(tmp_path, capsys):
     assert entry(["plan", small, "--samples", "200", "--seed", "1",
                   "--field-cache", cache]) == 0
     capsys.readouterr()
-    assert entry(["allocate", small, "--exact-field", "--samples", "5000",
-                  "--seed", "7", "--field-cache", cache]) == 2
+    assert entry(["allocate", small, "--exact-field", "--seed", "7",
+                  "--field-cache", cache]) == 2
     err = capsys.readouterr().err
     assert "built as monte-carlo (200 samples, seed 1)" in err
     assert "asks for exact" in err
@@ -475,6 +475,17 @@ def test_plan_over_the_dp_table_cap_exits_three(tmp_path, capsys):
 
 
 SMALL = str(Path(__file__).resolve().parent.parent / "scenarios" / "small.json")
+# every command that builds a field from a scenario, by label: its
+# subcommand and the flags it needs
+FIELD_COMMANDS = {
+    "plan": ["plan", "--robot", "a", "--targets", "all"],
+    "allocate": ["allocate"],
+    "simulate": ["simulate", "--robot", "a"],
+    "bounds": ["bounds"],
+    "heatmap": ["render", "--what", "heatmap"],
+    "paths": ["render", "--what", "paths"],
+    "region-map": ["render", "--what", "region-map"],
+}
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -505,10 +516,19 @@ SMALL = str(Path(__file__).resolve().parent.parent / "scenarios" / "small.json")
      "error: --f-star applies to --what region-map, not heatmap"),
     (["render", SMALL, "--exact-field", "--what", "paths", "--f-star", "0.3"], 2,
      "error: --f-star applies to --what region-map, not paths"),
+    *[([command, SMALL, *rest, "--exact-field", "--samples", "7"], 2,
+       "error: --samples sizes a Monte-Carlo field, but --exact-field builds an exact one")
+      for command, *rest in FIELD_COMMANDS.values()],
+    (["allocate", SMALL, "--exact-field", "--rollout-mode", "joint"], 2,
+     "error: --rollout-mode picks how --rollout-trials are run, and no trials were asked"),
+    (["allocate", SMALL, "--exact-field", "--rollout-mode", "model", "--rollout-trials", "0"],
+     2, "error: --rollout-mode picks how --rollout-trials are run"),
 ], ids=["allocate-region-over-cap", "allocate-region-1", "bounds-region-over-cap",
         "plan-robot", "plan-targets", "simulate-robot", "region-map-pgm", "paths-pgm",
         "heatmap-pgm-stdout", "bounds-scenario-and-numbers", "bounds-scenario-and-gamma",
-        "region-map-scenario-and-f-star", "heatmap-f-star", "paths-f-star"])
+        "region-map-scenario-and-f-star", "heatmap-f-star", "paths-f-star",
+        *[f"{label}-exact-field-and-samples" for label in FIELD_COMMANDS],
+        "rollout-mode-without-trials", "rollout-mode-with-zero-trials"])
 def test_refusals_the_arguments_decide_build_no_field(tmp_path, monkeypatch, capsys,
                                                       argv, code, message):
     calls = count_field_passes(monkeypatch)

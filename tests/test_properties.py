@@ -1,10 +1,11 @@
 """Property tests on hypothesis-drawn grids of at most 12 free cells: the
-package DP and the exact field against the scalar oracles, the DP against
-its full-table reference, the objective cache's one plan per robot against
-per-subset solves, model-mode rollouts of deterministic motion against the
-trial-by-trial oracle, the ground values of exact ratios against the set-by-set
-product, the allocators' partitions, and both greedy guarantees under exact
-ratios."""
+package DP and the exact field against the scalar oracles, the exact step's
+outcome builder against the cell-by-cell reference and its grouping against
+np.unique, the DP against its full-table reference, the objective cache's
+one plan per robot against per-subset solves, model-mode rollouts of
+deterministic motion against the trial-by-trial oracle, the ground values
+of exact ratios against the set-by-set product, the allocators' partitions,
+and both greedy guarantees under exact ratios."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +21,7 @@ from hazardplan.allocation import (
     is_partition,
     reverse_greedy,
 )
+from hazardplan import hazard
 from hazardplan.grid import Cell, GridMap, MotionKernel
 from hazardplan.guarantees import _ground_values, exact_ratios, theorem_bounds
 from hazardplan.hazard import (
@@ -69,6 +71,63 @@ def test_exact_field_matches_oracle(grid, horizon):
     prob, flagged = oracles.exact_field_oracle(gm, model.sources, horizon)
     assert np.array_equal(fld.flagged, flagged)
     assert np.abs(fld.prob - prob).max() <= FIELD_TOL
+
+
+@st.composite
+def outcome_blocks(draw):
+    """Arguments of hazard._outcomes for 1-6 states on 1-10 cells. Each
+    state's uncertain cells are none, all or any, so a block mixes counts
+    u and holds u = 0 and u = n often; base masks come from a pool of two,
+    so they repeat."""
+    n = draw(st.integers(1, 10))
+    g = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(g):
+        kind = draw(st.sampled_from(["none", "all", "any"]))
+        if kind == "any":
+            rows.append(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        else:
+            rows.append([kind == "all"] * n)
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=2, max_size=2))
+    base = np.array([draw(st.sampled_from(pool)) for _ in range(g)], dtype=np.int64)
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    probs = np.array(draw(st.lists(unit, min_size=g, max_size=g)))
+    ignite = np.array(draw(st.lists(unit, min_size=g * n, max_size=g * n))).reshape(g, n)
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    return base, probs, np.array(rows, dtype=bool), ignite, bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(outcome_blocks())
+def test_outcomes_by_doubling_equal_the_cell_by_cell_reference(block):
+    masks, probs = hazard._outcomes(*block)
+    want_masks, want_probs = oracles.reference_outcomes(*block)
+    assert np.array_equal(masks, want_masks)
+    assert np.array_equal(probs.view(np.int64), want_probs.view(np.int64))
+
+
+@st.composite
+def merge_inputs(draw):
+    """(n, running keys followed by a block of masks) as _exact_step groups
+    them: the keys are distinct, and masks repeat within the block and
+    across the two."""
+    n = draw(st.sampled_from([1, 8, 16, 17, 40, 62]))
+    top = (1 << n) - 1
+    pool = draw(st.lists(st.one_of(st.integers(0, top), st.sampled_from([0, top])),
+                         min_size=1, max_size=12))
+    keys = draw(st.lists(st.sampled_from(pool), unique=True))
+    block = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    return n, np.array(keys + block, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_inputs())
+def test_first_groups_equal_np_unique(case):
+    n, masks = case
+    got = hazard._first_groups(masks, n)
+    want = np.unique(masks, return_index=True, return_inverse=True)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @settings(max_examples=150, deadline=None)

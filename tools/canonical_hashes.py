@@ -35,17 +35,29 @@ Runs, in one process and with the program imported from this checkout's
 It prints one ``<sha256>  <command>`` line per output, 50 in all. Run the
 same file in two checkouts and diff what they print. Outputs and caches go to a temporary
 directory that is removed at the end. The whole run takes under a minute.
+
+    python3 tools/canonical_hashes.py --compare BASE HEAD
+
+compares two such printouts instead. A change names the outputs it moves on
+purpose in ``tools/expected_hash_changes.txt``: one command per line, as
+printed after the digest, with ``#`` starting a comment. The comparison
+exits 1 if a command changed that the file does not list, or if a listed
+command did not change, and 0 otherwise. A command printed by only one of
+the two counts as changed.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import Dict, List, Set
 
 ROOT = Path(__file__).resolve().parent.parent
+EXPECTED_CHANGES = ROOT / "tools" / "expected_hash_changes.txt"
 sys.path.insert(0, str(ROOT / "src"))
 
 from hazardplan import cli  # noqa: E402
@@ -174,7 +186,31 @@ def _fields():
                                                         small.horizon)
 
 
-def main() -> int:
+def read_digests(path: Path) -> Dict[str, str]:
+    """{command: digest} of a printout of this tool."""
+    digests = {}
+    for line in path.read_text().splitlines():
+        if line.strip():
+            digest, command = line.split("  ", 1)
+            digests[command.strip()] = digest
+    return digests
+
+
+def read_expected(path: Path) -> Set[str]:
+    """The commands an expected-changes file lists, comments dropped."""
+    lines = (line.split("#", 1)[0].strip() for line in path.read_text().splitlines())
+    return {line for line in lines if line}
+
+
+def compare(base: Dict[str, str], head: Dict[str, str], expected: Set[str]) -> List[str]:
+    """One complaint per changed command not in expected and per command in
+    expected that did not change; none when the two sets agree."""
+    changed = {c for c in base.keys() | head.keys() if base.get(c) != head.get(c)}
+    return ([f"changed but not listed: {c}" for c in sorted(changed - expected)]
+            + [f"listed but unchanged: {c}" for c in sorted(expected - changed)])
+
+
+def print_hashes() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         out = work / "out"
@@ -204,6 +240,24 @@ def main() -> int:
         for name in ("prob", "flagged", "marginals"):
             digest = hashlib.sha256(getattr(field, name).tobytes()).hexdigest()
             print(f"{digest}  field {label}  [{name}]", flush=True)
+    return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="sha256 of the canonical outputs")
+    ap.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"), type=Path,
+                    help="compare two printouts against tools/expected_hash_changes.txt")
+    args = ap.parse_args(argv)
+    if args.compare is None:
+        return print_hashes()
+    base, head = (read_digests(path) for path in args.compare)
+    expected = read_expected(EXPECTED_CHANGES)
+    problems = compare(base, head, expected)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    if problems:
+        return 1
+    print(f"{len(expected)} of {len(head)} commands changed, as listed in {EXPECTED_CHANGES.name}")
     return 0
 
 
