@@ -136,9 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("heatmap", "paths", "region-map"))
     p.add_argument("--format", default=None, choices=("svg", "pgm"),
                    help="output format (default: from --out suffix, else svg)")
-    p.add_argument("--method", default="forward",
+    p.add_argument("--method", default=None,
                    choices=("forward", "reverse", "brute"),
-                   help="whose allocation to draw for --what paths")
+                   help="whose allocation to draw for --what paths (default forward)")
     p.add_argument("--f-star", type=float, default=None,
                    help="draw the region map for this optimum directly")
     return ap
@@ -275,12 +275,15 @@ def _cmd_plan(args) -> int:
     return EXIT_OK
 
 
+def _allocate_methods(args) -> Tuple[str, ...]:
+    if args.method == "all":
+        return ("forward", "reverse", "brute")
+    return tuple(m.strip() for m in args.method.split(",") if m.strip())
+
+
 def _cmd_allocate(args) -> int:
     scenario = _load(args)
-    if args.method == "all":
-        methods: Tuple[str, ...] = ("forward", "reverse", "brute")
-    else:
-        methods = tuple(m.strip() for m in args.method.split(",") if m.strip())
+    methods = _allocate_methods(args)
     opts = _pipeline_options(
         scenario, args,
         methods=methods,
@@ -417,21 +420,22 @@ def _cmd_render(args) -> int:
         return EXIT_OK
 
     # paths: draw the chosen allocator's greedy trajectories over the heat.
+    method = args.method or "forward"
     opts = _pipeline_options(
-        scenario, args, methods=(args.method,), ratio_source="none", heatmap=True,
+        scenario, args, methods=(method,), ratio_source="none", heatmap=True,
     )
     result = run_pipeline(scenario, opts)
-    block = result.report["methods"][args.method]
+    block = result.report["methods"][method]
     if "error" in block:
         raise ValidationError(
-            f"{args.method} allocation failed: {block['error']}"
+            f"{method} allocation failed: {block['error']}"
         )
     paths = []
     for r in range(scenario.n_robots):
         plan = result.cache.solve(r, block["masks"][r])
         paths.append((scenario.robot_names[r], plan.greedy_path()))
     title = (
-        f"{scenario.name}: {args.method} allocation, F = {block['objective']:.3f}"
+        f"{scenario.name}: {method} allocation, F = {block['objective']:.3f}"
     )
     _emit(scenario_svg(scenario, heat=result.heat, paths=paths, title=title), args.out)
     return EXIT_OK
@@ -458,6 +462,16 @@ def _refuse_dropped_flags(args) -> None:
         raise ValidationError(
             "--rollout-mode picks how --rollout-trials are run, and no trials "
             "were asked for; add --rollout-trials N or drop --rollout-mode"
+        )
+    if args.command == "allocate" and args.region and "brute" not in _allocate_methods(args):
+        raise ValidationError(
+            "--region maps the guarantees at brute force's optimum, and --method "
+            "runs no brute; add brute to --method or drop --region"
+        )
+    if args.command == "render" and args.method is not None and args.what != "paths":
+        raise ValidationError(
+            f"--method picks whose paths render --what paths draws, not {args.what}; "
+            "drop --method"
         )
 
 

@@ -6,9 +6,13 @@ target visited). Moves succeed per the motion kernel; arrival at x' survives
 with probability 1 - p[k](x', x) from the contamination field. dp_solve runs
 the standard backward finite-horizon recursion, maximizing the probability of
 reaching the exit with all targets visited within the horizon. Its value
-layers are cell-major, one row of 2^t visited sets per cell. Each step first
-remaps the rows of the target cells, since arriving on one sets its bit; then
-every kernel term is a copy of whole rows, scaled per cell.
+layers are blocked into tiles of c visited sets, (tiles, n, c), with c the
+largest power of two whose (n, c) tile fits _DP_TILE_BYTES, so that a tile
+and its working buffers stay in cache. Each step first remaps the rows of the
+target cells on the whole layer, since arriving on one sets its bit; then
+each tile is swept on its own: every kernel term is a copy of whole tile
+rows, scaled per cell (a term that stays put only scales the tile), and the
+actions are compared, bounded and written to the policy tile by tile.
 
 Since a visited target no longer matters, the mission "visit S" from (q, x)
 is the mission "visit T" from (q | (T ^ S), x) for any T containing S. So
@@ -47,13 +51,22 @@ _ROLLOUT_CHUNK = 16384
 # an 8 GB machine, so a query that fits leaves room for the field, the
 # allocators and whatever else runs beside it.
 DP_TABLE_CAP = 2 << 30
-# Bytes per (mask, cell) of the layers dp_solve holds besides the policy:
-# two float64 value layers, an action's value and, when an action has
-# several kernel terms, one term's product, plus a bool and an int8 layer.
-# Traced peaks on paper17x13 at 8-12 targets were 27-28 with deterministic
-# and 35-39 with tabular motion. Below 8 targets a fixed ~0.2 MB of per-query
-# arrays weighs more per (mask, cell), in solves of at most 3 MiB.
-_DP_LAYER_BYTES = 40
+# Bytes of one (n_free, c) float64 tile of a dp_solve value layer: c is the
+# largest power of two that fits, so a tile and its working buffers stay in a
+# core's L2 cache. 256 KiB gives c = 128 on the 199 free cells of paper17x13;
+# 512 KiB measured the same.
+_DP_TILE_BYTES = 256 << 10
+# Bytes per (mask, cell) of what dp_solve holds besides the policy and the
+# tile buffers: two float64 value layers, the target remap's offsets and the
+# per-query kernel arrays. Traced peaks on paper17x13 at 8-13 targets, less
+# the policy and the tile buffers below, were 14.2-16.7 with deterministic
+# and 16.9-20.5 with tabular motion. Below 8 targets a fixed ~0.2 MB of
+# per-query arrays weighs more per (mask, cell), in solves of at most 3 MiB.
+_DP_LAYER_BYTES = 22
+# Bytes per (cell, visited set) of one tile's working buffers: an action's
+# value and, when an action has several kernel terms, one term's product,
+# plus a bool and an int8 buffer.
+_DP_TILE_BUFFER_BYTES = 18
 
 
 @dataclass(frozen=True)
@@ -182,10 +195,38 @@ def _diagnose(query: PlanQuery) -> List[str]:
     return diagnostics
 
 
+def _tile_columns(n_visited: int, n_free: int) -> int:
+    """Visited sets per tile of dp_solve: the largest power of two up to
+    n_visited whose (n_free, c) float64 tile fits _DP_TILE_BYTES, at least 1."""
+    c = n_visited
+    while c > 1 and n_free * c * 8 > _DP_TILE_BYTES:
+        c >>= 1
+    return c
+
+
+def _remap_offsets(tb: np.ndarray, nq: int, c: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Arriving on a target sets its bit: row d of a value layer, read at
+    visited set q, is the value at q | tb[d]. The flat offsets, into a layer
+    blocked as (tiles, n, c), of every (d, q) that this moves, and of the
+    (d, q | tb[d]) it reads."""
+    tcells = np.flatnonzero(tb)[:, np.newaxis]
+    n = len(tb)
+    q = np.arange(nq)
+    arrive = q | tb[tcells]
+    moved = arrive != q
+
+    def offsets(visited):
+        return (visited // c * (n * c) + tcells * c + visited % c)[moved]
+
+    return offsets(q), offsets(arrive)
+
+
 def dp_table_bytes(n_targets: int, n_free: int, horizon: int) -> int:
-    """Estimated peak bytes of a dp_solve: the int8 policy plus the working
-    layers of one step."""
-    return (1 << n_targets) * n_free * (horizon + _DP_LAYER_BYTES)
+    """Estimated peak bytes of a dp_solve: the int8 policy and the two value
+    layers, plus the working buffers of one tile."""
+    nq = 1 << n_targets
+    return (nq * n_free * (horizon + _DP_LAYER_BYTES)
+            + _tile_columns(nq, n_free) * n_free * _DP_TILE_BUFFER_BYTES)
 
 
 def require_dp_table_fits(n_targets: int, n_free: int, horizon: int) -> None:
@@ -201,19 +242,23 @@ def require_dp_table_fits(n_targets: int, n_free: int, horizon: int) -> None:
 def dp_solve(query: PlanQuery) -> PlanResult:
     """Backward value recursion; returns the greedy policy and f = V^0(s0).
 
-    Step k reads only step k + 1, so two cell-major (n, 2^t) value layers
-    are kept: each kernel term copies one whole row of 2^t values per cell.
-    A query whose tables would pass DP_TABLE_CAP raises CapExceededError
-    before any is allocated.
+    Step k reads only step k + 1, so two value layers are kept, each blocked
+    as (tiles, n, c): tile j holds visited sets j*c to j*c + c - 1 of every
+    cell, c from _tile_columns. Each step first remaps the target-cell rows
+    on the whole layer, the one read across visited sets; every action is
+    then worked out tile by tile on contiguous (n, c) buffers, each kernel
+    term a copy of whole tile rows. A query whose tables would pass
+    DP_TABLE_CAP raises CapExceededError before any is allocated.
     """
     gm = query.gridmap
     fld = query.field
     n = gm.n_free
     t = len(query.targets)
     nq = 1 << t
-    full = nq - 1
     horizon = query.horizon
     require_dp_table_fits(t, n, horizon)
+    c = _tile_columns(nq, n)
+    tiles = nq // c
     start_idx = gm.index(query.start)
     goal_idx = gm.goal_index
     tb = query.target_bits()
@@ -231,65 +276,83 @@ def dp_solve(query: PlanQuery) -> PlanResult:
     weights = np.array(weights)
     sel = weights > 0
     # A cell outside a term's support reads its own row with weight 0, so it
-    # adds exactly +0.0.
+    # adds exactly +0.0. A term that lands every cell on itself (STAY) scales
+    # the tile in place of a gather.
     dest = np.where(sel, gm.neighbor_slots[:, slots].T, np.arange(n))
-    # Arriving on a target sets its bit: row d of a layer, read at visited
-    # set q, is the value at q | tb[d].
-    tcells = np.flatnonzero(tb)
-    arrive = np.arange(nq) | tb[tcells, np.newaxis]
+    gathers = [None if (d == np.arange(n)).all() else d for d in dest]
+    remap_to, remap_from = _remap_offsets(tb, nq, c)
 
-    values = np.zeros((n, nq))
-    values[goal_idx, full] = 1.0
-    best = np.empty((n, nq))
-    acc = np.empty((n, nq))
-    tmp = np.empty((n, nq)) if len(slots) > len(actions) else None
-    better = np.empty((n, nq), dtype=bool)
-    bestu = np.empty((n, nq), dtype=np.int8)
+    values = np.zeros((tiles, n, c))
+    values[-1, goal_idx, -1] = 1.0
+    nxt = np.empty((tiles, n, c))
+    acc = np.empty((n, c))
+    tmp = np.empty((n, c)) if len(slots) > len(actions) else None
+    better = np.empty((n, c), dtype=bool)
+    bestu = np.empty((n, c), dtype=np.int8)
+    lows = np.empty(tiles)
+    highs = np.empty(tiles)
     policy = np.empty((horizon, nq, n), dtype=np.int8)
 
-    def action_value(terms, surv, out):
-        """Sum over an action's terms, in order, of survival times the row
-        the term lands on. Every index is valid; mode="clip" only spares
-        take the copy it makes of ``out`` under the default mode."""
+    def term_value(tile, i, surv, out):
+        """Survival times the tile row that term i lands on. Every index is
+        valid; mode="clip" only spares take the copy it makes of ``out``
+        under the default mode."""
+        if gathers[i] is None:
+            np.multiply(tile, surv[i], out=out)
+        else:
+            np.take(tile, gathers[i], axis=0, out=out, mode="clip")
+            out *= surv[i]
+
+    def action_value(tile, terms, surv, out):
+        """Sum over an action's terms, in order."""
         first, *rest = terms
-        np.take(values, dest[first], axis=0, out=out, mode="clip")
-        out *= surv[first, :, np.newaxis]
+        term_value(tile, first, surv, out)
         for i in rest:
-            np.take(values, dest[i], axis=0, out=tmp, mode="clip")
-            np.multiply(tmp, surv[i, :, np.newaxis], out=tmp)
+            term_value(tile, i, surv, tmp)
             out += tmp
 
     for k in range(horizon - 1, -1, -1):
-        values[tcells] = values[tcells[:, np.newaxis], arrive]
+        flat = values.reshape(-1)
+        flat[remap_to] = flat[remap_from]
         surv = np.where(sel, weights * (1.0 - fld.prob[k][:, slots].T), 0.0)
-        # STAY is admissible and has mass at every cell, so best >= 0 after
-        # it. An action inadmissible at a cell has no mass there and is worth
-        # 0.0 there, which the strict > never picks.
-        action_value(actions[0][1], surv, best)
-        bestu.fill(MoveAction.STAY)
-        for u, terms in actions[1:]:
-            action_value(terms, surv, acc)
-            np.greater(acc, best, out=better)
-            np.copyto(bestu, u, where=better)
-            np.maximum(best, acc, out=best)
-        # The completed-mission state is absorbing.
-        best[goal_idx, full] = values[goal_idx, full]
-        bestu[goal_idx, full] = MoveAction.STAY
-        # NaN fails both comparisons, so a NaN value raises too.
-        if not (-VALUE_TOL <= best.min() and best.max() <= 1.0 + VALUE_TOL):
+        surv = surv[:, :, np.newaxis]  # a cell's weight, for every column of a tile
+        inside = True
+        for j in range(tiles):
+            tile, best = values[j], nxt[j]
+            # STAY is admissible and has mass at every cell, so best >= 0
+            # after it. An action inadmissible at a cell has no mass there
+            # and is worth 0.0 there, which the strict > never picks.
+            action_value(tile, actions[0][1], surv, best)
+            bestu.fill(MoveAction.STAY)
+            for u, terms in actions[1:]:
+                action_value(tile, terms, surv, acc)
+                np.greater(acc, best, out=better)
+                np.copyto(bestu, u, where=better)
+                np.maximum(best, acc, out=best)
+            if j == tiles - 1:
+                # The completed-mission state is absorbing.
+                best[goal_idx, -1] = tile[goal_idx, -1]
+                bestu[goal_idx, -1] = MoveAction.STAY
+            lows[j] = lo = best.min()
+            highs[j] = hi = best.max()
+            # A tile inside [0, 1] is its own clip. NaN fails both
+            # comparisons, so a NaN value raises too.
+            if not (0.0 <= lo and hi <= 1.0):
+                np.clip(best, 0.0, 1.0, out=best)
+                inside = inside and -VALUE_TOL <= lo and hi <= 1.0 + VALUE_TOL
+            policy[k, j * c:(j + 1) * c] = bestu.T
+        if not inside:
             raise NumericViolationError(
-                f"value outside [0, 1] at step {k}: [{best.min()}, {best.max()}]"
+                f"value outside [0, 1] at step {k}: [{lows.min()}, {highs.max()}]"
             )
-        np.clip(best, 0.0, 1.0, out=best)
-        policy[k] = bestu.T
-        values, best = best, values
+        values, nxt = nxt, values
 
     return PlanResult(
         query=query,
         policy=policy,
         # Every move off a start contaminated at step 0 is contaminated, but
         # a start on the goal with nothing to visit is already complete.
-        start_values=values[start_idx] * (not fld.flagged[0, start_idx]),
+        start_values=values[:, start_idx].reshape(nq) * (not fld.flagged[0, start_idx]),
         start_q=int(tb[start_idx]),
         diagnostics=tuple(_diagnose(query)),
     )

@@ -989,11 +989,12 @@ def _exact_ratios_feasible(values: np.ndarray, n: int, n_robots: int):
 
 # --- DP and rollout references ----------------------------------------------
 #
-# The planner's DP keeps two value layers and updates every mask row at once,
-# and one rollout walk serves both modes. These are the forms it replaced: a
-# DP that stores all horizon + 1 layers and loops over masks in Python, and
-# one chunk function per rollout mode. The package must agree with them bit
-# for bit: the same success and policy, and the same successes per chunk.
+# The planner's DP keeps two value layers, swept tile by tile, and one
+# rollout walk serves both modes. These are the forms it replaced: a DP that
+# stores all horizon + 1 layers and loops over masks in Python, a DP that
+# sweeps whole (n, 2^t) layers, and one chunk function per rollout mode. The
+# package must agree with them bit for bit: the same success, start values
+# and policy, and the same successes per chunk.
 
 
 def reference_dp_solve(query):
@@ -1047,6 +1048,76 @@ def reference_dp_solve(query):
         values[k] = best
         policy[k] = bestu
     return values, policy, float(values[0, int(tb[start_idx]), start_idx])
+
+
+def whole_layer_dp_solve(query):
+    """(policy, start_values) of the sweep dp_solve ran before its value
+    layers were tiled: two cell-major (n, 2^t) value layers, every kernel
+    term a copy of whole rows of 2^t values, and every working layer as wide
+    as a value layer. Unlike reference_dp_solve it is fast enough for 10
+    targets on paper17x13 and does not stub a start or target flagged at
+    step 0."""
+    gm = query.gridmap
+    fld = query.field
+    n = gm.n_free
+    nq = 1 << len(query.targets)
+    full = nq - 1
+    horizon = query.horizon
+    start_idx = gm.index(query.start)
+    goal_idx = gm.goal_index
+    tb = query.target_bits()
+
+    slots, weights, actions = [], [], []
+    for u in range(N_ACTIONS):
+        terms = list(query.kernel.action_terms(u))
+        if terms:
+            actions.append((u, range(len(slots), len(slots) + len(terms))))
+            slots += [j for j, _ in terms]
+            weights += [w for _, w in terms]
+    weights = np.array(weights)
+    sel = weights > 0
+    dest = np.where(sel, gm.neighbor_slots[:, slots].T, np.arange(n))
+    tcells = np.flatnonzero(tb)
+    arrive = np.arange(nq) | tb[tcells, np.newaxis]
+
+    values = np.zeros((n, nq))
+    values[goal_idx, full] = 1.0
+    best = np.empty((n, nq))
+    acc = np.empty((n, nq))
+    tmp = np.empty((n, nq))
+    better = np.empty((n, nq), dtype=bool)
+    bestu = np.empty((n, nq), dtype=np.int8)
+    policy = np.empty((horizon, nq, n), dtype=np.int8)
+
+    def action_value(terms, surv, out):
+        first, *rest = terms
+        np.take(values, dest[first], axis=0, out=out, mode="clip")
+        out *= surv[first, :, np.newaxis]
+        for i in rest:
+            np.take(values, dest[i], axis=0, out=tmp, mode="clip")
+            np.multiply(tmp, surv[i, :, np.newaxis], out=tmp)
+            out += tmp
+
+    for k in range(horizon - 1, -1, -1):
+        values[tcells] = values[tcells[:, np.newaxis], arrive]
+        surv = np.where(sel, weights * (1.0 - fld.prob[k][:, slots].T), 0.0)
+        action_value(actions[0][1], surv, best)
+        bestu.fill(MoveAction.STAY)
+        for u, terms in actions[1:]:
+            action_value(terms, surv, acc)
+            np.greater(acc, best, out=better)
+            np.copyto(bestu, u, where=better)
+            np.maximum(best, acc, out=best)
+        best[goal_idx, full] = values[goal_idx, full]
+        bestu[goal_idx, full] = MoveAction.STAY
+        if not (-VALUE_TOL <= best.min() and best.max() <= 1.0 + VALUE_TOL):
+            raise NumericViolationError(
+                f"value outside [0, 1] at step {k}: [{best.min()}, {best.max()}]"
+            )
+        np.clip(best, 0.0, 1.0, out=best)
+        policy[k] = bestu.T
+        values, best = best, values
+    return policy, values[start_idx] * (not fld.flagged[0, start_idx])
 
 
 def lattice_rows(n_tasks: int, mask: int) -> np.ndarray:

@@ -523,12 +523,19 @@ FIELD_COMMANDS = {
      "error: --rollout-mode picks how --rollout-trials are run, and no trials were asked"),
     (["allocate", SMALL, "--exact-field", "--rollout-mode", "model", "--rollout-trials", "0"],
      2, "error: --rollout-mode picks how --rollout-trials are run"),
+    (["allocate", SMALL, "--exact-field", "--region", "10", "--method", "forward"], 2,
+     "error: --region maps the guarantees at brute force's optimum, and --method runs no"),
+    (["render", SMALL, "--exact-field", "--what", "heatmap", "--method", "reverse"], 2,
+     "error: --method picks whose paths render --what paths draws, not heatmap"),
+    (["render", SMALL, "--exact-field", "--what", "region-map", "--method", "brute"], 2,
+     "error: --method picks whose paths render --what paths draws, not region-map"),
 ], ids=["allocate-region-over-cap", "allocate-region-1", "bounds-region-over-cap",
         "plan-robot", "plan-targets", "simulate-robot", "region-map-pgm", "paths-pgm",
         "heatmap-pgm-stdout", "bounds-scenario-and-numbers", "bounds-scenario-and-gamma",
         "region-map-scenario-and-f-star", "heatmap-f-star", "paths-f-star",
         *[f"{label}-exact-field-and-samples" for label in FIELD_COMMANDS],
-        "rollout-mode-without-trials", "rollout-mode-with-zero-trials"])
+        "rollout-mode-without-trials", "rollout-mode-with-zero-trials",
+        "region-without-brute", "heatmap-method", "region-map-method"])
 def test_refusals_the_arguments_decide_build_no_field(tmp_path, monkeypatch, capsys,
                                                       argv, code, message):
     calls = count_field_passes(monkeypatch)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hazardplan.errors import CapExceededError, ValidationError
+from hazardplan.errors import CapExceededError, NumericViolationError, ValidationError
 from hazardplan.grid import Cell, GridMap, MotionKernel, MoveAction
 from hazardplan.hazard import (
     HazardModel,
@@ -127,6 +127,40 @@ def test_dp_equals_reference_on_paper_sweep(n_targets, slip):
     assert np.array_equal(res.policy, policy)
     assert np.array_equal(res.start_values,
                           values[0][:, start] * (not query.field.flagged[0, start]))
+
+
+@pytest.mark.parametrize("slip", [False, True], ids=["10", "10-slip"])
+def test_dp_equals_whole_layer_sweep_on_paper_sweep(slip):
+    """At 10 targets the value layers span eight tiles; policy and start
+    values are == to the sweep over whole (n, 2^t) layers."""
+    query = paper_sweep_query(10)
+    if slip:
+        kernel = random_tabular_kernel(np.random.default_rng(7), query.gridmap)
+        query = replace(query, kernel=kernel)
+    assert planner._tile_columns(1 << 10, query.gridmap.n_free) == 128
+    res = dp_solve(query)
+    policy, start_values = oracles.whole_layer_dp_solve(query)
+    assert np.array_equal(res.policy, policy)
+    assert np.array_equal(res.start_values, start_values)
+
+
+@pytest.mark.parametrize("bad", [-0.5, np.nan], ids=["above-1", "nan"])
+def test_value_outside_the_unit_interval_raises_over_all_tiles(monkeypatch, bad):
+    """A field entry that makes a value pass 1 or NaN raises with the step
+    and the min and max over the whole layer, as the whole-layer sweep
+    does, with one visited set per tile. At step 2 every cell is done in
+    time with both targets visited, and not with neither, so the last
+    tile holds the max and the first the min."""
+    gm = GridMap(3, 2, [], Cell(2, 1))
+    fld = clear_field(gm, 6)
+    fld.prob[2] = bad
+    query = make_query(gm, fld, Cell(0, 0), [Cell(0, 1), Cell(2, 0)], 6)
+    monkeypatch.setattr(planner, "_DP_TILE_BYTES", gm.n_free * 8)
+    with pytest.raises(NumericViolationError, match="at step 2") as got:
+        dp_solve(query)
+    with pytest.raises(NumericViolationError) as want:
+        oracles.whole_layer_dp_solve(query)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("slip", [False, True])

@@ -1,7 +1,8 @@
 """Property tests on hypothesis-drawn grids of at most 12 free cells: the
 package DP and the exact field against the scalar oracles, the exact step's
 outcome builder against the cell-by-cell reference and its grouping against
-np.unique, the DP against its full-table reference, the objective cache's
+np.unique, the DP, in tiles of 1, 2 or 4 visited sets too, against its
+full-table reference and the sweep over whole layers, the objective cache's
 one plan per robot against per-subset solves, model-mode rollouts of
 deterministic motion against the trial-by-trial oracle, the ground values
 of exact ratios against the set-by-set product, the allocators' partitions,
@@ -11,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +23,7 @@ from hazardplan.allocation import (
     is_partition,
     reverse_greedy,
 )
-from hazardplan import hazard
+from hazardplan import hazard, planner
 from hazardplan.grid import Cell, GridMap, MotionKernel
 from hazardplan.guarantees import _ground_values, exact_ratios, theorem_bounds
 from hazardplan.hazard import (
@@ -146,18 +148,21 @@ def test_dp_value_equals_value_recursion_oracle(grid, horizon, data):
     assert dp_solve(query).success == oracles.value_recursion_oracle(query)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(hazard_grids(), st.integers(1, 6), st.data())
 def test_dp_equals_reference_dp(grid, horizon, data):
-    """success and, unless the start or a target is contaminated at step 0,
-    policy are == to the full-table, per-mask reference."""
+    """With the default tiles, or a tile budget that holds 1, 2 or 4 visited
+    sets, policy and start values are == to the sweep over whole layers,
+    success is == to the full-table, per-mask reference, and so are policy
+    and start values unless the start or a target is contaminated at step 0.
+    Targets may sit on the start, the goal and a source."""
     gm, model = grid
     fld = exact_contamination_field(gm, model, horizon)
-    targets = data.draw(st.lists(st.sampled_from(gm.cells), unique=True, max_size=4))
-    sources = sorted(model.initial_cells)
-    if sources and len(targets) < 4 and data.draw(st.booleans(), label="target on a source"):
-        source = data.draw(st.sampled_from(sources))
-        targets = targets if source in targets else targets + [source]
+    targets = data.draw(st.lists(st.sampled_from(gm.cells), unique=True, max_size=3))
+    for label, cells in (("goal", [gm.goal]), ("source", sorted(model.initial_cells))):
+        if cells and data.draw(st.booleans(), label=f"target on the {label}"):
+            cell = data.draw(st.sampled_from(cells))
+            targets = targets if cell in targets else targets + [cell]
     if targets and data.draw(st.booleans(), label="start on a target"):
         start = data.draw(st.sampled_from(targets))
     else:
@@ -168,8 +173,17 @@ def test_dp_equals_reference_dp(grid, horizon, data):
         kernel = random_tabular_kernel(np.random.default_rng(data.draw(st.integers(0, 2**32))), gm)
     query = PlanQuery(gridmap=gm, kernel=kernel, field=fld, start=start,
                       targets=tuple(targets), horizon=horizon)
-    res = dp_solve(query)
-    _, policy, success = oracles.reference_dp_solve(query)
+    nq = 1 << len(targets)
+    columns = data.draw(st.sampled_from([c for c in (1, 2, 4) if c < nq] + [nq]))
+    with pytest.MonkeyPatch.context() as mp:
+        if columns < nq:
+            mp.setattr(planner, "_DP_TILE_BYTES", gm.n_free * columns * 8)
+        assert planner._tile_columns(nq, gm.n_free) == columns
+        res = dp_solve(query)
+    policy, start_values = oracles.whole_layer_dp_solve(query)
+    assert np.array_equal(res.policy, policy)
+    assert np.array_equal(res.start_values, start_values)
+    values, policy, success = oracles.reference_dp_solve(query)
     assert res.success == success
     if oracles._flagged_stub(query):
         # the reference stubs the policy; the two differ only in states no
@@ -178,6 +192,7 @@ def test_dp_equals_reference_dp(grid, horizon, data):
         assert res.greedy_path() == replace(res, policy=policy).greedy_path()
     else:
         assert np.array_equal(res.policy, policy)
+        assert np.array_equal(res.start_values, values[0][:, gm.index(start)])
 
 
 def chunk_rng(ci):

@@ -26,13 +26,16 @@ Runs, in one process and with the program imported from this checkout's
   walk; these are the ones that walk trial by trial;
 - the README ``plan`` and ``simulate`` outputs, a joint-mode ``simulate``
   and a ``plan`` on every paper17x13.json target;
+- a ``plan`` on 10 targets, on a copy of paper17x13.json with five more
+  targets at free cells drawn by ``random.Random(0)``: its DP value layers
+  span several tiles, where every other ``plan`` here fits one;
 - a region-map SVG and a ``bounds`` output, which print the guarantee floors;
 - the ``prob``, ``flagged`` and ``marginals`` bytes of two fields built
   through the library: paper17x13.json's Monte-Carlo field (10,000 samples,
   seed 0) and small.json's exact field. These show any bit a field builder
   moves, even one that no report or image reads.
 
-It prints one ``<sha256>  <command>`` line per output, 50 in all. Run the
+It prints one ``<sha256>  <command>`` line per output, 51 in all. Run the
 same file in two checkouts and diff what they print. Outputs and caches go to a temporary
 directory that is removed at the end. The whole run takes under a minute.
 
@@ -51,6 +54,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -121,6 +125,9 @@ SLIPPERY_ROWS = [
     {"cell": [3, 2], "action": "EAST", "next": [[4, 2, 0.85], [3, 1, 0.05], [3, 3, 0.1]]},
     {"cell": [5, 2], "action": "EAST", "next": [[6, 2, 0.9], [5, 2, 0.1]]},
 ]
+# a plan over paper17x13.json's five targets and EXTRA_TARGETS more
+EXTRA_TARGETS = 5
+MORE_TARGETS_PLAN = ["--targets", "all", "--samples", "2000"]
 SLIPPERY_COMMANDS = [
     ["simulate", "--robot", "b", "--targets", "all", "--exact-field", "--trials", "5000"],
     ["allocate", "--exact-field", "--rollout-trials", "5000"],
@@ -160,6 +167,21 @@ def _slippery_scenario(work: Path) -> Path:
     data = json.loads(Path(SMALL).read_text())
     data["motion"] = {"kind": "tabular", "rows": SLIPPERY_ROWS}
     path = work / "small-slippery.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _more_targets_scenario(work: Path) -> Path:
+    """paper17x13.json with EXTRA_TARGETS more targets at seeded free cells
+    away from the robot starts, the goal, the targets and the fire."""
+    data = json.loads(Path(PAPER).read_text())
+    scenario = load_scenario(PAPER)
+    gm = scenario.gridmap
+    taken = ({*scenario.starts, gm.goal, *scenario.targets}
+             | set(scenario.hazard.initial_cells))
+    cells = random.Random(0).sample([c for c in gm.cells if c not in taken], EXTRA_TARGETS)
+    data["targets"] += [{"name": f"x{i + 1}", "cell": list(c)} for i, c in enumerate(cells)]
+    path = work / "paper17x13-more-targets.json"
     path.write_text(json.dumps(data))
     return path
 
@@ -236,6 +258,9 @@ def print_hashes() -> int:
                   flush=True)
         for argv in RENDER + OTHER:
             print(f"{hashlib.sha256(_run(argv, out)).hexdigest()}  {_shown(argv)}", flush=True)
+        plan = _run(["plan", str(_more_targets_scenario(work)), *MORE_TARGETS_PLAN], out)
+        print(f"{hashlib.sha256(plan).hexdigest()}  plan paper17x13.json with {EXTRA_TARGETS} "
+              f"seeded targets more {' '.join(MORE_TARGETS_PLAN)}", flush=True)
     for label, field in _fields():
         for name in ("prob", "flagged", "marginals"):
             digest = hashlib.sha256(getattr(field, name).tobytes()).hexdigest()
