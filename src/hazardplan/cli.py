@@ -468,6 +468,29 @@ def _refuse_dropped_flags(args) -> None:
             "--region maps the guarantees at brute force's optimum, and --method "
             "runs no brute; add brute to --method or drop --region"
         )
+    if args.command == "allocate" and args.region and args.ratios == "none":
+        raise ValidationError(
+            "--region maps the guarantees, and --ratios none computes none; "
+            "pick a --ratios source or drop --region"
+        )
+    if (args.command == "allocate" and args.rollout_trials > 0
+            and not {"forward", "reverse"} & set(_allocate_methods(args))):
+        raise ValidationError(
+            "--rollout-trials rolls out the forward and reverse allocations, and "
+            "--method runs neither; add one of them or drop --rollout-trials"
+        )
+    if (getattr(args, "f_star", None) is not None and not args.scenario
+            and (args.command == "bounds" or args.what == "region-map")):
+        scenario_flags = [flag for flag, given in (
+            ("--seed", args.seed is not None), ("--samples", args.samples is not None),
+            ("--exact-field", args.exact_field), ("--exact", getattr(args, "exact", False)),
+            ("--greedy", getattr(args, "greedy", False)), ("--field-cache", args.field_cache),
+        ) if given]
+        if scenario_flags:
+            raise ValidationError(
+                f"--f-star reads no scenario, so nothing uses "
+                f"{', '.join(scenario_flags)}; drop them"
+            )
     if args.command == "render" and args.method is not None and args.what != "paths":
         raise ValidationError(
             f"--method picks whose paths render --what paths draws, not {args.what}; "

@@ -42,12 +42,14 @@ block's (step, sample) pairs come from geometric gaps, and each such event
 gets a value uniform below that bound (_block_events states the rule). A
 step compares each of its events with 1 - lut[x, code] and updates the
 neighbour codes from its ignitions alone, so a step costs what its events
-and ignitions cost, not samples x cells. The step at which each (sample,
-cell) ignited gives every integer count of the field at the end, and
-blocks are summed in block order, so the field is the same bits for any
-thread count. A field of S samples is a prefix of a larger one only when S
-ends a block; its first k steps are the same bits for every longer horizon
-with the same block size. The same counts give the per-step marginals.
+and ignitions cost, not samples x cells. A block's walk (_sample_block)
+returns the step at which each (sample, cell) ignited; those steps give
+every integer count of the field (_chunk_counts), and blocks are summed in
+block order, so the field is the same bits for any thread count. Joint-mode
+rollouts read the same steps, from blocks on streams of their own, as
+their trials' hazard (planner.rollout). A field of S samples is a prefix of
+a larger one only when S ends a block; its first k steps are the same bits
+for every longer horizon with the same block size. The same counts give the per-step marginals.
 Either builder stores them in ContaminationField.marginals, which is the
 only source of contamination heat, and which a field cache saves along with
 the field.
@@ -584,25 +586,24 @@ def _block_events(rng: np.random.Generator, p: np.ndarray, m: int, horizon: int)
 def _sample_block(
     dyn: _SpreadDynamics,
     horizon: int,
-    seed: int,
-    block: int,
+    stream: np.random.SeedSequence,
     m: int,
-):
-    """Simulate the m trajectories of one block on the block's RNG stream,
-    PCG64(SeedSequence((seed, block))), and count them for the field.
+) -> np.ndarray:
+    """Simulate m trajectories of horizon steps on the RNG stream
+    PCG64(stream) and return the step at which each (sample, cell) ignited:
+    an (m, n_free + 1) array, -1 from the start and horizon for never, whose
+    last column stands for missing neighbours and never ignites.
 
     Cell x of a sample ignites at step k when it is clear and its draw at
     (k, x) falls below 1 - lut[x, code], code being x's neighbour code then.
     No code gives more than dyn.max_ignite[x], so only draws below that
     bound can ignite, and only those are drawn (_block_events), over the
     block's step-major positions step * m + sample. A step looks at its own
-    events and updates the codes from its ignitions alone. Each (sample,
-    cell) records the step it ignited at, and every count is read from
-    those steps at the end.
+    events and updates the codes from its ignitions alone.
     """
     n = dyn.gridmap.n_free
     width = n + 1  # per-sample stride: column n takes the bits of missing neighbours
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
+    rng = np.random.Generator(np.random.PCG64(stream))
     pos, cell, draws = _block_events(rng, dyn.max_ignite, m, horizon)
     step, sample = np.divmod(pos, m)
     # group the events by step; their order within a step does not matter
@@ -626,7 +627,7 @@ def _sample_block(
         if len(hit):
             fired[hit] = k
             np.bitwise_or.at(key, hit[:, np.newaxis] + spread[hit % width], bits)
-    return _chunk_counts(dyn, fired.reshape(m, width), horizon)
+    return fired.reshape(m, width)
 
 
 def _chunk_counts(dyn: _SpreadDynamics, fired: np.ndarray, horizon: int):
@@ -663,7 +664,8 @@ def _run_chunks(dyn, horizon, samples, seed, threads):
     n = dyn.gridmap.n_free
     size = _block_size(horizon, n)
     blocks = [(b, min(size, samples - b * size)) for b in range(-(-samples // size))]
-    worker = lambda r: _sample_block(dyn, horizon, seed, r[0], r[1])
+    worker = lambda r: _chunk_counts(
+        dyn, _sample_block(dyn, horizon, np.random.SeedSequence((seed, r[0])), r[1]), horizon)
     totals = (
         np.zeros((horizon, n), dtype=np.int64),
         np.zeros((horizon, n, N_ACTIONS), dtype=np.int64),

@@ -23,12 +23,14 @@ A target contaminated at step 0 needs no special case: entering it has
 probability 1 of contamination, so every mission that must visit it is worth
 exactly 0.
 
-rollout simulates a plan in chunks of trials. In model mode with
-deterministic motion no draw moves a trial, so every trial follows the plan's
-one walk with no hit (PlanResult._walk, the walk greedy_path lists) until it
-is hit: a chunk is then one row of uniforms per step of that walk against the
-step's contamination probability. Tabular motion and joint mode move the
-trials one by one.
+rollout simulates a plan in chunks of trials with one hit test per step: a
+uniform against the field's contamination probability of the move (model
+mode), or whether the cell entered has ignited in the trial's hazard
+trajectory, drawn by the field's own sampler (joint mode). With
+deterministic motion no draw moves a trial, so every trial follows the
+plan's one walk with no hit (PlanResult._walk, the walk greedy_path lists)
+until it is hit, and a chunk is one hit test of all its trials per step of
+that walk. Tabular motion moves the trials one by one.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import CapExceededError, NumericViolationError, ValidationError
 from .grid import Cell, GridMap, MotionKernel, MoveAction, N_ACTIONS
-from .hazard import ContaminationField, HazardModel, _dynamics
+from .hazard import ContaminationField, HazardModel, _block_size, _dynamics, _sample_block
 
 VALUE_TOL = 1e-9
 MAX_TARGETS = 20
@@ -56,17 +58,22 @@ DP_TABLE_CAP = 2 << 30
 # core's L2 cache. 256 KiB gives c = 128 on the 199 free cells of paper17x13;
 # 512 KiB measured the same.
 _DP_TILE_BYTES = 256 << 10
-# Bytes per (mask, cell) of what dp_solve holds besides the policy and the
-# tile buffers: two float64 value layers, the target remap's offsets and the
-# per-query kernel arrays. Traced peaks on paper17x13 at 8-13 targets, less
+# Bytes per (mask, cell) of what dp_solve holds besides the policy, the
+# tile buffers and the kernel arrays: two float64 value layers and the
+# target remap's offsets. Traced peaks on paper17x13 at 8-13 targets, less
 # the policy and the tile buffers below, were 14.2-16.7 with deterministic
-# and 16.9-20.5 with tabular motion. Below 8 targets a fixed ~0.2 MB of
-# per-query arrays weighs more per (mask, cell), in solves of at most 3 MiB.
+# and 16.9-20.5 with tabular motion.
 _DP_LAYER_BYTES = 22
 # Bytes per (cell, visited set) of one tile's working buffers: an action's
 # value and, when an action has several kernel terms, one term's product,
 # plus a bool and an int8 buffer.
 _DP_TILE_BUFFER_BYTES = 18
+# Bytes per (kernel term, cell) of the arrays a dp_solve holds whatever its
+# targets: the terms' weights, support and destinations, and a step's
+# survival rows with their temporaries. A kernel has at most
+# N_ACTIONS * N_ACTIONS terms; traced on paper17x13 with all 25 and no
+# target, these came to about 43 bytes. They weigh most below 8 targets.
+_DP_TERM_BYTES = 48
 
 
 @dataclass(frozen=True)
@@ -223,10 +230,12 @@ def _remap_offsets(tb: np.ndarray, nq: int, c: int) -> Tuple[np.ndarray, np.ndar
 
 def dp_table_bytes(n_targets: int, n_free: int, horizon: int) -> int:
     """Estimated peak bytes of a dp_solve: the int8 policy and the two value
-    layers, plus the working buffers of one tile."""
+    layers, plus the working buffers of one tile and the kernel arrays of
+    the most terms a kernel can have."""
     nq = 1 << n_targets
     return (nq * n_free * (horizon + _DP_LAYER_BYTES)
-            + _tile_columns(nq, n_free) * n_free * _DP_TILE_BUFFER_BYTES)
+            + _tile_columns(nq, n_free) * n_free * _DP_TILE_BUFFER_BYTES
+            + N_ACTIONS * N_ACTIONS * n_free * _DP_TERM_BYTES)
 
 
 def require_dp_table_fits(n_targets: int, n_free: int, horizon: int) -> None:
@@ -496,28 +505,50 @@ def rollout(
 
     Without a hazard model ("model" mode) each step draws contamination
     independently from the field (the process the DP optimizes, so the mean
-    equals the DP value). With one ("joint" mode) each trial samples a full
-    hazard trajectory and checks occupancy against it. Chunk sizes are fixed
-    so results never depend on threading or platform parallelism. Each chunk
-    draws from its own stream, keyed by (seed, chunk index).
+    equals the DP value). With one ("joint" mode) each trial follows a full
+    hazard trajectory from the field's own sampler (_joint_trajectories) and
+    checks occupancy against it. Chunk sizes are fixed so results never
+    depend on threading or platform parallelism. Each chunk draws its motion
+    and its model-mode hazard from its own stream, keyed by (seed, chunk
+    index).
 
-    A model-mode chunk with deterministic motion prices the plan's one walk;
-    tabular motion and joint mode walk the trials one by one. Both count
-    what the trial-by-trial walk counts on the same stream (_rollout_chunk).
+    With deterministic motion a chunk prices the plan's one walk in either
+    mode; tabular motion walks the trials one by one. Both count what the
+    trial-by-trial walk counts on the same draws (_rollout_chunk).
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    query = result.query
+    dyn = None if model is None else _dynamics(query.gridmap, model)
     successes = 0
     for ci, lo in enumerate(range(0, trials, _ROLLOUT_CHUNK)):
         m = min(_ROLLOUT_CHUNK, trials - lo)
+        fired = None if dyn is None else _joint_trajectories(dyn, query.horizon, seed, ci, m)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, ci))))
-        successes += _rollout_chunk(result, model, rng, m)
+        successes += _rollout_chunk(result, fired, rng, m)
     lo95, hi95 = wilson_interval(successes, trials)
     return RolloutResult(
         mode="model" if model is None else "joint", trials=trials,
         successes=successes, rate=successes / trials,
         ci_low=lo95, ci_high=hi95, planned=result.success,
     )
+
+
+def _joint_trajectories(dyn, horizon: int, seed: int, ci: int, m: int) -> np.ndarray:
+    """The hazard trajectories of joint chunk ci's m trials, as the field's
+    sampler records them (hazard._sample_block): the step at which each
+    (trial, cell) ignited. They are drawn in blocks of _block_size samples,
+    so the working set stays a block's, and block b reads the stream
+    SeedSequence((seed, ci), spawn_key=(b,)): the spawn key is a coordinate
+    that neither the chunk's motion stream (seed, ci) nor a field block's
+    (seed, b) has."""
+    size = _block_size(horizon, dyn.gridmap.n_free)
+    # int32 holds every step, in half the bytes of the sampler's int64
+    fired = np.empty((m, dyn.gridmap.n_free + 1), dtype=np.int32)
+    for b, lo in enumerate(range(0, m, size)):
+        stream = np.random.SeedSequence((seed, ci), spawn_key=(b,))
+        fired[lo:lo + size] = _sample_block(dyn, horizon, stream, min(size, m - lo))
+    return fired
 
 
 def _slot_tables(kernel: MotionKernel):
@@ -546,26 +577,27 @@ def _motion_slots(tables, rng, x, act, m, live=slice(None)):
 
 
 def _rollout_chunk(
-    result: PlanResult, model: Optional[HazardModel], rng: np.random.Generator, m: int
+    result: PlanResult, fired: Optional[np.ndarray], rng: np.random.Generator, m: int
 ) -> int:
     """Successes of m trials of the policy. Each step draws the motion, then
-    the hazard: with no model, one uniform per trial against the field's
-    contamination probability of the realized move; with a model, one spread
-    step of each trial's own contamination, checked at the destination.
-    Every step draws for all m trials, so the stream never depends on which
+    tests the hazard at the realized move: with no trajectories (model mode),
+    one uniform per trial against the field's contamination probability of
+    the move; with ``fired`` (joint mode), trial s is hit on arriving at
+    step k on a cell that ignited at a step <= k of its trajectory. Every
+    draw is made for all m trials, so the stream never depends on which
     trials are left.
 
-    With no model and deterministic motion, no draw moves a trial, so every
-    trial follows the plan's walk with no hit, one (cell, action) per step,
-    until it is hit. If that walk does not complete the mission within the
-    horizon, no trial succeeds. Otherwise step k draws its m uniforms, as
-    the trial-by-trial walk does, and a trial succeeds when none of its
-    draws up to the completing step falls below that step's contamination
-    probability. The trial-by-trial walk stops drawing once no trial is
-    left, and the draws it skips are never read, so the counts are equal.
+    With deterministic motion no draw moves a trial, so every trial follows
+    the plan's walk with no hit, one (cell, action) per step, until it is
+    hit. If that walk does not complete the mission within the horizon, no
+    trial succeeds. Otherwise each step of the walk runs the hit test for
+    all m trials, as the trial-by-trial walk does, and a trial succeeds when
+    no step up to the completing one hits it. The trial-by-trial walk stops
+    drawing once no trial is left, and the draws it skips are never read, so
+    the counts are equal.
 
     Otherwise only the trials still walking are moved: a trial leaves the
-    arrays the step it is contaminated or completes the mission."""
+    arrays the step it is hit or completes the mission."""
     query = result.query
     gm = query.gridmap
     fld = query.field
@@ -574,27 +606,26 @@ def _rollout_chunk(
     full = query.full_mask
     start = gm.index(query.start)
     goal = gm.goal_index
-    if model is None:
-        contam = None
+    if fired is None:
         dead_at_start = fld.flagged[0, start]
+        # u < p, not u >= p: a NaN probability hits no trial
+        hit = lambda k, x, slot, dest, live: rng.random(m)[live] < fld.prob[k, x, slot]
     else:
-        dyn = _dynamics(gm, model)
-        contam = np.broadcast_to(dyn.initial, (m, gm.n_free)).copy()
-        dead_at_start = dyn.initial[start]
+        # every trajectory starts from the model's initial cells
+        dead_at_start = fired[0, start] < 0
+        hit = lambda k, x, slot, dest, live: fired[live, dest] <= k
     if dead_at_start:
         return 0
     if result.start_q == full and start == goal:
         return m
     tables = _slot_tables(query.kernel)
-    if contam is None and tables is None:
+    if tables is None:
         steps, complete = result._walk()
         if not complete:
             return 0
         alive = np.ones(m, dtype=bool)
-        u = np.empty(m)
         for k, (x, slot) in enumerate(steps):
-            # u < p, not u >= p: a NaN probability hits no trial
-            alive &= ~(rng.random(out=u) < fld.prob[k, x, slot])
+            alive &= ~hit(k, x, slot, nbr[x, slot], slice(None))
         return int(np.count_nonzero(alive))
     live = np.arange(m)  # trial ids still walking
     x = np.full(m, start, dtype=np.int64)
@@ -604,20 +635,13 @@ def _rollout_chunk(
         act = result.policy[k, q, x]
         slot = _motion_slots(tables, rng, x, act, m, live)
         dest = nbr[x, slot]
-        if contam is None:
-            hit = rng.random(m)[live] < fld.prob[k, x, slot]
-        else:
-            pc = 1.0 - dyn.stay_clear(contam)
-            contam |= ~contam & (rng.random((m, gm.n_free))[live] < pc)
-            hit = contam[np.arange(live.size), dest]
+        struck = hit(k, x, slot, dest, live)
         x = dest
         q = q | tb[x]
         done = (q == full) & (x == goal)
-        successes += int(np.count_nonzero(done & ~hit))
-        walking = ~(hit | done)
+        successes += int(np.count_nonzero(done & ~struck))
+        walking = ~(struck | done)
         live, x, q = live[walking], x[walking], q[walking]
-        if contam is not None:
-            contam = contam[walking]
         if not live.size:
             break
     return successes

@@ -338,18 +338,19 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
     regime the theorems are stated in.
     """
     report: Dict = {"scenario": _scenario_block(scenario), "version": VERSION}
-    # thread count is deliberately not echoed: reports must be byte-identical
-    # across --threads values, so nothing thread-dependent may enter them
-    report["determinism"] = {
-        "seed": options.seed,
-        "samples": options.samples,
-        "field_kind": options.field_kind,
-    }
 
     # the baselines solve each robot's full target set: refuse it before the field
     require_dp_table_fits(scenario.n_tasks, scenario.gridmap.n_free, scenario.horizon)
     t0 = time.perf_counter()
     contamination = build_field(scenario, options)
+    # thread count is deliberately not echoed: reports must be byte-identical
+    # across --threads values, so nothing thread-dependent may enter them.
+    # samples are the field's own: an exact field draws none.
+    report["determinism"] = {
+        "seed": options.seed,
+        "samples": contamination.samples,
+        "field_kind": options.field_kind,
+    }
     report["field"] = {
         "kind": contamination.kind,
         "samples": contamination.samples,

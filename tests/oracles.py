@@ -994,7 +994,10 @@ def _exact_ratios_feasible(values: np.ndarray, n: int, n_robots: int):
 # stores all horizon + 1 layers and loops over masks in Python, a DP that
 # sweeps whole (n, 2^t) layers, and one chunk function per rollout mode. The
 # package must agree with them bit for bit: the same success, start values
-# and policy, and the same successes per chunk.
+# and policy, and the same successes per chunk. The one exception is the
+# joint chunk, which spread every trial's fire with its own dense uniforms:
+# joint rollouts now read the field sampler's trajectories, so it is a
+# distribution reference, and replay_joint_chunk is the bitwise one.
 
 
 def reference_dp_solve(query):
@@ -1167,7 +1170,53 @@ def reference_rollout_model_chunk(result, rng: np.random.Generator, m: int) -> i
     return int(success.sum())
 
 
+def replay_joint_chunk(result, fired: np.ndarray, rng: np.random.Generator, m: int) -> int:
+    """Successes of a joint chunk replayed one trial at a time: trial s
+    walks against row s of the ignition steps ``fired`` and is hit on
+    arriving at step k on a cell that ignited at a step <= k. Under tabular
+    motion step k draws m uniforms, one per trial whether or not it still
+    walks, and trial s lands on the first slot whose running mass exceeds
+    its draw, else on the row's last slot with mass."""
+    query = result.query
+    gm, tb, full = _mission_inputs(query)
+    probs = query.kernel.slot_probs
+    start = gm.index(query.start)
+    goal = gm.goal_index
+    slippery = query.kernel.kind != "deterministic"
+    draws = rng.random((query.horizon, m)) if slippery else None
+    successes = 0
+    for s in range(m):
+        if fired[s, start] < 0:
+            continue
+        x, q = start, tb[start]
+        if q == full and x == goal:
+            successes += 1
+            continue
+        for k in range(query.horizon):
+            u = int(result.policy[k, q, x])
+            slot = u
+            if slippery:
+                mass = [j for j in range(N_ACTIONS) if probs[x, u, j] > 0]
+                slot, acc = mass[-1], 0.0
+                for j in range(N_ACTIONS):
+                    acc += probs[x, u, j]
+                    if draws[k, s] < acc:
+                        slot = j
+                        break
+            x = int(gm.neighbor_slots[x, slot])
+            if fired[s, x] <= k:
+                break
+            q |= tb[x]
+            if q == full and x == goal:
+                successes += 1
+                break
+    return successes
+
+
 def reference_rollout_joint_chunk(result, model, rng: np.random.Generator, m: int) -> int:
+    """A joint chunk that spreads each trial's fire with a dense (m, n_free)
+    block of uniforms per step: the same process as the package's joint
+    chunk on other draws, so a distribution reference."""
     query = result.query
     gm = query.gridmap
     dyn = _dynamics(gm, model)

@@ -488,6 +488,17 @@ FIELD_COMMANDS = {
 }
 
 
+# (flag, its arguments) of the scenario flags that --f-star leaves unread; the
+# refusal test gives every command --field-cache, so that one needs no more
+F_STAR_FLAGS = [("--seed", ["--seed", "3"]), ("--samples", ["--samples", "100"]),
+                ("--exact-field", ["--exact-field"]), ("--field-cache", [])]
+F_STAR_COMMANDS = {
+    "bounds": (["bounds", "--alpha", "0.3", "--gamma", "0.8"],
+               F_STAR_FLAGS + [("--exact", ["--exact"]), ("--greedy", ["--greedy"])]),
+    "region-map": (["render", "--what", "region-map"], F_STAR_FLAGS),
+}
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["allocate", SMALL, "--exact-field", "--region", "1001"], 3,
      "error: region resolution 1001 > cap 1000"),
@@ -529,13 +540,23 @@ FIELD_COMMANDS = {
      "error: --method picks whose paths render --what paths draws, not heatmap"),
     (["render", SMALL, "--exact-field", "--what", "region-map", "--method", "brute"], 2,
      "error: --method picks whose paths render --what paths draws, not region-map"),
+    (["allocate", SMALL, "--exact-field", "--region", "10", "--ratios", "none"], 2,
+     "error: --region maps the guarantees, and --ratios none computes none"),
+    (["allocate", SMALL, "--exact-field", "--rollout-trials", "10", "--method", "brute"], 2,
+     "error: --rollout-trials rolls out the forward and reverse allocations, and --method"),
+    *[([*command, "--f-star", "0.2", *rest], 2,
+       f"error: --f-star reads no scenario, so nothing uses {flag}")
+      for command, flags in F_STAR_COMMANDS.values() for flag, rest in flags],
 ], ids=["allocate-region-over-cap", "allocate-region-1", "bounds-region-over-cap",
         "plan-robot", "plan-targets", "simulate-robot", "region-map-pgm", "paths-pgm",
         "heatmap-pgm-stdout", "bounds-scenario-and-numbers", "bounds-scenario-and-gamma",
         "region-map-scenario-and-f-star", "heatmap-f-star", "paths-f-star",
         *[f"{label}-exact-field-and-samples" for label in FIELD_COMMANDS],
         "rollout-mode-without-trials", "rollout-mode-with-zero-trials",
-        "region-without-brute", "heatmap-method", "region-map-method"])
+        "region-without-brute", "heatmap-method", "region-map-method",
+        "region-without-ratios", "rollouts-without-greedy",
+        *[f"{label}-f-star-and{flag}" for label, (_, flags) in F_STAR_COMMANDS.items()
+          for flag, _ in flags]])
 def test_refusals_the_arguments_decide_build_no_field(tmp_path, monkeypatch, capsys,
                                                       argv, code, message):
     calls = count_field_passes(monkeypatch)

@@ -10,6 +10,7 @@ from hazardplan.errors import CapExceededError, NumericViolationError, Validatio
 from hazardplan.grid import Cell, GridMap, MotionKernel, MoveAction
 from hazardplan.hazard import (
     HazardModel,
+    _dynamics,
     estimate_contamination_field,
     exact_contamination_field,
 )
@@ -185,6 +186,27 @@ def test_corridor_actions_with_no_move_anywhere(width, height, slip):
     assert np.array_equal(res.start_values, values[0][:, gm.index(along[2])])
 
 
+@pytest.mark.parametrize("slip", [False, True], ids=["deterministic", "slip"])
+def test_dp_table_bytes_bounds_the_traced_peak_at_few_targets(slip):
+    """Below 8 targets the kernel arrays, fixed per query, weigh most; the
+    estimate still bounds what a solve traces, with a tabular kernel of all
+    25 terms as with the scenario's deterministic one."""
+    query = paper_sweep_query(8)
+    if slip:
+        query = replace(query, kernel=random_tabular_kernel(np.random.default_rng(7),
+                                                            query.gridmap))
+        assert sum(len(list(query.kernel.action_terms(u))) for u in range(5)) == 25
+    for t in range(1, 9):
+        sub = replace(query, targets=query.targets[:t])
+        tracemalloc.start()
+        try:
+            dp_solve(sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dp_table_bytes(t, query.gridmap.n_free, query.horizon), t
+
+
 def test_dp_over_the_table_cap_raises_before_allocating():
     query = paper_sweep_query(20)
     assert dp_table_bytes(20, query.gridmap.n_free, query.horizon) > DP_TABLE_CAP
@@ -232,13 +254,72 @@ def chunk_rng(ci):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, ci))))
 
 
+def chunk_fired(result, model, ci, m, seed=5):
+    """The ignition steps that joint chunk ci of m trials reads."""
+    dyn = _dynamics(result.query.gridmap, model)
+    return planner._joint_trajectories(dyn, result.query.horizon, seed, ci, m)
+
+
 def test_rollout_chunks_equal_reference_in_both_modes():
+    """Model chunks equal the per-mode reference walk, and joint chunks the
+    trial-by-trial replay against the same ignition steps, on the same
+    motion stream."""
     for result, reference, model, m in rollout_cases():
         for ci in range(2):
             assert (_rollout_chunk(result, None, chunk_rng(ci), m)
                     == oracles.reference_rollout_model_chunk(reference, chunk_rng(ci), m))
-            assert (_rollout_chunk(result, model, chunk_rng(ci), m)
-                    == oracles.reference_rollout_joint_chunk(reference, model, chunk_rng(ci), m))
+            fired = chunk_fired(result, model, ci, m)
+            assert (_rollout_chunk(result, fired, chunk_rng(ci), m)
+                    == oracles.replay_joint_chunk(reference, fired, chunk_rng(ci), m))
+
+
+def test_joint_chunks_match_the_dense_spread_in_distribution():
+    """The joint chunk reads the field sampler's trajectories; the dense
+    per-trial spread it replaced draws other uniforms for the same process.
+    On small.json with slippery motion their rates agree within 4 standard
+    errors of the difference."""
+    sc = load_scenario(SCENARIOS / "small.json")
+    fld = exact_contamination_field(sc.gridmap, sc.hazard, sc.horizon)
+    slip = random_tabular_kernel(np.random.default_rng(3), sc.gridmap)
+    cache = ObjectiveCache(sc.gridmap, slip, fld, sc.starts, sc.targets, sc.horizon)
+    m = 20_000
+    for r in range(sc.n_robots):
+        result = cache.solve(r, (1 << sc.n_tasks) - 1)
+        got = _rollout_chunk(result, chunk_fired(result, sc.hazard, 0, m), chunk_rng(0), m) / m
+        want = oracles.reference_rollout_joint_chunk(result, sc.hazard, chunk_rng(1), m) / m
+        pooled = (got + want) / 2
+        assert abs(got - want) <= 4 * np.sqrt(pooled * (1 - pooled) * 2 / m) + 1e-12
+
+
+def test_joint_trajectories_come_in_sampler_blocks(monkeypatch):
+    """Each joint chunk draws its trajectories in blocks of at most
+    _block_size samples, block b of chunk ci on the stream (seed, ci) with
+    spawn key (b,), and rollout sums the replayed chunks."""
+    gm = GridMap(3, 2, [], Cell(2, 1))
+    model = HazardModel.uniform([Cell(0, 1)], 0.3)
+    fld = exact_contamination_field(gm, model, 5)
+    res = dp_solve(make_query(gm, fld, Cell(0, 0), [Cell(2, 0)], 5, random_tabular_kernel(
+        np.random.default_rng(4), gm)))
+    monkeypatch.setattr(planner, "_ROLLOUT_CHUNK", 1000)
+    monkeypatch.setattr(planner, "_block_size", lambda horizon, n_free: 300)
+    calls = []
+    real = planner._sample_block
+
+    def recording(dyn, horizon, stream, m):
+        calls.append((stream.entropy, stream.spawn_key, m))
+        return real(dyn, horizon, stream, m)
+
+    monkeypatch.setattr(planner, "_sample_block", recording)
+    seed, trials = 9, 2500
+    rr = rollout(res, trials=trials, seed=seed, model=model)
+    assert calls == [((seed, ci), (b,), m)
+                     for ci, chunk in enumerate((1000, 1000, 500))
+                     for b, m in enumerate([300] * (chunk // 300) + [chunk % 300])]
+    want = sum(oracles.replay_joint_chunk(
+        res, chunk_fired(res, model, ci, m, seed),
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, ci)))), m)
+        for ci, m in enumerate((1000, 1000, 500)))
+    assert rr.successes == want and 0 < want < trials
 
 
 def waiting_plan():
@@ -439,6 +520,22 @@ def test_rollout_joint_mode_matches_exact_joint_chain():
     res = dp_solve(make_query(gm, fld, Cell(0, 0), [Cell(2, 0)], 5))
     exact = oracles.exact_joint_policy_success(res, model.sources)
     rr = rollout(res, trials=20_000, seed=18, model=model)
+    assert rr.ci_low <= exact <= rr.ci_high
+
+
+def test_rollout_joint_mode_under_slippery_motion_matches_exact_joint_chain():
+    """Tabular motion walks the trials one by one against their sampled
+    trajectories; the exact chain over (visited set, cell, contamination)
+    lies in the rate's 95% interval."""
+    gm = GridMap(3, 2, [], Cell(2, 1))
+    model = HazardModel.uniform([Cell(0, 1)], 0.3)
+    fld = exact_contamination_field(gm, model, 5)
+    slip = random_tabular_kernel(np.random.default_rng(5), gm)
+    assert slip.kind == "tabular"
+    res = dp_solve(make_query(gm, fld, Cell(0, 0), [Cell(2, 0)], 5, slip))
+    exact = oracles.exact_joint_policy_success(res, model.sources)
+    assert 0.0 < exact < 1.0
+    rr = rollout(res, trials=20_000, seed=19, model=model)
     assert rr.ci_low <= exact <= rr.ci_high
 
 

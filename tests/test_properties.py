@@ -3,8 +3,9 @@ package DP and the exact field against the scalar oracles, the exact step's
 outcome builder against the cell-by-cell reference and its grouping against
 np.unique, the DP, in tiles of 1, 2 or 4 visited sets too, against its
 full-table reference and the sweep over whole layers, the objective cache's
-one plan per robot against per-subset solves, model-mode rollouts of
-deterministic motion against the trial-by-trial oracle, the ground values
+one plan per robot against per-subset solves and its joint rollout chunks
+against the trial-by-trial replay, model-mode rollouts of deterministic
+motion against the trial-by-trial oracle, the ground values
 of exact ratios against the set-by-set product, the allocators' partitions,
 and both greedy guarantees under exact ratios."""
 
@@ -201,9 +202,13 @@ def chunk_rng(ci):
 
 def assert_lattice_matches_subset_solves(cache, model, trials):
     """Every robot's every subset: value and the cache's plan are == the
-    subset's own dp_solve in success, greedy path and rollout successes in
-    both modes on the same streams, and the plan's rows for the subset's
-    visited sets hold the subset's start values and policy."""
+    subset's own dp_solve in success, greedy path and rollout successes on
+    the same streams: a model chunk equals the subset's own, and a joint
+    chunk the trial-by-trial replay of the subset's plan against the same
+    ignition steps. The plan's rows for the subset's visited sets hold the
+    subset's start values and policy."""
+    fired = planner._joint_trajectories(hazard._dynamics(cache.gridmap, model),
+                                        cache.horizon, 11, 1, trials)
     for r in range(cache.n_robots):
         for mask in range(1 << cache.n_tasks):
             want = dp_solve(cache.query(r, mask))
@@ -211,9 +216,10 @@ def assert_lattice_matches_subset_solves(cache, model, trials):
             assert cache.value(r, mask) == want.success
             assert got.success == want.success
             assert got.greedy_path() == want.greedy_path()
-            for ci, hazard in enumerate((None, model)):
-                assert (_rollout_chunk(got, hazard, chunk_rng(ci), trials)
-                        == _rollout_chunk(want, hazard, chunk_rng(ci), trials))
+            assert (_rollout_chunk(got, None, chunk_rng(0), trials)
+                    == _rollout_chunk(want, None, chunk_rng(0), trials))
+            assert (_rollout_chunk(got, fired, chunk_rng(1), trials)
+                    == oracles.replay_joint_chunk(want, fired, chunk_rng(1), trials))
             rows = oracles.lattice_rows(cache.n_tasks, mask)
             assert np.array_equal(got.start_values[rows], want.start_values)
             assert np.array_equal(got.policy[:, rows], want.policy)

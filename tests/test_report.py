@@ -90,6 +90,8 @@ def test_full_report_structure():
     assert rep["scenario"]["hash"] == scenario_hash(sc)
     assert rep["scenario"]["grid"]["free_cells"] == sc.gridmap.n_free
     assert rep["field"]["kind"] == "exact"
+    # the exact field drew no samples, whatever the options' sample count
+    assert rep["determinism"]["samples"] == rep["field"]["samples"] == 0
     assert rep["baselines"]["f_empty"] >= rep["baselines"]["f_full"]
     for name in METHOD_ORDER:
         block = rep["methods"][name]
@@ -166,7 +168,7 @@ def test_cached_field_reused_and_validated():
     res = run_pipeline(sc, PipelineOptions(field=fld, methods=("forward",),
                                            ratio_source="none", **sampling))
     assert res.contamination is fld
-    assert res.report["field"]["samples"] == 200
+    assert res.report["field"]["samples"] == res.report["determinism"]["samples"] == 200
 
     short = stamped(estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon - 1,
                                                  **sampling), sc)

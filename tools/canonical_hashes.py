@@ -20,10 +20,10 @@ Runs, in one process and with the program imported from this checkout's
   ``--targets all`` and ``none`` on both field kinds, its ``simulate`` in
   model and joint mode and an ``allocate`` report with rollouts;
 - on a copy of small.json with four slippery (tabular) motion rows along
-  its corridor: robot ``b``'s model-mode ``simulate`` and an ``allocate``
-  report with 5,000 rollout trials. Every other rollout here has
-  deterministic motion, where a model-mode chunk prices the plan's one
-  walk; these are the ones that walk trial by trial;
+  its corridor: robot ``b``'s ``simulate`` in model and joint mode and an
+  ``allocate`` report with 5,000 rollout trials. Every other rollout here
+  has deterministic motion, where a chunk of either mode prices the plan's
+  one walk; these are the ones that walk trial by trial;
 - the README ``plan`` and ``simulate`` outputs, a joint-mode ``simulate``
   and a ``plan`` on every paper17x13.json target;
 - a ``plan`` on 10 targets, on a copy of paper17x13.json with five more
@@ -35,7 +35,7 @@ Runs, in one process and with the program imported from this checkout's
   seed 0) and small.json's exact field. These show any bit a field builder
   moves, even one that no report or image reads.
 
-It prints one ``<sha256>  <command>`` line per output, 51 in all. Run the
+It prints one ``<sha256>  <command>`` line per output, 52 in all. Run the
 same file in two checkouts and diff what they print. Outputs and caches go to a temporary
 directory that is removed at the end. The whole run takes under a minute.
 
@@ -130,6 +130,8 @@ EXTRA_TARGETS = 5
 MORE_TARGETS_PLAN = ["--targets", "all", "--samples", "2000"]
 SLIPPERY_COMMANDS = [
     ["simulate", "--robot", "b", "--targets", "all", "--exact-field", "--trials", "5000"],
+    ["simulate", "--robot", "b", "--targets", "all", "--exact-field", "--trials", "5000",
+     "--mode", "joint"],
     ["allocate", "--exact-field", "--rollout-trials", "5000"],
 ]
 
