@@ -9,10 +9,22 @@ reaching the exit with all targets visited within the horizon. Its value
 layers are blocked into tiles of c visited sets, (tiles, n, c), with c the
 largest power of two whose (n, c) tile fits _DP_TILE_BYTES, so that a tile
 and its working buffers stay in cache. Each step first remaps the rows of the
-target cells on the whole layer, since arriving on one sets its bit; then
-each tile is swept on its own: every kernel term is a copy of whole tile
-rows, scaled per cell (a term that stays put only scales the tile), and the
-actions are compared, bounded and written to the policy tile by tile.
+target cells, since arriving on one sets its bit; then each tile is swept on
+its own: every kernel term is a copy of whole tile rows, scaled per cell (a
+term that stays put only scales the tile), and the actions are compared,
+bounded and written to the policy tile by tile.
+
+Most of a many-target layer is exactly 0: the targets a visited set still
+lacks cannot all be visited, with the exit reached, in the steps left.
+_finish_moves bounds the moves any walk from a visited set needs, whatever
+its cell (Held-Karp over breadth-first grid distances), and the columns of
+a layer are ordered by that bound, so such sets gather into whole tiles at
+its end. At step k a tile whose every set needs more than horizon - k
+moves is not swept: it holds +0.0 with policy STAY, which is what the
+sweep would write, as long as every step from the horizon down to k has
+all its contamination probabilities in [0, 1]. From a step with any other
+value down, every tile is swept. The policy keeps its [step, visited set,
+cell] layout, so the skip changes no value or policy bit.
 
 Since a visited target no longer matters, the mission "visit S" from (q, x)
 is the mission "visit T" from (q | (T ^ S), x) for any T containing S. So
@@ -59,14 +71,14 @@ DP_TABLE_CAP = 2 << 30
 # 512 KiB measured the same.
 _DP_TILE_BYTES = 256 << 10
 # Bytes per (mask, cell) of what dp_solve holds besides the policy, the
-# tile buffers and the kernel arrays: two float64 value layers and the
-# target remap's offsets. Traced peaks on paper17x13 at 8-13 targets, less
-# the policy and the tile buffers below, were 14.2-16.7 with deterministic
-# and 16.9-20.5 with tabular motion.
+# tile buffers and the kernel arrays: two float64 value layers, the target
+# remap's offsets and the column order. Traced peaks on paper17x13 at 8-13
+# targets, less the policy and the tile buffers below, were 14.2-16.7 with
+# deterministic and 16.9-20.5 with tabular motion.
 _DP_LAYER_BYTES = 22
 # Bytes per (cell, visited set) of one tile's working buffers: an action's
 # value and, when an action has several kernel terms, one term's product,
-# plus a bool and an int8 buffer.
+# plus two int8 buffers.
 _DP_TILE_BUFFER_BYTES = 18
 # Bytes per (kernel term, cell) of the arrays a dp_solve holds whatever its
 # targets: the terms' weights, support and destinations, and a step's
@@ -129,6 +141,7 @@ class PlanResult:
     start_values: np.ndarray  # (2^t,) V^0(q, start) for every visited-set q
     start_q: int  # the visited set the walk starts in
     diagnostics: Tuple[str, ...] = ()
+    tiles_swept: int = 0  # (step, value tile) pairs the DP swept, not skipped
 
     @property
     def success(self) -> float:
@@ -163,26 +176,75 @@ class PlanResult:
         ]
 
 
-def _reachability_diagnostics(query: PlanQuery) -> List[str]:
-    gm = query.gridmap
-    seen = np.zeros(gm.n_free, dtype=bool)
-    start = gm.index(query.start)
-    seen[start] = True
-    queue = deque([start])
+def _grid_distances(gm: GridMap, source: int) -> np.ndarray:
+    """Fewest orthogonal moves from cell index ``source`` to every free
+    cell, breadth first along neighbor_slots; inf where none leads."""
+    nbr = gm.neighbor_slots[:, 1:N_ACTIONS].tolist()
+    dist = [np.inf] * gm.n_free
+    dist[source] = 0.0
+    queue = deque([source])
     while queue:
         i = queue.popleft()
-        for j in range(1, N_ACTIONS):
-            k = gm.neighbor_slots[i, j]
-            if k >= 0 and not seen[k]:
-                seen[k] = True
-                queue.append(int(k))
+        for j in nbr[i]:
+            if j >= 0 and dist[j] == np.inf:
+                dist[j] = dist[i] + 1.0
+                queue.append(j)
+    return np.array(dist)
+
+
+def _reachability_diagnostics(query: PlanQuery) -> List[str]:
+    gm = query.gridmap
+    unreachable = np.isinf(_grid_distances(gm, gm.index(query.start)))
     diags = []
     for cell in query.targets:
-        if not seen[gm.index(cell)]:
+        if unreachable[gm.index(cell)]:
             diags.append(f"target {tuple(cell)} unreachable from start {tuple(query.start)}")
-    if not seen[gm.goal_index]:
+    if unreachable[gm.goal_index]:
         diags.append(f"exit {tuple(gm.goal)} unreachable from start {tuple(query.start)}")
     return diags
+
+
+def _finish_moves(query: PlanQuery) -> np.ndarray:
+    """need[q] for every visited set q: a lower bound on the moves that any
+    walk from (q, x), whatever the cell x, takes to visit every target
+    outside q and then stand on the exit. need[full] is 0. Otherwise it is
+    1 plus the shortest grid path that starts on one of the targets left,
+    visits the rest and ends on the exit: Held-Karp over the targets, on
+    _grid_distances. A move lands on a neighbour or stays put, and the
+    first target left is entered by a move, a STAY onto it included, so no
+    walk is shorter. inf ("never") where a target left cannot reach the
+    exit."""
+    gm = query.gridmap
+    t = len(query.targets)
+    nq = 1 << t
+    cells = [gm.index(c) for c in query.targets]
+    # steps[i, j]: moves from target i to target j, and row t: the one move
+    # that enters any target from the cell next to it, or from itself
+    steps = np.ones((t + 1, t))
+    from_targets = np.array([_grid_distances(gm, x) for x in cells]).reshape(t, gm.n_free)
+    steps[:t] = from_targets[:, cells]
+    masks = np.arange(nq)
+    bits = 1 << np.arange(t)
+    sizes = (masks[:, np.newaxis] & bits != 0).sum(axis=1)
+    # path[r, i]: fewest moves from target i through every target of r to
+    # the exit, for i outside r. left[r]: the fewest from the best cell with
+    # the targets r left, one move onto the first of them and its path; row
+    # t of steps makes it.
+    path = np.full((nq, t), np.inf)
+    path[0] = from_targets[:, gm.goal_index]
+    left = np.zeros(nq)
+    # rows of a level per round, so the (rows, t + 1, t) sums stay small
+    rows = max(1, (1 << 18) // ((t + 1) * max(t, 1)))
+    for size in range(1, t + 1):
+        level = masks[sizes == size]
+        for lo in range(0, len(level), rows):
+            r = level[lo:lo + rows, np.newaxis]
+            # the moves on from each target j of r, first of the rest
+            onward = np.where(r & bits != 0, path[r ^ bits, np.arange(t)], np.inf)
+            moves = (steps + onward[:, np.newaxis]).min(axis=2)
+            path[r[:, 0]] = moves[:, :t]
+            left[r[:, 0]] = moves[:, t]
+    return left[(nq - 1) ^ masks]
 
 
 def _diagnose(query: PlanQuery) -> List[str]:
@@ -211,21 +273,25 @@ def _tile_columns(n_visited: int, n_free: int) -> int:
     return c
 
 
-def _remap_offsets(tb: np.ndarray, nq: int, c: int) -> Tuple[np.ndarray, np.ndarray]:
+def _remap_offsets(
+    tb: np.ndarray, order: np.ndarray, position: np.ndarray, c: int
+) -> Tuple[np.ndarray, np.ndarray]:
     """Arriving on a target sets its bit: row d of a value layer, read at
     visited set q, is the value at q | tb[d]. The flat offsets, into a layer
-    blocked as (tiles, n, c), of every (d, q) that this moves, and of the
-    (d, q | tb[d]) it reads."""
+    blocked as (tiles, n, c) whose column p holds visited set order[p]
+    (and visited set q is in column position[q]), of every (d, q) that this
+    moves, in increasing order, and of the (d, q | tb[d]) each reads."""
     tcells = np.flatnonzero(tb)[:, np.newaxis]
     n = len(tb)
-    q = np.arange(nq)
+    at = np.arange(len(order)).reshape(-1, 1, c)  # (tiles, 1, c) columns
+    q = order[at]
     arrive = q | tb[tcells]
     moved = arrive != q
 
-    def offsets(visited):
-        return (visited // c * (n * c) + tcells * c + visited % c)[moved]
+    def offsets(column):
+        return (column // c * (n * c) + tcells * c + column % c)[moved]
 
-    return offsets(q), offsets(arrive)
+    return offsets(at), offsets(position[arrive])
 
 
 def dp_table_bytes(n_targets: int, n_free: int, horizon: int) -> int:
@@ -252,12 +318,16 @@ def dp_solve(query: PlanQuery) -> PlanResult:
     """Backward value recursion; returns the greedy policy and f = V^0(s0).
 
     Step k reads only step k + 1, so two value layers are kept, each blocked
-    as (tiles, n, c): tile j holds visited sets j*c to j*c + c - 1 of every
-    cell, c from _tile_columns. Each step first remaps the target-cell rows
-    on the whole layer, the one read across visited sets; every action is
+    as (tiles, n, c): tile j holds c visited sets of every cell, c from
+    _tile_columns. The columns are ordered by _finish_moves, fewest moves
+    still needed first, so the visited sets that cannot finish in the steps
+    left gather into whole tiles at the end. Each step first remaps the
+    target-cell rows, the one read across visited sets; every action is
     then worked out tile by tile on contiguous (n, c) buffers, each kernel
-    term a copy of whole tile rows. A query whose tables would pass
-    DP_TABLE_CAP raises CapExceededError before any is allocated.
+    term a copy of whole tile rows. A tile whose fewest moves needed pass
+    the steps left is all +0.0 with policy STAY and is not swept (see the
+    loop). A query whose tables would pass DP_TABLE_CAP raises
+    CapExceededError before any is allocated.
     """
     gm = query.gridmap
     fld = query.field
@@ -271,6 +341,19 @@ def dp_solve(query: PlanQuery) -> PlanResult:
     start_idx = gm.index(query.start)
     goal_idx = gm.goal_index
     tb = query.target_bits()
+    # A one-tile layer holds the full set, which needs no move, so it is
+    # always swept and needs no bound.
+    need = _finish_moves(query) if tiles > 1 else np.zeros(nq)
+    # The visited set of each column: by the fewest moves still needed, ties
+    # in q order. A need above the horizon is skipped alike at every step,
+    # so the keys are the integers 0 to horizon + 1, and a counting sort
+    # orders them.
+    need = np.minimum(need, horizon + 1)
+    order = np.concatenate([np.flatnonzero(need == m) for m in range(int(need.max()) + 1)])
+    position = np.empty(nq, dtype=np.int64)  # the column of each visited set
+    position[order] = np.arange(nq)
+    tile_need = need[order[::c]]  # ascending: the fewest moves in each tile
+    full_tile, full_col = divmod(int(position[nq - 1]), c)
 
     # Every kernel term as a row of (slot, weight per cell), grouped by
     # action in order. An action with no term at any cell is skipped: its
@@ -289,18 +372,32 @@ def dp_solve(query: PlanQuery) -> PlanResult:
     # the tile in place of a gather.
     dest = np.where(sel, gm.neighbor_slots[:, slots].T, np.arange(n))
     gathers = [None if (d == np.arange(n)).all() else d for d in dest]
-    remap_to, remap_from = _remap_offsets(tb, nq, c)
+    remap_to, remap_from = _remap_offsets(tb, order, position, c)
+    # The tiles swept at step k: those whose fewest moves fit in the steps
+    # left, a prefix as tile_need ascends, but every tile from the last step
+    # with a probability outside [0, 1] down (see the loop). The remap's
+    # entries inside them are a prefix too, as remap_to ascends.
+    live_at = np.searchsorted(tile_need, horizon - np.arange(horizon), side="right")
+    prob = fld.prob[:horizon]
+    # min and max hold NaN where a step does
+    bad = np.flatnonzero(~((0.0 <= prob.min(axis=(1, 2))) & (prob.max(axis=(1, 2)) <= 1.0)))
+    if bad.size:
+        live_at[:bad[-1] + 1] = tiles
+    remap_stop = np.searchsorted(remap_to, live_at * (n * c))
+    # the visited sets of each tile's columns, a slice when they are in order
+    columns = [order[j * c:(j + 1) * c] for j in range(tiles)] if tiles > 1 else [slice(None)]
 
     values = np.zeros((tiles, n, c))
-    values[-1, goal_idx, -1] = 1.0
-    nxt = np.empty((tiles, n, c))
+    values[full_tile, goal_idx, full_col] = 1.0
+    nxt = np.zeros((tiles, n, c))
     acc = np.empty((n, c))
     tmp = np.empty((n, c)) if len(slots) > len(actions) else None
-    better = np.empty((n, c), dtype=bool)
+    better = np.empty((n, c), dtype=np.int8)
     bestu = np.empty((n, c), dtype=np.int8)
-    lows = np.empty(tiles)
-    highs = np.empty(tiles)
-    policy = np.empty((horizon, nq, n), dtype=np.int8)
+    lows = np.zeros(tiles)
+    highs = np.zeros(tiles)
+    # 0 is MoveAction.STAY, the policy of a tile not swept
+    policy = np.zeros((horizon, nq, n), dtype=np.int8)
 
     def term_value(tile, i, surv, out):
         """Survival times the tile row that term i lands on. Every index is
@@ -320,13 +417,27 @@ def dp_solve(query: PlanQuery) -> PlanResult:
             term_value(tile, i, surv, tmp)
             out += tmp
 
+    # Skipping is exact while every step from the horizon down to k has its
+    # probabilities in [0, 1], so every survival factor is finite and
+    # non-negative. Then a state that needs more moves than the steps left
+    # is worth +0.0, a sum of products of +0.0 and such a factor; the
+    # strict > keeps STAY there; and its tile's low and high are 0.0. A tile
+    # skipped at step k was skipped at every later step, so nothing has
+    # written its columns in either value layer, its policy rows, its low or
+    # its high since they were zeroed: skipping leaves them as the sweep
+    # would write them. The remap fills only the tiles swept, as a skipped
+    # tile reads none of its own columns. A step with another probability
+    # (NaN, or p outside [0, 1], as a hand-made field may hold) can leave
+    # -0.0 or raise, so from there on every tile is swept, as the sweep over
+    # whole layers does.
     for k in range(horizon - 1, -1, -1):
         flat = values.reshape(-1)
-        flat[remap_to] = flat[remap_from]
+        stop = remap_stop[k]
+        flat[remap_to[:stop]] = flat[remap_from[:stop]]
         surv = np.where(sel, weights * (1.0 - fld.prob[k][:, slots].T), 0.0)
         surv = surv[:, :, np.newaxis]  # a cell's weight, for every column of a tile
         inside = True
-        for j in range(tiles):
+        for j in range(live_at[k]):
             tile, best = values[j], nxt[j]
             # STAY is admissible and has mass at every cell, so best >= 0
             # after it. An action inadmissible at a cell has no mass there
@@ -336,12 +447,16 @@ def dp_solve(query: PlanQuery) -> PlanResult:
             for u, terms in actions[1:]:
                 action_value(tile, terms, surv, acc)
                 np.greater(acc, best, out=better)
-                np.copyto(bestu, u, where=better)
+                # Actions come in increasing u, so bestu is below u: setting
+                # u where acc > best is the max of bestu and u * better, with
+                # no branch per entry as a masked copy has.
+                better *= u
+                np.maximum(bestu, better, out=bestu)
                 np.maximum(best, acc, out=best)
-            if j == tiles - 1:
+            if j == full_tile:
                 # The completed-mission state is absorbing.
-                best[goal_idx, -1] = tile[goal_idx, -1]
-                bestu[goal_idx, -1] = MoveAction.STAY
+                best[goal_idx, full_col] = tile[goal_idx, full_col]
+                bestu[goal_idx, full_col] = MoveAction.STAY
             lows[j] = lo = best.min()
             highs[j] = hi = best.max()
             # A tile inside [0, 1] is its own clip. NaN fails both
@@ -349,7 +464,7 @@ def dp_solve(query: PlanQuery) -> PlanResult:
             if not (0.0 <= lo and hi <= 1.0):
                 np.clip(best, 0.0, 1.0, out=best)
                 inside = inside and -VALUE_TOL <= lo and hi <= 1.0 + VALUE_TOL
-            policy[k, j * c:(j + 1) * c] = bestu.T
+            policy[k, columns[j]] = bestu.T
         if not inside:
             raise NumericViolationError(
                 f"value outside [0, 1] at step {k}: [{lows.min()}, {highs.max()}]"
@@ -361,9 +476,11 @@ def dp_solve(query: PlanQuery) -> PlanResult:
         policy=policy,
         # Every move off a start contaminated at step 0 is contaminated, but
         # a start on the goal with nothing to visit is already complete.
-        start_values=values[:, start_idx].reshape(nq) * (not fld.flagged[0, start_idx]),
+        start_values=(values[:, start_idx].reshape(nq)[position]
+                      * (not fld.flagged[0, start_idx])),
         start_q=int(tb[start_idx]),
         diagnostics=tuple(_diagnose(query)),
+        tiles_swept=int(live_at.sum()),
     )
 
 

@@ -298,14 +298,20 @@ def value_recursion_oracle(query) -> float:
 
 
 def shortest_visiting_walk(
-    gm: GridMap, start: Cell, targets: Sequence[Cell]
+    gm: GridMap, start: Cell, targets: Sequence[Cell], visited: Optional[int] = None
 ) -> Optional[int]:
-    """Fewest moves to visit every target and end at the exit; None if cut off."""
+    """Fewest moves to visit every target and end at the exit; None if cut off.
+
+    The walk starts at ``start`` having visited the targets of bitmask
+    ``visited``, by default the one it stands on. A move steps to an
+    orthogonal neighbour or stays put, and either way visits the target it
+    lands on, as in the DP: from a start on a target it has not visited,
+    staying put visits it."""
     tb = {c: 0 for c in gm.cells}
     for b, cell in enumerate(targets):
         tb[Cell(*cell)] |= 1 << b
     full = (1 << len(targets)) - 1
-    q0 = tb[Cell(*start)]
+    q0 = tb[Cell(*start)] if visited is None else visited
     init = (q0, Cell(*start))
     seen = {init}
     frontier = deque([(init, 0)])
@@ -313,7 +319,7 @@ def shortest_visiting_walk(
         (q, x), d = frontier.popleft()
         if q == full and x == gm.goal:
             return d
-        for step in ORTH_STEPS:
+        for step in ((0, 0),) + ORTH_STEPS:
             nb = shift(x, step)
             if not gm.is_free(nb):
                 continue

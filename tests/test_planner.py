@@ -164,6 +164,60 @@ def test_value_outside_the_unit_interval_raises_over_all_tiles(monkeypatch, bad)
     assert str(got.value) == str(want.value)
 
 
+def test_dp_sweeps_only_the_tiles_that_can_finish_in_time():
+    """At 10 targets the layers span 8 tiles over 75 steps, and 352 of the
+    600 (step, tile) pairs are swept: a tile is skipped while every visited
+    set in it needs more moves than the steps left. At 5 targets a layer is
+    one tile, swept at every step."""
+    query = paper_sweep_query(10)
+    assert query.horizon == 75
+    assert planner._tile_columns(1 << 10, query.gridmap.n_free) == 128
+    assert dp_solve(query).tiles_swept == 352
+    small = replace(query, targets=query.targets[:5])
+    assert planner._tile_columns(1 << 5, query.gridmap.n_free) == 1 << 5
+    assert dp_solve(small).tiles_swept == small.horizon
+
+
+def short_sweep_query(bad):
+    """The 10-target query over 25 steps, with every contamination
+    probability of step 3 set to ``bad``. At step 3, 7 of the 8 tiles
+    need more moves than the 22 steps left."""
+    query = replace(paper_sweep_query(10), horizon=25)
+    tile_need = np.sort(planner._finish_moves(query))[::128]
+    assert (tile_need > 22).sum() == 7
+    prob = query.field.prob.copy()
+    prob[3] = bad
+    return replace(query, field=replace(query.field, prob=prob))
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.5], ids=["nan", "above-1"])
+def test_a_bad_step_raises_over_every_tile_where_most_would_skip(bad):
+    """A NaN or p > 1 at a step where most tiles would be skipped raises
+    with the min and max of the whole layer, as the sweep over whole
+    layers does."""
+    query = short_sweep_query(bad)
+    with pytest.raises(NumericViolationError, match="at step 3") as got:
+        dp_solve(query)
+    with pytest.raises(NumericViolationError) as want:
+        oracles.whole_layer_dp_solve(query)
+    assert str(got.value) == str(want.value)
+
+
+def test_p_just_above_1_stops_the_skipping_for_the_steps_before():
+    """p = 1 + 1e-12 at step 3 scales values by a factor just below 0: no
+    value passes the tolerance, but states worth +0.0 turn -0.0, and a
+    -0.0 spreads to the earlier steps. Sweeping every tile from that step
+    down keeps the policy and the start values, sign bits included, equal
+    to the sweep over whole layers. The start (5, 6) has all four
+    neighbours, so some of its start values stay -0.0."""
+    query = replace(short_sweep_query(1.0 + 1e-12), start=Cell(5, 6))
+    res = dp_solve(query)
+    policy, start_values = oracles.whole_layer_dp_solve(query)
+    assert np.signbit(start_values).any()
+    assert np.array_equal(res.policy, policy)
+    assert np.array_equal(res.start_values.view(np.int64), start_values.view(np.int64))
+
+
 @pytest.mark.parametrize("slip", [False, True])
 @pytest.mark.parametrize("width, height", [(1, 4), (4, 1)])
 def test_corridor_actions_with_no_move_anywhere(width, height, slip):
@@ -469,7 +523,10 @@ def test_unreachable_target_diagnosed():
     fld = clear_field(gm, 5)
     res = dp_solve(make_query(gm, fld, Cell(0, 0), [Cell(2, 0)], 5))
     assert res.success == 0.0
-    assert any("unreachable" in d for d in res.diagnostics)
+    assert res.diagnostics == ("target (2, 0) unreachable from start (0, 0)",)
+    res = dp_solve(make_query(gm, fld, Cell(2, 0), [Cell(0, 0)], 5))
+    assert res.diagnostics == ("target (0, 0) unreachable from start (2, 0)",
+                               "exit (0, 0) unreachable from start (2, 0)")
 
 
 def test_greedy_path_visits_everything_when_safe():

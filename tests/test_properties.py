@@ -2,10 +2,11 @@
 package DP and the exact field against the scalar oracles, the exact step's
 outcome builder against the cell-by-cell reference and its grouping against
 np.unique, the DP, in tiles of 1, 2 or 4 visited sets too, against its
-full-table reference and the sweep over whole layers, the objective cache's
-one plan per robot against per-subset solves and its joint rollout chunks
-against the trial-by-trial replay, model-mode rollouts of deterministic
-motion against the trial-by-trial oracle, the ground values
+full-table reference and the sweep over whole layers, the DP's bound on the
+moves left against a breadth-first search of every state, the objective
+cache's one plan per robot against per-subset solves and its joint rollout
+chunks against the trial-by-trial replay, model-mode rollouts of
+deterministic motion against the trial-by-trial oracle, the ground values
 of exact ratios against the set-by-set product, the allocators' partitions,
 and both greedy guarantees under exact ratios."""
 
@@ -194,6 +195,36 @@ def test_dp_equals_reference_dp(grid, horizon, data):
     else:
         assert np.array_equal(res.policy, policy)
         assert np.array_equal(res.start_values, values[0][:, gm.index(start)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(hazard_grids(), st.data())
+def test_finish_moves_is_the_fewest_moves_from_the_best_cell(grid, data):
+    """planner._finish_moves against a breadth-first search of (visited set,
+    cell) from every state, staying put included: need[q] is at most the
+    fewest moves to finish from (q, x) for every cell x, and equal to them
+    from the best x, inf where none finishes. It is 0 at the full set, never
+    rises from a set to a superset, and is inf at every set that lacks a
+    target cut off from the exit."""
+    gm, model = grid
+    targets = data.draw(st.lists(st.sampled_from(gm.cells), unique=True, max_size=4))
+    query = PlanQuery(gridmap=gm, kernel=MotionKernel.deterministic(gm),
+                      field=exact_contamination_field(gm, model, 1), start=gm.cells[0],
+                      targets=tuple(targets), horizon=1)
+    need = planner._finish_moves(query)
+    nq = 1 << len(targets)
+    assert need.shape == (nq,)
+    for q in range(nq):
+        fewest = [oracles.shortest_visiting_walk(gm, x, targets, visited=q) for x in gm.cells]
+        moves = [np.inf if m is None else m for m in fewest]
+        assert all(need[q] <= m for m in moves), q
+        assert need[q] == min(moves), q
+        for b in range(len(targets)):
+            assert need[q | 1 << b] <= need[q]
+    assert need[nq - 1] == 0
+    for b, cell in enumerate(targets):
+        if oracles.shortest_visiting_walk(gm, cell, []) is None:
+            assert all(need[q] == np.inf for q in range(nq) if not q >> b & 1)
 
 
 def chunk_rng(ci):
