@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from ._version import VERSION
 from .errors import HazardPlanError, ValidationError, VacuousBoundError
 from .guarantees import guarantee_values, region_map
-from .hazard import ContaminationField
 # plan and simulate call planner.dp_solve through the module, so a wrapper put
 # on it (bench/tracing.py) sees their solves
 from . import planner
@@ -144,25 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load(args) -> Scenario:
-    if not args.scenario:
-        raise ValidationError("this command needs a scenario file")
-    return load_scenario(args.scenario)
-
-
-def _cached_field(scenario: Scenario, args, options: PipelineOptions) -> Optional[ContaminationField]:
-    """The --field-cache field: loaded if the file exists, else built and
-    stored. build_field decides whether a loaded field may be used."""
-    path = args.field_cache
-    if not path:
-        return None
-    if os.path.exists(path):
-        return ContaminationField.load(path)
-    fld = build_field(scenario, options)
-    fld.save(path)
-    return fld
-
-
 def _pipeline_options(scenario: Scenario, args, **extra) -> PipelineOptions:
     samples = args.samples if args.samples is not None else scenario.mc_samples
     seed = args.seed if args.seed is not None else scenario.mc_seed
@@ -171,15 +150,14 @@ def _pipeline_options(scenario: Scenario, args, **extra) -> PipelineOptions:
         seed=seed if seed is not None else 0,
         threads=args.threads,
         field_kind="exact" if args.exact_field else "estimate",
+        field_cache=args.field_cache,
     )
     if scenario.cap_brute is not None:
         base["brute_cap"] = scenario.cap_brute
     if scenario.cap_exact_hazard is not None:
         base["exact_cap"] = scenario.cap_exact_hazard
     base.update(extra)
-    options = PipelineOptions(**base)
-    options.field = _cached_field(scenario, args, options)
-    return options
+    return PipelineOptions(**base)
 
 
 def _parse_target_list(scenario: Scenario, text: str) -> int:
@@ -230,11 +208,12 @@ def _emit(payload, out: Optional[str]) -> None:
         sys.stdout.write(payload)
 
 
-def _methods_exit(report: Dict) -> int:
-    """The exit code of the worst error a pipeline method recorded."""
+def _report_exit(report: Dict) -> int:
+    """The exit code of the worst error the report records: a method's or
+    the ratios'."""
+    blocks = [*report["methods"].values(), report.get("ratios", {})]
     return max(
-        (_exit_code(block["error_kind"])
-         for block in report["methods"].values() if "error_kind" in block),
+        (_exit_code(block["error_kind"]) for block in blocks if "error_kind" in block),
         default=EXIT_OK,
     )
 
@@ -242,7 +221,7 @@ def _methods_exit(report: Dict) -> int:
 def _subset_plan(args):
     """Scenario, options and --robot index, the subset's own dp_solve of the
     --targets subset, and the output's head: robot name and target names."""
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario)
     robot = _parse_robot(scenario, args.robot)
     mask = _parse_target_list(scenario, args.targets)
     planner.require_dp_table_fits(mask.bit_count(), scenario.gridmap.n_free,
@@ -282,7 +261,7 @@ def _allocate_methods(args) -> Tuple[str, ...]:
 
 
 def _cmd_allocate(args) -> int:
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario)
     methods = _allocate_methods(args)
     opts = _pipeline_options(
         scenario, args,
@@ -295,12 +274,10 @@ def _cmd_allocate(args) -> int:
     )
     result = run_pipeline(scenario, opts)
     _emit(result.report, args.out)
-    return _methods_exit(result.report)
+    return _report_exit(result.report)
 
 
 def _cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise ValidationError(f"trial count must be >= 1, got {args.trials}")
     scenario, opts, robot, result, head = _subset_plan(args)
     rr = rollout(
         result, trials=args.trials, seed=derive_seed(opts.seed, 0, robot),
@@ -311,18 +288,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    given = [flag for flag, value in (("--f-star", args.f_star), ("--alpha", args.alpha),
-                                      ("--gamma", args.gamma)) if value is not None]
-    if args.scenario is not None and given:
-        raise ValidationError(
-            f"bounds with a scenario computes F*, alpha and gamma from it; drop "
-            f"{', '.join(given)} or the scenario"
-        )
     if args.scenario is None:
-        if args.f_star is None or args.alpha is None or args.gamma is None:
-            raise ValidationError(
-                "bounds without a scenario needs --f-star, --alpha and --gamma"
-            )
         out: Dict = {"alpha": args.alpha, "gamma": args.gamma, "f_star": args.f_star}
         try:
             g_fwd, g_rev = guarantee_values(args.f_star, args.alpha, args.gamma)
@@ -336,7 +302,7 @@ def _cmd_bounds(args) -> int:
         _emit(out, args.out)
         return EXIT_OK
 
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario)
     source = "exact" if args.exact else "greedy" if args.greedy else "auto"
     opts = _pipeline_options(
         scenario, args,
@@ -359,7 +325,7 @@ def _cmd_bounds(args) -> int:
     if "region_map" in rep:
         out["region_map"] = rep["region_map"]
     _emit(out, args.out)
-    return _methods_exit(rep)
+    return _report_exit(rep)
 
 
 def _render_format(args) -> str:
@@ -371,24 +337,12 @@ def _render_format(args) -> str:
 
 
 def _cmd_render(args) -> int:
-    fmt = _render_format(args)
-    if fmt != "svg" and args.what != "heatmap":
-        raise ValidationError(f"--what {args.what} renders as SVG only")
-    if fmt == "pgm" and not args.out:
-        raise ValidationError("binary output needs --out FILE")
-    if args.f_star is not None and args.what != "region-map":
-        raise ValidationError(f"--f-star applies to --what region-map, not {args.what}")
-    if args.f_star is not None and args.scenario:
-        raise ValidationError(
-            "render --what region-map draws either the given --f-star or the "
-            "scenario's optimum; drop one of them"
-        )
     if args.what == "region-map":
         if args.f_star is not None:
             rm = region_map(args.f_star, 100)
             mark = None
         else:
-            scenario = _load(args)
+            scenario = load_scenario(args.scenario)
             opts = _pipeline_options(
                 scenario, args, methods=("forward", "reverse", "brute"),
                 ratio_source="auto",
@@ -407,11 +361,11 @@ def _cmd_render(args) -> int:
         _emit(region_svg(rm, mark=mark), args.out)
         return EXIT_OK
 
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario)
     if args.what == "heatmap":
         fld = build_field(scenario, _pipeline_options(scenario, args))
         heat = fld.marginals[scenario.horizon]
-        if fmt == "pgm":
+        if _render_format(args) == "pgm":
             _emit(heat_pgm(scenario.gridmap, heat), args.out)
         else:
             _emit(scenario_svg(scenario, heat=heat,
@@ -450,57 +404,110 @@ _COMMANDS = {
 }
 
 
-def _refuse_dropped_flags(args) -> None:
-    """Refuse, before anything loads, a flag that the other flags given
-    would make the run ignore."""
-    if args.exact_field and args.samples is not None:
-        raise ValidationError(
-            "--samples sizes a Monte-Carlo field, but --exact-field builds an "
-            "exact one; drop one of them"
-        )
-    if getattr(args, "rollout_mode", None) is not None and not args.rollout_trials:
-        raise ValidationError(
-            "--rollout-mode picks how --rollout-trials are run, and no trials "
-            "were asked for; add --rollout-trials N or drop --rollout-mode"
-        )
-    if args.command == "allocate" and args.region and "brute" not in _allocate_methods(args):
-        raise ValidationError(
-            "--region maps the guarantees at brute force's optimum, and --method "
-            "runs no brute; add brute to --method or drop --region"
-        )
-    if args.command == "allocate" and args.region and args.ratios == "none":
-        raise ValidationError(
-            "--region maps the guarantees, and --ratios none computes none; "
-            "pick a --ratios source or drop --region"
-        )
-    if (args.command == "allocate" and args.rollout_trials > 0
-            and not {"forward", "reverse"} & set(_allocate_methods(args))):
-        raise ValidationError(
-            "--rollout-trials rolls out the forward and reverse allocations, and "
-            "--method runs neither; add one of them or drop --rollout-trials"
-        )
-    if (getattr(args, "f_star", None) is not None and not args.scenario
-            and (args.command == "bounds" or args.what == "region-map")):
-        scenario_flags = [flag for flag, given in (
-            ("--seed", args.seed is not None), ("--samples", args.samples is not None),
-            ("--exact-field", args.exact_field), ("--exact", getattr(args, "exact", False)),
-            ("--greedy", getattr(args, "greedy", False)), ("--field-cache", args.field_cache),
-        ) if given]
-        if scenario_flags:
-            raise ValidationError(
-                f"--f-star reads no scenario, so nothing uses "
-                f"{', '.join(scenario_flags)}; drop them"
-            )
-    if args.command == "render" and args.method is not None and args.what != "paths":
-        raise ValidationError(
-            f"--method picks whose paths render --what paths draws, not {args.what}; "
-            "drop --method"
-        )
+class _Rule(NamedTuple):
+    """One refusal the arguments alone decide. A run of a subcommand in
+    commands for which hit(args) is truthy exits 2 with message, formatted
+    with the args as a and hit's value as hit. flags names the options hit
+    reads."""
+
+    commands: Tuple[str, ...]
+    flags: Tuple[str, ...]
+    hit: Callable
+    message: str
+
+
+_EVERY_COMMAND = tuple(_COMMANDS)
+_GREEDY = {"forward", "reverse"}
+
+
+def _given(*pairs) -> str:
+    """The flags of the (flag, given) pairs that were given, comma-separated."""
+    return ", ".join(flag for flag, given in pairs if given)
+
+
+def _unread_by_f_star(a) -> str:
+    if a.f_star is None or a.scenario or not (a.command == "bounds" or a.what == "region-map"):
+        return ""
+    return _given(("--seed", a.seed is not None), ("--samples", a.samples is not None),
+                  ("--exact-field", a.exact_field), ("--exact", getattr(a, "exact", False)),
+                  ("--greedy", getattr(a, "greedy", False)), ("--field-cache", a.field_cache))
+
+
+# Checked in this order before anything loads: the first rule that hits wins.
+_RULES = (
+    _Rule(_EVERY_COMMAND, ("--samples", "--exact-field"),
+          lambda a: a.exact_field and a.samples is not None,
+          "--samples sizes a Monte-Carlo field, but --exact-field builds an exact one; "
+          "drop one of them"),
+    _Rule(("allocate",), ("--rollout-mode", "--rollout-trials"),
+          lambda a: a.rollout_mode is not None and not a.rollout_trials,
+          "--rollout-mode picks how --rollout-trials are run, and no trials were asked "
+          "for; add --rollout-trials N or drop --rollout-mode"),
+    _Rule(("allocate",), ("--region", "--method"),
+          lambda a: a.region and "brute" not in _allocate_methods(a),
+          "--region maps the guarantees at brute force's optimum, and --method runs no "
+          "brute; add brute to --method or drop --region"),
+    _Rule(("allocate",), ("--region", "--ratios"), lambda a: a.region and a.ratios == "none",
+          "--region maps the guarantees, and --ratios none computes none; pick a "
+          "--ratios source or drop --region"),
+    _Rule(("allocate",), ("--rollout-trials", "--method"),
+          lambda a: a.rollout_trials > 0 and not _GREEDY & set(_allocate_methods(a)),
+          "--rollout-trials rolls out the forward and reverse allocations, and --method "
+          "runs neither; add one of them or drop --rollout-trials"),
+    _Rule(("bounds", "render"), ("--f-star", "--seed", "--samples", "--exact-field",
+                                 "--exact", "--greedy", "--field-cache"),
+          _unread_by_f_star, "--f-star reads no scenario, so nothing uses {hit}; drop them"),
+    _Rule(("render",), ("--method", "--what"),
+          lambda a: a.method is not None and a.what != "paths",
+          "--method picks whose paths render --what paths draws, not {a.what}; drop --method"),
+    _Rule(("render",), ("--format", "--out", "--what"),
+          lambda a: _render_format(a) != "svg" and a.what != "heatmap",
+          "--what {a.what} renders as SVG only"),
+    _Rule(("render",), ("--format", "--out"), lambda a: _render_format(a) == "pgm" and not a.out,
+          "binary output needs --out FILE"),
+    _Rule(("render",), ("--f-star", "--what"),
+          lambda a: a.f_star is not None and a.what != "region-map",
+          "--f-star applies to --what region-map, not {a.what}"),
+    _Rule(("render",), ("--f-star",), lambda a: a.f_star is not None and a.scenario,
+          "render --what region-map draws either the given --f-star or the scenario's "
+          "optimum; drop one of them"),
+    _Rule(("bounds",), ("--f-star", "--alpha", "--gamma"),
+          lambda a: a.scenario is not None and _given(
+              ("--f-star", a.f_star is not None), ("--alpha", a.alpha is not None),
+              ("--gamma", a.gamma is not None)),
+          "bounds with a scenario computes F*, alpha and gamma from it; drop {hit} or "
+          "the scenario"),
+    _Rule(("bounds",), ("--f-star", "--alpha", "--gamma"),
+          lambda a: a.scenario is None and None in (a.f_star, a.alpha, a.gamma),
+          "bounds without a scenario needs --f-star, --alpha and --gamma"),
+    _Rule(("simulate",), ("--trials",), lambda a: a.trials < 1,
+          "trial count must be >= 1, got {a.trials}"),
+    _Rule(_EVERY_COMMAND, ("--f-star",),
+          lambda a: not a.scenario and getattr(a, "f_star", None) is None,
+          "this command needs a scenario file"),
+    _Rule(("plan", "allocate", "bounds", "render"),
+          ("--seed", "--exact-field", "--rollout-trials"),
+          lambda a: a.exact_field and a.seed is not None and not getattr(a, "rollout_trials", 0),
+          "--seed seeds a Monte-Carlo field and rollouts, and with --exact-field this run "
+          "draws neither; drop --seed"),
+    _Rule(("allocate",), ("--ratios", "--method"),
+          lambda a: a.ratios == "greedy" and not _GREEDY & set(_allocate_methods(a)),
+          "--ratios greedy estimates the ratios from the forward and reverse traces, and "
+          "--method runs neither; add one of them or pick another --ratios source"),
+)
+
+
+def _refuse(args) -> None:
+    """Raise ValidationError with the message of the first rule that hits."""
+    for rule in _RULES:
+        hit = args.command in rule.commands and rule.hit(args)
+        if hit:
+            raise ValidationError(rule.message.format(a=args, hit=hit))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    _refuse_dropped_flags(args)
+    _refuse(args)
     return _COMMANDS[args.command](args)
 
 

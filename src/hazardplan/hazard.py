@@ -451,19 +451,21 @@ class ContaminationField:
             raise ValidationError("a field without marginals cannot be cached")
         if not self.scenario_hash:
             raise ValidationError("a field without a scenario hash cannot be cached")
-        np.savez_compressed(
-            path,
-            format=FIELD_CACHE_FORMAT,
-            horizon=self.horizon,
-            n_free=self.n_free,
-            prob=self.prob,
-            flagged=self.flagged,
-            marginals=self.marginals,
-            kind=np.array(self.kind),
-            samples=self.samples,
-            seed=self.seed,
-            scenario_hash=np.array(self.scenario_hash),
-        )
+        # through a handle, so a path without the .npz suffix is written as given
+        with open(path, "wb") as fh:
+            np.savez_compressed(
+                fh,
+                format=FIELD_CACHE_FORMAT,
+                horizon=self.horizon,
+                n_free=self.n_free,
+                prob=self.prob,
+                flagged=self.flagged,
+                marginals=self.marginals,
+                kind=np.array(self.kind),
+                samples=self.samples,
+                seed=self.seed,
+                scenario_hash=np.array(self.scenario_hash),
+            )
 
     @classmethod
     def load(cls, path) -> "ContaminationField":

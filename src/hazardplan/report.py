@@ -11,6 +11,7 @@ canonical_report_json strips before serializing.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -74,7 +75,7 @@ class PipelineOptions:
     exact_cap: int = EXACT_HAZARD_CELL_CAP
     region_resolution: int = 0
     heatmap: bool = False
-    field: Optional[ContaminationField] = None
+    field_cache: Optional[str] = None  # npz path of the field, read or written
 
     def __post_init__(self):
         if self.samples < 1:
@@ -133,58 +134,43 @@ def _provenance(kind: str, samples: int, seed: int) -> str:
 def build_field(scenario: Scenario, options: PipelineOptions) -> ContaminationField:
     """The contamination field the planner conditions on.
 
-    A given options.field is returned only if it is the field the options
-    ask for on this scenario: the same kind (and, if sampled, samples and
-    seed), cell count and scenario hash, and a horizon at least the
-    scenario's. Anything else raises ValidationError. The thread count and
-    the exact cap are not compared: they never change a field's bits.
-    Without a given field a new one is built; it carries the scenario's hash.
+    If options.field_cache names a file, the field it holds is returned, but
+    only if it is the field the options ask for on this scenario: the same
+    kind (and, if sampled, samples and seed), cell count and scenario hash,
+    and a horizon at least the scenario's. Anything else raises
+    ValidationError. The thread count and the exact cap are not compared:
+    they never change a field's bits. Otherwise a new field is built,
+    stamped with the scenario's hash and, if options.field_cache is given,
+    saved there.
     """
-    if options.field is not None:
-        fld = options.field
+    path = options.field_cache
+    if path and os.path.exists(path):
+        fld = ContaminationField.load(path)
         have = _provenance(fld.kind, fld.samples, fld.seed)
         want = _provenance(
             "exact" if options.field_kind == "exact" else "monte-carlo",
             options.samples, options.seed,
         )
-        if have != want:
-            raise ValidationError(
-                f"cached field was built as {have}, but this run asks for {want}; "
-                "rebuild it or match its options"
-            )
-        if fld.n_free != scenario.gridmap.n_free:
-            raise ValidationError(
-                f"cached field covers {fld.n_free} cells, scenario has "
-                f"{scenario.gridmap.n_free}"
-            )
-        if fld.horizon < scenario.horizon:
-            raise ValidationError(
-                f"cached field horizon {fld.horizon} < scenario horizon "
-                f"{scenario.horizon}"
-            )
-        if fld.scenario_hash != scenario_hash(scenario):
-            raise ValidationError(
-                "cached field was built for a different scenario" if fld.scenario_hash
-                else "cached field carries no scenario hash; rebuild it with build_field"
-            )
+        n_free, horizon = scenario.gridmap.n_free, scenario.horizon
+        for bad, why in (
+            (have != want, f"was built as {have}, but this run asks for {want}; "
+                           "rebuild it or match its options"),
+            (fld.n_free != n_free, f"covers {fld.n_free} cells, scenario has {n_free}"),
+            (fld.horizon < horizon, f"horizon {fld.horizon} < scenario horizon {horizon}"),
+            (fld.scenario_hash != scenario_hash(scenario), "was built for a different scenario"),
+        ):
+            if bad:
+                raise ValidationError(f"cached field {why}")
         return fld
+    model = (scenario.gridmap, scenario.hazard, scenario.horizon)
     if options.field_kind == "exact":
-        fld = exact_contamination_field(
-            scenario.gridmap,
-            scenario.hazard,
-            scenario.horizon,
-            cell_cap=options.exact_cap,
-        )
+        fld = exact_contamination_field(*model, cell_cap=options.exact_cap)
     else:
-        fld = estimate_contamination_field(
-            scenario.gridmap,
-            scenario.hazard,
-            scenario.horizon,
-            samples=options.samples,
-            seed=options.seed,
-            threads=options.threads,
-        )
+        fld = estimate_contamination_field(*model, samples=options.samples, seed=options.seed,
+                                           threads=options.threads)
     fld.scenario_hash = scenario_hash(scenario)
+    if path:
+        fld.save(path)
     return fld
 
 
@@ -475,8 +461,6 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
     heat = None
     if options.heatmap:
         t0 = time.perf_counter()
-        if contamination.marginals is None:
-            raise ValidationError("the field carries no marginals to draw a heatmap from")
         heat = contamination.marginals[scenario.horizon]
         grid_rows: List[List[Optional[float]]] = []
         gm = scenario.gridmap

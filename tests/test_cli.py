@@ -1,5 +1,6 @@
 """Command-line driver: subcommands end to end, exit codes, output routing."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -217,7 +218,8 @@ def test_entry_maps_every_error_kind_to_its_exit(monkeypatch, capsys, kind, code
         raise getattr(errors, kind)("boom")
 
     monkeypatch.setitem(cli._COMMANDS, "bounds", failing)
-    assert entry(["bounds"]) == code
+    # arguments the table passes, so the replaced command runs
+    assert entry(["bounds", "--f-star", "0.5", "--alpha", "0.2", "--gamma", "0.9"]) == code
     prefix = "internal error: " if code == 4 else "error: "
     assert capsys.readouterr().err == prefix + "boom\n"
 
@@ -241,8 +243,7 @@ def test_field_cache_of_another_kind_or_sampling_is_refused(tmp_path, capsys):
     assert entry(["plan", small, "--samples", "200", "--seed", "1",
                   "--field-cache", cache]) == 0
     capsys.readouterr()
-    assert entry(["allocate", small, "--exact-field", "--seed", "7",
-                  "--field-cache", cache]) == 2
+    assert entry(["allocate", small, "--exact-field", "--field-cache", cache]) == 2
     err = capsys.readouterr().err
     assert "built as monte-carlo (200 samples, seed 1)" in err
     assert "asks for exact" in err
@@ -383,6 +384,16 @@ def test_render_heatmap_writes_reads_and_guards_the_field_cache(tmp_path, monkey
     assert calls == []
 
 
+def test_a_field_cache_path_without_the_npz_suffix_is_read_back(tmp_path, monkeypatch, capsys):
+    path = write_scenario(tmp_path)
+    cache = tmp_path / "field"
+    calls = count_field_passes(monkeypatch)
+    for _ in range(2):
+        assert entry(["plan", path, "--samples", "100", "--field-cache", str(cache)]) == 0
+    assert cache.exists() and not (tmp_path / "field.npz").exists()
+    assert calls == ["_run_chunks"]
+
+
 def test_a_broken_field_cache_exits_two(tmp_path, capsys):
     small = str(Path(__file__).resolve().parent.parent / "scenarios" / "small.json")
     cache = tmp_path / "fc.npz"
@@ -475,6 +486,7 @@ def test_plan_over_the_dp_table_cap_exits_three(tmp_path, capsys):
 
 
 SMALL = str(Path(__file__).resolve().parent.parent / "scenarios" / "small.json")
+PAPER = str(Path(__file__).resolve().parent.parent / "scenarios" / "paper17x13.json")
 # every command that builds a field from a scenario, by label: its
 # subcommand and the flags it needs
 FIELD_COMMANDS = {
@@ -547,6 +559,13 @@ F_STAR_COMMANDS = {
     *[([*command, "--f-star", "0.2", *rest], 2,
        f"error: --f-star reads no scenario, so nothing uses {flag}")
       for command, flags in F_STAR_COMMANDS.values() for flag, rest in flags],
+    *[([command, SMALL, *rest, "--exact-field", "--seed", "5"], 2,
+       "error: --seed seeds a Monte-Carlo field and rollouts, and with --exact-field this "
+       "run draws neither; drop --seed")
+      for label, (command, *rest) in FIELD_COMMANDS.items() if label != "simulate"],
+    (["allocate", SMALL, "--exact-field", "--ratios", "greedy", "--method", "brute"], 2,
+     "error: --ratios greedy estimates the ratios from the forward and reverse traces, and "
+     "--method runs neither"),
 ], ids=["allocate-region-over-cap", "allocate-region-1", "bounds-region-over-cap",
         "plan-robot", "plan-targets", "simulate-robot", "region-map-pgm", "paths-pgm",
         "heatmap-pgm-stdout", "bounds-scenario-and-numbers", "bounds-scenario-and-gamma",
@@ -556,7 +575,9 @@ F_STAR_COMMANDS = {
         "region-without-brute", "heatmap-method", "region-map-method",
         "region-without-ratios", "rollouts-without-greedy",
         *[f"{label}-f-star-and{flag}" for label, (_, flags) in F_STAR_COMMANDS.items()
-          for flag, _ in flags]])
+          for flag, _ in flags],
+        *[f"{label}-exact-field-and-seed" for label in FIELD_COMMANDS if label != "simulate"],
+        "greedy-ratios-without-greedy"])
 def test_refusals_the_arguments_decide_build_no_field(tmp_path, monkeypatch, capsys,
                                                       argv, code, message):
     calls = count_field_passes(monkeypatch)
@@ -566,12 +587,62 @@ def test_refusals_the_arguments_decide_build_no_field(tmp_path, monkeypatch, cap
     assert calls == [] and not cache.exists()
 
 
-@pytest.mark.parametrize("command", [["allocate"], ["plan", "--targets", "all"]],
-                         ids=["allocate", "plan"])
+@pytest.mark.parametrize("command", [["allocate"], ["plan", "--targets", "all"], ["bounds"]],
+                         ids=["allocate", "plan", "bounds"])
 def test_dp_over_the_cap_is_refused_before_the_field(tmp_path, monkeypatch, capsys, command):
     path = paper_with_20_targets(tmp_path)
     calls = count_field_passes(monkeypatch)
-    assert entry([command[0], path, *command[1:], "--samples", "50"]) == 3
+    cache = tmp_path / "field.npz"
+    assert entry([command[0], path, *command[1:], "--samples", "50",
+                  "--field-cache", str(cache)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: planning 20 targets over ") and "> cap 2.0 GiB" in err
-    assert calls == []
+    assert calls == [] and not cache.exists()
+
+
+def test_seed_beside_an_exact_field_still_seeds_rollouts(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    code, _ = run_json(capsys, ["simulate", path, "--exact-field", "--seed", "5",
+                                "--trials", "50"])
+    assert code == 0
+    code, rep = run_json(capsys, ["allocate", path, "--exact-field", "--seed", "5",
+                                  "--rollout-trials", "50"])
+    assert code == 0 and rep["determinism"]["seed"] == 5
+
+
+# flags that no other flag given makes a run ignore, so no rule names them
+ALWAYS_READ = {"--out", "--threads", "--robot", "--targets", "--heatmap", "--mode"}
+
+
+def test_every_flag_is_named_by_a_rule_or_always_read():
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    flags = {
+        command: {flag for action in parser._actions
+                  if not isinstance(action, argparse._HelpAction)
+                  for flag in action.option_strings}
+        for command, parser in sub.choices.items()
+    }
+    named = {flag for rule in cli._RULES for flag in rule.flags}
+    for command, given in flags.items():
+        assert given <= named | ALWAYS_READ, (command, given - named - ALWAYS_READ)
+    for rule in cli._RULES:
+        assert set(rule.commands) <= set(flags), rule.message
+        assert set(rule.flags) <= set().union(*(flags[c] for c in rule.commands)), rule.message
+
+
+def test_a_capped_ratio_scan_exits_three(capsys):
+    # 5 targets and 3 robots: the exact scan would take 215233605 triples
+    code, out = run_json(capsys, ["bounds", PAPER, "--exact", "--samples", "200"])
+    assert code == 3
+    assert out["ratios"]["error_kind"] == "CapExceededError"
+    assert out["guarantees"] is None
+
+
+def test_ratios_without_a_greedy_trace_exit_two(capsys):
+    # the scan is over the cap, so auto falls back to greedy ratios, and
+    # brute force leaves no greedy trace to read them from
+    code, rep = run_json(capsys, ["allocate", PAPER, "--method", "brute", "--samples", "200"])
+    assert code == 2
+    assert rep["ratios"]["error_kind"] == "InsufficientObservationsError"
+    assert "objective" in rep["methods"]["brute"]

@@ -161,40 +161,54 @@ def stamped(fld, sc):
     return fld
 
 
-def test_cached_field_reused_and_validated():
+def saved(tmp_path, fld, name="field.npz"):
+    """Path of fld written as a field cache."""
+    path = tmp_path / name
+    fld.save(path)
+    return path
+
+
+def test_cached_field_reused_and_validated(tmp_path, monkeypatch):
     sc = unit_scenario()
     sampling = dict(samples=200, seed=3)
     fld = stamped(estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon, **sampling), sc)
-    res = run_pipeline(sc, PipelineOptions(field=fld, methods=("forward",),
+    cache = saved(tmp_path, fld)
+    runs = count_calls(monkeypatch, hazard, "_run_chunks")
+    res = run_pipeline(sc, PipelineOptions(field_cache=cache, methods=("forward",),
                                            ratio_source="none", **sampling))
-    assert res.contamination is fld
+    assert runs == [] and np.array_equal(res.contamination.prob, fld.prob)
     assert res.report["field"]["samples"] == res.report["determinism"]["samples"] == 200
 
     short = stamped(estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon - 1,
                                                  **sampling), sc)
     with pytest.raises(ValidationError, match="horizon 11 < scenario horizon 12"):
-        build_field(sc, PipelineOptions(field=short, **sampling))
+        build_field(sc, PipelineOptions(field_cache=saved(tmp_path, short, "short.npz"),
+                                        **sampling))
 
     other = unit_scenario(goal=[3, 2])
     with pytest.raises(ValidationError, match="different scenario"):
-        build_field(other, PipelineOptions(field=fld, **sampling))
+        build_field(other, PipelineOptions(field_cache=cache, **sampling))
 
     moved = unit_dict()
     moved["grid"]["obstacles"] = [[3, 1]]
     with pytest.raises(ValidationError, match="different scenario"):
-        build_field(parse_scenario(moved), PipelineOptions(field=fld, **sampling))
+        build_field(parse_scenario(moved), PipelineOptions(field_cache=cache, **sampling))
 
     open_grid = unit_dict()
     open_grid["grid"]["obstacles"] = []
     with pytest.raises(ValidationError, match="covers 11 cells, scenario has 12"):
-        build_field(parse_scenario(open_grid), PipelineOptions(field=fld, **sampling))
+        build_field(parse_scenario(open_grid), PipelineOptions(field_cache=cache, **sampling))
 
 
-def test_longer_cached_horizon_is_accepted():
+def test_longer_cached_horizon_is_accepted(tmp_path, monkeypatch):
     sc = unit_scenario()
     fld = stamped(estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon + 4,
                                                samples=100, seed=1), sc)
-    assert build_field(sc, PipelineOptions(field=fld, samples=100, seed=1)) is fld
+    cache = saved(tmp_path, fld)
+    runs = count_calls(monkeypatch, hazard, "_run_chunks")
+    got = build_field(sc, PipelineOptions(field_cache=cache, samples=100, seed=1))
+    assert runs == [] and got.horizon == sc.horizon + 4
+    assert np.array_equal(got.prob, fld.prob)
 
 
 @pytest.mark.parametrize("asked, want", [
@@ -202,42 +216,53 @@ def test_longer_cached_horizon_is_accepted():
     (dict(samples=201, seed=3), "asks for monte-carlo (201 samples, seed 3)"),
     (dict(samples=200, seed=4), "asks for monte-carlo (200 samples, seed 4)"),
 ])
-def test_given_field_of_another_kind_or_sampling_is_refused(asked, want):
+def test_given_field_of_another_kind_or_sampling_is_refused(tmp_path, asked, want):
     sc = unit_scenario()
     fld = stamped(estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon,
                                                samples=200, seed=3), sc)
+    cache = saved(tmp_path, fld)
     for call in (build_field, run_pipeline):
         with pytest.raises(ValidationError) as exc:
-            call(sc, PipelineOptions(field=fld, methods=("forward",), ratio_source="none",
-                                     **asked))
+            call(sc, PipelineOptions(field_cache=cache, methods=("forward",),
+                                     ratio_source="none", **asked))
         assert "built as monte-carlo (200 samples, seed 3)" in str(exc.value)
         assert want in str(exc.value)
 
 
-def test_given_exact_field_is_refused_for_a_sampled_run():
+def test_given_exact_field_is_refused_for_a_sampled_run(tmp_path, monkeypatch):
     sc = unit_scenario()
     fld = stamped(hazard.exact_contamination_field(sc.gridmap, sc.hazard, sc.horizon), sc)
-    assert build_field(sc, exact_options(field=fld, samples=123, seed=9)) is fld
+    cache = saved(tmp_path, fld)
+    passes = count_calls(monkeypatch, hazard, "_propagate_exact")
+    got = build_field(sc, exact_options(field_cache=cache, samples=123, seed=9))
+    assert passes == [] and np.array_equal(got.prob, fld.prob)
     for call in (build_field, run_pipeline):
         with pytest.raises(ValidationError, match="built as exact, but this run asks for "
                                                   r"monte-carlo \(10000 samples, seed 0\)"):
-            call(sc, PipelineOptions(field=fld))
+            call(sc, PipelineOptions(field_cache=cache))
 
 
-def test_given_field_of_another_scenario_or_without_a_hash_is_refused():
+def test_given_field_of_another_scenario_or_without_a_hash_is_refused(tmp_path, monkeypatch):
     sc = unit_scenario()
     faster = unit_dict()
     faster["hazards"][0]["theta"] = 0.3
     fld = estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon, samples=200, seed=3)
     opts = dict(samples=200, seed=3, methods=("forward",), ratio_source="none")
-    for stamp, words in (("", "no scenario hash"),
+    fld.scenario_hash = scenario_hash(sc)
+    cache = saved(tmp_path, fld)
+    with np.load(cache) as npz:
+        data = {key: npz[key] for key in npz.files}
+    # a field without a hash cannot be saved, so write the file by hand
+    for stamp, words in (("", "without a scenario hash"),
                          (scenario_hash(parse_scenario(faster)), "different scenario")):
-        fld.scenario_hash = stamp
+        np.savez_compressed(cache, **dict(data, scenario_hash=np.array(stamp)))
         for call in (build_field, run_pipeline):
             with pytest.raises(ValidationError, match=words):
-                call(sc, PipelineOptions(field=fld, **opts))
-    fld.scenario_hash = scenario_hash(sc)
-    assert run_pipeline(sc, PipelineOptions(field=fld, **opts)).contamination is fld
+                call(sc, PipelineOptions(field_cache=cache, **opts))
+    cache = saved(tmp_path, fld, "stamped.npz")
+    runs = count_calls(monkeypatch, hazard, "_run_chunks")
+    res = run_pipeline(sc, PipelineOptions(field_cache=cache, **opts))
+    assert runs == [] and np.array_equal(res.contamination.prob, fld.prob)
 
 
 def test_exact_field_cap_enforced():
@@ -392,32 +417,39 @@ def test_cached_field_heatmap_reads_saved_marginals(tmp_path, monkeypatch, kind)
     assert loaded.scenario_hash == scenario_hash(sc)
     passes = count_calls(monkeypatch, hazard, "_propagate_exact")
     runs = count_calls(monkeypatch, hazard, "_run_chunks")
-    cached = run_pipeline(sc, PipelineOptions(field=loaded, **opts))
+    cached = run_pipeline(sc, PipelineOptions(field_cache=tmp_path / "field.npz", **opts))
     assert (passes, runs) == ([], [])
     assert canonical_report_json(cached.report) == canonical_report_json(fresh.report)
 
 
-def test_longer_cached_field_heatmap_reads_the_scenario_step(monkeypatch):
+def test_longer_cached_field_heatmap_reads_the_scenario_step(tmp_path, monkeypatch):
     sc = unit_scenario()
     fresh = run_pipeline(sc, exact_options(heatmap=True, methods=("forward",),
                                            ratio_source="none"))
     longer = stamped(hazard.exact_contamination_field(sc.gridmap, sc.hazard, sc.horizon + 3), sc)
+    cache = saved(tmp_path, longer)
     passes = count_calls(monkeypatch, hazard, "_propagate_exact")
-    res = run_pipeline(sc, exact_options(field=longer, heatmap=True, methods=("forward",),
+    res = run_pipeline(sc, exact_options(field_cache=cache, heatmap=True, methods=("forward",),
                                          ratio_source="none"))
     assert passes == []
     assert res.report["heatmap"]["rows"] == fresh.report["heatmap"]["rows"]
 
 
-def test_heatmap_of_a_field_without_marginals_is_refused():
+def test_heatmap_of_a_field_without_marginals_is_refused(tmp_path):
     sc = unit_scenario()
     fld = stamped(estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon,
                                                samples=50, seed=1), sc)
-    fld.marginals = None
-    opts = dict(field=fld, samples=50, seed=1, methods=("forward",), ratio_source="none")
-    assert "heatmap" not in run_pipeline(sc, PipelineOptions(**opts)).report
-    with pytest.raises(ValidationError, match="no marginals"):
-        run_pipeline(sc, PipelineOptions(heatmap=True, **opts))
+    cache = saved(tmp_path, fld)
+    with np.load(cache) as npz:
+        data = {key: npz[key] for key in npz.files if key != "marginals"}
+    np.savez_compressed(cache, **data)
+    # every field build_field returns carries marginals: a cache without them
+    # is refused whether or not a heatmap is asked for
+    opts = dict(field_cache=cache, samples=50, seed=1, methods=("forward",),
+                ratio_source="none")
+    for heatmap in (False, True):
+        with pytest.raises(ValidationError, match="lacks marginals"):
+            run_pipeline(sc, PipelineOptions(heatmap=heatmap, **opts))
 
 
 def test_rollouts_read_policies_from_the_lattice(monkeypatch):
