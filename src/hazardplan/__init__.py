@@ -52,6 +52,7 @@ from .planner import (
     PlanResult,
     RolloutResult,
     dp_solve,
+    dp_values,
     rollout,
     wilson_interval,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "build_field",
     "canonical_report_json",
     "dp_solve",
+    "dp_values",
     "estimate_contamination_field",
     "exact_contamination_field",
     "exact_ratios",

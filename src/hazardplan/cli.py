@@ -22,10 +22,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 from ._version import VERSION
 from .errors import HazardPlanError, ValidationError, VacuousBoundError
 from .guarantees import guarantee_values, region_map
-# plan and simulate call planner.dp_solve through the module, so a wrapper put
-# on it (bench/tracing.py) sees their solves
-from . import planner
-from .planner import rollout
+from .planner import require_dp_table_fits, rollout
 from .render import heat_pgm, region_svg, scenario_svg
 from .report import (
     DEFAULT_SAMPLES,
@@ -219,16 +216,16 @@ def _report_exit(report: Dict) -> int:
 
 
 def _subset_plan(args):
-    """Scenario, options and --robot index, the subset's own dp_solve of the
-    --targets subset, and the output's head: robot name and target names."""
+    """Scenario, options and --robot index, the plan of the --targets subset
+    (its own dp_solve), and the output's head: robot name and target names."""
     scenario = load_scenario(args.scenario)
     robot = _parse_robot(scenario, args.robot)
     mask = _parse_target_list(scenario, args.targets)
-    planner.require_dp_table_fits(mask.bit_count(), scenario.gridmap.n_free,
-                                  scenario.horizon)
+    # the subset's policy DP: refuse it before the field
+    require_dp_table_fits(mask.bit_count(), scenario.gridmap.n_free, scenario.horizon)
     opts = _pipeline_options(scenario, args)
     cache = objective_cache(scenario, build_field(scenario, opts))
-    result = planner.dp_solve(cache.query(robot, mask))
+    result = cache.solve(robot, mask)
     head = {
         "robot": scenario.robot_names[robot],
         "targets": [scenario.target_names[t]

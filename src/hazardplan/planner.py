@@ -3,37 +3,60 @@
 A mission state is (q, x): the set of the robot's targets visited so far and
 its cell, plus two absorbing outcomes (contaminated, or at the exit with every
 target visited). Moves succeed per the motion kernel; arrival at x' survives
-with probability 1 - p[k](x', x) from the contamination field. dp_solve runs
-the standard backward finite-horizon recursion, maximizing the probability of
-reaching the exit with all targets visited within the horizon. Its value
-layers are blocked into tiles of c visited sets, (tiles, n, c), with c the
-largest power of two whose (n, c) tile fits _DP_TILE_BYTES, so that a tile
-and its working buffers stay in cache. Each step first remaps the rows of the
-target cells, since arriving on one sets its bit; then each tile is swept on
-its own: every kernel term is a copy of whole tile rows, scaled per cell (a
-term that stays put only scales the tile), and the actions are compared,
-bounded and written to the policy tile by tile.
+with probability 1 - p[k](x', x) from the contamination field. The planner
+runs the standard backward finite-horizon recursion, maximizing the
+probability of reaching the exit with all targets visited within the
+horizon. Step k reads only step k + 1, so two value layers are kept. The
+recursion sweeps blocks of visited-set columns, (n, c) with c the largest
+power of two whose block fits _DP_TILE_BYTES, so that a block and its working
+buffers stay in cache (_Sweep): every kernel term is a copy of whole block
+rows, scaled per cell (a term that stays put only scales the block), and the
+actions are compared and bounded block by block. Arriving on a target sets
+its bit, so a block's target-cell rows read other visited sets: row d, read
+at visited set q, holds the value at q | tb[d].
 
-Most of a many-target layer is exactly 0: the targets a visited set still
-lacks cannot all be visited, with the exit reached, in the steps left.
-_finish_moves bounds the moves any walk from a visited set needs, whatever
-its cell (Held-Karp over breadth-first grid distances), and the columns of
-a layer are ordered by that bound, so such sets gather into whole tiles at
-its end. At step k a tile whose every set needs more than horizon - k
-moves is not swept: it holds +0.0 with policy STAY, which is what the
-sweep would write, as long as every step from the horizon down to k has
-all its contamination probabilities in [0, 1]. From a step with any other
-value down, every tile is swept. The policy keeps its [step, visited set,
-cell] layout, so the skip changes no value or policy bit.
+It has two modes over that one sweep.
+
+- dp_values prices every visited set from the start, V^0(q, start) for all
+  q, and keeps no policy: the lattice ObjectiveCache prices subsets from.
+  Every visited set is a start state there, so every column can be needed.
+  Its value layers are blocked into tiles of c visited sets, (tiles, n, c),
+  swept in place, and each step first remaps the target-cell rows of the
+  tiles it sweeps.
+- dp_solve solves one mission from its start state (start_q, start) and keeps
+  the policy of the states the start can reach. Step k gathers only the
+  visited sets it must sweep into compact (n, <= c) blocks, and its policy
+  is one int8 row of n actions per (step, visited set) swept, beside row 0,
+  all STAY, which stands for every column not swept: PlanResult.action reads
+  it through an (H, 2^t) row index.
+
+Two Held-Karp bounds over one table of breadth-first grid distances, from
+each target and from the start (_distance_table), say which columns a step
+needs. need[q] (_finish_moves) bounds the moves any walk from (q, x),
+whatever its cell, takes to visit the targets outside q and stand on the
+exit; reach[q] (_reach_moves) bounds the moves from the start before the
+walk has visited q's targets outside start_q. While every step from the
+horizon down to k has all its contamination probabilities in [0, 1], a set
+that needs more than horizon - k moves is worth +0.0 with policy STAY at
+step k, which is what a sweep would write. The value mode orders its columns
+by need, so such sets gather into whole tiles at its end, and does not
+sweep those tiles. The policy mode sweeps at step k the sets with need[q] <=
+horizon - k and reach[q] <= k: every state the start reaches at step k is in
+one of them, and its value reads only states the start reaches at step
+k + 1, so the values and policy there are those of the full sweep. From a step with any
+other probability down (NaN, or p outside [0, 1], as a hand-made field may
+hold) a +0.0 may turn -0.0 or raise, so from there on every column is swept;
+and such a field turns the reach bound off, so the policy mode then sweeps
+what the value mode sweeps, value and policy bits and raised messages alike.
 
 Since a visited target no longer matters, the mission "visit S" from (q, x)
 is the mission "visit T" from (q | (T ^ S), x) for any T containing S. So
-one solve over all of a scenario's targets T is every subset's plan: the
-subset S only starts the walk in the visited set (T ^ S) | start_q.
-ObjectiveCache holds that one plan per robot and prices every subset from it.
-A target contaminated at step 0 needs no special case: entering it has
-probability 1 of contamination, so every mission that must visit it is worth
-exactly 0.
+one value lattice over all of a scenario's targets T prices every subset:
+the subset S starts in the visited set (T ^ S) | start_q. Each element of
+the two sweeps runs the same operations, so the subset's own dp_solve has
+the same value bits. A target contaminated at step 0 needs no special case:
+entering it has probability 1 of contamination, so every mission that must
+visit it is worth exactly 0.
 
 rollout simulates a plan in chunks of trials with one hit test per step: a
 uniform against the field's contamination probability of the move (model
@@ -47,8 +70,7 @@ that walk. Tabular motion moves the trials one by one.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,26 +83,29 @@ VALUE_TOL = 1e-9
 MAX_TARGETS = 20
 WILSON_Z95 = 1.959963984540054
 _ROLLOUT_CHUNK = 16384
-# Largest dp_solve, in bytes of its policy and working layers: a quarter of
-# an 8 GB machine, so a query that fits leaves room for the field, the
+# Largest DP, in bytes of its policy and working layers: a quarter of an
+# 8 GB machine, so a query that fits leaves room for the field, the
 # allocators and whatever else runs beside it.
 DP_TABLE_CAP = 2 << 30
-# Bytes of one (n_free, c) float64 tile of a dp_solve value layer: c is the
-# largest power of two that fits, so a tile and its working buffers stay in a
-# core's L2 cache. 256 KiB gives c = 128 on the 199 free cells of paper17x13;
-# 512 KiB measured the same.
+# Bytes of one (n_free, c) float64 block of visited-set columns: c is the
+# largest power of two that fits, so a block and its working buffers stay in
+# a core's L2 cache. 256 KiB gives c = 128 on the 199 free cells of
+# paper17x13; 512 KiB measured the same.
 _DP_TILE_BYTES = 256 << 10
-# Bytes per (mask, cell) of what dp_solve holds besides the policy, the
-# tile buffers and the kernel arrays: two float64 value layers, the target
-# remap's offsets and the column order. Traced peaks on paper17x13 at 8-13
-# targets, less the policy and the tile buffers below, were 14.2-16.7 with
-# deterministic and 16.9-20.5 with tabular motion.
+# Bytes per (mask, cell) of what a DP holds besides the policy, the block
+# buffers and the kernel arrays: two float64 value layers, the value mode's
+# target remap offsets and column order. Traced peaks of the value mode on
+# paper17x13 at 8-13 targets, less a policy and the tile buffers below,
+# were 14.2-16.7 with deterministic and 16.9-20.5 with tabular motion.
 _DP_LAYER_BYTES = 22
-# Bytes per (cell, visited set) of one tile's working buffers: an action's
+# Bytes per (cell, visited set) of one block's working buffers: an action's
 # value and, when an action has several kernel terms, one term's product,
 # plus two int8 buffers.
 _DP_TILE_BUFFER_BYTES = 18
-# Bytes per (kernel term, cell) of the arrays a dp_solve holds whatever its
+# What dp_solve, which gathers its blocks, holds beside them per (cell,
+# visited set): the float64 block of step k + 1 and its values at step k.
+_DP_BLOCK_BYTES = 16
+# Bytes per (kernel term, cell) of the arrays a DP holds whatever its
 # targets: the terms' weights, support and destinations, and a step's
 # survival rows with their temporaries. A kernel has at most
 # N_ACTIONS * N_ACTIONS terms; traced on paper17x13 with all 25 and no
@@ -134,18 +159,22 @@ class PlanQuery:
 
 @dataclass
 class PlanResult:
-    """DP output: the greedy policy and the start-state value f = V^0(s0)."""
+    """dp_solve output: the greedy policy of the states the start reaches
+    and the start-state value f = V^0(s0)."""
 
     query: PlanQuery
-    policy: np.ndarray  # (horizon, 2^t, n_free) int8 action ids
-    start_values: np.ndarray  # (2^t,) V^0(q, start) for every visited-set q
+    policy: np.ndarray  # (rows, n_free) int8 action ids; row 0 is all STAY
+    policy_row: np.ndarray  # (horizon, 2^t) int32 row of policy per (step, visited set)
     start_q: int  # the visited set the walk starts in
+    success: float
     diagnostics: Tuple[str, ...] = ()
-    tiles_swept: int = 0  # (step, value tile) pairs the DP swept, not skipped
+    columns_swept: int = 0  # (step, visited set) columns the DP swept
 
-    @property
-    def success(self) -> float:
-        return float(self.start_values[self.start_q])
+    def action(self, k, q, x):
+        """The action at step k, visited set q and cell x, for scalars and
+        index arrays alike. It is the full sweep's wherever the start can
+        reach (k, q, x); a column the DP did not sweep reads STAY."""
+        return self.policy[self.policy_row[k, q], x]
 
     def _walk(self) -> Tuple[List[Tuple[int, int]], bool]:
         """The plan's walk when every move lands as aimed and no hazard
@@ -161,7 +190,7 @@ class PlanResult:
         for k in range(self.query.horizon):
             if q == full and x == gm.goal_index:
                 break
-            u = int(self.policy[k, q, x])
+            u = int(self.action(k, q, x))
             steps.append((x, u))
             x = int(gm.neighbor_slots[x, u])
             q |= int(tb[x])
@@ -176,63 +205,53 @@ class PlanResult:
         ]
 
 
-def _grid_distances(gm: GridMap, source: int) -> np.ndarray:
-    """Fewest orthogonal moves from cell index ``source`` to every free
-    cell, breadth first along neighbor_slots; inf where none leads."""
-    nbr = gm.neighbor_slots[:, 1:N_ACTIONS].tolist()
-    dist = [np.inf] * gm.n_free
-    dist[source] = 0.0
-    queue = deque([source])
-    while queue:
-        i = queue.popleft()
-        for j in nbr[i]:
-            if j >= 0 and dist[j] == np.inf:
-                dist[j] = dist[i] + 1.0
-                queue.append(j)
-    return np.array(dist)
+def _grid_distances(gm: GridMap, sources: Sequence[int]) -> np.ndarray:
+    """Fewest orthogonal moves from each cell index of ``sources`` to every
+    free cell, one row per source, breadth first along neighbor_slots for
+    all rows at once; inf where none leads. A move's reverse is a move, so
+    the cells one move past the frontier are those with a neighbour in it."""
+    n = gm.n_free
+    nbr = gm.neighbor_slots[:, 1:N_ACTIONS]
+    dist = np.full((len(sources), n), np.inf)
+    dist[np.arange(len(sources)), sources] = 0.0
+    frontier = dist == 0.0
+    # column n stands for the missing neighbour, index -1, and is never reached
+    padded = np.zeros((len(sources), n + 1), dtype=bool)
+    moves = 0
+    while frontier.any():
+        moves += 1
+        padded[:, :n] = frontier
+        frontier = padded[:, nbr].any(axis=2) & np.isinf(dist)
+        dist[frontier] = moves
+    return dist
 
 
-def _reachability_diagnostics(query: PlanQuery) -> List[str]:
+def _distance_table(query: PlanQuery) -> np.ndarray:
+    """(t + 1, n) _grid_distances from each target, in order, and last from
+    the start: what the bounds on the moves and the diagnostics read."""
     gm = query.gridmap
-    unreachable = np.isinf(_grid_distances(gm, gm.index(query.start)))
-    diags = []
-    for cell in query.targets:
-        if unreachable[gm.index(cell)]:
-            diags.append(f"target {tuple(cell)} unreachable from start {tuple(query.start)}")
-    if unreachable[gm.goal_index]:
-        diags.append(f"exit {tuple(gm.goal)} unreachable from start {tuple(query.start)}")
-    return diags
+    return _grid_distances(gm, [gm.index(c) for c in query.targets] + [gm.index(query.start)])
 
 
-def _finish_moves(query: PlanQuery) -> np.ndarray:
-    """need[q] for every visited set q: a lower bound on the moves that any
-    walk from (q, x), whatever the cell x, takes to visit every target
-    outside q and then stand on the exit. need[full] is 0. Otherwise it is
-    1 plus the shortest grid path that starts on one of the targets left,
-    visits the rest and ends on the exit: Held-Karp over the targets, on
-    _grid_distances. A move lands on a neighbour or stays put, and the
-    first target left is entered by a move, a STAY onto it included, so no
-    walk is shorter. inf ("never") where a target left cannot reach the
-    exit."""
-    gm = query.gridmap
-    t = len(query.targets)
+def _tour_moves(between: np.ndarray, enter: np.ndarray, leave: np.ndarray) -> np.ndarray:
+    """fewest[r] for every set r of the t targets: the fewest moves of a walk
+    that takes enter[i] moves onto its first target i, between[i, j] from
+    target i to target j, visits every target of r and takes leave[i] moves
+    on from its last target i; fewest[0] is 0. Held-Karp, with inf where no
+    walk does."""
+    t = len(enter)
     nq = 1 << t
-    cells = [gm.index(c) for c in query.targets]
-    # steps[i, j]: moves from target i to target j, and row t: the one move
-    # that enters any target from the cell next to it, or from itself
-    steps = np.ones((t + 1, t))
-    from_targets = np.array([_grid_distances(gm, x) for x in cells]).reshape(t, gm.n_free)
-    steps[:t] = from_targets[:, cells]
+    # steps[i, j]: moves from target i to target j, and row t: onto j first
+    steps = np.vstack([between, enter])
     masks = np.arange(nq)
     bits = 1 << np.arange(t)
     sizes = (masks[:, np.newaxis] & bits != 0).sum(axis=1)
-    # path[r, i]: fewest moves from target i through every target of r to
-    # the exit, for i outside r. left[r]: the fewest from the best cell with
-    # the targets r left, one move onto the first of them and its path; row
-    # t of steps makes it.
+    # path[r, i]: fewest moves from target i through every target of r and
+    # on, for i outside r. fewest[r]: onto the first target of r and its
+    # path; row t of steps makes it.
     path = np.full((nq, t), np.inf)
-    path[0] = from_targets[:, gm.goal_index]
-    left = np.zeros(nq)
+    path[0] = leave
+    fewest = np.zeros(nq)
     # rows of a level per round, so the (rows, t + 1, t) sums stay small
     rows = max(1, (1 << 18) // ((t + 1) * max(t, 1)))
     for size in range(1, t + 1):
@@ -243,16 +262,56 @@ def _finish_moves(query: PlanQuery) -> np.ndarray:
             onward = np.where(r & bits != 0, path[r ^ bits, np.arange(t)], np.inf)
             moves = (steps + onward[:, np.newaxis]).min(axis=2)
             path[r[:, 0]] = moves[:, :t]
-            left[r[:, 0]] = moves[:, t]
-    return left[(nq - 1) ^ masks]
+            fewest[r[:, 0]] = moves[:, t]
+    return fewest
 
 
-def _diagnose(query: PlanQuery) -> List[str]:
-    """Reachability notes, then the start's step-0 contamination or else each
+def _finish_moves(query: PlanQuery, dist: np.ndarray) -> np.ndarray:
+    """need[q] for every visited set q: a lower bound on the moves that any
+    walk from (q, x), whatever the cell x, takes to visit every target
+    outside q and then stand on the exit. need[full] is 0. Otherwise it is
+    1 plus the shortest grid path that starts on one of the targets left,
+    visits the rest and ends on the exit (_tour_moves over ``dist``, the
+    _distance_table). A move lands on a neighbour or stays put, and the
+    first target left is entered by a move, a STAY onto it included, so no
+    walk is shorter. inf ("never") where a target left cannot reach the
+    exit."""
+    t = len(query.targets)
+    cells = [query.gridmap.index(c) for c in query.targets]
+    left = _tour_moves(dist[:t, cells], np.ones(t), dist[:t, query.gridmap.goal_index])
+    return left[(len(left) - 1) ^ np.arange(len(left))]
+
+
+def _reach_moves(query: PlanQuery, dist: np.ndarray) -> np.ndarray:
+    """reach[q] for every visited set q: a lower bound on the moves of any
+    walk from the start state before its visited set is q. A walk has
+    visited every target of q outside start_q by then, on one grid path
+    from the start, so it is the shortest such path (_tour_moves over
+    ``dist``, the _distance_table, read from the last target back to the
+    start, as grid distances are symmetric); no walk reaches a superset of
+    q sooner. inf where q lacks a target of start_q, or holds one the
+    start cannot reach."""
+    t = len(query.targets)
+    start_q = int(query.target_bits()[query.gridmap.index(query.start)])
+    cells = [query.gridmap.index(c) for c in query.targets]
+    fewest = _tour_moves(dist[:t, cells], np.zeros(t), dist[t, cells])
+    masks = np.arange(len(fewest))
+    return np.where(masks & start_q == start_q, fewest[masks ^ start_q], np.inf)
+
+
+def _diagnose(query: PlanQuery, dist: np.ndarray) -> List[str]:
+    """Reachability notes from the start row of ``dist``, the
+    _distance_table, then the start's step-0 contamination or else each
     target's."""
     gm = query.gridmap
+    unreachable = np.isinf(dist[-1])
+    diagnostics = []
+    for cell in query.targets:
+        if unreachable[gm.index(cell)]:
+            diagnostics.append(f"target {tuple(cell)} unreachable from start {tuple(query.start)}")
+    if unreachable[gm.goal_index]:
+        diagnostics.append(f"exit {tuple(gm.goal)} unreachable from start {tuple(query.start)}")
     flagged = query.field.flagged[0]
-    diagnostics = _reachability_diagnostics(query)
     if flagged[gm.index(query.start)]:
         diagnostics.append(
             f"start {tuple(query.start)} is almost surely contaminated at step 0"
@@ -265,8 +324,8 @@ def _diagnose(query: PlanQuery) -> List[str]:
 
 
 def _tile_columns(n_visited: int, n_free: int) -> int:
-    """Visited sets per tile of dp_solve: the largest power of two up to
-    n_visited whose (n_free, c) float64 tile fits _DP_TILE_BYTES, at least 1."""
+    """Visited sets per block of a DP: the largest power of two up to
+    n_visited whose (n_free, c) float64 block fits _DP_TILE_BYTES, at least 1."""
     c = n_visited
     while c > 1 and n_free * c * 8 > _DP_TILE_BYTES:
         c >>= 1
@@ -294,39 +353,158 @@ def _remap_offsets(
     return offsets(at), offsets(position[arrive])
 
 
-def dp_table_bytes(n_targets: int, n_free: int, horizon: int) -> int:
-    """Estimated peak bytes of a dp_solve: the int8 policy and the two value
-    layers, plus the working buffers of one tile and the kernel arrays of
-    the most terms a kernel can have."""
+def _bad_steps(fld: ContaminationField, horizon: int) -> np.ndarray:
+    """The steps below ``horizon`` with a contamination probability outside
+    [0, 1] or NaN, in increasing order."""
+    prob = fld.prob[:horizon]
+    # min and max hold NaN where a step does
+    return np.flatnonzero(~((0.0 <= prob.min(axis=(1, 2))) & (prob.max(axis=(1, 2)) <= 1.0)))
+
+
+def dp_table_bytes(n_targets: int, n_free: int, horizon: Optional[int] = None) -> int:
+    """Estimated peak bytes of a dp_values over n_targets targets, or with a
+    horizon of a dp_solve: the two value layers, the working buffers of one
+    block and the kernel arrays of the most terms a kernel can have; a
+    dp_solve adds its gathered block and the compact policy at its worst,
+    every (step, visited set) swept: a row of n_free int8 actions each, row
+    0 and the int32 row index."""
     nq = 1 << n_targets
-    return (nq * n_free * (horizon + _DP_LAYER_BYTES)
-            + _tile_columns(nq, n_free) * n_free * _DP_TILE_BUFFER_BYTES
+    c = _tile_columns(nq, n_free)
+    need = (nq * n_free * _DP_LAYER_BYTES
+            + c * n_free * _DP_TILE_BUFFER_BYTES
             + N_ACTIONS * N_ACTIONS * n_free * _DP_TERM_BYTES)
+    if horizon is not None:
+        need += c * n_free * _DP_BLOCK_BYTES + (horizon * nq + 1) * n_free + 4 * horizon * nq
+    return need
 
 
-def require_dp_table_fits(n_targets: int, n_free: int, horizon: int) -> None:
-    """Refuse a dp_solve whose tables would pass DP_TABLE_CAP."""
+def require_dp_table_fits(n_targets: int, n_free: int, horizon: Optional[int] = None) -> None:
+    """Refuse a DP whose tables would pass DP_TABLE_CAP: a dp_values, or
+    with a horizon a dp_solve (dp_table_bytes)."""
     need = dp_table_bytes(n_targets, n_free, horizon)
     if need > DP_TABLE_CAP:
+        steps = "" if horizon is None else f" and {horizon} steps"
         raise CapExceededError(
-            f"planning {n_targets} targets over {n_free} cells and {horizon} steps "
+            f"planning {n_targets} targets over {n_free} cells{steps} "
             f"needs about {need / 2**30:.1f} GiB > cap {DP_TABLE_CAP / 2**30:.1f} GiB"
         )
 
 
-def dp_solve(query: PlanQuery) -> PlanResult:
-    """Backward value recursion; returns the greedy policy and f = V^0(s0).
+class _Sweep:
+    """One step of the backward recursion over a block of visited-set
+    columns, the part both DP modes share. Every kernel term is a row of
+    (slot, weight per cell), grouped by action in order; an action with no
+    term at any cell is skipped, as its value would never be written. A cell
+    outside a term's support reads its own row with weight 0, so it adds
+    exactly +0.0, and a term that lands every cell on itself (STAY) scales
+    the block in place of a gather. The buffers hold blocks of up to c
+    columns."""
 
-    Step k reads only step k + 1, so two value layers are kept, each blocked
-    as (tiles, n, c): tile j holds c visited sets of every cell, c from
-    _tile_columns. The columns are ordered by _finish_moves, fewest moves
-    still needed first, so the visited sets that cannot finish in the steps
-    left gather into whole tiles at the end. Each step first remaps the
-    target-cell rows, the one read across visited sets; every action is
-    then worked out tile by tile on contiguous (n, c) buffers, each kernel
-    term a copy of whole tile rows. A tile whose fewest moves needed pass
-    the steps left is all +0.0 with policy STAY and is not swept (see the
-    loop). A query whose tables would pass DP_TABLE_CAP raises
+    def __init__(self, query: PlanQuery, c: int):
+        gm = query.gridmap
+        n = gm.n_free
+        slots, weights, actions = [], [], []
+        for u in range(N_ACTIONS):
+            terms = list(query.kernel.action_terms(u))
+            if terms:
+                actions.append((u, range(len(slots), len(slots) + len(terms))))
+                slots += [j for j, _ in terms]
+                weights += [w for _, w in terms]
+        self.slots = slots
+        self.weights = np.array(weights)
+        self.sel = self.weights > 0
+        dest = np.where(self.sel, gm.neighbor_slots[:, slots].T, np.arange(n))
+        gathers = [None if (d == np.arange(n)).all() else d for d in dest]
+        # each action's terms as (term index, gather)
+        self.actions = [(u, [(i, gathers[i]) for i in terms]) for u, terms in actions]
+        self.prob = query.field.prob
+        self.goal = gm.goal_index
+        self.acc = np.empty(n * c)
+        self.tmp = np.empty(n * c) if len(slots) > len(actions) else None
+        self.better = np.empty(n * c, dtype=np.int8)
+        self.surv = None
+
+    def at_step(self, k: int) -> None:
+        """Read step k's survival of each term: a cell's weight times 1 - p,
+        as an (n, 1) column for every column of a block."""
+        surv = np.where(self.sel, self.weights * (1.0 - self.prob[k][:, self.slots].T), 0.0)
+        self.surv = list(surv[:, :, np.newaxis])
+
+    def _action(self, tile, terms, out, tmp):
+        """Sum over an action's terms, in order, of survival times the block
+        row the term lands on. Every index is valid; mode="clip" only spares
+        the copy take makes of ``out`` under the default mode."""
+        for j, (i, gather) in enumerate(terms):
+            dst = tmp if j else out
+            if gather is None:
+                np.multiply(tile, self.surv[i], out=dst)
+            else:
+                tile.take(gather, axis=0, out=dst, mode="clip")
+                dst *= self.surv[i]
+            if j:
+                out += tmp
+
+    def block(self, tile, best, bestu=None, full_col=None):
+        """Write the values at step k of the block ``tile`` of step k + 1,
+        its target-cell rows remapped, into ``best``, both (n, m), and with
+        ``bestu`` each value's action. full_col is the block's column of the
+        full set, if it has one. Returns the values' min and max, and
+        whether they lie within VALUE_TOL of [0, 1]; outside [0, 1] they are
+        clipped."""
+        size = tile.size
+        shape = tile.shape
+        acc = self.acc[:size].reshape(shape)
+        tmp = None if self.tmp is None else self.tmp[:size].reshape(shape)
+        better = self.better[:size].reshape(shape)
+        # STAY is admissible and has mass at every cell, so best >= 0 after
+        # it. An action inadmissible at a cell has no mass there and is
+        # worth 0.0 there, which the strict > never picks.
+        self._action(tile, self.actions[0][1], best, tmp)
+        if bestu is not None:
+            bestu.fill(MoveAction.STAY)
+        for u, terms in self.actions[1:]:
+            self._action(tile, terms, acc, tmp)
+            if bestu is not None:
+                np.greater(acc, best, out=better)
+                # Actions come in increasing u, so bestu is below u: setting
+                # u where acc > best is the max of bestu and u * better, with
+                # no branch per entry as a masked copy has.
+                better *= u
+                np.maximum(bestu, better, out=bestu)
+            np.maximum(best, acc, out=best)
+        if full_col is not None:
+            # The completed-mission state is absorbing.
+            best[self.goal, full_col] = tile[self.goal, full_col]
+            if bestu is not None:
+                bestu[self.goal, full_col] = MoveAction.STAY
+        lo = best.min()
+        hi = best.max()
+        # A block inside [0, 1] is its own clip. NaN fails both
+        # comparisons, so a NaN value raises too.
+        if 0.0 <= lo and hi <= 1.0:
+            return lo, hi, True
+        np.clip(best, 0.0, 1.0, out=best)
+        return lo, hi, -VALUE_TOL <= lo and hi <= 1.0 + VALUE_TOL
+
+
+def _raise_outside(k: int, lows, highs) -> None:
+    raise NumericViolationError(
+        f"value outside [0, 1] at step {k}: [{np.min(lows)}, {np.max(highs)}]"
+    )
+
+
+def dp_values(query: PlanQuery) -> np.ndarray:
+    """The value lattice: V^0(q, start) for every visited set q, as a
+    (2^t,) array, with no policy kept.
+
+    The two value layers are blocked as (tiles, n, c): tile j holds c
+    visited sets of every cell, c from _tile_columns. The columns are
+    ordered by _finish_moves, fewest moves still needed first, so the
+    visited sets that cannot finish in the steps left gather into whole
+    tiles at the end. Each step first remaps the target-cell rows of the
+    tiles it sweeps, then sweeps them one by one (_Sweep). A tile whose
+    fewest moves needed pass the steps left is all +0.0 and is not swept
+    (see the loop). A query whose tables would pass DP_TABLE_CAP raises
     CapExceededError before any is allocated.
     """
     gm = query.gridmap
@@ -335,7 +513,7 @@ def dp_solve(query: PlanQuery) -> PlanResult:
     t = len(query.targets)
     nq = 1 << t
     horizon = query.horizon
-    require_dp_table_fits(t, n, horizon)
+    require_dp_table_fits(t, n)
     c = _tile_columns(nq, n)
     tiles = nq // c
     start_idx = gm.index(query.start)
@@ -343,7 +521,7 @@ def dp_solve(query: PlanQuery) -> PlanResult:
     tb = query.target_bits()
     # A one-tile layer holds the full set, which needs no move, so it is
     # always swept and needs no bound.
-    need = _finish_moves(query) if tiles > 1 else np.zeros(nq)
+    need = _finish_moves(query, _distance_table(query)) if tiles > 1 else np.zeros(nq)
     # The visited set of each column: by the fewest moves still needed, ties
     # in q order. A need above the horizon is skipped alike at every step,
     # so the keys are the integers 0 to horizon + 1, and a counting sort
@@ -355,132 +533,136 @@ def dp_solve(query: PlanQuery) -> PlanResult:
     tile_need = need[order[::c]]  # ascending: the fewest moves in each tile
     full_tile, full_col = divmod(int(position[nq - 1]), c)
 
-    # Every kernel term as a row of (slot, weight per cell), grouped by
-    # action in order. An action with no term at any cell is skipped: its
-    # value layer would never be written.
-    slots, weights, actions = [], [], []
-    for u in range(N_ACTIONS):
-        terms = list(query.kernel.action_terms(u))
-        if terms:
-            actions.append((u, range(len(slots), len(slots) + len(terms))))
-            slots += [j for j, _ in terms]
-            weights += [w for _, w in terms]
-    weights = np.array(weights)
-    sel = weights > 0
-    # A cell outside a term's support reads its own row with weight 0, so it
-    # adds exactly +0.0. A term that lands every cell on itself (STAY) scales
-    # the tile in place of a gather.
-    dest = np.where(sel, gm.neighbor_slots[:, slots].T, np.arange(n))
-    gathers = [None if (d == np.arange(n)).all() else d for d in dest]
+    sweep = _Sweep(query, c)
     remap_to, remap_from = _remap_offsets(tb, order, position, c)
     # The tiles swept at step k: those whose fewest moves fit in the steps
     # left, a prefix as tile_need ascends, but every tile from the last step
     # with a probability outside [0, 1] down (see the loop). The remap's
     # entries inside them are a prefix too, as remap_to ascends.
     live_at = np.searchsorted(tile_need, horizon - np.arange(horizon), side="right")
-    prob = fld.prob[:horizon]
-    # min and max hold NaN where a step does
-    bad = np.flatnonzero(~((0.0 <= prob.min(axis=(1, 2))) & (prob.max(axis=(1, 2)) <= 1.0)))
+    bad = _bad_steps(fld, horizon)
     if bad.size:
         live_at[:bad[-1] + 1] = tiles
     remap_stop = np.searchsorted(remap_to, live_at * (n * c))
-    # the visited sets of each tile's columns, a slice when they are in order
-    columns = [order[j * c:(j + 1) * c] for j in range(tiles)] if tiles > 1 else [slice(None)]
 
     values = np.zeros((tiles, n, c))
     values[full_tile, goal_idx, full_col] = 1.0
     nxt = np.zeros((tiles, n, c))
-    acc = np.empty((n, c))
-    tmp = np.empty((n, c)) if len(slots) > len(actions) else None
-    better = np.empty((n, c), dtype=np.int8)
-    bestu = np.empty((n, c), dtype=np.int8)
     lows = np.zeros(tiles)
     highs = np.zeros(tiles)
-    # 0 is MoveAction.STAY, the policy of a tile not swept
-    policy = np.zeros((horizon, nq, n), dtype=np.int8)
-
-    def term_value(tile, i, surv, out):
-        """Survival times the tile row that term i lands on. Every index is
-        valid; mode="clip" only spares take the copy it makes of ``out``
-        under the default mode."""
-        if gathers[i] is None:
-            np.multiply(tile, surv[i], out=out)
-        else:
-            np.take(tile, gathers[i], axis=0, out=out, mode="clip")
-            out *= surv[i]
-
-    def action_value(tile, terms, surv, out):
-        """Sum over an action's terms, in order."""
-        first, *rest = terms
-        term_value(tile, first, surv, out)
-        for i in rest:
-            term_value(tile, i, surv, tmp)
-            out += tmp
 
     # Skipping is exact while every step from the horizon down to k has its
     # probabilities in [0, 1], so every survival factor is finite and
     # non-negative. Then a state that needs more moves than the steps left
-    # is worth +0.0, a sum of products of +0.0 and such a factor; the
-    # strict > keeps STAY there; and its tile's low and high are 0.0. A tile
-    # skipped at step k was skipped at every later step, so nothing has
-    # written its columns in either value layer, its policy rows, its low or
-    # its high since they were zeroed: skipping leaves them as the sweep
-    # would write them. The remap fills only the tiles swept, as a skipped
-    # tile reads none of its own columns. A step with another probability
-    # (NaN, or p outside [0, 1], as a hand-made field may hold) can leave
-    # -0.0 or raise, so from there on every tile is swept, as the sweep over
-    # whole layers does.
+    # is worth +0.0, a sum of products of +0.0 and such a factor, and its
+    # tile's low and high are 0.0. A tile skipped at step k was skipped at
+    # every later step, so nothing has written its columns in either value
+    # layer, its low or its high since they were zeroed: skipping leaves
+    # them as the sweep would write them. The remap fills only the tiles
+    # swept, as a skipped tile reads none of its own columns. A step with
+    # another probability can leave -0.0 or raise, so from there on every
+    # tile is swept, as the sweep over whole layers does.
     for k in range(horizon - 1, -1, -1):
         flat = values.reshape(-1)
         stop = remap_stop[k]
         flat[remap_to[:stop]] = flat[remap_from[:stop]]
-        surv = np.where(sel, weights * (1.0 - fld.prob[k][:, slots].T), 0.0)
-        surv = surv[:, :, np.newaxis]  # a cell's weight, for every column of a tile
+        sweep.at_step(k)
         inside = True
         for j in range(live_at[k]):
-            tile, best = values[j], nxt[j]
-            # STAY is admissible and has mass at every cell, so best >= 0
-            # after it. An action inadmissible at a cell has no mass there
-            # and is worth 0.0 there, which the strict > never picks.
-            action_value(tile, actions[0][1], surv, best)
-            bestu.fill(MoveAction.STAY)
-            for u, terms in actions[1:]:
-                action_value(tile, terms, surv, acc)
-                np.greater(acc, best, out=better)
-                # Actions come in increasing u, so bestu is below u: setting
-                # u where acc > best is the max of bestu and u * better, with
-                # no branch per entry as a masked copy has.
-                better *= u
-                np.maximum(bestu, better, out=bestu)
-                np.maximum(best, acc, out=best)
-            if j == full_tile:
-                # The completed-mission state is absorbing.
-                best[goal_idx, full_col] = tile[goal_idx, full_col]
-                bestu[goal_idx, full_col] = MoveAction.STAY
-            lows[j] = lo = best.min()
-            highs[j] = hi = best.max()
-            # A tile inside [0, 1] is its own clip. NaN fails both
-            # comparisons, so a NaN value raises too.
-            if not (0.0 <= lo and hi <= 1.0):
-                np.clip(best, 0.0, 1.0, out=best)
-                inside = inside and -VALUE_TOL <= lo and hi <= 1.0 + VALUE_TOL
-            policy[k, columns[j]] = bestu.T
+            lows[j], highs[j], ok = sweep.block(
+                values[j], nxt[j], full_col=full_col if j == full_tile else None)
+            inside = inside and ok
         if not inside:
-            raise NumericViolationError(
-                f"value outside [0, 1] at step {k}: [{lows.min()}, {highs.max()}]"
-            )
+            _raise_outside(k, lows, highs)
+        values, nxt = nxt, values
+
+    # Every move off a start contaminated at step 0 is contaminated, but a
+    # start on the goal with nothing to visit is already complete.
+    return values[:, start_idx].reshape(nq)[position] * (not fld.flagged[0, start_idx])
+
+
+def dp_solve(query: PlanQuery) -> PlanResult:
+    """One mission from its start state: f = V^0(start_q, start) and the
+    greedy policy of the states the start can reach.
+
+    Step k sweeps only the visited sets q with need[q] <= horizon - k
+    (_finish_moves) and reach[q] <= k (_reach_moves), in increasing q,
+    gathered into (n, <= c) blocks from two cell-major (n, 2^t) value
+    layers: a block takes its columns of step k + 1, its target-cell rows
+    read at q | tb[d], and its values at step k are scattered back. A field
+    with a probability outside [0, 1] or NaN turns reach off and, from its
+    last such step down, sweeps every visited set, as dp_values does (see
+    the module docstring). Each swept (step, visited set) keeps one row of
+    the int8 policy; PlanResult.action reads it. A query whose tables would
+    pass DP_TABLE_CAP raises CapExceededError before any is allocated.
+    """
+    gm = query.gridmap
+    fld = query.field
+    n = gm.n_free
+    t = len(query.targets)
+    nq = 1 << t
+    horizon = query.horizon
+    require_dp_table_fits(t, n, horizon)
+    c = _tile_columns(nq, n)
+    start_idx = gm.index(query.start)
+    goal_idx = gm.goal_index
+    tb = query.target_bits()
+    start_q = int(tb[start_idx])
+    dist = _distance_table(query)
+    bad = _bad_steps(fld, horizon)
+    last_bad = int(bad[-1]) if bad.size else -1
+    # Visited set q is swept at the steps first[q] <= k <= last[q].
+    first = np.zeros(nq) if bad.size else _reach_moves(query, dist)
+    last = np.maximum(horizon - _finish_moves(query, dist), last_bad)
+    columns_swept = int(np.clip(np.minimum(last, horizon - 1) - first + 1, 0, None).sum())
+
+    sweep = _Sweep(query, c)
+    tcells = np.flatnonzero(tb)
+    arrive = tb[tcells, np.newaxis]
+    values = np.zeros((n, nq))
+    values[goal_idx, nq - 1] = 1.0
+    nxt = np.zeros((n, nq))
+    best_buf = np.empty(n * c)
+    bestu_buf = np.empty(n * c, dtype=np.int8)
+    # 0 is MoveAction.STAY, the action of row 0
+    policy = np.zeros((1 + columns_swept, n), dtype=np.int8)
+    policy_row = np.zeros((horizon, nq), dtype=np.int32)
+    row = 1
+    for k in range(horizon - 1, -1, -1):
+        live = np.flatnonzero((first <= k) & (k <= last))
+        sweep.at_step(k)
+        lows, highs = [], []
+        inside = True
+        for lo in range(0, len(live), c):
+            cols = live[lo:lo + c]
+            m = len(cols)
+            tile = values[:, cols]
+            tile[tcells] = values[tcells[:, np.newaxis], cols | arrive]
+            best = best_buf[:n * m].reshape(n, m)
+            bestu = bestu_buf[:n * m].reshape(n, m)
+            # live ascends, so the full set is the last column of its block
+            full_col = m - 1 if cols[-1] == nq - 1 else None
+            low, high, ok = sweep.block(tile, best, bestu, full_col)
+            lows.append(low)
+            highs.append(high)
+            inside = inside and ok
+            nxt[:, cols] = best
+            policy[row:row + m] = bestu.T
+            policy_row[k, cols] = np.arange(row, row + m)
+            row += m
+        if not inside:
+            _raise_outside(k, lows, highs)
         values, nxt = nxt, values
 
     return PlanResult(
         query=query,
         policy=policy,
-        # Every move off a start contaminated at step 0 is contaminated, but
-        # a start on the goal with nothing to visit is already complete.
-        start_values=(values[:, start_idx].reshape(nq)[position]
-                      * (not fld.flagged[0, start_idx])),
-        start_q=int(tb[start_idx]),
-        diagnostics=tuple(_diagnose(query)),
-        tiles_swept=int(live_at.sum()),
+        policy_row=policy_row,
+        start_q=start_q,
+        # as dp_values: a start contaminated at step 0 is worth 0
+        success=float(values[start_idx, start_q] * (not fld.flagged[0, start_idx])),
+        diagnostics=tuple(_diagnose(query, dist)),
+        columns_swept=columns_swept,
     )
 
 
@@ -488,10 +670,12 @@ class ObjectiveCache:
     """Memoized per-robot success probabilities over target subsets.
 
     Keys are (robot index, subset bitmask over the shared target list). The
-    first value asked of a robot runs one dp_solve over all the targets, and
-    every subset of that robot is then a start state of that plan.
-    solve_count counts the distinct (robot, mask) values priced and
-    hit_count the repeat lookups, not DP runs: one dp_solve runs per robot.
+    first value asked of a robot runs one dp_values over all the targets,
+    the robot's value lattice, and every subset is a start state of it.
+    solve(robot, mask) runs dp_solve over the subset's own targets, once per
+    (robot, mask). solve_count counts the distinct (robot, mask) values
+    priced and hit_count the repeat lookups; value_runs and policy_runs
+    count the dp_values and dp_solve runs.
     """
 
     def __init__(
@@ -513,12 +697,16 @@ class ObjectiveCache:
             raise ValidationError("at least one robot start is required")
         if len(set(self.targets)) != len(self.targets):
             raise ValidationError("duplicate target cells")
-        self._plans: Dict[int, PlanResult] = {}
+        # each robot's value of every subset, indexed by mask
+        self._tables: Dict[int, np.ndarray] = {}
+        self._plans: Dict[Tuple[int, int], PlanResult] = {}
         # Memo of the values asked for: a repeat lookup, the allocators' most
-        # frequent call, skips the validation and the plan lookup.
+        # frequent call, skips the validation and the table lookup.
         self._values: Dict[Tuple[int, int], float] = {}
         self.solve_count = 0
         self.hit_count = 0
+        self.value_runs = 0
+        self.policy_runs = 0
 
     @property
     def n_robots(self) -> int:
@@ -541,30 +729,41 @@ class ObjectiveCache:
             horizon=self.horizon,
         )
 
-    def _entry(self, robot: int, mask: int) -> Tuple[PlanResult, int]:
-        """The robot's plan over all the targets, solved on first use, and the
-        visited set it starts in for the subset ``mask``: every target
-        outside the subset counts as visited."""
+    def _check(self, robot: int, mask: int) -> None:
         if not 0 <= robot < self.n_robots:
             raise ValidationError(f"robot index {robot} out of range")
         if mask < 0 or mask >> self.n_tasks:
             raise ValidationError(f"target mask {mask} out of range")
-        if robot not in self._plans:
-            self._plans[robot] = dp_solve(self.query(robot, (1 << self.n_tasks) - 1))
-        plan = self._plans[robot]
-        return plan, (plan.query.full_mask ^ mask) | plan.start_q
+
+    def _table(self, robot: int) -> np.ndarray:
+        """The robot's value of every subset, from its value lattice, run on
+        first use: subset m starts in (full ^ m) | start_q, every target
+        outside it counted as visited."""
+        if robot not in self._tables:
+            query = self.query(robot, (1 << self.n_tasks) - 1)
+            lattice = dp_values(query)
+            self.value_runs += 1
+            start_q = int(query.target_bits()[self.gridmap.index(query.start)])
+            masks = np.arange(len(lattice))
+            table = lattice[(query.full_mask ^ masks) | start_q]
+            table.flags.writeable = False
+            self._tables[robot] = table
+        return self._tables[robot]
 
     def solve(self, robot: int, mask: int) -> PlanResult:
-        """The robot's plan, entered at the subset's start state."""
-        plan, start_q = self._entry(robot, mask)
-        return replace(plan, start_q=start_q)
+        """The robot's plan over the subset's own targets."""
+        self._check(robot, mask)
+        key = (robot, mask)
+        if key not in self._plans:
+            self._plans[key] = dp_solve(self.query(robot, mask))
+            self.policy_runs += 1
+        return self._plans[key]
 
     def price_table(self, robot: int) -> np.ndarray:
-        """f_r of every target subset, indexed by mask: one gather from the
-        robot's plan. It counts as one value lookup of each mask."""
-        plan, _ = self._entry(robot, 0)
-        masks = np.arange(1 << self.n_tasks)
-        table = plan.start_values[(plan.query.full_mask ^ masks) | plan.start_q]
+        """f_r of every target subset, indexed by mask, read-only. It counts
+        as one value lookup of each mask."""
+        self._check(robot, 0)
+        table = self._table(robot)
         fresh = [m for m in range(len(table)) if (robot, m) not in self._values]
         self._values.update(((robot, m), float(table[m])) for m in fresh)
         self.solve_count += len(fresh)
@@ -576,8 +775,8 @@ class ObjectiveCache:
         if key in self._values:
             self.hit_count += 1
             return self._values[key]
-        plan, start_q = self._entry(robot, mask)
-        success = self._values[key] = float(plan.start_values[start_q])
+        self._check(robot, mask)
+        success = self._values[key] = float(self._table(robot)[mask])
         self.solve_count += 1
         return success
 
@@ -749,7 +948,7 @@ def _rollout_chunk(
     q = np.full(m, result.start_q, dtype=np.int64)
     successes = 0
     for k in range(query.horizon):
-        act = result.policy[k, q, x]
+        act = result.action(k, q, x)
         slot = _motion_slots(tables, rng, x, act, m, live)
         dest = nbr[x, slot]
         struck = hit(k, x, slot, dest, live)

@@ -325,8 +325,9 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
     """
     report: Dict = {"scenario": _scenario_block(scenario), "version": VERSION}
 
-    # the baselines solve each robot's full target set: refuse it before the field
-    require_dp_table_fits(scenario.n_tasks, scenario.gridmap.n_free, scenario.horizon)
+    # the baselines price each robot's value lattice over every target:
+    # refuse it before the field
+    require_dp_table_fits(scenario.n_tasks, scenario.gridmap.n_free)
     t0 = time.perf_counter()
     contamination = build_field(scenario, options)
     # thread count is deliberately not echoed: reports must be byte-identical

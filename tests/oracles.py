@@ -9,7 +9,7 @@ are conventions, not computations.
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -389,7 +389,7 @@ def exact_joint_policy_success(result, sources) -> float:
     for k in range(query.horizon):
         nxt: Dict[Tuple[int, int, FrozenSet[Cell]], float] = {}
         for (q, x, burning), p in dist.items():
-            u = int(result.policy[k, q, x])
+            u = int(result.action(k, q, x))
             spread = spread_step_distribution(gm, theta, burning)
             for j in range(5):
                 pm = float(query.kernel.slot_probs[x, u, j])
@@ -433,7 +433,7 @@ def model_mode_policy_success(result) -> float:
     for k in range(query.horizon):
         nxt: Dict[Tuple[int, int], float] = {}
         for (q, x), p in dist.items():
-            u = int(result.policy[k, q, x])
+            u = int(result.action(k, q, x))
             for j in range(5):
                 pm = float(query.kernel.slot_probs[x, u, j])
                 if pm == 0.0:
@@ -995,12 +995,13 @@ def _exact_ratios_feasible(values: np.ndarray, n: int, n_robots: int):
 
 # --- DP and rollout references ----------------------------------------------
 #
-# The planner's DP keeps two value layers, swept tile by tile, and one
+# The planner's DP keeps two value layers, swept block by block, and one
 # rollout walk serves both modes. These are the forms it replaced: a DP that
 # stores all horizon + 1 layers and loops over masks in Python, a DP that
 # sweeps whole (n, 2^t) layers, and one chunk function per rollout mode. The
-# package must agree with them bit for bit: the same success, start values
-# and policy, and the same successes per chunk. The one exception is the
+# package must agree with them bit for bit: the same success and start
+# values, the same policy at every state the start reaches
+# (reachable_states), and the same successes per chunk. The one exception is the
 # joint chunk, which spread every trial's fire with its own dense uniforms:
 # joint rollouts now read the field sampler's trajectories, so it is a
 # distribution reference, and replay_joint_chunk is the bitwise one.
@@ -1129,16 +1130,43 @@ def whole_layer_dp_solve(query):
     return policy, values[start_idx] * (not fld.flagged[0, start_idx])
 
 
-def lattice_rows(n_tasks: int, mask: int) -> np.ndarray:
-    """The row of a robot's plan over all n_tasks targets that stands for
-    each visited set q of the subset ``mask``: bit j of q is the subset's
-    j-th target, and every target outside the subset counts as visited."""
-    bits = [b for b in range(n_tasks) if mask >> b & 1]
-    q = np.arange(1 << len(bits))
-    rows = np.full_like(q, ((1 << n_tasks) - 1) ^ mask)
-    for j, b in enumerate(bits):
-        rows |= (q >> j & 1) << b
-    return rows
+def reachable_states(query) -> np.ndarray:
+    """Boolean (horizon, 2^t, n_free): whether a walk from the start state
+    reaches (k, q, x) by moves with positive kernel probability under any
+    action, hazard aside. These are the states whose action a walk or a
+    rollout can read; the walk goes on from the completed mission too."""
+    gm = query.gridmap
+    tb = query.target_bits()
+    n = gm.n_free
+    nq = 1 << len(query.targets)
+    support = (query.kernel.slot_probs > 0).any(axis=1)  # (cell, landing slot)
+    masks = np.arange(nq)
+    reach = np.zeros((query.horizon, nq, n), dtype=bool)
+    start = gm.index(query.start)
+    reach[0, tb[start], start] = True
+    for k in range(query.horizon - 1):
+        for x in range(n):
+            for j in np.flatnonzero(support[x]):
+                d = gm.neighbor_slots[x, j]
+                reach[k + 1, masks[reach[k, :, x]] | tb[d], d] = True
+    return reach
+
+
+def dense_policy(result) -> np.ndarray:
+    """The (horizon, 2^t, n_free) action of ``result`` at every state, read
+    through PlanResult.action."""
+    horizon, nq = result.policy_row.shape
+    n = result.query.gridmap.n_free
+    return result.action(np.arange(horizon)[:, np.newaxis, np.newaxis],
+                         np.arange(nq)[:, np.newaxis], np.arange(n))
+
+
+def with_policy(result, policy):
+    """``result`` acting by the dense (horizon, 2^t, n_free) ``policy``."""
+    horizon, nq, n = policy.shape
+    rows = np.concatenate([np.zeros((1, n), dtype=np.int8), policy.reshape(-1, n)])
+    index = 1 + np.arange(horizon * nq, dtype=np.int32).reshape(horizon, nq)
+    return replace(result, policy=rows, policy_row=index)
 
 
 def reference_rollout_model_chunk(result, rng: np.random.Generator, m: int) -> int:
@@ -1160,7 +1188,7 @@ def reference_rollout_model_chunk(result, rng: np.random.Generator, m: int) -> i
     if int(tb[start]) == full and start == goal:
         return m
     for k in range(query.horizon):
-        act = result.policy[k, q, x]
+        act = result.action(k, q, x)
         slot = _motion_slots(tables, rng, x, act, m)
         draws = rng.random(m)
         ph = fld.prob[k, x, slot]
@@ -1199,7 +1227,7 @@ def replay_joint_chunk(result, fired: np.ndarray, rng: np.random.Generator, m: i
             successes += 1
             continue
         for k in range(query.horizon):
-            u = int(result.policy[k, q, x])
+            u = int(result.action(k, q, x))
             slot = u
             if slippery:
                 mass = [j for j in range(N_ACTIONS) if probs[x, u, j] > 0]
@@ -1240,7 +1268,7 @@ def reference_rollout_joint_chunk(result, model, rng: np.random.Generator, m: in
     success = alive & (int(tb[start]) == full) & (start == goal)
     rows = np.arange(m)
     for k in range(query.horizon):
-        act = result.policy[k, q, x]
+        act = result.action(k, q, x)
         slot = _motion_slots(tables, rng, x, act, m)
         dest = nbr[x, slot]
         hazard_draws = rng.random((m, n))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hazardplan import cli, errors, guarantees, hazard
+from hazardplan import cli, errors, guarantees, hazard, report
 from hazardplan.cli import entry
 from hazardplan.guarantees import guarantee_values
 from hazardplan.report import canonical_report_json
@@ -465,22 +465,23 @@ def test_exact_field_cap_exits_three(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def paper_with_20_targets(tmp_path):
-    """paper17x13 with 15 more targets: one robot's DP over all 20 would
-    need a ~16 GB policy."""
+def paper_with_targets(tmp_path, n_targets=20):
+    """paper17x13 with more targets, n_targets in all: at 20, one robot's
+    value lattice over all of them would need ~4.3 GB and its policy DP
+    ~16 GB."""
     paper = Path(__file__).resolve().parent.parent / "scenarios" / "paper17x13.json"
     data = json.loads(paper.read_text())
     sc = load_scenario(str(paper))
     taken = set(sc.starts) | {sc.gridmap.goal} | set(sc.targets) | set(sc.hazard.initial_cells)
-    extra = [c for c in sc.gridmap.cells if c not in taken][:15]
+    extra = [c for c in sc.gridmap.cells if c not in taken][:n_targets - sc.n_tasks]
     data["targets"] += [{"name": f"x{i}", "cell": list(c)} for i, c in enumerate(extra)]
-    path = tmp_path / "paper20.json"
+    path = tmp_path / f"paper{n_targets}.json"
     path.write_text(json.dumps(data))
     return str(path)
 
 
 def test_plan_over_the_dp_table_cap_exits_three(tmp_path, capsys):
-    path = paper_with_20_targets(tmp_path)
+    path = paper_with_targets(tmp_path)
     assert entry(["plan", path, "--targets", "all", "--samples", "50"]) == 3
     assert "cap" in capsys.readouterr().err
 
@@ -590,7 +591,7 @@ def test_refusals_the_arguments_decide_build_no_field(tmp_path, monkeypatch, cap
 @pytest.mark.parametrize("command", [["allocate"], ["plan", "--targets", "all"], ["bounds"]],
                          ids=["allocate", "plan", "bounds"])
 def test_dp_over_the_cap_is_refused_before_the_field(tmp_path, monkeypatch, capsys, command):
-    path = paper_with_20_targets(tmp_path)
+    path = paper_with_targets(tmp_path)
     calls = count_field_passes(monkeypatch)
     cache = tmp_path / "field.npz"
     assert entry([command[0], path, *command[1:], "--samples", "50",
@@ -598,6 +599,64 @@ def test_dp_over_the_cap_is_refused_before_the_field(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert err.startswith("error: planning 20 targets over ") and "> cap 2.0 GiB" in err
     assert calls == [] and not cache.exists()
+
+
+class FieldReached(Exception):
+    """Raised in place of building a field: the cap checks before it passed."""
+
+
+def test_a_value_lattice_of_18_targets_passes_the_check_before_the_field(
+        tmp_path, monkeypatch, capsys):
+    """allocate prices value lattices, which keep no policy: at 18 targets on
+    paper17x13's 199 cells it needs ~1.1 GB and reaches the field (it
+    exited 3 while the check priced a policy over 75 steps, ~2.5 GB at 17
+    targets). A policy DP over the same 18 targets, as plan runs, and a
+    value lattice of 19 still exit 3 before the field."""
+
+    def reached(*args, **kwargs):
+        raise FieldReached
+
+    monkeypatch.setattr(cli, "build_field", reached)
+    monkeypatch.setattr(report, "build_field", reached)
+    path = paper_with_targets(tmp_path, 18)
+    for command in (["allocate"], ["bounds"]):
+        with pytest.raises(FieldReached):
+            entry([command[0], path, "--samples", "50"])
+    assert entry(["plan", path, "--targets", "all", "--samples", "50"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: planning 18 targets over 199 cells and 75 steps needs")
+    assert entry(["allocate", paper_with_targets(tmp_path, 19), "--samples", "50"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: planning 19 targets over 199 cells needs about 2.1 GiB")
+
+
+def test_paper_allocate_runs_a_value_lattice_per_robot_and_a_policy_per_rollout(
+        tmp_path, monkeypatch):
+    """The benchmark's paper17x13 allocate with rollouts: one value lattice
+    per robot prices every subset, and one policy DP runs per distinct
+    (robot, mask) that the two allocators roll out, five of their six. The
+    reported counters still count values priced and repeat lookups."""
+    results = []
+    real = cli.run_pipeline
+
+    def keeping(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_pipeline", keeping)
+    paper = Path(__file__).resolve().parent.parent / "scenarios" / "paper17x13.json"
+    out = tmp_path / "report.json"
+    assert entry(["allocate", str(paper), "--method", "forward,reverse", "--ratios", "greedy",
+                  "--rollout-trials", "100000", "--seed", "0", "--threads", "1",
+                  "--out", str(out)]) == 0
+    (result,) = results
+    rep = json.loads(out.read_text())
+    rolled = {(r, e["mask"]) for name in ("forward", "reverse")
+              for r, e in enumerate(rep["rollouts"][name])}
+    cache = result.cache
+    assert len(rolled) == 5
+    assert (cache.value_runs, cache.policy_runs) == (3, 5)
+    assert rep["cache"] == {"plan_solves_total": 60, "cache_hits": 39}
 
 
 def test_seed_beside_an_exact_field_still_seeds_rollouts(tmp_path, capsys):

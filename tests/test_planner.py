@@ -24,6 +24,7 @@ from hazardplan.planner import (
     _slot_tables,
     dp_solve,
     dp_table_bytes,
+    dp_values,
     rollout,
     wilson_interval,
 )
@@ -112,11 +113,19 @@ def paper_sweep_query(n_targets):
                      targets=tuple(sc.targets) + tuple(extra), horizon=sc.horizon)
 
 
+def assert_policy_at_reachable_states(res, policy):
+    """res acts as the dense ``policy`` at every state its start reaches."""
+    reach = oracles.reachable_states(res.query)
+    assert reach.any()
+    assert np.array_equal(oracles.dense_policy(res)[reach], policy[reach])
+
+
 @pytest.mark.parametrize("n_targets, slip", [(5, False), (8, False), (5, True)],
                          ids=["5", "8", "5-slip"])
 def test_dp_equals_reference_on_paper_sweep(n_targets, slip):
-    """Policy and every start value, under the scenario's motion and under a
-    slippery tabular kernel whose actions sum several terms."""
+    """The policy at every state the start reaches, and the value lattice,
+    under the scenario's motion and under a slippery tabular kernel whose
+    actions sum several terms."""
     query = paper_sweep_query(n_targets)
     if slip:
         kernel = random_tabular_kernel(np.random.default_rng(7), query.gridmap)
@@ -125,57 +134,65 @@ def test_dp_equals_reference_on_paper_sweep(n_targets, slip):
     values, policy, success = oracles.reference_dp_solve(query)
     start = query.gridmap.index(query.start)
     assert res.success == success
-    assert np.array_equal(res.policy, policy)
-    assert np.array_equal(res.start_values,
+    assert_policy_at_reachable_states(res, policy)
+    assert np.array_equal(dp_values(query),
                           values[0][:, start] * (not query.field.flagged[0, start]))
 
 
 @pytest.mark.parametrize("slip", [False, True], ids=["10", "10-slip"])
 def test_dp_equals_whole_layer_sweep_on_paper_sweep(slip):
-    """At 10 targets the value layers span eight tiles; policy and start
-    values are == to the sweep over whole (n, 2^t) layers."""
+    """At 10 targets the value layers span eight tiles; the value lattice,
+    the success bits and the policy at every state the start reaches are ==
+    to the sweep over whole (n, 2^t) layers."""
     query = paper_sweep_query(10)
     if slip:
         kernel = random_tabular_kernel(np.random.default_rng(7), query.gridmap)
         query = replace(query, kernel=kernel)
     assert planner._tile_columns(1 << 10, query.gridmap.n_free) == 128
     res = dp_solve(query)
+    values = dp_values(query)
     policy, start_values = oracles.whole_layer_dp_solve(query)
-    assert np.array_equal(res.policy, policy)
-    assert np.array_equal(res.start_values, start_values)
+    assert_policy_at_reachable_states(res, policy)
+    assert np.array_equal(values.view(np.int64), start_values.view(np.int64))
+    assert np.float64(res.success).view(np.int64) == values[res.start_q].view(np.int64)
 
 
 @pytest.mark.parametrize("bad", [-0.5, np.nan], ids=["above-1", "nan"])
 def test_value_outside_the_unit_interval_raises_over_all_tiles(monkeypatch, bad):
     """A field entry that makes a value pass 1 or NaN raises with the step
     and the min and max over the whole layer, as the whole-layer sweep
-    does, with one visited set per tile. At step 2 every cell is done in
-    time with both targets visited, and not with neither, so the last
-    tile holds the max and the first the min."""
+    does, with one visited set per tile or block, in either DP mode. At
+    step 2 every cell is done in time with both targets visited, and not
+    with neither, so the last tile holds the max and the first the min."""
     gm = GridMap(3, 2, [], Cell(2, 1))
     fld = clear_field(gm, 6)
     fld.prob[2] = bad
     query = make_query(gm, fld, Cell(0, 0), [Cell(0, 1), Cell(2, 0)], 6)
     monkeypatch.setattr(planner, "_DP_TILE_BYTES", gm.n_free * 8)
-    with pytest.raises(NumericViolationError, match="at step 2") as got:
-        dp_solve(query)
     with pytest.raises(NumericViolationError) as want:
         oracles.whole_layer_dp_solve(query)
-    assert str(got.value) == str(want.value)
+    for mode in (dp_solve, dp_values):
+        with pytest.raises(NumericViolationError, match="at step 2") as got:
+            mode(query)
+        assert str(got.value) == str(want.value)
 
 
-def test_dp_sweeps_only_the_tiles_that_can_finish_in_time():
-    """At 10 targets the layers span 8 tiles over 75 steps, and 352 of the
-    600 (step, tile) pairs are swept: a tile is skipped while every visited
-    set in it needs more moves than the steps left. At 5 targets a layer is
-    one tile, swept at every step."""
+def test_dp_sweeps_only_the_columns_the_start_reaches_in_time():
+    """At 10 targets over 75 steps, dp_solve sweeps 3,342 of the 76,800
+    (step, visited set) columns: those whose visited set can still finish
+    in the steps left and that the start can reach in the steps taken. The
+    value lattice's tiles of 128 sets, skipped only when no set in them can
+    finish, span 45,056. At 5 targets, 677 of 2,400. Each swept column
+    keeps one policy row, beside the STAY row 0."""
     query = paper_sweep_query(10)
     assert query.horizon == 75
     assert planner._tile_columns(1 << 10, query.gridmap.n_free) == 128
-    assert dp_solve(query).tiles_swept == 352
-    small = replace(query, targets=query.targets[:5])
-    assert planner._tile_columns(1 << 5, query.gridmap.n_free) == 1 << 5
-    assert dp_solve(small).tiles_swept == small.horizon
+    for targets, swept in ((10, 3342), (5, 677)):
+        res = dp_solve(replace(query, targets=query.targets[:targets]))
+        assert res.columns_swept == swept
+        assert res.policy.shape == (1 + swept, query.gridmap.n_free)
+        assert np.count_nonzero(res.policy_row) == swept
+    assert 3342 < 352 * 128 == 45056
 
 
 def short_sweep_query(bad):
@@ -183,7 +200,8 @@ def short_sweep_query(bad):
     probability of step 3 set to ``bad``. At step 3, 7 of the 8 tiles
     need more moves than the 22 steps left."""
     query = replace(paper_sweep_query(10), horizon=25)
-    tile_need = np.sort(planner._finish_moves(query))[::128]
+    need = planner._finish_moves(query, planner._distance_table(query))
+    tile_need = np.sort(need)[::128]
     assert (tile_need > 22).sum() == 7
     prob = query.field.prob.copy()
     prob[3] = bad
@@ -194,28 +212,32 @@ def short_sweep_query(bad):
 def test_a_bad_step_raises_over_every_tile_where_most_would_skip(bad):
     """A NaN or p > 1 at a step where most tiles would be skipped raises
     with the min and max of the whole layer, as the sweep over whole
-    layers does."""
+    layers does, in either DP mode."""
     query = short_sweep_query(bad)
-    with pytest.raises(NumericViolationError, match="at step 3") as got:
-        dp_solve(query)
     with pytest.raises(NumericViolationError) as want:
         oracles.whole_layer_dp_solve(query)
-    assert str(got.value) == str(want.value)
+    for mode in (dp_solve, dp_values):
+        with pytest.raises(NumericViolationError, match="at step 3") as got:
+            mode(query)
+        assert str(got.value) == str(want.value)
 
 
 def test_p_just_above_1_stops_the_skipping_for_the_steps_before():
     """p = 1 + 1e-12 at step 3 scales values by a factor just below 0: no
     value passes the tolerance, but states worth +0.0 turn -0.0, and a
     -0.0 spreads to the earlier steps. Sweeping every tile from that step
-    down keeps the policy and the start values, sign bits included, equal
-    to the sweep over whole layers. The start (5, 6) has all four
+    down keeps the value lattice, sign bits included, equal to the sweep
+    over whole layers; with the reach bound off, so do the policy mode's
+    policy at every state and its success. The start (5, 6) has all four
     neighbours, so some of its start values stay -0.0."""
     query = replace(short_sweep_query(1.0 + 1e-12), start=Cell(5, 6))
     res = dp_solve(query)
+    values = dp_values(query)
     policy, start_values = oracles.whole_layer_dp_solve(query)
     assert np.signbit(start_values).any()
-    assert np.array_equal(res.policy, policy)
-    assert np.array_equal(res.start_values.view(np.int64), start_values.view(np.int64))
+    assert np.array_equal(oracles.dense_policy(res), policy)
+    assert np.array_equal(values.view(np.int64), start_values.view(np.int64))
+    assert np.float64(res.success).view(np.int64) == values[res.start_q].view(np.int64)
 
 
 @pytest.mark.parametrize("slip", [False, True])
@@ -236,15 +258,16 @@ def test_corridor_actions_with_no_move_anywhere(width, height, slip):
     res = dp_solve(query)
     values, policy, success = oracles.reference_dp_solve(query)
     assert 0.0 < res.success == success < 1.0
-    assert np.array_equal(res.policy, policy)
-    assert np.array_equal(res.start_values, values[0][:, gm.index(along[2])])
+    assert_policy_at_reachable_states(res, policy)
+    assert np.array_equal(dp_values(query), values[0][:, gm.index(along[2])])
 
 
 @pytest.mark.parametrize("slip", [False, True], ids=["deterministic", "slip"])
 def test_dp_table_bytes_bounds_the_traced_peak_at_few_targets(slip):
     """Below 8 targets the kernel arrays, fixed per query, weigh most; the
-    estimate still bounds what a solve traces, with a tabular kernel of all
-    25 terms as with the scenario's deterministic one."""
+    estimate still bounds what a solve traces in either mode, with a
+    tabular kernel of all 25 terms as with the scenario's deterministic
+    one."""
     query = paper_sweep_query(8)
     if slip:
         query = replace(query, kernel=random_tabular_kernel(np.random.default_rng(7),
@@ -252,34 +275,36 @@ def test_dp_table_bytes_bounds_the_traced_peak_at_few_targets(slip):
         assert sum(len(list(query.kernel.action_terms(u))) for u in range(5)) == 25
     for t in range(1, 9):
         sub = replace(query, targets=query.targets[:t])
-        tracemalloc.start()
-        try:
-            dp_solve(sub)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= dp_table_bytes(t, query.gridmap.n_free, query.horizon), t
+        for mode, horizon in ((dp_solve, query.horizon), (dp_values, None)):
+            tracemalloc.start()
+            try:
+                mode(sub)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= dp_table_bytes(t, query.gridmap.n_free, horizon), (t, horizon)
 
 
 def test_dp_over_the_table_cap_raises_before_allocating():
     query = paper_sweep_query(20)
-    assert dp_table_bytes(20, query.gridmap.n_free, query.horizon) > DP_TABLE_CAP
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapExceededError, match="cap"):
-            dp_solve(query)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert dp_table_bytes(20, query.gridmap.n_free) > DP_TABLE_CAP
+    for mode in (dp_solve, dp_values):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="cap"):
+                mode(query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def rollout_cases():
     """(plan result, the subset's own dp_solve, hazard model, trials per
     chunk) over small.json with its deterministic motion and with a slippery
     tabular kernel, paper17x13, and a corridor whose starts die at once,
-    finish at once, or walk. The plan result is the cache's, which walks the
-    robot's plan over all targets from the subset's start state."""
+    finish at once, or walk. The plan result is the cache's, kept from the
+    first solve of its (robot, mask)."""
     small = load_scenario(SCENARIOS / "small.json")
     small_fld = exact_contamination_field(small.gridmap, small.hazard, small.horizon)
     slip = random_tabular_kernel(np.random.default_rng(3), small.gridmap)
@@ -645,6 +670,12 @@ def test_objective_cache_counters_and_validation():
     assert cache.solve_count == 1 and cache.hit_count == 1
     cache.value(1, 0)
     assert cache.solve_count == 2
+    # one value lattice per robot; one policy DP per (robot, mask) solved
+    cache.value(0, 1)
+    assert (cache.value_runs, cache.policy_runs) == (2, 0)
+    plan = cache.solve(0, 3)
+    assert cache.solve(0, 3) is plan and plan.success == v1
+    assert (cache.value_runs, cache.policy_runs, cache.solve_count) == (2, 1, 3)
     with pytest.raises(ValidationError):
         cache.value(2, 0)
     with pytest.raises(ValidationError):

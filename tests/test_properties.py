@@ -1,11 +1,12 @@
 """Property tests on hypothesis-drawn grids of at most 12 free cells: the
 package DP and the exact field against the scalar oracles, the exact step's
 outcome builder against the cell-by-cell reference and its grouping against
-np.unique, the DP, in tiles of 1, 2 or 4 visited sets too, against its
-full-table reference and the sweep over whole layers, the DP's bound on the
-moves left against a breadth-first search of every state, the objective
-cache's one plan per robot against per-subset solves and its joint rollout
-chunks against the trial-by-trial replay, model-mode rollouts of
+np.unique, both DP modes, in tiles of 1, 2 or 4 visited sets too, against
+the full-table reference and the sweep over whole layers (the policy at
+every state the start reaches), the DP's bounds on the moves left and on
+the moves from the start against a breadth-first search of every state, the
+objective cache's value lattice against per-subset solves and its joint
+rollout chunks against the trial-by-trial replay, model-mode rollouts of
 deterministic motion against the trial-by-trial oracle, the ground values
 of exact ratios against the set-by-set product, the allocators' partitions,
 and both greedy guarantees under exact ratios."""
@@ -34,7 +35,7 @@ from hazardplan.hazard import (
     estimate_contamination_field,
     exact_contamination_field,
 )
-from hazardplan.planner import ObjectiveCache, PlanQuery, _rollout_chunk, dp_solve
+from hazardplan.planner import ObjectiveCache, PlanQuery, _rollout_chunk, dp_solve, dp_values
 from hazardplan.scenario import load_scenario
 
 import oracles
@@ -154,10 +155,14 @@ def test_dp_value_equals_value_recursion_oracle(grid, horizon, data):
 @given(hazard_grids(), st.integers(1, 6), st.data())
 def test_dp_equals_reference_dp(grid, horizon, data):
     """With the default tiles, or a tile budget that holds 1, 2 or 4 visited
-    sets, policy and start values are == to the sweep over whole layers,
-    success is == to the full-table, per-mask reference, and so are policy
-    and start values unless the start or a target is contaminated at step 0.
-    Targets may sit on the start, the goal and a source."""
+    sets: the value lattice is == to the sweep over whole layers, bit for
+    bit; the policy mode's success has the bits of the lattice at its start
+    state, and its policy is the whole-layer sweep's at every state the
+    start reaches. Success is == to the full-table, per-mask reference, and
+    so are the lattice and the policy at those states unless the start or a
+    target is contaminated at step 0. Each subset's own dp_solve, through
+    ObjectiveCache.solve, has the bits of the lattice's value of it. Targets
+    may sit on the start, the goal and a source."""
     gm, model = grid
     fld = exact_contamination_field(gm, model, horizon)
     targets = data.draw(st.lists(st.sampled_from(gm.cells), unique=True, max_size=3))
@@ -182,19 +187,26 @@ def test_dp_equals_reference_dp(grid, horizon, data):
             mp.setattr(planner, "_DP_TILE_BYTES", gm.n_free * columns * 8)
         assert planner._tile_columns(nq, gm.n_free) == columns
         res = dp_solve(query)
+        lattice = dp_values(query)
+        cache = ObjectiveCache(gm, kernel, fld, [start], targets, horizon)
+        for mask in range(nq):
+            assert (np.float64(cache.solve(0, mask).success).view(np.int64)
+                    == np.float64(cache.value(0, mask)).view(np.int64))
     policy, start_values = oracles.whole_layer_dp_solve(query)
-    assert np.array_equal(res.policy, policy)
-    assert np.array_equal(res.start_values, start_values)
+    reach = oracles.reachable_states(query)
+    assert np.array_equal(lattice.view(np.int64), start_values.view(np.int64))
+    assert np.float64(res.success).view(np.int64) == lattice[res.start_q].view(np.int64)
+    assert np.array_equal(oracles.dense_policy(res)[reach], policy[reach])
     values, policy, success = oracles.reference_dp_solve(query)
     assert res.success == success
     if oracles._flagged_stub(query):
         # the reference stubs the policy; the two differ only in states no
         # walk reaches alive
         assert success == 0.0
-        assert res.greedy_path() == replace(res, policy=policy).greedy_path()
+        assert res.greedy_path() == oracles.with_policy(res, policy).greedy_path()
     else:
-        assert np.array_equal(res.policy, policy)
-        assert np.array_equal(res.start_values, values[0][:, gm.index(start)])
+        assert np.array_equal(oracles.dense_policy(res)[reach], policy[reach])
+        assert np.array_equal(lattice, values[0][:, gm.index(start)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -211,7 +223,7 @@ def test_finish_moves_is_the_fewest_moves_from_the_best_cell(grid, data):
     query = PlanQuery(gridmap=gm, kernel=MotionKernel.deterministic(gm),
                       field=exact_contamination_field(gm, model, 1), start=gm.cells[0],
                       targets=tuple(targets), horizon=1)
-    need = planner._finish_moves(query)
+    need = planner._finish_moves(query, planner._distance_table(query))
     nq = 1 << len(targets)
     assert need.shape == (nq,)
     for q in range(nq):
@@ -227,33 +239,69 @@ def test_finish_moves_is_the_fewest_moves_from_the_best_cell(grid, data):
             assert all(need[q] == np.inf for q in range(nq) if not q >> b & 1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(hazard_grids(), st.data())
+def test_reach_moves_is_the_fewest_moves_from_the_start(grid, data):
+    """planner._reach_moves against a breadth-first walk of (visited set,
+    cell) from the start state, staying put included, over enough steps to
+    visit every target: every state with visited set q is reached no
+    sooner than reach[q] moves, and some state whose visited set holds q
+    is reached at exactly reach[q]; inf where none is. It is 0 at the start
+    state's set, never falls from a set to a superset, and is inf at every
+    set that lacks the start's own target."""
+    gm, _ = grid
+    targets = data.draw(st.lists(st.sampled_from(gm.cells), unique=True, max_size=4))
+    start = data.draw(st.sampled_from(gm.cells))
+    horizon = gm.n_free * (len(targets) + 1)
+    query = PlanQuery(gridmap=gm, kernel=MotionKernel.deterministic(gm),
+                      field=exact_contamination_field(gm, HazardModel(sources=()), horizon),
+                      start=start, targets=tuple(targets), horizon=horizon)
+    reach = planner._reach_moves(query, planner._distance_table(query))
+    nq = 1 << len(targets)
+    assert reach.shape == (nq,)
+    walked = oracles.reachable_states(query).any(axis=2)  # (step, visited set)
+    masks = np.arange(nq)
+    start_q = int(query.target_bits()[gm.index(start)])
+    for q in range(nq):
+        steps = np.flatnonzero(walked[:, q])
+        assert steps.size == 0 or reach[q] <= steps[0], q
+        covers = np.flatnonzero(walked[:, masks & q == q].any(axis=1))
+        assert reach[q] == (covers[0] if q & start_q == start_q and covers.size else np.inf), q
+        for b in range(len(targets)):
+            assert reach[q | 1 << b] >= reach[q] or not q & start_q == start_q
+    assert reach[start_q] == 0
+    assert all(reach[q] == np.inf for q in range(nq) if q & start_q != start_q)
+
+
 def chunk_rng(ci):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((11, ci))))
 
 
 def assert_lattice_matches_subset_solves(cache, model, trials):
-    """Every robot's every subset: value and the cache's plan are == the
-    subset's own dp_solve in success, greedy path and rollout successes on
-    the same streams: a model chunk equals the subset's own, and a joint
-    chunk the trial-by-trial replay of the subset's plan against the same
-    ignition steps. The plan's rows for the subset's visited sets hold the
-    subset's start values and policy."""
+    """Every robot's every subset: the value the lattice prices, and its
+    row of price_table, have the bits of the subset's own dp_solve's
+    success, which the cache keeps as the subset's plan, one policy DP per
+    (robot, mask). The plan's rollout chunks on the same streams equal the
+    trial-by-trial replays: a model chunk the package's own chunk, and a
+    joint chunk the replay against the same ignition steps."""
     fired = planner._joint_trajectories(hazard._dynamics(cache.gridmap, model),
                                         cache.horizon, 11, 1, trials)
+
+    def bits(v):
+        return np.float64(v).view(np.int64)
+
     for r in range(cache.n_robots):
+        table = cache.price_table(r)
         for mask in range(1 << cache.n_tasks):
-            want = dp_solve(cache.query(r, mask))
             got = cache.solve(r, mask)
-            assert cache.value(r, mask) == want.success
-            assert got.success == want.success
-            assert got.greedy_path() == want.greedy_path()
+            assert bits(cache.value(r, mask)) == bits(table[mask]) == bits(got.success)
+            assert cache.solve(r, mask) is got
             assert (_rollout_chunk(got, None, chunk_rng(0), trials)
-                    == _rollout_chunk(want, None, chunk_rng(0), trials))
+                    == oracles.reference_rollout_model_chunk(got, chunk_rng(0), trials))
             assert (_rollout_chunk(got, fired, chunk_rng(1), trials)
-                    == oracles.replay_joint_chunk(want, fired, chunk_rng(1), trials))
-            rows = oracles.lattice_rows(cache.n_tasks, mask)
-            assert np.array_equal(got.start_values[rows], want.start_values)
-            assert np.array_equal(got.policy[:, rows], want.policy)
+                    == oracles.replay_joint_chunk(got, fired, chunk_rng(1), trials))
+    n_masks = cache.n_robots << cache.n_tasks
+    assert (cache.value_runs, cache.policy_runs) == (cache.n_robots, n_masks)
 
 
 @settings(max_examples=100, deadline=None)

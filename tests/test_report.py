@@ -452,33 +452,41 @@ def test_heatmap_of_a_field_without_marginals_is_refused(tmp_path):
             run_pipeline(sc, PipelineOptions(heatmap=heatmap, **opts))
 
 
-def test_rollouts_read_policies_from_the_lattice(monkeypatch):
+def test_rollouts_read_each_assigned_subsets_own_policy(monkeypatch):
+    """The allocators price every subset from one value lattice per robot;
+    each rollout walks the policy DP of its own (robot, mask), run once
+    however many methods assign it, with the lattice's value."""
     sc = unit_scenario()
-    seen, solved = [], []
-    real_rollout, real_solve = report.rollout, planner.dp_solve
+    seen, solved, priced = [], [], []
+    real_rollout, real_solve, real_values = report.rollout, planner.dp_solve, planner.dp_values
 
     def recording(result, **kwargs):
         seen.append(result)
         return real_rollout(result, **kwargs)
 
     def counting(query):
-        solved.append(len(query.targets))
+        solved.append(query.targets)
         return real_solve(query)
+
+    def pricing(query):
+        priced.append(query.targets)
+        return real_values(query)
 
     monkeypatch.setattr(report, "rollout", recording)
     monkeypatch.setattr(planner, "dp_solve", counting)
+    monkeypatch.setattr(planner, "dp_values", pricing)
     opts = exact_options(rollout_trials=50, methods=("forward", "reverse"),
                          ratio_source="none")
     res = run_pipeline(sc, opts)
     pairs = [(r, res.report["methods"][name]["masks"][r])
              for name in ("forward", "reverse") for r in range(sc.n_robots)]
     assert len(seen) == len(pairs)
-    # one DP per robot over all the targets; each rollout walks that plan
-    # from its subset's start state
-    assert solved == [sc.n_tasks] * sc.n_robots
+    assert priced == [tuple(sc.targets)] * sc.n_robots
+    distinct = list(dict.fromkeys(pairs))
+    assert len(distinct) < len(pairs)
+    assert solved == [res.cache.query(r, mask).targets for r, mask in distinct]
+    assert (res.cache.value_runs, res.cache.policy_runs) == (sc.n_robots, len(distinct))
     for (r, mask), result in zip(pairs, seen):
-        want = real_solve(res.cache.query(r, mask))
-        assert result.success == res.cache.value(r, mask) == want.success
-        assert result.greedy_path() == want.greedy_path()
-        rows = oracles.lattice_rows(sc.n_tasks, mask)
-        assert np.array_equal(result.policy[:, rows], want.policy)
+        assert result is res.cache.solve(r, mask)
+        assert result.query.targets == res.cache.query(r, mask).targets
+        assert result.success == res.cache.value(r, mask)

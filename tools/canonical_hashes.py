@@ -27,8 +27,8 @@ Runs, in one process and with the program imported from this checkout's
 - the README ``plan`` and ``simulate`` outputs, a joint-mode ``simulate``
   and a ``plan`` on every paper17x13.json target;
 - a ``plan`` on 10 targets, on a copy of paper17x13.json with five more
-  targets at free cells drawn by ``random.Random(0)``: its DP value layers
-  span several tiles, where every other ``plan`` here fits one;
+  targets at free cells drawn by ``random.Random(0)``: its DP works over
+  1,024 visited sets, where every other ``plan`` here has at most 32;
 - a region-map SVG and a ``bounds`` output, which print the guarantee floors;
 - the ``prob``, ``flagged`` and ``marginals`` bytes of two fields built
   through the library: paper17x13.json's Monte-Carlo field (10,000 samples,
