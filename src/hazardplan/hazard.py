@@ -33,26 +33,29 @@ does not depend on how the arrays are laid out or on the block size. One
 pass yields the transition field and the per-cell contamination marginals
 of every step 0..horizon.
 
-The Monte-Carlo sampler is event-driven. Samples are split into blocks of
-_block_size(horizon, n_free) samples, a size no thread count changes, and
-block b reads one stream, PCG64(SeedSequence((seed, b))). A cell can only
-ignite on a draw below the largest ignition probability its row of lut
-holds, so only those draws are made: each cell's positions among the
-block's (step, sample) pairs come from geometric gaps, and each such event
-gets a value uniform below that bound (_block_events states the rule). A
-step compares each of its events with 1 - lut[x, code] and updates the
-neighbour codes from its ignitions alone, so a step costs what its events
-and ignitions cost, not samples x cells. A block's walk (_sample_block)
-returns the step at which each (sample, cell) ignited; those steps give
-every integer count of the field (_chunk_counts), and blocks are summed in
-block order, so the field is the same bits for any thread count. Joint-mode
-rollouts read the same steps, from blocks on streams of their own, as
-their trials' hazard (planner.rollout). A field of S samples is a prefix of
-a larger one only when S ends a block; its first k steps are the same bits
-for every longer horizon with the same block size. The same counts give the per-step marginals.
-Either builder stores them in ContaminationField.marginals, which is the
-only source of contamination heat, and which a field cache saves along with
-the field.
+The Monte-Carlo sampler walks first-passage times. lut[x, code] is a
+product over x's burning neighbours y of per-neighbour weights w(y), so the
+spread is exactly an independent trial per step on each edge y -> x that
+succeeds with 1 - w(y). Geometric delays are memoryless, so x ignites at
+min over burning neighbours y of fired[y] + D, D ~ Geometric(1 - w(y)) on
+1, 2, ...: the same law as a draw per clear cell per step. Samples are split
+into blocks of _block_size(n_free) samples, a size no horizon or thread
+count changes, and block b reads one stream, PCG64(SeedSequence((seed, b))).
+A block's walk (_sample_block) keeps a bucket of arrivals per step: each
+cell that ignites draws one delay per out-edge whose target is still clear,
+and step k ignites the clear cells of its bucket. So a step costs what its
+ignitions cost, not samples x cells. The walk returns the step at which
+each (sample, cell) ignited; those steps give every integer count of the
+field (_chunk_counts), and blocks are summed in block order, so the field
+is the same bits for any thread count. Joint-mode rollouts read the same
+steps, from blocks on streams of their own, as their trials' hazard
+(planner.rollout). A field of S samples is a prefix of a larger one only
+when S ends a block; its first k steps are the same bits for every longer
+horizon, since step k's delays are drawn after every earlier step's and
+arrivals past the horizon are only dropped. The same counts give the
+per-step marginals. Either builder stores them in ContaminationField.marginals,
+which is the only source of contamination heat, and which a field cache
+saves along with the field.
 """
 
 from __future__ import annotations
@@ -74,17 +77,15 @@ SQRT2 = math.sqrt(2.0)
 EXACT_HAZARD_CELL_CAP = 12
 EXACT_MASK_BITS = 62
 _STEP_ROWS = 16384
-# the sampler's event stream (_block_events): steps per round, and each
-# cell's geometric batch as its mean count plus sigmas and slack
-_ROUND_STEPS = 4
-_EVENT_SIGMAS = 6.0
-_EVENT_SLACK = 16
+# (sample, cell) pairs per sampler block: 1,005 samples on paper17x13's 199
+# free cells, so 10,000 samples make 10 blocks
+_BLOCK_CELLS = 200_000
 FIELD_SUM_TOL = 1e-10
 FIELD_KINDS = ("exact", "monte-carlo")
 # The field cache layout, raised whenever a builder would give other bits for
 # the same kind, samples and seed, so that no older cache is read as current.
-# Format 2: the sampler's block streams.
-FIELD_CACHE_FORMAT = 2
+# Format 2: the sampler's block streams. Format 3: the first-passage walk.
+FIELD_CACHE_FORMAT = 3
 # what a field cache holds, by entry: the numpy dtype kinds it may have
 _CACHE_DTYPES = {
     "format": "iu", "horizon": "iu", "n_free": "iu", "samples": "iu", "seed": "iu",
@@ -160,10 +161,13 @@ class _SpreadDynamics:
         for j in range(1, N_SLOTS):
             has = nbr[:, j] >= 0
             self.rev[nbr[has, j], j - 1] = np.nonzero(has)[0]
-        # the sampler's lookup: ignite[x * 512 + b] = 1 - lut[x, b] for a
-        # neighbour code b < 256, and 0 when bit 8 of b marks x contaminated
-        self.ignite = np.hstack([1.0 - self.lut, np.zeros_like(self.lut)]).ravel()
-        self.max_ignite = 1.0 - self.lut.min(axis=1)
+        # the sampler's out-edges: a burning y tries to ignite edge_to[y, j - 1]
+        # with edge_p[y, j - 1] = 1 - w per step; an edge to no cell, or one
+        # that never ignites, points at the pad column n
+        slot_w = np.where(np.arange(1, N_SLOTS) < N_ACTIONS, self.w_orth[:, np.newaxis],
+                          self.w_diag[:, np.newaxis])
+        self.edge_p = 1.0 - slot_w
+        self.edge_to = np.where((self.rev < n) & (self.edge_p > 0.0), self.rev, n)
 
     def _stay_clear_table(self) -> np.ndarray:
         """lut[x, code] = P(clear cell x stays clear for one step) when bit
@@ -529,60 +533,12 @@ class ContaminationField:
         )
 
 
-def _block_size(horizon: int, n_free: int) -> int:
-    """Samples per block: a fixed function of the problem size, never of the
-    thread count, so the blocks and their streams are the same for any run."""
-    return max(1, min(2048, 24_000_000 // max(1, horizon * n_free * 8)))
-
-
-def _batch_sizes(span: int, p: np.ndarray) -> np.ndarray:
-    """Gaps one geometric batch draws per cell: its mean event count over
-    span positions plus _EVENT_SIGMAS standard deviations and _EVENT_SLACK."""
-    mean = span * p
-    return np.ceil(mean + _EVENT_SIGMAS * np.sqrt(mean * (1.0 - p))).astype(np.int64) + _EVENT_SLACK
-
-
-def _block_events(rng: np.random.Generator, p: np.ndarray, m: int, horizon: int):
-    """The draws of one block of m samples that can ignite: (position, cell,
-    value) of every event at the positions step * m + sample below
-    m * horizon, in the order they are drawn.
-
-    Each cell x with p[x] > 0 holds an event at each position independently
-    with probability p[x], and an event's value is uniform on [0, p[x]). A
-    cell's positions are its running sum of geometric(p[x]) gaps, from -1.
-    The stream is read in rounds of _ROUND_STEPS steps, until a round ends
-    at or past the horizon. In each round, the cells whose last position
-    lies before the round's end draw a batch of _batch_sizes(round length)
-    gaps each, in ascending cell order, in one rng.geometric call, and then
-    one value per gap in one rng.random call. Cells still short of the end
-    draw further batches the same way, together, until all pass it.
-
-    A round's draws depend on the rounds before it and not on the horizon,
-    so the events of a step are the same for every horizon that reaches it.
-    """
-    span, length = _ROUND_STEPS * m, m * horizon
-    cells = np.flatnonzero(p > 0.0).astype(np.int32)
-    q = p[cells]
-    size = _batch_sizes(span, q)
-    last = np.full(len(cells), -1, dtype=np.int64)
-    # empty first parts, so a block in which no cell can ignite has no events
-    pos_parts, cell_parts, val_parts = [np.empty(0, np.int64)], [cells[:0]], [q[:0]]
-    for end in range(span, length + span, span):
-        need = np.flatnonzero(last < end)
-        while len(need):
-            batch = size[need]
-            bound = np.repeat(q[need], batch)
-            run = np.cumsum(rng.geometric(bound))
-            ends = np.cumsum(batch)
-            # running sums restart at each cell; int64 wrap-around cancels in the difference
-            pos_parts.append(run + np.repeat(last[need] - np.append(0, run[ends[:-1] - 1]), batch))
-            cell_parts.append(np.repeat(cells[need], batch))
-            val_parts.append(rng.random(len(bound)) * bound)
-            last[need] = pos_parts[-1][ends - 1]
-            need = need[last[need] < end]
-    pos, cell, val = (np.concatenate(a) for a in (pos_parts, cell_parts, val_parts))
-    keep = pos < length
-    return pos[keep].astype(np.int32), cell[keep], val[keep]
+def _block_size(n_free: int) -> int:
+    """Samples per block: a fixed function of the grid, never of the horizon
+    or the thread count, so the blocks and their streams are the same for
+    any run, and a field's first k steps are the same bits at every longer
+    horizon. About _BLOCK_CELLS (sample, cell) pairs, at most 2,048 samples."""
+    return max(1, min(2048, _BLOCK_CELLS // max(1, n_free)))
 
 
 def _sample_block(
@@ -593,42 +549,59 @@ def _sample_block(
 ) -> np.ndarray:
     """Simulate m trajectories of horizon steps on the RNG stream
     PCG64(stream) and return the step at which each (sample, cell) ignited:
-    an (m, n_free + 1) array, -1 from the start and horizon for never, whose
-    last column stands for missing neighbours and never ignites.
+    an (m, n_free + 1) int32 array, -1 from the start and horizon for never,
+    whose last column stands for missing neighbours and never ignites.
 
-    Cell x of a sample ignites at step k when it is clear and its draw at
-    (k, x) falls below 1 - lut[x, code], code being x's neighbour code then.
-    No code gives more than dyn.max_ignite[x], so only draws below that
-    bound can ignite, and only those are drawn (_block_events), over the
-    block's step-major positions step * m + sample. A step looks at its own
-    events and updates the codes from its ignitions alone.
+    Each burning neighbour y of a clear cell x tries to ignite it at every
+    step, independently, with 1 - w(y) (dyn.edge_p): the product of those
+    w over x's burning neighbours is lut[x, code]. So x ignites at the first
+    passage min over burning y of fired[y] + D, D ~ Geometric(1 - w(y)) on
+    1, 2, .... The walk runs the steps k = -1 .. horizon - 2 with a bucket
+    of arrivals per step. At step k the cells that ignited then, the initial
+    cells at k = -1, are taken in increasing (sample, cell) order, and each
+    draws one delay per out-edge (dyn.edge_to) whose target is still clear,
+    in slot order, in one rng.geometric call; an arrival k + D below the
+    horizon joins bucket k + D. Step k + 1 drops the cells of its bucket
+    that already burn and ignites the rest.
     """
     n = dyn.gridmap.n_free
-    width = n + 1  # per-sample stride: column n takes the bits of missing neighbours
+    width = n + 1  # per-sample stride: column n stands for missing neighbours
     rng = np.random.Generator(np.random.PCG64(stream))
-    pos, cell, draws = _block_events(rng, dyn.max_ignite, m, horizon)
-    step, sample = np.divmod(pos, m)
-    # group the events by step; their order within a step does not matter
-    order = np.argsort(step.astype(np.min_scalar_type(horizon)), kind="stable")
-    at = (sample * width + cell)[order]
-    draws = draws[order]
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(step, minlength=horizon))]).tolist()
-    # key[s * width + x] = x * 512 + (256 once x is contaminated) + code
-    first = np.arange(width) * 512
-    first[:n] += dyn.initial * 256 + dyn.codes(dyn.initial[np.newaxis])[0]
-    key = np.tile(first, m)
-    # ignition offsets: x itself, then the cells whose slot j is x
-    cells = np.arange(n)[:, np.newaxis]
-    spread = np.hstack([cells, dyn.rev]) - cells
-    bits = 1 << np.roll(np.arange(N_SLOTS), 1)
-    # the step a (sample, cell) ignited at: -1 from the start, horizon for never
-    fired = np.tile(np.append(np.where(dyn.initial, -1, horizon), horizon), m)
-    for k in range(horizon):
-        here = at[bounds[k]:bounds[k + 1]]
-        hit = here[draws[bounds[k]:bounds[k + 1]] < dyn.ignite[key[here]]]
-        if len(hit):
-            fired[hit] = k
-            np.bitwise_or.at(key, hit[:, np.newaxis] + spread[hit % width], bits)
+    fired = np.full(m * width, horizon, dtype=np.int32)
+    # the pad column reads as burning during the walk, so no edge enters it
+    fired[n::width] = -1
+    cur = (np.arange(m)[:, np.newaxis] * width + np.flatnonzero(dyn.initial)).ravel()
+    fired[cur] = -1
+    buckets = [[] for _ in range(horizon)]
+    # a bucket's steps as sort keys: a radix sort up to 2^16 steps
+    step_type = np.min_scalar_type(horizon)
+    for k in range(-1, horizon):
+        if k >= 0:
+            if not buckets[k]:
+                continue
+            # np.sort and a neighbour test, not np.unique, which imports numpy.ma
+            here = np.concatenate(buckets[k])
+            cur = np.sort(here[fired[here] == horizon])
+            cur = cur[np.diff(cur, prepend=-1) > 0]
+            fired[cur] = k
+            if k == horizon - 1:
+                break
+        y = cur % width
+        to = (cur - y)[:, np.newaxis] + dyn.edge_to[y]
+        clear = fired[to] == horizon
+        at = rng.geometric(dyn.edge_p[y][clear]) + k
+        early = at < horizon
+        if not early.any():
+            continue
+        at, to = at[early], to[clear][early]
+        order = np.argsort(at.astype(step_type), kind="stable")
+        at, to = at[order], to[order]
+        ends = np.append(np.flatnonzero(at[1:] != at[:-1]) + 1, len(at)).tolist()
+        lo = 0
+        for hi in ends:
+            buckets[at[lo]].append(to[lo:hi])
+            lo = hi
+    fired[n::width] = horizon
     return fired.reshape(m, width)
 
 
@@ -637,26 +610,28 @@ def _chunk_counts(dyn: _SpreadDynamics, fired: np.ndarray, horizon: int):
     which each cell ignited (-1 from the start, horizon for never)."""
     m, n = fired.shape[0], fired.shape[1] - 1
     sample, cell = np.nonzero(fired[:, :n] < horizon)
-    when = fired[sample, cell]
+    when = fired[sample, cell].astype(np.intp)
+    size = (horizon + 1) * n
     # hist[t + 1, x] = samples in which x ignited at step t
-    hist = np.bincount((when + 1) * n + cell, minlength=(horizon + 1) * n)
-    hist = hist.reshape(horizon + 1, n)
+    hist = np.bincount((when + 1) * n + cell, minlength=size).reshape(horizon + 1, n)
     den = m - np.cumsum(hist, axis=0)[:-1]
     num = np.empty((horizon, n, N_ACTIONS), dtype=np.int64)
     num[:, :, 0] = hist[1:]
     # Slot j of x counts the steps k with x clear at k and its slot-j
     # neighbour y contaminated at k + 1: max(when_y, 0) <= k <= min(when_x, H - 1).
-    # Each (sample, y) opens that run of steps for the cells whose slot j is y.
-    orth = N_ACTIONS - 1
-    x = dyn.rev[cell, :orth]
-    first = np.broadcast_to(np.maximum(when, 0)[:, np.newaxis], x.shape)
-    last = np.minimum(fired[sample[:, np.newaxis], x], horizon - 1)
-    keep = (x < n) & (first <= last)
-    entry = (x * orth + np.arange(orth))[keep]
-    size = (horizon + 1) * n * orth
-    runs = np.bincount(first[keep] * n * orth + entry, minlength=size)
-    runs -= np.bincount((last[keep] + 1) * n * orth + entry, minlength=size)
-    num[:, :, 1:] = np.cumsum(runs.reshape(horizon + 1, n, orth), axis=0)[:horizon]
+    # Each (sample, y) opens that run of steps for the cell whose slot j is
+    # y, one slot at a time, so the working arrays stay one per ignition.
+    first = np.maximum(when, 0)
+    row = sample * (n + 1)
+    flat = fired.reshape(-1)
+    for j in range(1, N_ACTIONS):
+        x = dyn.rev[cell, j - 1]
+        last = np.minimum(flat[row + x], horizon - 1, dtype=np.intp)
+        keep = (x < n) & (first <= last)
+        x = x[keep]
+        runs = np.bincount(first[keep] * n + x, minlength=size)
+        runs -= np.bincount((last[keep] + 1) * n + x, minlength=size)
+        num[:, :, j] = np.cumsum(runs.reshape(horizon + 1, n), axis=0)[:horizon]
     return den, num, hist.sum(axis=0)
 
 
@@ -664,7 +639,7 @@ def _run_chunks(dyn, horizon, samples, seed, threads):
     """Integer (den, num, final) of samples [0, samples), added up block by
     block in block order as the blocks arrive."""
     n = dyn.gridmap.n_free
-    size = _block_size(horizon, n)
+    size = _block_size(n)
     blocks = [(b, min(size, samples - b * size)) for b in range(-(-samples // size))]
     worker = lambda r: _chunk_counts(
         dyn, _sample_block(dyn, horizon, np.random.SeedSequence((seed, r[0])), r[1]), horizon)

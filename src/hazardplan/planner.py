@@ -226,11 +226,22 @@ def _grid_distances(gm: GridMap, sources: Sequence[int]) -> np.ndarray:
     return dist
 
 
-def _distance_table(query: PlanQuery) -> np.ndarray:
+def _distance_table(
+    query: PlanQuery, rows: Optional[Dict[int, np.ndarray]] = None
+) -> np.ndarray:
     """(t + 1, n) _grid_distances from each target, in order, and last from
-    the start: what the bounds on the moves and the diagnostics read."""
+    the start: what the bounds on the moves and the diagnostics read. With
+    ``rows``, a memo of rows by source cell index, only the sources it lacks
+    run the search, and their rows join it; a row does not depend on the
+    sources searched beside it."""
     gm = query.gridmap
-    return _grid_distances(gm, [gm.index(c) for c in query.targets] + [gm.index(query.start)])
+    sources = [gm.index(c) for c in query.targets] + [gm.index(query.start)]
+    if rows is None:
+        return _grid_distances(gm, sources)
+    missing = [i for i in dict.fromkeys(sources) if i not in rows]
+    if missing:
+        rows.update(zip(missing, _grid_distances(gm, missing)))
+    return np.array([rows[i] for i in sources])
 
 
 def _tour_moves(between: np.ndarray, enter: np.ndarray, leave: np.ndarray) -> np.ndarray:
@@ -493,9 +504,12 @@ def _raise_outside(k: int, lows, highs) -> None:
     )
 
 
-def dp_values(query: PlanQuery) -> np.ndarray:
+def dp_values(
+    query: PlanQuery, distance_rows: Optional[Dict[int, np.ndarray]] = None
+) -> np.ndarray:
     """The value lattice: V^0(q, start) for every visited set q, as a
-    (2^t,) array, with no policy kept.
+    (2^t,) array, with no policy kept. ``distance_rows`` is the
+    _distance_table memo, which an ObjectiveCache shares among its DPs.
 
     The two value layers are blocked as (tiles, n, c): tile j holds c
     visited sets of every cell, c from _tile_columns. The columns are
@@ -521,7 +535,10 @@ def dp_values(query: PlanQuery) -> np.ndarray:
     tb = query.target_bits()
     # A one-tile layer holds the full set, which needs no move, so it is
     # always swept and needs no bound.
-    need = _finish_moves(query, _distance_table(query)) if tiles > 1 else np.zeros(nq)
+    if tiles > 1:
+        need = _finish_moves(query, _distance_table(query, distance_rows))
+    else:
+        need = np.zeros(nq)
     # The visited set of each column: by the fewest moves still needed, ties
     # in q order. A need above the horizon is skipped alike at every step,
     # so the keys are the integers 0 to horizon + 1, and a counting sort
@@ -581,9 +598,12 @@ def dp_values(query: PlanQuery) -> np.ndarray:
     return values[:, start_idx].reshape(nq)[position] * (not fld.flagged[0, start_idx])
 
 
-def dp_solve(query: PlanQuery) -> PlanResult:
+def dp_solve(
+    query: PlanQuery, distance_rows: Optional[Dict[int, np.ndarray]] = None
+) -> PlanResult:
     """One mission from its start state: f = V^0(start_q, start) and the
-    greedy policy of the states the start can reach.
+    greedy policy of the states the start can reach. ``distance_rows`` is
+    as for dp_values.
 
     Step k sweeps only the visited sets q with need[q] <= horizon - k
     (_finish_moves) and reach[q] <= k (_reach_moves), in increasing q,
@@ -608,7 +628,7 @@ def dp_solve(query: PlanQuery) -> PlanResult:
     goal_idx = gm.goal_index
     tb = query.target_bits()
     start_q = int(tb[start_idx])
-    dist = _distance_table(query)
+    dist = _distance_table(query, distance_rows)
     bad = _bad_steps(fld, horizon)
     last_bad = int(bad[-1]) if bad.size else -1
     # Visited set q is swept at the steps first[q] <= k <= last[q].
@@ -703,6 +723,8 @@ class ObjectiveCache:
         # Memo of the values asked for: a repeat lookup, the allocators' most
         # frequent call, skips the validation and the table lookup.
         self._values: Dict[Tuple[int, int], float] = {}
+        # grid-distance rows by source cell, shared by every DP of the cache
+        self._distance_rows: Dict[int, np.ndarray] = {}
         self.solve_count = 0
         self.hit_count = 0
         self.value_runs = 0
@@ -741,7 +763,7 @@ class ObjectiveCache:
         outside it counted as visited."""
         if robot not in self._tables:
             query = self.query(robot, (1 << self.n_tasks) - 1)
-            lattice = dp_values(query)
+            lattice = dp_values(query, self._distance_rows)
             self.value_runs += 1
             start_q = int(query.target_bits()[self.gridmap.index(query.start)])
             masks = np.arange(len(lattice))
@@ -755,7 +777,7 @@ class ObjectiveCache:
         self._check(robot, mask)
         key = (robot, mask)
         if key not in self._plans:
-            self._plans[key] = dp_solve(self.query(robot, mask))
+            self._plans[key] = dp_solve(self.query(robot, mask), self._distance_rows)
             self.policy_runs += 1
         return self._plans[key]
 
@@ -858,7 +880,7 @@ def _joint_trajectories(dyn, horizon: int, seed: int, ci: int, m: int) -> np.nda
     SeedSequence((seed, ci), spawn_key=(b,)): the spawn key is a coordinate
     that neither the chunk's motion stream (seed, ci) nor a field block's
     (seed, b) has."""
-    size = _block_size(horizon, dyn.gridmap.n_free)
+    size = _block_size(dyn.gridmap.n_free)
     # int32 holds every step, in half the bytes of the sampler's int64
     fired = np.empty((m, dyn.gridmap.n_free + 1), dtype=np.int32)
     for b, lo in enumerate(range(0, m, size)):

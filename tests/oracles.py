@@ -475,12 +475,12 @@ def brute_force_partitions(value, n_robots: int, n_tasks: int) -> Tuple[Tuple[in
 # --- Stay-clear kernel and Monte-Carlo sampler, kept as the references ------
 #
 # The package reads stay-clear products from a per-cell table indexed by
-# neighbour codes, and its sampler draws only the events that can ignite and
-# works from each step's ignitions. These are the dense forms it replaced:
-# eight np.where passes per call, and a step loop that rebuilds every
-# (sample, cell) probability and recounts every slot each step, driven by
-# the block's events replayed with scalar draws. The package must agree
-# with them bit for bit.
+# neighbour codes, and its sampler walks each burning cell's out-edges in a
+# bucket queue of first-passage times. These are the dense forms: eight
+# np.where passes per call, and a step loop that recounts every slot of
+# every (sample, cell) each step, driven by uniform draws or by the block's
+# ignition steps replayed with scalar draws. The package must agree with
+# them bit for bit.
 
 
 def _clear_probs(dyn: _SpreadDynamics, contaminated: np.ndarray) -> np.ndarray:
@@ -505,17 +505,28 @@ def _dense_counts(dyn: _SpreadDynamics, uniforms: np.ndarray, clear_probs=_clear
     """(den, num, final) of trajectories driven by a (samples, horizon,
     n_free) matrix of draws: a clear cell ignites when its draw falls below
     its ignition probability. Every (sample, cell) probability is rebuilt
-    and every slot recounted at each step."""
+    at each step."""
     m, horizon, n = uniforms.shape
+    contam = np.empty((m, horizon + 1, n), dtype=bool)
+    contam[:, 0] = dyn.initial
+    for k in range(horizon):
+        now = contam[:, k]
+        pc = 1.0 - clear_probs(dyn, now)
+        contam[:, k + 1] = now | (~now & (uniforms[:, k, :] < pc))
+    return _trajectory_counts(dyn, contam)
+
+
+def _trajectory_counts(dyn: _SpreadDynamics, contam: np.ndarray):
+    """(den, num, final) of a (samples, horizon + 1, n_free) matrix of
+    contamination states, every slot recounted at each step."""
+    horizon = contam.shape[1] - 1
+    n = contam.shape[2]
     nbr = dyn.gridmap.neighbor_slots[:, :N_ACTIONS]
-    contam = np.broadcast_to(dyn.initial, (m, n)).copy()
     den = np.zeros((horizon, n), dtype=np.int64)
     num = np.zeros((horizon, n, N_ACTIONS), dtype=np.int64)
     for k in range(horizon):
-        clear = ~contam
-        pc = 1.0 - clear_probs(dyn, contam)
-        ignite = clear & (uniforms[:, k, :] < pc)
-        nxt = contam | ignite
+        clear = ~contam[:, k]
+        nxt = contam[:, k + 1]
         den[k] += clear.sum(axis=0)
         for j in range(N_ACTIONS):
             idx = nbr[:, j]
@@ -524,8 +535,7 @@ def _dense_counts(dyn: _SpreadDynamics, uniforms: np.ndarray, clear_probs=_clear
                 continue
             hits = clear[:, valid] & nxt[:, idx[valid]]
             num[k, valid, j] += hits.sum(axis=0)
-        contam = nxt
-    final = contam.sum(axis=0, dtype=np.int64)
+    final = contam[:, horizon].sum(axis=0, dtype=np.int64)
     return den, num, final
 
 
@@ -550,53 +560,61 @@ def per_sample_stream_chunk(
     return _dense_counts(dyn, uniforms, _SpreadDynamics.stay_clear)
 
 
-def _batch_size(span: int, p: float) -> int:
-    """One cell's geometric batch: its mean event count over span positions
-    plus the package's sigmas and slack, read at call time."""
-    mean = span * p
-    return math.ceil(mean + hazard_module._EVENT_SIGMAS * math.sqrt(mean * (1.0 - p))) + (
-        hazard_module._EVENT_SLACK
-    )
+def reference_fired(dyn: _SpreadDynamics, horizon: int, seed: int, block: int, m: int):
+    """The step at which each (sample, cell) of the block ignites, as an
+    (m, n_free + 1) array (-1 from the start, horizon for never), from
+    scalar rng.geometric calls in the order the package's walk
+    (hazard._sample_block) makes them.
 
-
-def reference_block_events(dyn: _SpreadDynamics, horizon: int, seed: int, block: int, m: int):
-    """The block's events as (position, cell, value) in the order they are
-    drawn, and the number of top-up rounds drawn, from scalar rng.geometric
-    and rng.random calls made in the order the package's stream rule
-    (hazard._block_events) lays down."""
-    p = dyn.max_ignite
-    span, length = hazard_module._ROUND_STEPS * m, m * horizon
+    A burning cell y tries to ignite its slot-j neighbour x, the cell whose
+    slot j is y, with the weight of the lut product: 1 - (1 - theta(y)) on
+    an orthogonal slot and 1 - (1 - theta(y) / sqrt(2)) on a diagonal one.
+    At each step k from -1 (the initial cells) to horizon - 2, the cells
+    ignited then, by sample and cell, each draw one delay D per slot in
+    order 1..8 whose neighbour is clear and can ignite; x then joins the
+    arrivals of step k + D when that is below the horizon. Step k + 1
+    ignites the clear cells among its arrivals."""
+    n = dyn.gridmap.n_free
+    nbr = dyn.gridmap.neighbor_slots
+    theta = dyn.theta
+    # into[y, j]: the cell whose slot-j neighbour is y
+    into = {(int(nbr[x, j]), j): x for x in range(n) for j in range(1, N_SLOTS) if nbr[x, j] >= 0}
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
-    cells = [x for x in range(dyn.gridmap.n_free) if p[x] > 0.0]
-    last = {x: -1 for x in cells}
-    events: List[Tuple[int, int, float]] = []
-    topups = 0
-
-    def batch(xs):
-        drawn = []
-        for x in xs:
-            for _ in range(_batch_size(span, p[x])):
-                last[x] += int(rng.geometric(p[x]))
-                drawn.append((last[x], x))
-        events.extend((at, x, rng.random() * p[x]) for at, x in drawn)
-
-    for end in range(span, length + span, span):
-        need = [x for x in cells if last[x] < end]
-        while need:
-            batch(need)
-            need = [x for x in need if last[x] < end]
-            topups += bool(need)
-    return [e for e in events if e[0] < length], topups
+    fired = [[horizon] * (n + 1) for _ in range(m)]
+    arrivals: Dict[int, set] = {k: set() for k in range(horizon)}
+    initial = [x for x in range(n) if dyn.initial[x]]
+    for s in range(m):
+        for x in initial:
+            fired[s][x] = -1
+    burning = [(s, x) for s in range(m) for x in initial]
+    for k in range(-1, horizon - 1):
+        if k >= 0:
+            burning = sorted((s, x) for s, x in arrivals[k] if fired[s][x] == horizon)
+            for s, x in burning:
+                fired[s][x] = k
+        for s, y in burning:
+            for j in range(1, N_SLOTS):
+                x = into.get((y, j))
+                if x is None or fired[s][x] != horizon:
+                    continue
+                w = 1.0 - theta[y] if j < N_ACTIONS else 1.0 - theta[y] / SQRT2
+                p = 1.0 - w
+                if p > 0.0:
+                    at = k + int(rng.geometric(p))
+                    if at < horizon:
+                        arrivals[at].add((s, x))
+    for s, x in arrivals[horizon - 1]:
+        if fired[s][x] == horizon:
+            fired[s][x] = horizon - 1
+    return np.array(fired)
 
 
 def reference_sample_block(dyn: _SpreadDynamics, horizon: int, seed: int, block: int, m: int):
-    """Counts of the block's m trajectories: its events put at their
-    (sample, step, cell) in a matrix of 1.0, which no ignition probability
-    exceeds, then the dense step loop."""
-    uniforms = np.ones((m, horizon, dyn.gridmap.n_free))
-    for at, x, value in reference_block_events(dyn, horizon, seed, block, m)[0]:
-        uniforms[at % m, at // m, x] = value
-    return _dense_counts(dyn, uniforms)
+    """Counts of the block's m trajectories: each (sample, step, cell)
+    contaminated from reference_fired, then the dense count loop."""
+    fired = reference_fired(dyn, horizon, seed, block, m)[:, :-1]
+    steps = np.arange(horizon + 1)[np.newaxis, :, np.newaxis]
+    return _trajectory_counts(dyn, fired[:, np.newaxis, :] < steps)
 
 
 # --- Scalar exact propagation, kept as the bit-for-bit reference -----------

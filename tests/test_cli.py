@@ -427,6 +427,24 @@ def test_a_field_cache_of_the_per_sample_sampler_exits_two(tmp_path, capsys):
     assert "lacks format" in err and "delete the cache and rebuild it" in err
 
 
+def test_a_field_cache_of_the_thinning_sampler_exits_two(tmp_path, capsys):
+    """Format 2 caches hold fields of the sampler that thinned every cell at
+    every step: the same samples and seed give other bits under the
+    first-passage walk, so such a cache is refused, not read as this one."""
+    small = str(Path(__file__).resolve().parent.parent / "scenarios" / "small.json")
+    cache = tmp_path / "fc.npz"
+    argv = ["plan", small, "--samples", "100", "--seed", "0", "--field-cache", str(cache)]
+    assert entry(argv) == 0
+    with np.load(cache) as npz:
+        data = {key: npz[key] for key in npz.files}
+    assert int(data["format"]) == 3
+    np.savez_compressed(cache, **dict(data, format=np.array(2)))
+    capsys.readouterr()
+    assert entry(argv) == 2
+    err = capsys.readouterr().err
+    assert "has format 2, not 3" in err and "delete the cache and rebuild it" in err
+
+
 def test_an_unhashed_field_cache_exits_two(tmp_path, capsys):
     small = str(Path(__file__).resolve().parent.parent / "scenarios" / "small.json")
     cache = tmp_path / "fc.npz"
@@ -656,7 +674,9 @@ def test_paper_allocate_runs_a_value_lattice_per_robot_and_a_policy_per_rollout(
     cache = result.cache
     assert len(rolled) == 5
     assert (cache.value_runs, cache.policy_runs) == (3, 5)
-    assert rep["cache"] == {"plan_solves_total": 60, "cache_hits": 39}
+    # repeat lookups follow which bids each round re-prices, so they move
+    # with the field's bits even where the allocations do not
+    assert rep["cache"] == {"plan_solves_total": 60, "cache_hits": 33}
 
 
 def test_seed_beside_an_exact_field_still_seeds_rollouts(tmp_path, capsys):

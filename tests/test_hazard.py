@@ -13,7 +13,6 @@ from hazardplan.hazard import (
     HazardModel,
     HazardSource,
     _dynamics,
-    _block_events,
     _chunk_counts,
     _run_chunks,
     _sample_block,
@@ -352,54 +351,81 @@ def reference_blocks(dyn, horizon, samples, seed, size):
 
 def test_sampler_bit_identical_to_reference_random_sweep(monkeypatch):
     # blocks of 128 samples, so 300 samples end in a short third block
-    monkeypatch.setattr(hazard, "_block_size", lambda horizon, n_free: 128)
+    monkeypatch.setattr(hazard, "_block_size", lambda n_free: 128)
     rng = np.random.default_rng(808)
     sure = never = 0
     for case in range(50):
         gm, model = spread_setup(rng, case)
         dyn = _dynamics(gm, model)
-        sure += int(np.sum(dyn.max_ignite == 1.0))
-        never += int(np.sum(dyn.max_ignite == 0.0))
+        edges = dyn.rev < gm.n_free
+        sure += int(np.sum(dyn.edge_p[edges] == 1.0))
+        never += int(np.sum(dyn.edge_p[edges] == 0.0))
         horizon, seed = int(rng.integers(1, 9)), int(rng.integers(0, 1000))
-        assert_counts_equal(_run_chunks(dyn, horizon, 300, seed, 1),
-                            reference_blocks(dyn, horizon, 300, seed, 128))
-    # speeds 1 and 0 give cells that may ignite at every draw and at none
+        assert np.array_equal(_sample_block(dyn, horizon, np.random.SeedSequence((seed, 1)), 45),
+                              oracles.reference_fired(dyn, horizon, seed, 1, 45))
+        for threads in (1, 2):
+            assert_counts_equal(_run_chunks(dyn, horizon, 300, seed, threads),
+                                reference_blocks(dyn, horizon, 300, seed, 128))
+    # speeds 1 and 0 give edges that ignite at every step and at none
     assert sure and never
 
 
-def test_sampler_replays_rounds_and_top_ups(monkeypatch):
-    """Rounds of one step and batches with no margin make the stream carry
-    events from round to round and draw top-up batches; the package must
-    still replay the rule event by event."""
-    monkeypatch.setattr(hazard, "_ROUND_STEPS", 1)
-    monkeypatch.setattr(hazard, "_EVENT_SIGMAS", 0.0)
-    monkeypatch.setattr(hazard, "_EVENT_SLACK", 0)
-    rng = np.random.default_rng(818)
-    topups = 0
-    for case in range(30):
-        gm, model = spread_setup(rng, case)
-        dyn = _dynamics(gm, model)
-        horizon, seed, m = int(rng.integers(1, 9)), int(rng.integers(0, 1000)), 45
-        events, drawn = oracles.reference_block_events(dyn, horizon, seed, 2, m)
-        topups += drawn
-        stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 2))))
-        pos, cell, value = _block_events(stream, dyn.max_ignite, m, horizon)
-        assert pos.tolist() == [e[0] for e in events]
-        assert cell.tolist() == [e[1] for e in events]
-        assert value.tolist() == [e[2] for e in events]
-        fired = _sample_block(dyn, horizon, np.random.SeedSequence((seed, 2)), m)
-        assert_counts_equal(_chunk_counts(dyn, fired, horizon),
-                            oracles.reference_sample_block(dyn, horizon, seed, 2, m))
-    assert topups > 0
+def z_scores(est: np.ndarray, exact: np.ndarray, counts: np.ndarray):
+    """Whether est equals exact wherever exact is 0 or 1, and |est - exact|
+    over the binomial sigma of counts draws elsewhere. The sigma is floored
+    at that of one count, so an entry with a tiny exact value may still be
+    off by a few counts."""
+    sure = (exact < 1e-12) | (exact > 1.0 - 1e-12)
+    sigma = np.sqrt(np.maximum(exact * (1.0 - exact), 1.0 / counts) / counts)
+    return (np.array_equal(est[sure], np.round(exact[sure])),
+            np.abs(est - exact)[~sure] / sigma[~sure])
+
+
+def test_sampler_law_matches_exact_propagation_random_sweep():
+    """The first-passage walk samples the spread law of exact propagation.
+    On 24 seeded random grids of at most 10 free cells, a third with every
+    source at speed 1, a third at speed 0 and a third with 2-3 sources of
+    mixed speeds, 20,000 samples put every marginal and every field entry
+    within Z_BOUND binomial sigmas of _propagate_exact (field entries
+    against the samples clear at that step). Entries the exact pass makes 0
+    or 1 must match exactly, and every exact flag must be set. Some 600
+    entries are tested, so a bound of 5 sigma leaves a family-wise false
+    alarm rate far under 1%."""
+    z_bound, samples = 5.0, 20_000
+    rng = np.random.default_rng(2025)
+    worst = 0.0
+    for case in range(24):
+        gm = random_gridmap(rng, max_cells=10, max_side=4)
+        kind = case % 3
+        k = min(int(rng.integers(2 if kind == 2 else 1, 4)), gm.n_free - 1)
+        speeds = {0: [1.0] * k, 1: [0.0] * k}.get(kind) or rng.uniform(0.05, 0.95, k).tolist()
+        picks = rng.choice(gm.n_free, size=k, replace=False)
+        model = HazardModel(sources=tuple(
+            HazardSource(cells=frozenset([gm.cells[int(i)]]), theta=float(theta))
+            for i, theta in zip(picks, speeds)
+        ))
+        horizon, seed = int(rng.integers(1, 7)), int(rng.integers(0, 1000))
+        exact = exact_contamination_field(gm, model, horizon)
+        est = estimate_contamination_field(gm, model, horizon, samples, seed)
+        same, z = z_scores(est.marginals, exact.marginals, samples)
+        assert same
+        worst = max(worst, z.max(initial=0.0))
+        assert np.all(est.flagged[exact.flagged])
+        clear = np.rint(samples * (1.0 - est.marginals[:horizon]))
+        use = (clear > 0) & ~exact.flagged
+        counts = np.broadcast_to(clear[use][:, np.newaxis], est.prob[use].shape)
+        same, z = z_scores(est.prob[use], exact.prob[use], counts)
+        assert same
+        worst = max(worst, z.max(initial=0.0))
+    assert worst <= z_bound
 
 
 @pytest.fixture(scope="module")
 def paper_reference():
     sc = load_scenario(SCENARIOS / "paper17x13.json")
     dyn = _dynamics(sc.gridmap, sc.hazard)
-    samples = 600
-    size = hazard._block_size(sc.horizon, sc.gridmap.n_free)
-    assert samples > 2 * size  # several blocks, the last one short
+    size = hazard._block_size(sc.gridmap.n_free)
+    samples = 2 * size + 90  # several blocks, the last one short
     return dyn, sc.horizon, samples, reference_blocks(dyn, sc.horizon, samples, 0, size)
 
 

@@ -285,6 +285,37 @@ def test_dp_table_bytes_bounds_the_traced_peak_at_few_targets(slip):
             assert peak <= dp_table_bytes(t, query.gridmap.n_free, horizon), (t, horizon)
 
 
+def test_objective_cache_searches_each_source_cell_once(monkeypatch):
+    """An ObjectiveCache's DPs share one memo of grid-distance rows: each
+    source cell runs the breadth-first search once, and every lattice and
+    plan keeps the bits of a DP that searches its own rows."""
+    searched = []
+    real = planner._grid_distances
+
+    def recording(gm, sources):
+        searched.extend(sources)
+        return real(gm, sources)
+
+    monkeypatch.setattr(planner, "_grid_distances", recording)
+    sc = load_scenario(SCENARIOS / "paper17x13.json")
+    fld = estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon, samples=300, seed=0)
+    cache = ObjectiveCache(sc.gridmap, sc.kernel(), fld, sc.starts, sc.targets, sc.horizon)
+    full = (1 << sc.n_tasks) - 1
+    masks = (0, 0b00110, full)
+    tables = [cache.price_table(r) for r in range(sc.n_robots)]
+    plans = {(r, m): cache.solve(r, m) for r in range(sc.n_robots) for m in masks}
+    cells = [sc.gridmap.index(c) for c in tuple(sc.targets) + tuple(sc.starts)]
+    assert sorted(searched) == sorted(set(cells))
+    for r, table in enumerate(tables):
+        query = cache.query(r, full)
+        start_q = int(query.target_bits()[sc.gridmap.index(sc.starts[r])])
+        subsets = np.arange(len(table))
+        assert np.array_equal(table, dp_values(query)[(full ^ subsets) | start_q])
+    for (r, m), got in plans.items():
+        want = dp_solve(cache.query(r, m))
+        assert np.array_equal(got.policy, want.policy) and got.success == want.success
+
+
 def test_dp_over_the_table_cap_raises_before_allocating():
     query = paper_sweep_query(20)
     assert dp_table_bytes(20, query.gridmap.n_free) > DP_TABLE_CAP
@@ -380,7 +411,7 @@ def test_joint_trajectories_come_in_sampler_blocks(monkeypatch):
     res = dp_solve(make_query(gm, fld, Cell(0, 0), [Cell(2, 0)], 5, random_tabular_kernel(
         np.random.default_rng(4), gm)))
     monkeypatch.setattr(planner, "_ROLLOUT_CHUNK", 1000)
-    monkeypatch.setattr(planner, "_block_size", lambda horizon, n_free: 300)
+    monkeypatch.setattr(planner, "_block_size", lambda n_free: 300)
     calls = []
     real = planner._sample_block
 

@@ -1,5 +1,6 @@
 """Property tests on hypothesis-drawn grids of at most 12 free cells: the
-package DP and the exact field against the scalar oracles, the exact step's
+package DP and the exact field against the scalar oracles, the Monte-Carlo
+field at one horizon against the prefix of a longer one, the exact step's
 outcome builder against the cell-by-cell reference and its grouping against
 np.unique, both DP modes, in tiles of 1, 2 or 4 visited sets too, against
 the full-table reference and the sweep over whole layers (the policy at
@@ -76,6 +77,28 @@ def test_exact_field_matches_oracle(grid, horizon):
     prob, flagged = oracles.exact_field_oracle(gm, model.sources, horizon)
     assert np.array_equal(fld.flagged, flagged)
     assert np.abs(fld.prob - prob).max() <= FIELD_TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(hazard_grids(), st.integers(1, 12), st.integers(1, 12), st.integers(1, 5000),
+       st.integers(0, 2**32 - 1))
+def test_monte_carlo_field_is_a_prefix_of_every_longer_horizon(grid, h1, h2, samples, seed):
+    """The sampler's blocks depend on the grid alone and its walk draws step
+    k's delays after every earlier step's, so a field's first k steps are
+    the same bits at any longer horizon: the transition rows, the flags and
+    the marginals, and the ignition steps of each block below k."""
+    gm, model = grid
+    short, long = min(h1, h2), max(h1, h2)
+    a = estimate_contamination_field(gm, model, short, samples, seed)
+    b = estimate_contamination_field(gm, model, long, samples, seed)
+    assert np.array_equal(a.prob, b.prob[:short])
+    assert np.array_equal(a.flagged, b.flagged[:short])
+    assert np.array_equal(a.marginals, b.marginals[:short + 1])
+    dyn = hazard._dynamics(gm, model)
+    stream = np.random.SeedSequence((seed, 0))
+    fired = hazard._sample_block(dyn, long, stream, samples)
+    assert np.array_equal(hazard._sample_block(dyn, short, stream, samples),
+                          np.minimum(fired, short))
 
 
 @st.composite

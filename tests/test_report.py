@@ -464,13 +464,13 @@ def test_rollouts_read_each_assigned_subsets_own_policy(monkeypatch):
         seen.append(result)
         return real_rollout(result, **kwargs)
 
-    def counting(query):
+    def counting(query, *rest):
         solved.append(query.targets)
-        return real_solve(query)
+        return real_solve(query, *rest)
 
-    def pricing(query):
+    def pricing(query, *rest):
         priced.append(query.targets)
-        return real_values(query)
+        return real_values(query, *rest)
 
     monkeypatch.setattr(report, "rollout", recording)
     monkeypatch.setattr(planner, "dp_solve", counting)
