@@ -27,7 +27,6 @@ from hazardplan.allocation import (
 from hazardplan.errors import NumericViolationError, ValidationError
 from hazardplan.grid import Cell, GridMap, MotionKernel, MoveAction, N_ACTIONS, N_SLOTS, _slot_of
 from hazardplan.guarantees import RatioReport
-from hazardplan import hazard as hazard_module
 from hazardplan.hazard import (
     EXACT_HAZARD_CELL_CAP,
     FIELD_SUM_TOL,

@@ -13,7 +13,6 @@ from hazardplan.hazard import (
     HazardModel,
     HazardSource,
     _dynamics,
-    _chunk_counts,
     _run_chunks,
     _sample_block,
     estimate_contamination_field,
