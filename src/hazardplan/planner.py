@@ -881,7 +881,7 @@ def _joint_trajectories(dyn, horizon: int, seed: int, ci: int, m: int) -> np.nda
     that neither the chunk's motion stream (seed, ci) nor a field block's
     (seed, b) has."""
     size = _block_size(dyn.gridmap.n_free)
-    # int32 holds every step, in half the bytes of the sampler's int64
+    # the sampler's int32 steps
     fired = np.empty((m, dyn.gridmap.n_free + 1), dtype=np.int32)
     for b, lo in enumerate(range(0, m, size)):
         stream = np.random.SeedSequence((seed, ci), spawn_key=(b,))
