@@ -230,14 +230,13 @@ def _distance_table(
     query: PlanQuery, rows: Optional[Dict[int, np.ndarray]] = None
 ) -> np.ndarray:
     """(t + 1, n) _grid_distances from each target, in order, and last from
-    the start: what the bounds on the moves and the diagnostics read. With
-    ``rows``, a memo of rows by source cell index, only the sources it lacks
-    run the search, and their rows join it; a row does not depend on the
-    sources searched beside it."""
+    the start: what the bounds on the moves and the diagnostics read.
+    ``rows`` is a memo of rows by source cell index (a fresh one when None):
+    only the sources it lacks run the search, and their rows join it; a row
+    does not depend on the sources searched beside it."""
     gm = query.gridmap
     sources = [gm.index(c) for c in query.targets] + [gm.index(query.start)]
-    if rows is None:
-        return _grid_distances(gm, sources)
+    rows = {} if rows is None else rows
     missing = [i for i in dict.fromkeys(sources) if i not in rows]
     if missing:
         rows.update(zip(missing, _grid_distances(gm, missing)))
@@ -881,7 +880,7 @@ def _joint_trajectories(dyn, horizon: int, seed: int, ci: int, m: int) -> np.nda
     that neither the chunk's motion stream (seed, ci) nor a field block's
     (seed, b) has."""
     size = _block_size(dyn.gridmap.n_free)
-    # the sampler's int32 steps
+    # int32 holds every step, and is what _sample_block returns
     fired = np.empty((m, dyn.gridmap.n_free + 1), dtype=np.int32)
     for b, lo in enumerate(range(0, m, size)):
         stream = np.random.SeedSequence((seed, ci), spawn_key=(b,))

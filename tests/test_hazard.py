@@ -385,7 +385,7 @@ def test_sampler_law_matches_exact_propagation_random_sweep():
     On 24 seeded random grids of at most 10 free cells, a third with every
     source at speed 1, a third at speed 0 and a third with 2-3 sources of
     mixed speeds, 20,000 samples put every marginal and every field entry
-    within Z_BOUND binomial sigmas of _propagate_exact (field entries
+    within z_bound (5) binomial sigmas of _propagate_exact (field entries
     against the samples clear at that step). Entries the exact pass makes 0
     or 1 must match exactly, and every exact flag must be set. Some 600
     entries are tested, so a bound of 5 sigma leaves a family-wise false
@@ -436,8 +436,8 @@ def test_sampler_bit_identical_to_reference_on_paper_scenario(paper_reference, t
 
 
 def test_paper_field_marginals_agree_with_per_sample_streams():
-    """The block streams draw other numbers than the per-sample streams the
-    sampler used before, from the same distribution. Per entry, the two
+    """The first-passage walk draws other numbers than the per-sample
+    streams an earlier sampler used, from the same distribution. Per entry, the two
     estimates of 10,000 samples differ by a binomial noise of
     sigma = sqrt(2 p (1 - p) / 10,000). The heat row is held to 4 sigma;
     every entry, of some 15,000, to 5 sigma, a family-wise false alarm rate
