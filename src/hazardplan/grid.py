@@ -93,15 +93,14 @@ class GridMap:
         self.cell_index: Dict[Cell, int] = {c: i for i, c in enumerate(self.cells)}
         self.n_free = len(self.cells)
         # neighbor_slots[i, j] = free-cell index of cells[i] + SLOT_DISPLACEMENTS[j],
-        # or -1 when that cell is blocked or out of bounds.
-        slots = np.full((self.n_free, N_SLOTS), -1, dtype=np.int32)
-        for i, cell in enumerate(self.cells):
-            for j, (dc, dr) in enumerate(SLOT_DISPLACEMENTS):
-                nb = Cell(cell.col + dc, cell.row + dr)
-                k = self.cell_index.get(nb)
-                if k is not None:
-                    slots[i, j] = k
-        self.neighbor_slots = slots
+        # or -1 when that cell is blocked or out of bounds: read from the
+        # free-cell index of every (col, row), padded by a ring of -1. The
+        # cells are in (col, row) order, the order of the index's free entries.
+        col, row = np.array(self.cells).T
+        index = np.full((width + 2, height + 2), -1, dtype=np.int32)
+        index[col + 1, row + 1] = np.arange(self.n_free)
+        shift = np.array(SLOT_DISPLACEMENTS).T + 1
+        self.neighbor_slots = index[col[:, np.newaxis] + shift[0], row[:, np.newaxis] + shift[1]]
         self.goal_index = self.cell_index[self.goal]
 
     def _in_bounds(self, cell: Cell) -> bool:

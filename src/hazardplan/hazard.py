@@ -455,9 +455,12 @@ class ContaminationField:
             raise ValidationError("a field without marginals cannot be cached")
         if not self.scenario_hash:
             raise ValidationError("a field without a scenario hash cannot be cached")
-        # through a handle, so a path without the .npz suffix is written as given
+        # through a handle, so a path without the .npz suffix is written as
+        # given. Uncompressed: on paper17x13 the file is about 3.7 times as
+        # large (720 KB), and a save about ten times and a load about three
+        # times as fast.
         with open(path, "wb") as fh:
-            np.savez_compressed(
+            np.savez(
                 fh,
                 format=FIELD_CACHE_FORMAT,
                 horizon=self.horizon,

@@ -24,11 +24,15 @@ It has two modes over that one sweep.
   swept in place, and each step first remaps the target-cell rows of the
   tiles it sweeps.
 - dp_solve solves one mission from its start state (start_q, start) and keeps
-  the policy of the states the start can reach. Step k gathers only the
-  visited sets it must sweep into compact (n, <= c) blocks, and its policy
-  is one int8 row of n actions per (step, visited set) swept, beside row 0,
-  all STAY, which stands for every column not swept: PlanResult.action reads
-  it through an (H, 2^t) row index.
+  the policy of the states the start can reach. Everything it allocates
+  once its bounds are known is sized by U, the visited sets some step
+  sweeps: each has a slot, one (n,) row of both value layers, and every set
+  outside U reads a shared all-zero row. Step k gathers the rows of the
+  sets it must sweep into (n, <= c) blocks and scatters their values back.
+  Its policy is one int8 row of n actions per (step, visited set) swept, a
+  set's rows laid out together from its last step swept down to its first,
+  beside row 0, all STAY, which stands for every column not swept:
+  PlanResult.action computes the row from the set's slot.
 
 Two Held-Karp bounds over one table of breadth-first grid distances, from
 each target and from the start (_distance_table), say which columns a step
@@ -103,8 +107,18 @@ _DP_LAYER_BYTES = 22
 # plus two int8 buffers.
 _DP_TILE_BUFFER_BYTES = 18
 # What dp_solve, which gathers its blocks, holds beside them per (cell,
-# visited set): the float64 block of step k + 1 and its values at step k.
-_DP_BLOCK_BYTES = 16
+# visited set): the float64 rows gathered from step k + 1, their transposed
+# block and its values at step k.
+_DP_BLOCK_BYTES = 24
+# Bytes per (source, cell) of the breadth-first distance table and its search.
+_DP_DISTANCE_BYTES = 32
+# Bytes per visited set of what dp_solve holds while it computes its bounds,
+# beside Held-Karp's (2^t, t) float64 path: the masks, sizes and fewest moves
+# of _tour_moves, the bounds and their temporaries, and first, last and slot.
+_DP_SET_BYTES = 64
+# Bytes per slot of U of dp_solve's per-slot arrays: the sets, first and
+# last steps, policy bases, and each step's live slots.
+_DP_SLOT_BYTES = 64
 # Bytes per (kernel term, cell) of the arrays a DP holds whatever its
 # targets: the terms' weights, support and destinations, and a step's
 # survival rows with their temporaries. A kernel has at most
@@ -163,18 +177,29 @@ class PlanResult:
     and the start-state value f = V^0(s0)."""
 
     query: PlanQuery
-    policy: np.ndarray  # (rows, n_free) int8 action ids; row 0 is all STAY
-    policy_row: np.ndarray  # (horizon, 2^t) int32 row of policy per (step, visited set)
+    policy: np.ndarray  # (1 + columns_swept, n_free) int8 action ids; row 0 is all STAY
+    slot: np.ndarray  # (2^t,) each visited set's slot; every set never swept shares the last
+    last: np.ndarray  # (slots,) the last step at which each slot's set is swept
+    # (slots + 1,) slot s's policy rows are base[s] (step last[s]) up to
+    # base[s + 1] - 1 (its first step swept); the last slot has none
+    base: np.ndarray
     start_q: int  # the visited set the walk starts in
     success: float
     diagnostics: Tuple[str, ...] = ()
     columns_swept: int = 0  # (step, visited set) columns the DP swept
 
+    def _row(self, k, q):
+        """The policy row of step k and visited set q, 0 where the DP did
+        not sweep them."""
+        s = self.slot[q]
+        row = self.base[s] + (self.last[s] - k)
+        return row * ((self.base[s] <= row) & (row < self.base[s + 1]))
+
     def action(self, k, q, x):
         """The action at step k, visited set q and cell x, for scalars and
         index arrays alike. It is the full sweep's wherever the start can
         reach (k, q, x); a column the DP did not sweep reads STAY."""
-        return self.policy[self.policy_row[k, q], x]
+        return self.policy[self._row(k, q), x]
 
     def _walk(self) -> Tuple[List[Tuple[int, int]], bool]:
         """The plan's walk when every move lands as aimed and no hazard
@@ -255,7 +280,7 @@ def _tour_moves(between: np.ndarray, enter: np.ndarray, leave: np.ndarray) -> np
     steps = np.vstack([between, enter])
     masks = np.arange(nq)
     bits = 1 << np.arange(t)
-    sizes = (masks[:, np.newaxis] & bits != 0).sum(axis=1)
+    sizes = np.bitwise_count(masks)
     # path[r, i]: fewest moves from target i through every target of r and
     # on, for i outside r. fewest[r]: onto the first target of r and its
     # path; row t of steps makes it.
@@ -371,33 +396,61 @@ def _bad_steps(fld: ContaminationField, horizon: int) -> np.ndarray:
     return np.flatnonzero(~((0.0 <= prob.min(axis=(1, 2))) & (prob.max(axis=(1, 2)) <= 1.0)))
 
 
-def dp_table_bytes(n_targets: int, n_free: int, horizon: Optional[int] = None) -> int:
-    """Estimated peak bytes of a dp_values over n_targets targets, or with a
-    horizon of a dp_solve: the two value layers, the working buffers of one
-    block and the kernel arrays of the most terms a kernel can have; a
-    dp_solve adds its gathered block and the compact policy at its worst,
-    every (step, visited set) swept: a row of n_free int8 actions each, row
-    0 and the int32 row index."""
+def dp_table_bytes(n_targets: int, n_free: int) -> int:
+    """Estimated peak bytes of a dp_values over n_targets targets: the two
+    value layers, the working buffers of one block and the kernel arrays of
+    the most terms a kernel can have."""
     nq = 1 << n_targets
     c = _tile_columns(nq, n_free)
-    need = (nq * n_free * _DP_LAYER_BYTES
+    return (nq * n_free * _DP_LAYER_BYTES
             + c * n_free * _DP_TILE_BUFFER_BYTES
             + N_ACTIONS * N_ACTIONS * n_free * _DP_TERM_BYTES)
-    if horizon is not None:
-        need += c * n_free * _DP_BLOCK_BYTES + (horizon * nq + 1) * n_free + 4 * horizon * nq
-    return need
 
 
-def require_dp_table_fits(n_targets: int, n_free: int, horizon: Optional[int] = None) -> None:
-    """Refuse a DP whose tables would pass DP_TABLE_CAP: a dp_values, or
-    with a horizon a dp_solve (dp_table_bytes)."""
-    need = dp_table_bytes(n_targets, n_free, horizon)
+def dp_bounds_bytes(n_targets: int, n_free: int) -> int:
+    """Estimated peak bytes of what a dp_solve over n_targets targets holds
+    before it knows the columns it sweeps: the distance table, Held-Karp's
+    (2^t, t) path and one round of its sums, and the arrays of 2^t the
+    bounds and the slots take."""
+    nq = 1 << n_targets
+    sums = min(nq * (n_targets + 1) * n_targets, 1 << 18) * 8
+    return ((n_targets + 1) * n_free * _DP_DISTANCE_BYTES
+            + nq * (8 * n_targets + _DP_SET_BYTES) + 2 * sums)
+
+
+def dp_policy_bytes(n_targets: int, n_free: int, sets: int, swept: int) -> int:
+    """Estimated bytes a dp_solve over n_targets targets adds once its
+    bounds are known, with ``sets`` visited sets in U and ``swept`` (step,
+    visited set) columns: the two (sets + 1, n_free) float64 value layers,
+    the policy of one int8 row of n_free per column swept and row 0, the
+    per-slot arrays, the working buffers of one block and the kernel arrays
+    of the most terms a kernel can have."""
+    c = _tile_columns(1 << n_targets, n_free)
+    return (2 * (sets + 1) * n_free * 8 + (1 + swept) * n_free
+            + (sets + 2) * _DP_SLOT_BYTES
+            + c * n_free * (_DP_TILE_BUFFER_BYTES + _DP_BLOCK_BYTES)
+            + N_ACTIONS * N_ACTIONS * n_free * _DP_TERM_BYTES)
+
+
+def _refuse_past_cap(need: int, n_targets: int, n_free: int, horizon: Optional[int]) -> None:
     if need > DP_TABLE_CAP:
         steps = "" if horizon is None else f" and {horizon} steps"
         raise CapExceededError(
             f"planning {n_targets} targets over {n_free} cells{steps} "
             f"needs about {need / 2**30:.1f} GiB > cap {DP_TABLE_CAP / 2**30:.1f} GiB"
         )
+
+
+def require_dp_table_fits(n_targets: int, n_free: int, horizon: Optional[int] = None) -> None:
+    """Refuse a DP whose tables would pass DP_TABLE_CAP: a dp_values
+    (dp_table_bytes), or with a horizon what a dp_solve holds before its
+    bounds (dp_bounds_bytes). dp_solve prices the rest once its bounds say
+    which columns it sweeps."""
+    if horizon is None:
+        need = dp_table_bytes(n_targets, n_free)
+    else:
+        need = dp_bounds_bytes(n_targets, n_free)
+    _refuse_past_cap(need, n_targets, n_free, horizon)
 
 
 class _Sweep:
@@ -504,10 +557,14 @@ def _raise_outside(k: int, lows, highs) -> None:
 
 
 def dp_values(
-    query: PlanQuery, distance_rows: Optional[Dict[int, np.ndarray]] = None
+    query: PlanQuery,
+    distance_rows: Optional[Dict[int, np.ndarray]] = None,
+    starts: Optional[Sequence[Cell]] = None,
 ) -> np.ndarray:
     """The value lattice: V^0(q, start) for every visited set q, as a
-    (2^t,) array, with no policy kept. ``distance_rows`` is the
+    (2^t,) array, with no policy kept. The sweep does not depend on the
+    start, so given ``starts`` it reads them all: a (2^t, len(starts))
+    array, one column per start cell. ``distance_rows`` is the
     _distance_table memo, which an ObjectiveCache shares among its DPs.
 
     The two value layers are blocked as (tiles, n, c): tile j holds c
@@ -529,7 +586,7 @@ def dp_values(
     require_dp_table_fits(t, n)
     c = _tile_columns(nq, n)
     tiles = nq // c
-    start_idx = gm.index(query.start)
+    start_idx = np.array([gm.index(s) for s in ([query.start] if starts is None else starts)])
     goal_idx = gm.goal_index
     tb = query.target_bits()
     # A one-tile layer holds the full set, which needs no move, so it is
@@ -594,7 +651,9 @@ def dp_values(
 
     # Every move off a start contaminated at step 0 is contaminated, but a
     # start on the goal with nothing to visit is already complete.
-    return values[:, start_idx].reshape(nq)[position] * (not fld.flagged[0, start_idx])
+    lattice = values[:, start_idx].transpose(1, 0, 2).reshape(len(start_idx), nq)[:, position]
+    lattice *= ~fld.flagged[0, start_idx, np.newaxis]
+    return lattice[0] if starts is None else lattice.T
 
 
 def dp_solve(
@@ -605,15 +664,20 @@ def dp_solve(
     as for dp_values.
 
     Step k sweeps only the visited sets q with need[q] <= horizon - k
-    (_finish_moves) and reach[q] <= k (_reach_moves), in increasing q,
-    gathered into (n, <= c) blocks from two cell-major (n, 2^t) value
-    layers: a block takes its columns of step k + 1, its target-cell rows
-    read at q | tb[d], and its values at step k are scattered back. A field
-    with a probability outside [0, 1] or NaN turns reach off and, from its
-    last such step down, sweeps every visited set, as dp_values does (see
-    the module docstring). Each swept (step, visited set) keeps one row of
-    the int8 policy; PlanResult.action reads it. A query whose tables would
-    pass DP_TABLE_CAP raises CapExceededError before any is allocated.
+    (_finish_moves) and reach[q] <= k (_reach_moves), in increasing q. A
+    field with a probability outside [0, 1] or NaN turns reach off and, from
+    its last such step down, sweeps every visited set, as dp_values does
+    (see the module docstring). U is the sets some step sweeps, and the full
+    set, whose 1.0 at the goal at step horizon a swept set reads through
+    q | tb[d]. Each set of U has a slot, a row of the two (|U| + 1, n)
+    value layers; the last row, all zero, stands for every other set. A
+    block gathers its rows of step k + 1, transposed to the (n, <= c)
+    block _Sweep takes, with its target-cell rows read at q | tb[d], and
+    its values at step k are scattered back. Each swept (step, visited set)
+    keeps one row of the int8 policy; PlanResult.action reads it. A query
+    whose bounds would pass DP_TABLE_CAP (require_dp_table_fits) raises
+    CapExceededError before computing them, and one whose bounds and
+    sweep (dp_policy_bytes) would, before the sweep's arrays are allocated.
     """
     gm = query.gridmap
     fld = query.field
@@ -630,45 +694,63 @@ def dp_solve(
     dist = _distance_table(query, distance_rows)
     bad = _bad_steps(fld, horizon)
     last_bad = int(bad[-1]) if bad.size else -1
-    # Visited set q is swept at the steps first[q] <= k <= last[q].
-    first = np.zeros(nq) if bad.size else _reach_moves(query, dist)
+    # Visited set q is swept at the steps first[q] <= k <= last[q]. A set
+    # the start cannot reach has first inf, and one that cannot finish last
+    # -inf, so both are clipped to the steps before they are cast.
+    first = (np.zeros(nq) if bad.size else _reach_moves(query, dist)).clip(0, horizon)
+    first = first.astype(np.int64)
     last = np.maximum(horizon - _finish_moves(query, dist), last_bad)
-    columns_swept = int(np.clip(np.minimum(last, horizon - 1) - first + 1, 0, None).sum())
+    last = last.clip(-1, horizon - 1).astype(np.int64)
+    sets = np.flatnonzero(first <= last)
+    if not sets.size or sets[-1] != nq - 1:
+        sets = np.append(sets, nq - 1)
+    units = len(sets)
+    slot = np.full(nq, units, dtype=np.int32)
+    slot[sets] = np.arange(units, dtype=np.int32)
+    first, last = first[sets], last[sets]
+    counts = np.maximum(last - first + 1, 0)
+    columns_swept = int(counts.sum())
+    _refuse_past_cap(dp_bounds_bytes(t, n) + dp_policy_bytes(t, n, units, columns_swept),
+                     t, n, horizon)
 
     sweep = _Sweep(query, c)
     tcells = np.flatnonzero(tb)
     arrive = tb[tcells, np.newaxis]
-    values = np.zeros((n, nq))
-    values[goal_idx, nq - 1] = 1.0
-    nxt = np.zeros((n, nq))
+    values = np.zeros((units + 1, n))
+    values[units - 1, goal_idx] = 1.0
+    nxt = np.zeros((units + 1, n))
+    rows_buf = np.empty(n * c)
+    tile_buf = np.empty(n * c)
     best_buf = np.empty(n * c)
     bestu_buf = np.empty(n * c, dtype=np.int8)
-    # 0 is MoveAction.STAY, the action of row 0
+    # 0 is MoveAction.STAY, the action of row 0. A slot's rows run from its
+    # last step down to its first; the zero slot has none.
     policy = np.zeros((1 + columns_swept, n), dtype=np.int8)
-    policy_row = np.zeros((horizon, nq), dtype=np.int32)
-    row = 1
+    base = np.concatenate([[1], 1 + np.cumsum(counts), [1 + columns_swept]])
     for k in range(horizon - 1, -1, -1):
         live = np.flatnonzero((first <= k) & (k <= last))
         sweep.at_step(k)
         lows, highs = [], []
         inside = True
         for lo in range(0, len(live), c):
-            cols = live[lo:lo + c]
-            m = len(cols)
-            tile = values[:, cols]
-            tile[tcells] = values[tcells[:, np.newaxis], cols | arrive]
+            s = live[lo:lo + c]
+            m = len(s)
+            rows = rows_buf[:n * m].reshape(m, n)
+            np.take(values, s, axis=0, out=rows)
+            tile = tile_buf[:n * m].reshape(n, m)
+            tile[...] = rows.T
+            tile[tcells] = values[slot[sets[s] | arrive], tcells[:, np.newaxis]]
             best = best_buf[:n * m].reshape(n, m)
             bestu = bestu_buf[:n * m].reshape(n, m)
-            # live ascends, so the full set is the last column of its block
-            full_col = m - 1 if cols[-1] == nq - 1 else None
+            # live ascends and the full set has U's last slot, so it is the
+            # last column of its block
+            full_col = m - 1 if s[-1] == units - 1 else None
             low, high, ok = sweep.block(tile, best, bestu, full_col)
             lows.append(low)
             highs.append(high)
             inside = inside and ok
-            nxt[:, cols] = best
-            policy[row:row + m] = bestu.T
-            policy_row[k, cols] = np.arange(row, row + m)
-            row += m
+            nxt[s] = best.T
+            policy[base[s] + (last[s] - k)] = bestu.T
         if not inside:
             _raise_outside(k, lows, highs)
         values, nxt = nxt, values
@@ -676,10 +758,12 @@ def dp_solve(
     return PlanResult(
         query=query,
         policy=policy,
-        policy_row=policy_row,
+        slot=slot,
+        last=np.append(last, -1),
+        base=base,
         start_q=start_q,
         # as dp_values: a start contaminated at step 0 is worth 0
-        success=float(values[start_idx, start_q] * (not fld.flagged[0, start_idx])),
+        success=float(values[slot[start_q], start_idx] * (not fld.flagged[0, start_idx])),
         diagnostics=tuple(_diagnose(query, dist)),
         columns_swept=columns_swept,
     )
@@ -689,8 +773,9 @@ class ObjectiveCache:
     """Memoized per-robot success probabilities over target subsets.
 
     Keys are (robot index, subset bitmask over the shared target list). The
-    first value asked of a robot runs one dp_values over all the targets,
-    the robot's value lattice, and every subset is a start state of it.
+    first value asked runs one dp_values over all the targets, the value
+    lattice, read from every robot's start, and every (robot, subset) is a
+    start state of it.
     solve(robot, mask) runs dp_solve over the subset's own targets, once per
     (robot, mask). solve_count counts the distinct (robot, mask) values
     priced and hit_count the repeat lookups; value_runs and policy_runs
@@ -716,7 +801,7 @@ class ObjectiveCache:
             raise ValidationError("at least one robot start is required")
         if len(set(self.targets)) != len(self.targets):
             raise ValidationError("duplicate target cells")
-        # each robot's value of every subset, indexed by mask
+        # each robot's value of every subset, indexed by mask, all filled at once
         self._tables: Dict[int, np.ndarray] = {}
         self._plans: Dict[Tuple[int, int], PlanResult] = {}
         # Memo of the values asked for: a repeat lookup, the allocators' most
@@ -757,18 +842,21 @@ class ObjectiveCache:
             raise ValidationError(f"target mask {mask} out of range")
 
     def _table(self, robot: int) -> np.ndarray:
-        """The robot's value of every subset, from its value lattice, run on
-        first use: subset m starts in (full ^ m) | start_q, every target
-        outside it counted as visited."""
-        if robot not in self._tables:
+        """The robot's value of every subset, from the one value lattice of
+        all the targets, which reads every robot's start and fills every
+        robot's table on first use: the robot's subset m starts in
+        (full ^ m) | start_q, every target outside it counted as visited."""
+        if not self._tables:
             query = self.query(robot, (1 << self.n_tasks) - 1)
-            lattice = dp_values(query, self._distance_rows)
+            lattice = dp_values(query, self._distance_rows, self.starts)
             self.value_runs += 1
-            start_q = int(query.target_bits()[self.gridmap.index(query.start)])
+            tb = query.target_bits()
             masks = np.arange(len(lattice))
-            table = lattice[(query.full_mask ^ masks) | start_q]
-            table.flags.writeable = False
-            self._tables[robot] = table
+            for r, start in enumerate(self.starts):
+                start_q = int(tb[self.gridmap.index(start)])
+                table = lattice[(query.full_mask ^ masks) | start_q, r]
+                table.flags.writeable = False
+                self._tables[r] = table
         return self._tables[robot]
 
     def solve(self, robot: int, mask: int) -> PlanResult:

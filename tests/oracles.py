@@ -1172,18 +1172,24 @@ def reachable_states(query) -> np.ndarray:
 def dense_policy(result) -> np.ndarray:
     """The (horizon, 2^t, n_free) action of ``result`` at every state, read
     through PlanResult.action."""
-    horizon, nq = result.policy_row.shape
+    horizon = result.query.horizon
+    nq = 1 << len(result.query.targets)
     n = result.query.gridmap.n_free
     return result.action(np.arange(horizon)[:, np.newaxis, np.newaxis],
                          np.arange(nq)[:, np.newaxis], np.arange(n))
 
 
 def with_policy(result, policy):
-    """``result`` acting by the dense (horizon, 2^t, n_free) ``policy``."""
-    horizon, nq, n = policy.shape
-    rows = np.concatenate([np.zeros((1, n), dtype=np.int8), policy.reshape(-1, n)])
-    index = 1 + np.arange(horizon * nq, dtype=np.int32).reshape(horizon, nq)
-    return replace(result, policy=rows, policy_row=index)
+    """``result`` acting by the dense (horizon, 2^t, n_free) ``policy``:
+    every visited set has its own slot and is swept at every step, its rows
+    from the last step down."""
+    horizon = result.query.horizon
+    nq = 1 << len(result.query.targets)
+    n = result.query.gridmap.n_free
+    rows = np.concatenate([np.zeros((1, n), dtype=np.int8),
+                           policy[::-1].transpose(1, 0, 2).reshape(-1, n)])
+    return replace(result, policy=rows, slot=np.arange(nq), last=np.full(nq, horizon - 1),
+                   base=1 + horizon * np.arange(nq + 1))
 
 
 def reference_rollout_model_chunk(result, rng: np.random.Generator, m: int) -> int:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hazardplan import cli, errors, guarantees, hazard, report
+from hazardplan import cli, errors, guarantees, hazard, planner, report
 from hazardplan.cli import entry
 from hazardplan.guarantees import guarantee_values
 from hazardplan.report import canonical_report_json
@@ -484,9 +484,9 @@ def test_exact_field_cap_exits_three(tmp_path, capsys):
 
 
 def paper_with_targets(tmp_path, n_targets=20):
-    """paper17x13 with more targets, n_targets in all: at 20, one robot's
-    value lattice over all of them would need ~4.3 GB and its policy DP
-    ~16 GB."""
+    """paper17x13 with more targets, n_targets in all: at 20, one value
+    lattice over all of them would need ~4.3 GB, while a policy DP's bounds
+    need ~0.24 GB and its sweep a few MB."""
     paper = Path(__file__).resolve().parent.parent / "scenarios" / "paper17x13.json"
     data = json.loads(paper.read_text())
     sc = load_scenario(str(paper))
@@ -498,10 +498,23 @@ def paper_with_targets(tmp_path, n_targets=20):
     return str(path)
 
 
-def test_plan_over_the_dp_table_cap_exits_three(tmp_path, capsys):
-    path = paper_with_targets(tmp_path)
+def test_plan_over_the_dp_table_cap_exits_three(tmp_path, monkeypatch, capsys):
+    """A policy DP whose bounds fit the cap, but not with its sweep, exits 3
+    once its bounds are known."""
+    path = paper_with_targets(tmp_path, 17)
+    monkeypatch.setattr(planner, "DP_TABLE_CAP", planner.dp_bounds_bytes(17, 199))
     assert entry(["plan", path, "--targets", "all", "--samples", "50"]) == 3
-    assert "cap" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: planning 17 targets over 199 cells and 75 steps")
+    assert "> cap" in err
+
+
+def test_plan_of_17_targets_sweeps_within_the_cap(tmp_path, capsys):
+    """A policy DP's memory follows the columns it sweeps, so one over 17
+    targets plans, where the dense layers and row index would not fit."""
+    path = paper_with_targets(tmp_path, 17)
+    code, out = run_json(capsys, ["plan", path, "--targets", "all", "--samples", "50"])
+    assert code == 0 and len(out["targets"]) == 17 and 0.0 <= out["success"] <= 1.0
 
 
 SMALL = str(Path(__file__).resolve().parent.parent / "scenarios" / "small.json")
@@ -610,12 +623,16 @@ def test_refusals_the_arguments_decide_build_no_field(tmp_path, monkeypatch, cap
                          ids=["allocate", "plan", "bounds"])
 def test_dp_over_the_cap_is_refused_before_the_field(tmp_path, monkeypatch, capsys, command):
     path = paper_with_targets(tmp_path)
+    if command[0] == "plan":
+        # a policy DP prices its bounds before the field, ~0.24 GB here
+        monkeypatch.setattr(planner, "DP_TABLE_CAP", 1 << 27)
     calls = count_field_passes(monkeypatch)
     cache = tmp_path / "field.npz"
     assert entry([command[0], path, *command[1:], "--samples", "50",
                   "--field-cache", str(cache)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: planning 20 targets over ") and "> cap 2.0 GiB" in err
+    assert err.startswith("error: planning 20 targets over ")
+    assert f"> cap {planner.DP_TABLE_CAP / 2**30:.1f} GiB" in err
     assert calls == [] and not cache.exists()
 
 
@@ -628,8 +645,10 @@ def test_a_value_lattice_of_18_targets_passes_the_check_before_the_field(
     """allocate prices value lattices, which keep no policy: at 18 targets on
     paper17x13's 199 cells it needs ~1.1 GB and reaches the field (it
     exited 3 while the check priced a policy over 75 steps, ~2.5 GB at 17
-    targets). A policy DP over the same 18 targets, as plan runs, and a
-    value lattice of 19 still exit 3 before the field."""
+    targets). A policy DP over the same 18 targets, as plan runs, prices
+    its bounds, ~60 MB, and reaches the field too; under a cap below them it
+    exits 3 before the field. A value lattice of 19 exits 3 before the
+    field."""
 
     def reached(*args, **kwargs):
         raise FieldReached
@@ -637,10 +656,12 @@ def test_a_value_lattice_of_18_targets_passes_the_check_before_the_field(
     monkeypatch.setattr(cli, "build_field", reached)
     monkeypatch.setattr(report, "build_field", reached)
     path = paper_with_targets(tmp_path, 18)
-    for command in (["allocate"], ["bounds"]):
+    for command in (["allocate"], ["bounds"], ["plan", "--targets", "all"]):
         with pytest.raises(FieldReached):
-            entry([command[0], path, "--samples", "50"])
-    assert entry(["plan", path, "--targets", "all", "--samples", "50"]) == 3
+            entry([command[0], path, *command[1:], "--samples", "50"])
+    with monkeypatch.context() as mp:
+        mp.setattr(planner, "DP_TABLE_CAP", planner.dp_bounds_bytes(18, 199) - 1)
+        assert entry(["plan", path, "--targets", "all", "--samples", "50"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: planning 18 targets over 199 cells and 75 steps needs")
     assert entry(["allocate", paper_with_targets(tmp_path, 19), "--samples", "50"]) == 3
@@ -648,12 +669,13 @@ def test_a_value_lattice_of_18_targets_passes_the_check_before_the_field(
     assert err.startswith("error: planning 19 targets over 199 cells needs about 2.1 GiB")
 
 
-def test_paper_allocate_runs_a_value_lattice_per_robot_and_a_policy_per_rollout(
+def test_paper_allocate_runs_one_value_lattice_and_a_policy_per_rollout(
         tmp_path, monkeypatch):
-    """The benchmark's paper17x13 allocate with rollouts: one value lattice
-    per robot prices every subset, and one policy DP runs per distinct
-    (robot, mask) that the two allocators roll out, five of their six. The
-    reported counters still count values priced and repeat lookups."""
+    """The benchmark's paper17x13 allocate with rollouts: one value lattice,
+    read from every robot's start, prices every subset, and one policy DP
+    runs per distinct (robot, mask) that the two allocators roll out, five
+    of their six. The reported counters still count values priced and
+    repeat lookups."""
     results = []
     real = cli.run_pipeline
 
@@ -673,7 +695,7 @@ def test_paper_allocate_runs_a_value_lattice_per_robot_and_a_policy_per_rollout(
               for r, e in enumerate(rep["rollouts"][name])}
     cache = result.cache
     assert len(rolled) == 5
-    assert (cache.value_runs, cache.policy_runs) == (3, 5)
+    assert (cache.value_runs, cache.policy_runs) == (1, 5)
     # repeat lookups follow which bids each round re-prices, so they move
     # with the field's bits even where the allocations do not
     assert rep["cache"] == {"plan_solves_total": 60, "cache_hits": 33}

@@ -22,6 +22,8 @@ from hazardplan.planner import (
     _motion_slots,
     _rollout_chunk,
     _slot_tables,
+    dp_bounds_bytes,
+    dp_policy_bytes,
     dp_solve,
     dp_table_bytes,
     dp_values,
@@ -183,15 +185,23 @@ def test_dp_sweeps_only_the_columns_the_start_reaches_in_time():
     in the steps left and that the start can reach in the steps taken. The
     value lattice's tiles of 128 sets, skipped only when no set in them can
     finish, span 45,056. At 5 targets, 677 of 2,400. Each swept column
-    keeps one policy row, beside the STAY row 0."""
+    keeps its own policy row, 1 to columns_swept, and every other column
+    reads the STAY row 0."""
     query = paper_sweep_query(10)
     assert query.horizon == 75
     assert planner._tile_columns(1 << 10, query.gridmap.n_free) == 128
     for targets, swept in ((10, 3342), (5, 677)):
-        res = dp_solve(replace(query, targets=query.targets[:targets]))
-        assert res.columns_swept == swept
+        sub = replace(query, targets=query.targets[:targets])
+        res = dp_solve(sub)
+        dist = planner._distance_table(sub)
+        steps = np.arange(sub.horizon)[:, np.newaxis]
+        live = ((planner._finish_moves(sub, dist) <= sub.horizon - steps)
+                & (planner._reach_moves(sub, dist) <= steps))
+        rows = res._row(steps, np.arange(1 << targets))
+        assert res.columns_swept == live.sum() == swept
         assert res.policy.shape == (1 + swept, query.gridmap.n_free)
-        assert np.count_nonzero(res.policy_row) == swept
+        assert np.array_equal(np.sort(rows[live]), np.arange(1, 1 + swept))
+        assert not rows[~live].any()
     assert 3342 < 352 * 128 == 45056
 
 
@@ -262,12 +272,37 @@ def test_corridor_actions_with_no_move_anywhere(width, height, slip):
     assert np.array_equal(dp_values(query), values[0][:, gm.index(along[2])])
 
 
+def traced_peak(call, *args):
+    """The peak bytes tracemalloc traces while call(*args) runs, and its
+    result."""
+    tracemalloc.start()
+    try:
+        out = call(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def refused(mode, query):
+    """Run the DP ``mode`` on ``query``, which must raise over the cap."""
+    with pytest.raises(CapExceededError, match="cap"):
+        mode(query)
+
+
+def policy_estimate(res):
+    """What dp_solve prices for the result's query: its bounds and its
+    sweep, over |U| slots and the columns it swept."""
+    t = len(res.query.targets)
+    n = res.query.gridmap.n_free
+    return dp_bounds_bytes(t, n) + dp_policy_bytes(t, n, len(res.last) - 1, res.columns_swept)
+
+
 @pytest.mark.parametrize("slip", [False, True], ids=["deterministic", "slip"])
 def test_dp_table_bytes_bounds_the_traced_peak_at_few_targets(slip):
     """Below 8 targets the kernel arrays, fixed per query, weigh most; the
     estimate still bounds what a solve traces in either mode, with a
     tabular kernel of all 25 terms as with the scenario's deterministic
-    one."""
+    one. A policy DP's estimate is that of its bounds and of its sweep."""
     query = paper_sweep_query(8)
     if slip:
         query = replace(query, kernel=random_tabular_kernel(np.random.default_rng(7),
@@ -275,14 +310,29 @@ def test_dp_table_bytes_bounds_the_traced_peak_at_few_targets(slip):
         assert sum(len(list(query.kernel.action_terms(u))) for u in range(5)) == 25
     for t in range(1, 9):
         sub = replace(query, targets=query.targets[:t])
-        for mode, horizon in ((dp_solve, query.horizon), (dp_values, None)):
-            tracemalloc.start()
-            try:
-                mode(sub)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= dp_table_bytes(t, query.gridmap.n_free, horizon), (t, horizon)
+        peak, res = traced_peak(dp_solve, sub)
+        assert peak <= policy_estimate(res), t
+        peak, _ = traced_peak(dp_values, sub)
+        assert peak <= dp_table_bytes(t, query.gridmap.n_free), t
+
+
+def test_a_policy_dp_of_17_targets_traces_within_its_estimate():
+    """At 17 targets a policy DP sweeps 1,146 columns: its traced peak, the
+    Held-Karp bounds' mostly, stays within the estimate of its bounds and
+    sweep, where dense (n, 2^t) layers alone would take 417 MB. A field
+    with a bad last step sweeps every visited set at every step, a policy
+    of 2.0 GB: priced past the cap, it raises once its bounds are known,
+    before the layers are allocated."""
+    query = paper_sweep_query(17)
+    n = query.gridmap.n_free
+    peak, res = traced_peak(dp_solve, query)
+    assert res.columns_swept == 1146
+    assert peak <= policy_estimate(res) < 2 * (1 << 17) * n * 8
+    prob = query.field.prob.copy()
+    prob[query.horizon - 1] = 1.5
+    bad = replace(query, field=replace(query.field, prob=prob))
+    peak, _ = traced_peak(refused, dp_solve, bad)
+    assert peak <= dp_bounds_bytes(17, n) < (1 << 17) * n * 8
 
 
 def test_objective_cache_searches_each_source_cell_once(monkeypatch):
@@ -316,18 +366,15 @@ def test_objective_cache_searches_each_source_cell_once(monkeypatch):
         assert np.array_equal(got.policy, want.policy) and got.success == want.success
 
 
-def test_dp_over_the_table_cap_raises_before_allocating():
+def test_dp_over_the_table_cap_raises_before_allocating(monkeypatch):
+    """At 20 targets a value lattice passes the cap. A policy DP's bounds
+    fit it; under a cap below them, it raises before computing them."""
     query = paper_sweep_query(20)
-    assert dp_table_bytes(20, query.gridmap.n_free) > DP_TABLE_CAP
-    for mode in (dp_solve, dp_values):
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapExceededError, match="cap"):
-                mode(query)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+    n = query.gridmap.n_free
+    assert dp_table_bytes(20, n) > DP_TABLE_CAP >= dp_bounds_bytes(20, n)
+    assert traced_peak(refused, dp_values, query)[0] < 1 << 20
+    monkeypatch.setattr(planner, "DP_TABLE_CAP", dp_bounds_bytes(20, n) - 1)
+    assert traced_peak(refused, dp_solve, query)[0] < 1 << 20
 
 
 def rollout_cases():
@@ -701,12 +748,12 @@ def test_objective_cache_counters_and_validation():
     assert cache.solve_count == 1 and cache.hit_count == 1
     cache.value(1, 0)
     assert cache.solve_count == 2
-    # one value lattice per robot; one policy DP per (robot, mask) solved
+    # one value lattice for every robot; one policy DP per (robot, mask) solved
     cache.value(0, 1)
-    assert (cache.value_runs, cache.policy_runs) == (2, 0)
+    assert (cache.value_runs, cache.policy_runs) == (1, 0)
     plan = cache.solve(0, 3)
     assert cache.solve(0, 3) is plan and plan.success == v1
-    assert (cache.value_runs, cache.policy_runs, cache.solve_count) == (2, 1, 3)
+    assert (cache.value_runs, cache.policy_runs, cache.solve_count) == (1, 1, 3)
     with pytest.raises(ValidationError):
         cache.value(2, 0)
     with pytest.raises(ValidationError):

@@ -324,7 +324,7 @@ def assert_lattice_matches_subset_solves(cache, model, trials):
             assert (_rollout_chunk(got, fired, chunk_rng(1), trials)
                     == oracles.replay_joint_chunk(got, fired, chunk_rng(1), trials))
     n_masks = cache.n_robots << cache.n_tasks
-    assert (cache.value_runs, cache.policy_runs) == (cache.n_robots, n_masks)
+    assert (cache.value_runs, cache.policy_runs) == (1, n_masks)
 
 
 @settings(max_examples=100, deadline=None)

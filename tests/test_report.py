@@ -453,7 +453,7 @@ def test_heatmap_of_a_field_without_marginals_is_refused(tmp_path):
 
 
 def test_rollouts_read_each_assigned_subsets_own_policy(monkeypatch):
-    """The allocators price every subset from one value lattice per robot;
+    """The allocators price every subset from one value lattice for all robots;
     each rollout walks the policy DP of its own (robot, mask), run once
     however many methods assign it, with the lattice's value."""
     sc = unit_scenario()
@@ -481,11 +481,11 @@ def test_rollouts_read_each_assigned_subsets_own_policy(monkeypatch):
     pairs = [(r, res.report["methods"][name]["masks"][r])
              for name in ("forward", "reverse") for r in range(sc.n_robots)]
     assert len(seen) == len(pairs)
-    assert priced == [tuple(sc.targets)] * sc.n_robots
+    assert priced == [tuple(sc.targets)]
     distinct = list(dict.fromkeys(pairs))
     assert len(distinct) < len(pairs)
     assert solved == [res.cache.query(r, mask).targets for r, mask in distinct]
-    assert (res.cache.value_runs, res.cache.policy_runs) == (sc.n_robots, len(distinct))
+    assert (res.cache.value_runs, res.cache.policy_runs) == (1, len(distinct))
     for (r, mask), result in zip(pairs, seen):
         assert result is res.cache.solve(r, mask)
         assert result.query.targets == res.cache.query(r, mask).targets
