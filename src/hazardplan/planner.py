@@ -15,24 +15,22 @@ actions are compared and bounded block by block. Arriving on a target sets
 its bit, so a block's target-cell rows read other visited sets: row d, read
 at visited set q, holds the value at q | tb[d].
 
-It has two modes over that one sweep.
+One driver, _sweep_sets, runs the recursion. Everything it allocates once
+its bounds are known is sized by U, the visited sets some step sweeps: each
+has a slot, one column of both (n, |U| + 1) value layers, and every set
+outside U reads a shared all-zero column. Step k gathers the columns of the
+sets it must sweep into (n, <= c) blocks and scatters their values back. It
+has two modes.
 
 - dp_values prices every visited set from the start, V^0(q, start) for all
   q, and keeps no policy: the lattice ObjectiveCache prices subsets from.
-  Every visited set is a start state there, so every column can be needed.
-  Its value layers are blocked into tiles of c visited sets, (tiles, n, c),
-  swept in place, and each step first remaps the target-cell rows of the
-  tiles it sweeps.
+  Every visited set is a start state there, reached at step 0.
 - dp_solve solves one mission from its start state (start_q, start) and keeps
-  the policy of the states the start can reach. Everything it allocates
-  once its bounds are known is sized by U, the visited sets some step
-  sweeps: each has a slot, one (n,) row of both value layers, and every set
-  outside U reads a shared all-zero row. Step k gathers the rows of the
-  sets it must sweep into (n, <= c) blocks and scatters their values back.
-  Its policy is one int8 row of n actions per (step, visited set) swept, a
-  set's rows laid out together from its last step swept down to its first,
-  beside row 0, all STAY, which stands for every column not swept:
-  PlanResult.action computes the row from the set's slot.
+  the policy of the states the start can reach: one int8 row of n actions
+  per (step, visited set) swept, a set's rows laid out together from its
+  last step swept down to its first, beside row 0, all STAY, which stands
+  for every column not swept. PlanResult.action computes the row from the
+  set's slot.
 
 Two Held-Karp bounds over one table of breadth-first grid distances, from
 each target and from the start (_distance_table), say which columns a step
@@ -42,25 +40,25 @@ exit; reach[q] (_reach_moves) bounds the moves from the start before the
 walk has visited q's targets outside start_q. While every step from the
 horizon down to k has all its contamination probabilities in [0, 1], a set
 that needs more than horizon - k moves is worth +0.0 with policy STAY at
-step k, which is what a sweep would write. The value mode orders its columns
-by need, so such sets gather into whole tiles at its end, and does not
-sweep those tiles. The policy mode sweeps at step k the sets with need[q] <=
-horizon - k and reach[q] <= k: every state the start reaches at step k is in
-one of them, and its value reads only states the start reaches at step
-k + 1, so the values and policy there are those of the full sweep. From a step with any
-other probability down (NaN, or p outside [0, 1], as a hand-made field may
-hold) a +0.0 may turn -0.0 or raise, so from there on every column is swept;
-and such a field turns the reach bound off, so the policy mode then sweeps
-what the value mode sweeps, value and policy bits and raised messages alike.
+step k, which is what a sweep would write. Step k sweeps the sets with
+need[q] <= horizon - k and reach[q] <= k, where the value mode's reach is 0:
+every state the start reaches at step k is in one of them, and its value
+reads only states the start reaches at step k + 1, so the values and policy
+there are those of the full sweep. The slots are in order of need, so the
+value mode sweeps a run of slots at every step. From a step with any other
+probability down (NaN, or p outside [0, 1], as a hand-made field may hold) a
++0.0 may turn -0.0 or raise, so from there on every column is swept; and
+such a field turns the reach bound off, so the policy mode then sweeps what
+the value mode sweeps, value and policy bits and raised messages alike.
 
 Since a visited target no longer matters, the mission "visit S" from (q, x)
 is the mission "visit T" from (q | (T ^ S), x) for any T containing S. So
 one value lattice over all of a scenario's targets T prices every subset:
 the subset S starts in the visited set (T ^ S) | start_q. Each element of
-the two sweeps runs the same operations, so the subset's own dp_solve has
-the same value bits. A target contaminated at step 0 needs no special case:
-entering it has probability 1 of contamination, so every mission that must
-visit it is worth exactly 0.
+the two modes' sweeps runs the same operations, so the subset's own
+dp_solve has the same value bits. A target contaminated at step 0 needs no
+special case: entering it has probability 1 of contamination, so every
+mission that must visit it is worth exactly 0.
 
 rollout simulates a plan in chunks of trials with one hit test per step: a
 uniform against the field's contamination probability of the move (model
@@ -96,28 +94,24 @@ DP_TABLE_CAP = 2 << 30
 # a core's L2 cache. 256 KiB gives c = 128 on the 199 free cells of
 # paper17x13; 512 KiB measured the same.
 _DP_TILE_BYTES = 256 << 10
-# Bytes per (mask, cell) of what a DP holds besides the policy, the block
-# buffers and the kernel arrays: two float64 value layers, the value mode's
-# target remap offsets and column order. Traced peaks of the value mode on
-# paper17x13 at 8-13 targets, less a policy and the tile buffers below,
-# were 14.2-16.7 with deterministic and 16.9-20.5 with tabular motion.
-_DP_LAYER_BYTES = 22
 # Bytes per (cell, visited set) of one block's working buffers: an action's
 # value and, when an action has several kernel terms, one term's product,
 # plus two int8 buffers.
 _DP_TILE_BUFFER_BYTES = 18
-# What dp_solve, which gathers its blocks, holds beside them per (cell,
-# visited set): the float64 rows gathered from step k + 1, their transposed
-# block and its values at step k.
+# What a DP holds beside them per (cell, visited set) of a block: the
+# float64 block gathered from step k + 1, the copy that gathering a block
+# of slots that are not a run makes first, and the block's values at step k.
 _DP_BLOCK_BYTES = 24
 # Bytes per (source, cell) of the breadth-first distance table and its search.
 _DP_DISTANCE_BYTES = 32
-# Bytes per visited set of what dp_solve holds while it computes its bounds,
-# beside Held-Karp's (2^t, t) float64 path: the masks, sizes and fewest moves
-# of _tour_moves, the bounds and their temporaries, and first, last and slot.
+# Bytes per visited set of what a DP holds while it computes its bounds,
+# beside Held-Karp's (2^t, t) float32 path: the masks, sizes and fewest moves
+# of _tour_moves, the bounds and their temporaries, first and last, and the
+# slots in order of need.
 _DP_SET_BYTES = 64
-# Bytes per slot of U of dp_solve's per-slot arrays: the sets, first and
-# last steps, policy bases, and each step's live slots.
+# Bytes per slot of U of a DP's per-slot arrays, beside the int32 remap
+# index of each target: the sets, first and last steps, policy bases, and
+# each step's live slots.
 _DP_SLOT_BYTES = 64
 # Bytes per (kernel term, cell) of the arrays a DP holds whatever its
 # targets: the terms' weights, support and destinations, and a step's
@@ -283,8 +277,9 @@ def _tour_moves(between: np.ndarray, enter: np.ndarray, leave: np.ndarray) -> np
     sizes = np.bitwise_count(masks)
     # path[r, i]: fewest moves from target i through every target of r and
     # on, for i outside r. fewest[r]: onto the first target of r and its
-    # path; row t of steps makes it.
-    path = np.full((nq, t), np.inf)
+    # path; row t of steps makes it. Move counts are integers far below
+    # 2^24, which float32 holds exactly, as it does inf.
+    path = np.full((nq, t), np.inf, dtype=np.float32)
     path[0] = leave
     fewest = np.zeros(nq)
     # rows of a level per round, so the (rows, t + 1, t) sums stay small
@@ -367,27 +362,6 @@ def _tile_columns(n_visited: int, n_free: int) -> int:
     return c
 
 
-def _remap_offsets(
-    tb: np.ndarray, order: np.ndarray, position: np.ndarray, c: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Arriving on a target sets its bit: row d of a value layer, read at
-    visited set q, is the value at q | tb[d]. The flat offsets, into a layer
-    blocked as (tiles, n, c) whose column p holds visited set order[p]
-    (and visited set q is in column position[q]), of every (d, q) that this
-    moves, in increasing order, and of the (d, q | tb[d]) each reads."""
-    tcells = np.flatnonzero(tb)[:, np.newaxis]
-    n = len(tb)
-    at = np.arange(len(order)).reshape(-1, 1, c)  # (tiles, 1, c) columns
-    q = order[at]
-    arrive = q | tb[tcells]
-    moved = arrive != q
-
-    def offsets(column):
-        return (column // c * (n * c) + tcells * c + column % c)[moved]
-
-    return offsets(at), offsets(position[arrive])
-
-
 def _bad_steps(fld: ContaminationField, horizon: int) -> np.ndarray:
     """The steps below ``horizon`` with a contamination probability outside
     [0, 1] or NaN, in increasing order."""
@@ -397,37 +371,33 @@ def _bad_steps(fld: ContaminationField, horizon: int) -> np.ndarray:
 
 
 def dp_table_bytes(n_targets: int, n_free: int) -> int:
-    """Estimated peak bytes of a dp_values over n_targets targets: the two
-    value layers, the working buffers of one block and the kernel arrays of
-    the most terms a kernel can have."""
-    nq = 1 << n_targets
-    c = _tile_columns(nq, n_free)
-    return (nq * n_free * _DP_LAYER_BYTES
-            + c * n_free * _DP_TILE_BUFFER_BYTES
-            + N_ACTIONS * N_ACTIONS * n_free * _DP_TERM_BYTES)
+    """Estimated peak bytes of a dp_values over n_targets targets: its
+    bounds, and a sweep with every visited set in U and no policy."""
+    return (dp_bounds_bytes(n_targets, n_free)
+            + dp_policy_bytes(n_targets, n_free, 1 << n_targets, 0))
 
 
 def dp_bounds_bytes(n_targets: int, n_free: int) -> int:
-    """Estimated peak bytes of what a dp_solve over n_targets targets holds
+    """Estimated peak bytes of what a DP over n_targets targets holds
     before it knows the columns it sweeps: the distance table, Held-Karp's
     (2^t, t) path and one round of its sums, and the arrays of 2^t the
     bounds and the slots take."""
     nq = 1 << n_targets
     sums = min(nq * (n_targets + 1) * n_targets, 1 << 18) * 8
     return ((n_targets + 1) * n_free * _DP_DISTANCE_BYTES
-            + nq * (8 * n_targets + _DP_SET_BYTES) + 2 * sums)
+            + nq * (4 * n_targets + _DP_SET_BYTES) + 2 * sums)
 
 
 def dp_policy_bytes(n_targets: int, n_free: int, sets: int, swept: int) -> int:
-    """Estimated bytes a dp_solve over n_targets targets adds once its
-    bounds are known, with ``sets`` visited sets in U and ``swept`` (step,
-    visited set) columns: the two (sets + 1, n_free) float64 value layers,
-    the policy of one int8 row of n_free per column swept and row 0, the
-    per-slot arrays, the working buffers of one block and the kernel arrays
-    of the most terms a kernel can have."""
+    """Estimated bytes a DP over n_targets targets adds once its bounds are
+    known, with ``sets`` visited sets in U and ``swept`` (step, visited
+    set) policy rows: the two (n_free, sets + 1) float64 value layers, the
+    policy of one int8 row of n_free per row and row 0, the per-slot arrays,
+    the working buffers of one block and the kernel arrays of the most
+    terms a kernel can have."""
     c = _tile_columns(1 << n_targets, n_free)
     return (2 * (sets + 1) * n_free * 8 + (1 + swept) * n_free
-            + (sets + 2) * _DP_SLOT_BYTES
+            + (sets + 2) * (_DP_SLOT_BYTES + 4 * n_targets)
             + c * n_free * (_DP_TILE_BUFFER_BYTES + _DP_BLOCK_BYTES)
             + N_ACTIONS * N_ACTIONS * n_free * _DP_TERM_BYTES)
 
@@ -455,13 +425,12 @@ def require_dp_table_fits(n_targets: int, n_free: int, horizon: Optional[int] = 
 
 class _Sweep:
     """One step of the backward recursion over a block of visited-set
-    columns, the part both DP modes share. Every kernel term is a row of
-    (slot, weight per cell), grouped by action in order; an action with no
-    term at any cell is skipped, as its value would never be written. A cell
-    outside a term's support reads its own row with weight 0, so it adds
-    exactly +0.0, and a term that lands every cell on itself (STAY) scales
-    the block in place of a gather. The buffers hold blocks of up to c
-    columns."""
+    columns. Every kernel term is a row of (slot, weight per cell), grouped
+    by action in order; an action with no term at any cell is skipped, as
+    its value would never be written. A cell outside a term's support reads
+    its own row with weight 0, so it adds exactly +0.0, and a term that
+    lands every cell on itself (STAY) scales the block in place of a
+    gather. The buffers hold blocks of up to c columns."""
 
     def __init__(self, query: PlanQuery, c: int):
         gm = query.gridmap
@@ -556,6 +525,106 @@ def _raise_outside(k: int, lows, highs) -> None:
     )
 
 
+def _sweep_sets(query: PlanQuery, dist: np.ndarray, reach: np.ndarray, keep_policy: bool):
+    """The backward recursion both DP modes run, over the visited sets some
+    step sweeps. Step k sweeps the sets q with need[q] <= horizon - k
+    (_finish_moves over ``dist``, the _distance_table) and reach[q] <= k. A
+    field with a probability outside [0, 1] or NaN turns reach off and,
+    from its last such step down, sweeps every visited set (see the module
+    docstring). U is the sets some step sweeps, and the full set, whose 1.0
+    at the goal at step horizon a swept set reads through q | tb[d]. Each
+    set of U has a slot, in order of need, and a column of the two
+    (n, |U| + 1) value layers; the last column, all zero, stands for every
+    other set. A block of up to c slots swept at step k, in increasing
+    slot, gathers its columns of step k + 1, with its target-cell rows read
+    at q | tb[d], into the (n, <= c) block _Sweep takes, and its values at
+    step k are scattered back. With keep_policy each swept (step, visited
+    set) keeps one row of the int8 policy. The bounds and sweep are priced
+    (dp_policy_bytes, with no policy rows unless one is kept) and refused
+    past DP_TABLE_CAP before the sweep's arrays are allocated.
+
+    Returns the value layer of step 0, the slot of each visited set, each
+    slot's last step swept, the policy bases, the policy (None unless kept)
+    and the number of columns swept."""
+    gm = query.gridmap
+    fld = query.field
+    n = gm.n_free
+    t = len(query.targets)
+    nq = 1 << t
+    horizon = query.horizon
+    c = _tile_columns(nq, n)
+    tb = query.target_bits()
+    bad = _bad_steps(fld, horizon)
+    last_bad = int(bad[-1]) if bad.size else -1
+    # Visited set q is swept at the steps first[q] <= k <= last[q]. A set
+    # the start cannot reach has first inf, and one that cannot finish last
+    # -inf, so both are clipped to the steps before they are cast.
+    first = (np.zeros(nq) if bad.size else reach).clip(0, horizon).astype(np.int64)
+    need = _finish_moves(query, dist)
+    last = np.maximum(horizon - need, last_bad).clip(-1, horizon - 1).astype(np.int64)
+    # Slots in order of need, ties in q order: the full set, the one set
+    # that needs no move, takes slot 0, and the sets that can finish in a
+    # step's steps left are a prefix of the slots.
+    sets = np.flatnonzero(first <= last)
+    sets = sets[np.argsort(need[sets], kind="stable")]
+    if not sets.size or sets[0] != nq - 1:
+        sets = np.insert(sets, 0, nq - 1)
+    units = len(sets)
+    slot = np.full(nq, units, dtype=np.int32)
+    slot[sets] = np.arange(units, dtype=np.int32)
+    first, last = first[sets], last[sets]
+    counts = np.maximum(last - first + 1, 0)
+    columns_swept = int(counts.sum())
+    rows_kept = columns_swept if keep_policy else 0
+    _refuse_past_cap(dp_bounds_bytes(t, n) + dp_policy_bytes(t, n, units, rows_kept),
+                     t, n, horizon)
+
+    sweep = _Sweep(query, c)
+    tcells = np.flatnonzero(tb)
+    # remap[i, u]: the flat index, into a value layer, of target cell i's
+    # row at visited set sets[u] | tb[i], the entry that row reads. The
+    # layers fit the cap, so int32 holds it.
+    remap = (tcells[:, np.newaxis] * (units + 1)
+             + slot[sets | tb[tcells, np.newaxis]]).astype(np.int32)
+    values = np.zeros((n, units + 1))
+    values[gm.goal_index, 0] = 1.0
+    nxt = np.zeros((n, units + 1))
+    tile_buf = np.empty(n * c)
+    best_buf = np.empty(n * c)
+    bestu_buf = np.empty(n * c, dtype=np.int8)
+    # 0 is MoveAction.STAY, the action of row 0. A slot's rows run from its
+    # last step down to its first; the zero slot has none.
+    policy = np.zeros((1 + rows_kept, n), dtype=np.int8) if keep_policy else None
+    base = np.concatenate([[1], 1 + np.cumsum(counts), [1 + columns_swept]])
+    for k in range(horizon - 1, -1, -1):
+        live = np.flatnonzero((first <= k) & (k <= last))
+        sweep.at_step(k)
+        lows, highs = [], []
+        inside = True
+        for lo in range(0, len(live), c):
+            s = live[lo:lo + c]
+            m = len(s)
+            # a run of slots, as every block of the value mode is, is a slice
+            cols = slice(s[0], s[0] + m) if s[-1] - s[0] == m - 1 else s
+            tile = tile_buf[:n * m].reshape(n, m)
+            tile[...] = values[:, cols]
+            tile[tcells] = values.take(remap[:, cols])
+            best = best_buf[:n * m].reshape(n, m)
+            bestu = bestu_buf[:n * m].reshape(n, m) if keep_policy else None
+            full_col = 0 if s[0] == 0 else None  # the full set's slot is 0
+            low, high, ok = sweep.block(tile, best, bestu, full_col)
+            lows.append(low)
+            highs.append(high)
+            inside = inside and ok
+            nxt[:, cols] = best
+            if keep_policy:
+                policy[base[s] + (last[s] - k)] = bestu.T
+        if not inside:
+            _raise_outside(k, lows, highs)
+        values, nxt = nxt, values
+    return values, slot, last, base, policy, columns_swept
+
+
 def dp_values(
     query: PlanQuery,
     distance_rows: Optional[Dict[int, np.ndarray]] = None,
@@ -567,92 +636,22 @@ def dp_values(
     array, one column per start cell. ``distance_rows`` is the
     _distance_table memo, which an ObjectiveCache shares among its DPs.
 
-    The two value layers are blocked as (tiles, n, c): tile j holds c
-    visited sets of every cell, c from _tile_columns. The columns are
-    ordered by _finish_moves, fewest moves still needed first, so the
-    visited sets that cannot finish in the steps left gather into whole
-    tiles at the end. Each step first remaps the target-cell rows of the
-    tiles it sweeps, then sweeps them one by one (_Sweep). A tile whose
-    fewest moves needed pass the steps left is all +0.0 and is not swept
-    (see the loop). A query whose tables would pass DP_TABLE_CAP raises
-    CapExceededError before any is allocated.
+    Every visited set is a start state of the lattice, so it is reached at
+    step 0: _sweep_sets runs with reach 0 for every set and sweeps each
+    set at every step at which it can still finish. A query whose bounds
+    and layers (dp_table_bytes) would pass DP_TABLE_CAP raises
+    CapExceededError before any bound is computed.
     """
     gm = query.gridmap
-    fld = query.field
-    n = gm.n_free
     t = len(query.targets)
-    nq = 1 << t
-    horizon = query.horizon
-    require_dp_table_fits(t, n)
-    c = _tile_columns(nq, n)
-    tiles = nq // c
+    require_dp_table_fits(t, gm.n_free)
     start_idx = np.array([gm.index(s) for s in ([query.start] if starts is None else starts)])
-    goal_idx = gm.goal_index
-    tb = query.target_bits()
-    # A one-tile layer holds the full set, which needs no move, so it is
-    # always swept and needs no bound.
-    if tiles > 1:
-        need = _finish_moves(query, _distance_table(query, distance_rows))
-    else:
-        need = np.zeros(nq)
-    # The visited set of each column: by the fewest moves still needed, ties
-    # in q order. A need above the horizon is skipped alike at every step,
-    # so the keys are the integers 0 to horizon + 1, and a counting sort
-    # orders them.
-    need = np.minimum(need, horizon + 1)
-    order = np.concatenate([np.flatnonzero(need == m) for m in range(int(need.max()) + 1)])
-    position = np.empty(nq, dtype=np.int64)  # the column of each visited set
-    position[order] = np.arange(nq)
-    tile_need = need[order[::c]]  # ascending: the fewest moves in each tile
-    full_tile, full_col = divmod(int(position[nq - 1]), c)
-
-    sweep = _Sweep(query, c)
-    remap_to, remap_from = _remap_offsets(tb, order, position, c)
-    # The tiles swept at step k: those whose fewest moves fit in the steps
-    # left, a prefix as tile_need ascends, but every tile from the last step
-    # with a probability outside [0, 1] down (see the loop). The remap's
-    # entries inside them are a prefix too, as remap_to ascends.
-    live_at = np.searchsorted(tile_need, horizon - np.arange(horizon), side="right")
-    bad = _bad_steps(fld, horizon)
-    if bad.size:
-        live_at[:bad[-1] + 1] = tiles
-    remap_stop = np.searchsorted(remap_to, live_at * (n * c))
-
-    values = np.zeros((tiles, n, c))
-    values[full_tile, goal_idx, full_col] = 1.0
-    nxt = np.zeros((tiles, n, c))
-    lows = np.zeros(tiles)
-    highs = np.zeros(tiles)
-
-    # Skipping is exact while every step from the horizon down to k has its
-    # probabilities in [0, 1], so every survival factor is finite and
-    # non-negative. Then a state that needs more moves than the steps left
-    # is worth +0.0, a sum of products of +0.0 and such a factor, and its
-    # tile's low and high are 0.0. A tile skipped at step k was skipped at
-    # every later step, so nothing has written its columns in either value
-    # layer, its low or its high since they were zeroed: skipping leaves
-    # them as the sweep would write them. The remap fills only the tiles
-    # swept, as a skipped tile reads none of its own columns. A step with
-    # another probability can leave -0.0 or raise, so from there on every
-    # tile is swept, as the sweep over whole layers does.
-    for k in range(horizon - 1, -1, -1):
-        flat = values.reshape(-1)
-        stop = remap_stop[k]
-        flat[remap_to[:stop]] = flat[remap_from[:stop]]
-        sweep.at_step(k)
-        inside = True
-        for j in range(live_at[k]):
-            lows[j], highs[j], ok = sweep.block(
-                values[j], nxt[j], full_col=full_col if j == full_tile else None)
-            inside = inside and ok
-        if not inside:
-            _raise_outside(k, lows, highs)
-        values, nxt = nxt, values
-
+    dist = _distance_table(query, distance_rows)
+    values, slot, *_ = _sweep_sets(query, dist, np.zeros(1 << t), keep_policy=False)
     # Every move off a start contaminated at step 0 is contaminated, but a
     # start on the goal with nothing to visit is already complete.
-    lattice = values[:, start_idx].transpose(1, 0, 2).reshape(len(start_idx), nq)[:, position]
-    lattice *= ~fld.flagged[0, start_idx, np.newaxis]
+    lattice = values[start_idx][:, slot]
+    lattice *= ~query.field.flagged[0, start_idx, np.newaxis]
     return lattice[0] if starts is None else lattice.T
 
 
@@ -663,98 +662,20 @@ def dp_solve(
     greedy policy of the states the start can reach. ``distance_rows`` is
     as for dp_values.
 
-    Step k sweeps only the visited sets q with need[q] <= horizon - k
-    (_finish_moves) and reach[q] <= k (_reach_moves), in increasing q. A
-    field with a probability outside [0, 1] or NaN turns reach off and, from
-    its last such step down, sweeps every visited set, as dp_values does
-    (see the module docstring). U is the sets some step sweeps, and the full
-    set, whose 1.0 at the goal at step horizon a swept set reads through
-    q | tb[d]. Each set of U has a slot, a row of the two (|U| + 1, n)
-    value layers; the last row, all zero, stands for every other set. A
-    block gathers its rows of step k + 1, transposed to the (n, <= c)
-    block _Sweep takes, with its target-cell rows read at q | tb[d], and
-    its values at step k are scattered back. Each swept (step, visited set)
-    keeps one row of the int8 policy; PlanResult.action reads it. A query
-    whose bounds would pass DP_TABLE_CAP (require_dp_table_fits) raises
-    CapExceededError before computing them, and one whose bounds and
-    sweep (dp_policy_bytes) would, before the sweep's arrays are allocated.
+    _sweep_sets runs with reach from _reach_moves and keeps the policy:
+    each swept (step, visited set) keeps one row, which PlanResult.action
+    reads. A query whose bounds would pass DP_TABLE_CAP
+    (require_dp_table_fits) raises CapExceededError before computing them,
+    and one whose bounds and sweep (dp_policy_bytes) would, before the
+    sweep's arrays are allocated.
     """
     gm = query.gridmap
-    fld = query.field
-    n = gm.n_free
-    t = len(query.targets)
-    nq = 1 << t
-    horizon = query.horizon
-    require_dp_table_fits(t, n, horizon)
-    c = _tile_columns(nq, n)
     start_idx = gm.index(query.start)
-    goal_idx = gm.goal_index
-    tb = query.target_bits()
-    start_q = int(tb[start_idx])
+    require_dp_table_fits(len(query.targets), gm.n_free, query.horizon)
+    start_q = int(query.target_bits()[start_idx])
     dist = _distance_table(query, distance_rows)
-    bad = _bad_steps(fld, horizon)
-    last_bad = int(bad[-1]) if bad.size else -1
-    # Visited set q is swept at the steps first[q] <= k <= last[q]. A set
-    # the start cannot reach has first inf, and one that cannot finish last
-    # -inf, so both are clipped to the steps before they are cast.
-    first = (np.zeros(nq) if bad.size else _reach_moves(query, dist)).clip(0, horizon)
-    first = first.astype(np.int64)
-    last = np.maximum(horizon - _finish_moves(query, dist), last_bad)
-    last = last.clip(-1, horizon - 1).astype(np.int64)
-    sets = np.flatnonzero(first <= last)
-    if not sets.size or sets[-1] != nq - 1:
-        sets = np.append(sets, nq - 1)
-    units = len(sets)
-    slot = np.full(nq, units, dtype=np.int32)
-    slot[sets] = np.arange(units, dtype=np.int32)
-    first, last = first[sets], last[sets]
-    counts = np.maximum(last - first + 1, 0)
-    columns_swept = int(counts.sum())
-    _refuse_past_cap(dp_bounds_bytes(t, n) + dp_policy_bytes(t, n, units, columns_swept),
-                     t, n, horizon)
-
-    sweep = _Sweep(query, c)
-    tcells = np.flatnonzero(tb)
-    arrive = tb[tcells, np.newaxis]
-    values = np.zeros((units + 1, n))
-    values[units - 1, goal_idx] = 1.0
-    nxt = np.zeros((units + 1, n))
-    rows_buf = np.empty(n * c)
-    tile_buf = np.empty(n * c)
-    best_buf = np.empty(n * c)
-    bestu_buf = np.empty(n * c, dtype=np.int8)
-    # 0 is MoveAction.STAY, the action of row 0. A slot's rows run from its
-    # last step down to its first; the zero slot has none.
-    policy = np.zeros((1 + columns_swept, n), dtype=np.int8)
-    base = np.concatenate([[1], 1 + np.cumsum(counts), [1 + columns_swept]])
-    for k in range(horizon - 1, -1, -1):
-        live = np.flatnonzero((first <= k) & (k <= last))
-        sweep.at_step(k)
-        lows, highs = [], []
-        inside = True
-        for lo in range(0, len(live), c):
-            s = live[lo:lo + c]
-            m = len(s)
-            rows = rows_buf[:n * m].reshape(m, n)
-            np.take(values, s, axis=0, out=rows)
-            tile = tile_buf[:n * m].reshape(n, m)
-            tile[...] = rows.T
-            tile[tcells] = values[slot[sets[s] | arrive], tcells[:, np.newaxis]]
-            best = best_buf[:n * m].reshape(n, m)
-            bestu = bestu_buf[:n * m].reshape(n, m)
-            # live ascends and the full set has U's last slot, so it is the
-            # last column of its block
-            full_col = m - 1 if s[-1] == units - 1 else None
-            low, high, ok = sweep.block(tile, best, bestu, full_col)
-            lows.append(low)
-            highs.append(high)
-            inside = inside and ok
-            nxt[s] = best.T
-            policy[base[s] + (last[s] - k)] = bestu.T
-        if not inside:
-            _raise_outside(k, lows, highs)
-        values, nxt = nxt, values
-
+    values, slot, last, base, policy, columns_swept = _sweep_sets(
+        query, dist, _reach_moves(query, dist), keep_policy=True)
     return PlanResult(
         query=query,
         policy=policy,
@@ -763,7 +684,7 @@ def dp_solve(
         base=base,
         start_q=start_q,
         # as dp_values: a start contaminated at step 0 is worth 0
-        success=float(values[slot[start_q], start_idx] * (not fld.flagged[0, start_idx])),
+        success=float(values[start_idx, slot[start_q]] * (not query.field.flagged[0, start_idx])),
         diagnostics=tuple(_diagnose(query, dist)),
         columns_swept=columns_swept,
     )

@@ -485,8 +485,8 @@ def test_exact_field_cap_exits_three(tmp_path, capsys):
 
 def paper_with_targets(tmp_path, n_targets=20):
     """paper17x13 with more targets, n_targets in all: at 20, one value
-    lattice over all of them would need ~4.3 GB, while a policy DP's bounds
-    need ~0.24 GB and its sweep a few MB."""
+    lattice over all of them would need ~3.6 GB, while a policy DP's bounds
+    need ~0.16 GB and its sweep a few MB."""
     paper = Path(__file__).resolve().parent.parent / "scenarios" / "paper17x13.json"
     data = json.loads(paper.read_text())
     sc = load_scenario(str(paper))
@@ -624,7 +624,7 @@ def test_refusals_the_arguments_decide_build_no_field(tmp_path, monkeypatch, cap
 def test_dp_over_the_cap_is_refused_before_the_field(tmp_path, monkeypatch, capsys, command):
     path = paper_with_targets(tmp_path)
     if command[0] == "plan":
-        # a policy DP prices its bounds before the field, ~0.24 GB here
+        # a policy DP prices its bounds before the field, ~0.16 GB here
         monkeypatch.setattr(planner, "DP_TABLE_CAP", 1 << 27)
     calls = count_field_passes(monkeypatch)
     cache = tmp_path / "field.npz"
@@ -643,12 +643,12 @@ class FieldReached(Exception):
 def test_a_value_lattice_of_18_targets_passes_the_check_before_the_field(
         tmp_path, monkeypatch, capsys):
     """allocate prices value lattices, which keep no policy: at 18 targets on
-    paper17x13's 199 cells it needs ~1.1 GB and reaches the field (it
+    paper17x13's 199 cells it needs about 0.85 GB and reaches the field (it
     exited 3 while the check priced a policy over 75 steps, ~2.5 GB at 17
     targets). A policy DP over the same 18 targets, as plan runs, prices
     its bounds, ~60 MB, and reaches the field too; under a cap below them it
-    exits 3 before the field. A value lattice of 19 exits 3 before the
-    field."""
+    exits 3 before the field. A value lattice of 19, about 1.7 GiB, reaches
+    the field; one of 20 exits 3 before it."""
 
     def reached(*args, **kwargs):
         raise FieldReached
@@ -664,9 +664,11 @@ def test_a_value_lattice_of_18_targets_passes_the_check_before_the_field(
         assert entry(["plan", path, "--targets", "all", "--samples", "50"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: planning 18 targets over 199 cells and 75 steps needs")
-    assert entry(["allocate", paper_with_targets(tmp_path, 19), "--samples", "50"]) == 3
+    with pytest.raises(FieldReached):
+        entry(["allocate", paper_with_targets(tmp_path, 19), "--samples", "50"])
+    assert entry(["allocate", paper_with_targets(tmp_path, 20), "--samples", "50"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: planning 19 targets over 199 cells needs about 2.1 GiB")
+    assert err.startswith("error: planning 20 targets over 199 cells needs about 3.4 GiB")
 
 
 def test_paper_allocate_runs_one_value_lattice_and_a_policy_per_rollout(

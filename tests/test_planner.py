@@ -143,7 +143,7 @@ def test_dp_equals_reference_on_paper_sweep(n_targets, slip):
 
 @pytest.mark.parametrize("slip", [False, True], ids=["10", "10-slip"])
 def test_dp_equals_whole_layer_sweep_on_paper_sweep(slip):
-    """At 10 targets the value layers span eight tiles; the value lattice,
+    """At 10 targets the value lattice spans eight blocks; the lattice,
     the success bits and the policy at every state the start reaches are ==
     to the sweep over whole (n, 2^t) layers."""
     query = paper_sweep_query(10)
@@ -163,9 +163,9 @@ def test_dp_equals_whole_layer_sweep_on_paper_sweep(slip):
 def test_value_outside_the_unit_interval_raises_over_all_tiles(monkeypatch, bad):
     """A field entry that makes a value pass 1 or NaN raises with the step
     and the min and max over the whole layer, as the whole-layer sweep
-    does, with one visited set per tile or block, in either DP mode. At
-    step 2 every cell is done in time with both targets visited, and not
-    with neither, so the last tile holds the max and the first the min."""
+    does, with one visited set per block, in either DP mode. At step 2
+    every cell is done in time with both targets visited, and not with
+    neither, so one block holds the max and another the min."""
     gm = GridMap(3, 2, [], Cell(2, 1))
     fld = clear_field(gm, 6)
     fld.prob[2] = bad
@@ -183,10 +183,10 @@ def test_dp_sweeps_only_the_columns_the_start_reaches_in_time():
     """At 10 targets over 75 steps, dp_solve sweeps 3,342 of the 76,800
     (step, visited set) columns: those whose visited set can still finish
     in the steps left and that the start can reach in the steps taken. The
-    value lattice's tiles of 128 sets, skipped only when no set in them can
-    finish, span 45,056. At 5 targets, 677 of 2,400. Each swept column
-    keeps its own policy row, 1 to columns_swept, and every other column
-    reads the STAY row 0."""
+    value lattice, whose every set is a start state, sweeps the 40,471
+    whose set can still finish. At 5 targets, 677 of 2,400. Each swept
+    column keeps its own policy row, 1 to columns_swept, and every other
+    column reads the STAY row 0."""
     query = paper_sweep_query(10)
     assert query.horizon == 75
     assert planner._tile_columns(1 << 10, query.gridmap.n_free) == 128
@@ -202,13 +202,16 @@ def test_dp_sweeps_only_the_columns_the_start_reaches_in_time():
         assert res.policy.shape == (1 + swept, query.gridmap.n_free)
         assert np.array_equal(np.sort(rows[live]), np.arange(1, 1 + swept))
         assert not rows[~live].any()
-    assert 3342 < 352 * 128 == 45056
+        if targets == 10:
+            finish = planner._finish_moves(sub, dist) <= sub.horizon - steps
+            assert swept < finish.sum() == 40471
 
 
 def short_sweep_query(bad):
     """The 10-target query over 25 steps, with every contamination
-    probability of step 3 set to ``bad``. At step 3, 7 of the 8 tiles
-    need more moves than the 22 steps left."""
+    probability of step 3 set to ``bad``. At step 3, 7 of the value
+    lattice's 8 blocks, its slots in order of need, need more moves than
+    the 22 steps left."""
     query = replace(paper_sweep_query(10), horizon=25)
     need = planner._finish_moves(query, planner._distance_table(query))
     tile_need = np.sort(need)[::128]
@@ -220,7 +223,7 @@ def short_sweep_query(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, 1.5], ids=["nan", "above-1"])
 def test_a_bad_step_raises_over_every_tile_where_most_would_skip(bad):
-    """A NaN or p > 1 at a step where most tiles would be skipped raises
+    """A NaN or p > 1 at a step where most blocks would be skipped raises
     with the min and max of the whole layer, as the sweep over whole
     layers does, in either DP mode."""
     query = short_sweep_query(bad)
@@ -235,8 +238,8 @@ def test_a_bad_step_raises_over_every_tile_where_most_would_skip(bad):
 def test_p_just_above_1_stops_the_skipping_for_the_steps_before():
     """p = 1 + 1e-12 at step 3 scales values by a factor just below 0: no
     value passes the tolerance, but states worth +0.0 turn -0.0, and a
-    -0.0 spreads to the earlier steps. Sweeping every tile from that step
-    down keeps the value lattice, sign bits included, equal to the sweep
+    -0.0 spreads to the earlier steps. Sweeping every visited set from that
+    step down keeps the value lattice, sign bits included, equal to the sweep
     over whole layers; with the reach bound off, so do the policy mode's
     policy at every state and its success. The start (5, 6) has all four
     neighbours, so some of its start values stay -0.0."""
@@ -333,6 +336,18 @@ def test_a_policy_dp_of_17_targets_traces_within_its_estimate():
     bad = replace(query, field=replace(query.field, prob=prob))
     peak, _ = traced_peak(refused, dp_solve, bad)
     assert peak <= dp_bounds_bytes(17, n) < (1 << 17) * n * 8
+
+
+@pytest.mark.parametrize("n_targets", [10, 13])
+def test_a_value_lattice_traces_within_its_estimate(n_targets):
+    """At 10 and 13 targets the lattice's two value layers, 16 bytes per
+    (visited set, cell), are most of what it holds; its traced peak stays
+    within dp_table_bytes, its bounds and a sweep with every visited set
+    in U."""
+    query = paper_sweep_query(n_targets)
+    n = query.gridmap.n_free
+    peak, _ = traced_peak(dp_values, query)
+    assert (1 << n_targets) * n * 16 < peak <= dp_table_bytes(n_targets, n)
 
 
 def test_objective_cache_searches_each_source_cell_once(monkeypatch):

@@ -2,7 +2,7 @@
 package DP and the exact field against the scalar oracles, the Monte-Carlo
 field at one horizon against the prefix of a longer one, the exact step's
 outcome builder against the cell-by-cell reference and its grouping against
-np.unique, both DP modes, in tiles of 1, 2 or 4 visited sets too, against
+np.unique, both DP modes, in blocks of 1, 2 or 4 visited sets too, against
 the full-table reference and the sweep over whole layers (the policy at
 every state the start reaches), the DP's bounds on the moves left and on
 the moves from the start against a breadth-first search of every state, the
@@ -177,7 +177,7 @@ def test_dp_value_equals_value_recursion_oracle(grid, horizon, data):
 @settings(max_examples=150, deadline=None)
 @given(hazard_grids(), st.integers(1, 6), st.data())
 def test_dp_equals_reference_dp(grid, horizon, data):
-    """With the default tiles, or a tile budget that holds 1, 2 or 4 visited
+    """With the default blocks, or a block budget that holds 1, 2 or 4 visited
     sets: the value lattice is == to the sweep over whole layers, bit for
     bit; the policy mode's success has the bits of the lattice at its start
     state, and its policy is the whole-layer sweep's at every state the

@@ -26,16 +26,19 @@ Runs, in one process and with the program imported from this checkout's
   one walk; these are the ones that walk trial by trial;
 - the README ``plan`` and ``simulate`` outputs, a joint-mode ``simulate``
   and a ``plan`` on every paper17x13.json target;
-- a ``plan`` on 10 targets, on a copy of paper17x13.json with five more
-  targets at free cells drawn by ``random.Random(0)``: its DP works over
-  1,024 visited sets, where every other ``plan`` here has at most 32;
+- a ``plan`` and an ``allocate`` report on 10 targets, on a copy of
+  paper17x13.json with five more targets at free cells drawn by
+  ``random.Random(0)``: the plan's DP works over 1,024 visited sets, where
+  every other ``plan`` here has at most 32, and the report's value lattice
+  over 1,024 sets spans eight blocks of visited sets, where every other
+  ``allocate`` here fits in one;
 - a region-map SVG and a ``bounds`` output, which print the guarantee floors;
 - the ``prob``, ``flagged`` and ``marginals`` bytes of two fields built
   through the library: paper17x13.json's Monte-Carlo field (10,000 samples,
   seed 0) and small.json's exact field. These show any bit a field builder
   moves, even one that no report or image reads.
 
-It prints one ``<sha256>  <command>`` line per output, 52 in all. Run the
+It prints one ``<sha256>  <command>`` line per output, 53 in all. Run the
 same file in two checkouts and diff what they print. Outputs and caches go to a temporary
 directory that is removed at the end. The whole run takes under a minute.
 
@@ -128,6 +131,8 @@ SLIPPERY_ROWS = [
 # a plan over paper17x13.json's five targets and EXTRA_TARGETS more
 EXTRA_TARGETS = 5
 MORE_TARGETS_PLAN = ["--targets", "all", "--samples", "2000"]
+MORE_TARGETS_ALLOCATE = ["--method", "forward,reverse", "--ratios", "greedy",
+                         "--samples", "2000"]
 SLIPPERY_COMMANDS = [
     ["simulate", "--robot", "b", "--targets", "all", "--exact-field", "--trials", "5000"],
     ["simulate", "--robot", "b", "--targets", "all", "--exact-field", "--trials", "5000",
@@ -260,9 +265,13 @@ def print_hashes() -> int:
                   flush=True)
         for argv in RENDER + OTHER:
             print(f"{hashlib.sha256(_run(argv, out)).hexdigest()}  {_shown(argv)}", flush=True)
-        plan = _run(["plan", str(_more_targets_scenario(work)), *MORE_TARGETS_PLAN], out)
-        print(f"{hashlib.sha256(plan).hexdigest()}  plan paper17x13.json with {EXTRA_TARGETS} "
-              f"seeded targets more {' '.join(MORE_TARGETS_PLAN)}", flush=True)
+        path = str(_more_targets_scenario(work))
+        where = f"paper17x13.json with {EXTRA_TARGETS} seeded targets more"
+        plan = _run(["plan", path, *MORE_TARGETS_PLAN], out)
+        print(f"{hashlib.sha256(plan).hexdigest()}  plan {where} {' '.join(MORE_TARGETS_PLAN)}",
+              flush=True)
+        digest = _report_digest(["allocate", path, *MORE_TARGETS_ALLOCATE], out)
+        print(f"{digest}  allocate {where} {' '.join(MORE_TARGETS_ALLOCATE)}", flush=True)
     for label, field in _fields():
         for name in ("prob", "flagged", "marginals"):
             digest = hashlib.sha256(getattr(field, name).tobytes()).hexdigest()
