@@ -372,9 +372,7 @@ def _cmd_render(args) -> int:
 
     # paths: draw the chosen allocator's greedy trajectories over the heat.
     method = args.method or "forward"
-    opts = _pipeline_options(
-        scenario, args, methods=(method,), ratio_source="none", heatmap=True,
-    )
+    opts = _pipeline_options(scenario, args, methods=(method,), ratio_source="none")
     result = run_pipeline(scenario, opts)
     block = result.report["methods"][method]
     if "error" in block:
@@ -388,7 +386,8 @@ def _cmd_render(args) -> int:
     title = (
         f"{scenario.name}: {method} allocation, F = {block['objective']:.3f}"
     )
-    _emit(scenario_svg(scenario, heat=result.heat, paths=paths, title=title), args.out)
+    heat = result.contamination.marginals[scenario.horizon]
+    _emit(scenario_svg(scenario, heat=heat, paths=paths, title=title), args.out)
     return EXIT_OK
 
 

@@ -234,15 +234,6 @@ def _dynamics(gridmap: GridMap, model: HazardModel) -> _SpreadDynamics:
     return _SpreadDynamics(gridmap, model)
 
 
-def _require_exact_size(n_free: int, cell_cap: int, what: str) -> None:
-    if n_free > cell_cap:
-        raise CapExceededError(f"{what} {n_free} free cells <= cap {cell_cap}")
-    if n_free > EXACT_MASK_BITS:
-        raise CapExceededError(
-            f"{what} {n_free} free cells, but states are {EXACT_MASK_BITS}-bit masks"
-        )
-
-
 def _cells_to_bits(gridmap: GridMap, cells: Iterable[Cell]) -> int:
     m = 0
     for c in cells:
@@ -715,7 +706,13 @@ def exact_contamination_field(
     """Contamination transition field from exact distribution propagation.
 
     The same pass fills the per-step marginals."""
-    _require_exact_size(gridmap.n_free, cell_cap, "exact field needs")
+    n = gridmap.n_free
+    if n > cell_cap:
+        raise CapExceededError(f"exact field needs {n} free cells > cap {cell_cap}")
+    if n > EXACT_MASK_BITS:
+        raise CapExceededError(
+            f"exact field needs {n} free cells, but states are {EXACT_MASK_BITS}-bit masks"
+        )
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     prob, flagged, marginals = _propagate_exact(_dynamics(gridmap, model), horizon)

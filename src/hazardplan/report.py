@@ -115,7 +115,6 @@ class PipelineResult:
     cache: ObjectiveCache
     contamination: ContaminationField
     traces: Dict[str, GreedyTrace] = field(default_factory=dict)
-    heat: Optional[np.ndarray] = None
 
 
 def derive_seed(*parts: int) -> int:
@@ -459,7 +458,6 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
                 entries.append({"robot": scenario.robot_names[r], "mask": mask, **rr.to_dict()})
             report["rollouts"][name] = entries
 
-    heat = None
     if options.heatmap:
         t0 = time.perf_counter()
         heat = contamination.marginals[scenario.horizon]
@@ -487,5 +485,4 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
         cache=cache,
         contamination=contamination,
         traces=traces,
-        heat=heat,
     )

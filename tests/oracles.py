@@ -1,15 +1,64 @@
-"""Independent reference implementations used to pin expected test values.
+"""Reference computations the tests compare the package against.
 
-Everything here is written straight from the model definitions with plain
-dictionaries and scalar loops, deliberately avoiding the vectorized forms in
-the package, so that agreement between the two is a real check and not an
-echo. Grid indexing types (Cell, free-cell indices) are shared because they
-are conventions, not computations.
+Each law of the model keeps at most two references here:
+
+- a **scalar oracle**, written from the model definition with dictionaries
+  and scalar loops. It shares only conventions with the package (Cell,
+  free-cell indices, neighbour slots, the field and query containers), so
+  agreement is a real check and not an echo. Tests compare it within a
+  tolerance, or exactly;
+- a **bit reference**, a plain and slower form of the package's own
+  arithmetic in the same order. The package must agree with it bit for bit,
+  which pins the determinism contract. A bit reference may read a package
+  kernel that this index pins elsewhere.
+
+Index of the laws. "Pins" names the package code the references check.
+
+- Spread speed. Scalar: theta_by_nearest_source. Pins the theta field of
+  hazard._SpreadDynamics.
+- Stay-clear product. Scalar: stay_clear_prob. Bit: _clear_probs. Pins
+  _SpreadDynamics.stay_clear and its neighbour-code table.
+- One exact step. Scalar: spread_step_distribution. Bit: _reference_step,
+  through reference_step_distribution, and reference_outcomes for the
+  outcome expansion. Pins hazard._exact_step and hazard._outcomes.
+- Exact field. Scalar: exact_field_oracle and
+  contamination_marginals_oracle, thin calls on one pass (_exact_pass).
+  Bit: reference_exact_propagation. Pins exact_contamination_field and
+  hazard._propagate_exact.
+- Monte-Carlo field. Its law is the exact field. Bit: reference_fired and
+  reference_sample_block. Pins hazard._sample_block, hazard._run_chunks and
+  estimate_contamination_field.
+- Single-robot DP. Scalar: value_recursion_oracle. Bit:
+  whole_layer_dp_solve. Pins dp_solve, dp_values and ObjectiveCache. This
+  is the one law with a second scalar oracle: best_open_loop_success
+  enumerates every walk under deterministic motion, the check acceptance
+  criterion 1 names.
+- Fewest moves. Scalar: shortest_visiting_walk, and reachable_states for
+  the states a start reaches. Pins planner._finish_moves and
+  planner._reach_moves.
+- Model-mode rollouts. Scalar: model_mode_policy_success. Bit:
+  reference_rollout_model_chunk. Pins rollout and planner._rollout_chunk
+  without a hazard model.
+- Joint rollouts. Scalar: exact_joint_policy_success. Bit:
+  replay_joint_chunk. Pins rollout and planner._rollout_chunk with a hazard
+  model.
+- Greedy allocation. Scalar: brute_force_partitions, for the optimum. Bit:
+  reference_forward_greedy and reference_reverse_greedy. Pins
+  forward_greedy, reverse_greedy and brute_force_optimal.
+- Ratios. Scalar: naive_ratios, and exact_ratios_feasible, which bounds
+  them from inside. Pins guarantees.exact_ratios and
+  exact_ratios_from_values.
+
+Two helpers are harnesses or echoes of package code, not independent
+oracles: hazard_step_exact drives hazard._exact_step over a distribution of
+cell sets, and reference_rollout_model_chunk draws its motion through
+planner._slot_tables and planner._motion_slots, so it pins the order of the
+rollout's draws, not the motion law.
 """
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,15 +77,12 @@ from hazardplan.errors import NumericViolationError, ValidationError
 from hazardplan.grid import Cell, GridMap, MotionKernel, MoveAction, N_ACTIONS, N_SLOTS, _slot_of
 from hazardplan.guarantees import RatioReport
 from hazardplan.hazard import (
-    EXACT_HAZARD_CELL_CAP,
-    FIELD_SUM_TOL,
     HazardModel,
     _SpreadDynamics,
     _cells_to_bits,
     _dynamics,
     _exact_step,
     _live_states,
-    _require_exact_size,
 )
 from hazardplan.planner import VALUE_TOL, _motion_slots, _slot_tables
 
@@ -125,23 +171,28 @@ def spread_step_distribution(
     return out
 
 
-def exact_field_oracle(gm: GridMap, sources, horizon: int):
-    """Reference contamination transition field.
+def _exact_pass(gm: GridMap, sources, horizon: int):
+    """(prob, flagged, marginals) by propagating the law of the contamination
+    set, set by set.
 
     prob[k, i, j] = P(slot-j cell of i contaminated at k+1 | i clear at k),
     with undefined conditionings flagged and set to 1, invalid slots 0.
+    marginals[k, i] = P(cell i contaminated after k steps), for k up to the
+    horizon.
     """
     theta = theta_by_nearest_source(gm, sources)
-    initial = frozenset(c for src in sources for c in src.cells)
     n = gm.n_free
-    slot_cells = []
-    for i, cell in enumerate(gm.cells):
-        row = [cell] + [shift(cell, s) for s in ORTH_STEPS]
-        slot_cells.append(row)
+    slot_cells = [[cell] + [shift(cell, s) for s in ORTH_STEPS] for cell in gm.cells]
     prob = np.zeros((horizon, n, 5))
     flagged = np.zeros((horizon, n), dtype=bool)
-    dist: Dict[FrozenSet[Cell], float] = {initial: 1.0}
-    for k in range(horizon):
+    marginals = np.zeros((horizon + 1, n))
+    dist: Dict[FrozenSet[Cell], float] = {frozenset(c for src in sources for c in src.cells): 1.0}
+    for k in range(horizon + 1):
+        for burning, p in dist.items():
+            for cell in burning:
+                marginals[k, gm.index(cell)] += p
+        if k == horizon:
+            break
         den = np.zeros(n)
         num = np.zeros((n, 5))
         for burning, p in dist.items():
@@ -170,25 +221,18 @@ def exact_field_oracle(gm: GridMap, sources, horizon: int):
             for key, q in spread_step_distribution(gm, theta, burning).items():
                 nxt[key] = nxt.get(key, 0.0) + p * q
         dist = nxt
+    return prob, flagged, marginals
+
+
+def exact_field_oracle(gm: GridMap, sources, horizon: int):
+    """(prob, flagged) of the exact contamination transition field."""
+    prob, flagged, _ = _exact_pass(gm, sources, horizon)
     return prob, flagged
 
 
 def contamination_marginals_oracle(gm: GridMap, sources, horizon: int) -> np.ndarray:
-    """Exact P(cell contaminated at the horizon) by joint-set propagation."""
-    theta = theta_by_nearest_source(gm, sources)
-    initial = frozenset(c for src in sources for c in src.cells)
-    dist: Dict[FrozenSet[Cell], float] = {initial: 1.0}
-    for _ in range(horizon):
-        nxt: Dict[FrozenSet[Cell], float] = {}
-        for burning, p in dist.items():
-            for key, q in spread_step_distribution(gm, theta, burning).items():
-                nxt[key] = nxt.get(key, 0.0) + p * q
-        dist = nxt
-    out = np.zeros(gm.n_free)
-    for burning, p in dist.items():
-        for cell in burning:
-            out[gm.index(cell)] += p
-    return out
+    """Exact P(cell contaminated at the horizon)."""
+    return _exact_pass(gm, sources, horizon)[2][horizon]
 
 
 def _mission_inputs(query):
@@ -476,10 +520,9 @@ def brute_force_partitions(value, n_robots: int, n_tasks: int) -> Tuple[Tuple[in
 # The package reads stay-clear products from a per-cell table indexed by
 # neighbour codes, and its sampler walks each burning cell's out-edges in a
 # bucket queue of first-passage times. These are the dense forms: eight
-# np.where passes per call, and a step loop that recounts every slot of
-# every (sample, cell) each step, driven by uniform draws or by the block's
-# ignition steps replayed with scalar draws. The package must agree with
-# them bit for bit.
+# np.where passes per call, and the block's ignition steps replayed with
+# scalar draws, then a step loop that recounts every slot of every
+# (sample, cell) each step. The package must agree with them bit for bit.
 
 
 def _clear_probs(dyn: _SpreadDynamics, contaminated: np.ndarray) -> np.ndarray:
@@ -498,21 +541,6 @@ def _clear_probs(dyn: _SpreadDynamics, contaminated: np.ndarray) -> np.ndarray:
         pnc[:, valid] *= factors
     pnc[contaminated] = 0.0
     return pnc
-
-
-def _dense_counts(dyn: _SpreadDynamics, uniforms: np.ndarray, clear_probs=_clear_probs):
-    """(den, num, final) of trajectories driven by a (samples, horizon,
-    n_free) matrix of draws: a clear cell ignites when its draw falls below
-    its ignition probability. Every (sample, cell) probability is rebuilt
-    at each step."""
-    m, horizon, n = uniforms.shape
-    contam = np.empty((m, horizon + 1, n), dtype=bool)
-    contam[:, 0] = dyn.initial
-    for k in range(horizon):
-        now = contam[:, k]
-        pc = 1.0 - clear_probs(dyn, now)
-        contam[:, k + 1] = now | (~now & (uniforms[:, k, :] < pc))
-    return _trajectory_counts(dyn, contam)
 
 
 def _trajectory_counts(dyn: _SpreadDynamics, contam: np.ndarray):
@@ -536,27 +564,6 @@ def _trajectory_counts(dyn: _SpreadDynamics, contam: np.ndarray):
             num[k, valid, j] += hits.sum(axis=0)
     final = contam[:, horizon].sum(axis=0, dtype=np.int64)
     return den, num, final
-
-
-def per_sample_stream_chunk(
-    dyn: _SpreadDynamics,
-    horizon: int,
-    seed: int,
-    start: int,
-    stop: int,
-):
-    """The sampler as it was before block streams: sample i drew all its
-    (horizon, n_free) uniforms from its own stream seeded by (seed, i).
-    Its draws differ from the package's, but its counts have the same
-    distribution, so it serves as a distribution oracle. It reads the
-    package's stay-clear table, which matches _clear_probs bit for bit, as
-    that is three times faster at paper scale."""
-    n = dyn.gridmap.n_free
-    uniforms = np.empty((stop - start, horizon, n))
-    for row, i in enumerate(range(start, stop)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-        uniforms[row] = rng.random((horizon, n))
-    return _dense_counts(dyn, uniforms, _SpreadDynamics.stay_clear)
 
 
 def reference_fired(dyn: _SpreadDynamics, horizon: int, seed: int, block: int, m: int):
@@ -622,6 +629,8 @@ def reference_sample_block(dyn: _SpreadDynamics, horizon: int, seed: int, block:
 # (_clear_probs above), which the package's table reproduces bit for bit, on
 # purpose: they pin the propagation's arithmetic order, so the vectorized
 # propagation must agree with them exactly, not approximately.
+# hazard_step_exact, the harness the one-step tests drive the package's step
+# through, sits beside its reference.
 
 
 def _reference_step(dyn, masks: Dict[int, float]) -> Dict[int, float]:
@@ -655,19 +664,40 @@ def _reference_step(dyn, masks: Dict[int, float]) -> Dict[int, float]:
     return out
 
 
-def reference_step_distribution(gm: GridMap, model, dist):
-    """hazard_step_exact computed with the scalar reference step."""
+def _as_bits(gm: GridMap, dist) -> Dict[int, float]:
+    """{bitmask: probability} of a distribution over cell sets."""
     masks: Dict[int, float] = {}
     for cells, p in dist.items():
-        m = 0
-        for c in cells:
-            m |= 1 << gm.index(Cell(*c))
+        m = _cells_to_bits(gm, cells)
         masks[m] = masks.get(m, 0.0) + float(p)
-    out = _reference_step(_dynamics(gm, model), masks)
+    return masks
+
+
+def _as_cell_sets(gm: GridMap, masks: Dict[int, float]) -> Dict[FrozenSet[Cell], float]:
     return {
         frozenset(gm.cells[i] for i in range(gm.n_free) if m >> i & 1): p
-        for m, p in out.items()
+        for m, p in masks.items()
     }
+
+
+def reference_step_distribution(gm: GridMap, model, dist):
+    """hazard_step_exact computed with the scalar reference step."""
+    return _as_cell_sets(gm, _reference_step(_dynamics(gm, model), _as_bits(gm, dist)))
+
+
+def hazard_step_exact(
+    gridmap: GridMap, model: HazardModel, dist: Mapping[FrozenSet[Cell], float]
+) -> Dict[FrozenSet[Cell], float]:
+    """A harness, not an oracle: pushes a distribution over contamination
+    sets through the package's exact step, hazard._exact_step, with the
+    dense stay-clear kernel."""
+    masks = _as_bits(gridmap, dist)
+    states = np.fromiter(masks.keys(), dtype=np.int64, count=len(masks))
+    probs = np.fromiter(masks.values(), dtype=np.float64, count=len(masks))
+    states, probs, contaminated = _live_states(gridmap.n_free, states, probs)
+    states, probs = _exact_step(states, probs, contaminated,
+                                _clear_probs(_dynamics(gridmap, model), contaminated))
+    return _as_cell_sets(gridmap, dict(zip(states.tolist(), probs.tolist())))
 
 
 def reference_outcomes(
@@ -1012,78 +1042,22 @@ def _exact_ratios_feasible(values: np.ndarray, n: int, n_robots: int):
 
 # --- DP and rollout references ----------------------------------------------
 #
-# The planner's DP keeps two value layers, swept block by block, and one
-# rollout walk serves both modes. These are the forms it replaced: a DP that
-# stores all horizon + 1 layers and loops over masks in Python, a DP that
-# sweeps whole (n, 2^t) layers, and one chunk function per rollout mode. The
-# package must agree with them bit for bit: the same success and start
-# values, the same policy at every state the start reaches
-# (reachable_states), and the same successes per chunk. The one exception is the
-# joint chunk, which spread every trial's fire with its own dense uniforms:
-# joint rollouts now read the field sampler's trajectories, so it is a
-# distribution reference, and replay_joint_chunk is the bitwise one.
-
-
-def reference_dp_solve(query):
-    """(values, policy, success) with the full (horizon + 1, 2^t, n) value
-    table; a start or target flagged at step 0 gives all-zero tables."""
-    gm = query.gridmap
-    fld = query.field
-    n = gm.n_free
-    nq = 1 << len(query.targets)
-    full = nq - 1
-    horizon = query.horizon
-    start_idx = gm.index(query.start)
-    goal_idx = gm.goal_index
-    tb = query.target_bits()
-    values = np.zeros((horizon + 1, nq, n))
-    policy = np.zeros((horizon, nq, n), dtype=np.int8)
-    if fld.flagged[0, start_idx] or any(fld.flagged[0, gm.index(c)] for c in query.targets):
-        return values, policy, 0.0
-
-    nbr = gm.neighbor_slots[:, :N_ACTIONS]
-    admissible = nbr >= 0
-    kernel_terms = [list(query.kernel.action_terms(u)) for u in range(N_ACTIONS)]
-    values[horizon, full, goal_idx] = 1.0
-    for k in range(horizon - 1, -1, -1):
-        vflat = values[k + 1].reshape(-1)
-        best = np.full((nq, n), -1.0)
-        bestu = np.zeros((nq, n), dtype=np.int8)
-        for u in range(N_ACTIONS):
-            acc = np.zeros((nq, n))
-            for j, w in kernel_terms[u]:
-                sel = w > 0
-                if not np.any(sel):
-                    continue
-                dsel = nbr[sel, j]
-                surv = w[sel] * (1.0 - fld.prob[k, sel, j])
-                tbd = tb[dsel]
-                for q in range(nq):
-                    rows = q | tbd
-                    acc[q, sel] += surv * vflat[rows * n + dsel]
-            acc[:, ~admissible[:, u]] = -1.0
-            better = acc > best
-            best = np.where(better, acc, best)
-            bestu[better] = u
-        best[full, goal_idx] = values[k + 1, full, goal_idx]
-        bestu[full, goal_idx] = MoveAction.STAY
-        if best.max() > 1.0 + VALUE_TOL or best.min() < -VALUE_TOL:
-            raise NumericViolationError(
-                f"value outside [0, 1] at step {k}: [{best.min()}, {best.max()}]"
-            )
-        np.clip(best, 0.0, 1.0, out=best)
-        values[k] = best
-        policy[k] = bestu
-    return values, policy, float(values[0, int(tb[start_idx]), start_idx])
+# The planner's DP sweeps two value layers block by block, and one rollout
+# walk serves both modes. These are plainer forms of the same arithmetic: a
+# DP that sweeps whole (n, 2^t) layers, a model-mode chunk that moves every
+# trial each step, and a joint chunk replayed one trial at a time. The
+# package must agree with them bit for bit: the same start values, the same
+# policy at every state the start reaches (reachable_states), and the same
+# successes per chunk.
 
 
 def whole_layer_dp_solve(query):
     """(policy, start_values) of the sweep dp_solve ran before its value
     layers were tiled: two cell-major (n, 2^t) value layers, every kernel
     term a copy of whole rows of 2^t values, and every working layer as wide
-    as a value layer. Unlike reference_dp_solve it is fast enough for 10
-    targets on paper17x13 and does not stub a start or target flagged at
-    step 0."""
+    as a value layer. It is fast enough for 10 targets on paper17x13, and
+    a start or target flagged at step 0 gets no stub: the sweep runs, and
+    only the start values are zeroed when the start is flagged."""
     gm = query.gridmap
     fld = query.field
     n = gm.n_free
@@ -1179,20 +1153,12 @@ def dense_policy(result) -> np.ndarray:
                          np.arange(nq)[:, np.newaxis], np.arange(n))
 
 
-def with_policy(result, policy):
-    """``result`` acting by the dense (horizon, 2^t, n_free) ``policy``:
-    every visited set has its own slot and is swept at every step, its rows
-    from the last step down."""
-    horizon = result.query.horizon
-    nq = 1 << len(result.query.targets)
-    n = result.query.gridmap.n_free
-    rows = np.concatenate([np.zeros((1, n), dtype=np.int8),
-                           policy[::-1].transpose(1, 0, 2).reshape(-1, n)])
-    return replace(result, policy=rows, slot=np.arange(nq), last=np.full(nq, horizon - 1),
-                   base=1 + horizon * np.arange(nq + 1))
-
-
 def reference_rollout_model_chunk(result, rng: np.random.Generator, m: int) -> int:
+    """Successes of a model-mode chunk that moves every trial each step and
+    strikes it with its step's field entry. An echo of package code for the
+    motion: it draws the landing slots through planner._motion_slots, so it
+    pins the order of the chunk's draws, and model_mode_policy_success pins
+    the law."""
     query = result.query
     gm = query.gridmap
     fld = query.field
@@ -1268,45 +1234,6 @@ def replay_joint_chunk(result, fired: np.ndarray, rng: np.random.Generator, m: i
                 successes += 1
                 break
     return successes
-
-
-def reference_rollout_joint_chunk(result, model, rng: np.random.Generator, m: int) -> int:
-    """A joint chunk that spreads each trial's fire with a dense (m, n_free)
-    block of uniforms per step: the same process as the package's joint
-    chunk on other draws, so a distribution reference."""
-    query = result.query
-    gm = query.gridmap
-    dyn = _dynamics(gm, model)
-    n = gm.n_free
-    nbr = gm.neighbor_slots[:, :N_ACTIONS]
-    tb = query.target_bits()
-    full = query.full_mask
-    start = gm.index(query.start)
-    goal = gm.goal_index
-    tables = _slot_tables(query.kernel)
-    contam = np.broadcast_to(dyn.initial, (m, n)).copy()
-    x = np.full(m, start, dtype=np.int64)
-    q = np.full(m, int(tb[start]), dtype=np.int64)
-    alive = ~contam[:, start]
-    success = alive & (int(tb[start]) == full) & (start == goal)
-    rows = np.arange(m)
-    for k in range(query.horizon):
-        act = result.action(k, q, x)
-        slot = _motion_slots(tables, rng, x, act, m)
-        dest = nbr[x, slot]
-        hazard_draws = rng.random((m, n))
-        pc = 1.0 - dyn.stay_clear(contam)
-        ignite = (~contam) & (hazard_draws < pc)
-        contam = contam | ignite
-        active = alive & ~success
-        die = active & contam[rows, dest]
-        alive[die] = False
-        move = active & ~die
-        x[move] = dest[move]
-        q[move] = q[move] | tb[x[move]]
-        reached = move & (q == full) & (x == goal)
-        success[reached] = True
-    return int(success.sum())
 
 
 # --- Mission-state helpers ---------------------------------------------------
@@ -1400,11 +1327,10 @@ def motion_prob(kernel: MotionKernel, x_next: Cell, x: Cell, u: MoveAction) -> f
 
 # --- Helpers only tests call ------------------------------------------------
 #
-# Cell-set forms of a cell's neighbours and admissible moves and of one
-# hazard step, the success value of a target list, F on arbitrary sets of
-# (task, robot) pairs and the tie check of a greedy trace. The package works on whole arrays and bitmasks and never needs
-# them; the one-step hazard helpers run on the dense stay-clear kernel above
-# and the package's exact step, so their tests check those kernels.
+# Cell-set forms of a cell's neighbours and admissible moves, the success
+# value of a target list, F on arbitrary sets of (task, robot) pairs and the
+# tie check of a greedy trace. The package works on whole arrays and
+# bitmasks and never needs them.
 
 
 def orthogonal_neighbors(gm: GridMap, cell: Cell) -> FrozenSet[Cell]:
@@ -1421,86 +1347,6 @@ def admissible_actions(gm: GridMap, cell: Cell) -> Tuple[MoveAction, ...]:
     """Actions whose target cell is free; STAY is always admissible."""
     i = gm.index(cell)
     return tuple(MoveAction(u) for u in range(N_ACTIONS) if gm.neighbor_slots[i, u] >= 0)
-
-
-def remain_clear_prob(
-    gridmap: GridMap, model: HazardModel, x: Cell, contaminated: Iterable[Cell]
-) -> float:
-    """Probability that clear cell x survives one step of spread."""
-    dyn = _dynamics(gridmap, model)
-    x = Cell(*x)
-    i = gridmap.index(x)
-    y = _as_mask(gridmap, contaminated)
-    if y[i]:
-        raise ValidationError(f"{x} is already contaminated")
-    return float(_clear_probs(dyn, y[np.newaxis])[0][i])
-
-
-def contaminate_prob(
-    gridmap: GridMap, model: HazardModel, x: Cell, contaminated: Iterable[Cell]
-) -> float:
-    """Probability that x is contaminated after one step (1 if it already is)."""
-    dyn = _dynamics(gridmap, model)
-    i = gridmap.index(Cell(*x))
-    y = _as_mask(gridmap, contaminated)
-    if y[i]:
-        return 1.0
-    return 1.0 - float(_clear_probs(dyn, y[np.newaxis])[0][i])
-
-
-def _as_mask(gridmap: GridMap, cells: Iterable[Cell]) -> np.ndarray:
-    mask = np.zeros(gridmap.n_free, dtype=bool)
-    for c in cells:
-        mask[gridmap.index(Cell(*c))] = True
-    return mask
-
-
-def hazard_step_sample(
-    gridmap: GridMap,
-    model: HazardModel,
-    contaminated: Iterable[Cell],
-    rng: np.random.Generator,
-) -> FrozenSet[Cell]:
-    """Draw one spread step. Consumes exactly n_free uniforms from rng."""
-    dyn = _dynamics(gridmap, model)
-    y = _as_mask(gridmap, contaminated)
-    clear_p = _clear_probs(dyn, y[np.newaxis])[0]
-    draws = rng.random(gridmap.n_free)
-    ignite = (~y) & (draws < 1.0 - clear_p)
-    out = y | ignite
-    return frozenset(gridmap.cells[i] for i in np.nonzero(out)[0])
-
-
-def hazard_step_exact(
-    gridmap: GridMap,
-    model: HazardModel,
-    dist: Mapping[FrozenSet[Cell], float],
-    cell_cap: int = EXACT_HAZARD_CELL_CAP,
-) -> Dict[FrozenSet[Cell], float]:
-    """Push a distribution over contamination sets through one exact step."""
-    _require_exact_size(gridmap.n_free, cell_cap, "exact hazard propagation needs")
-    dyn = _dynamics(gridmap, model)
-    masks: Dict[int, float] = {}
-    for cells, p in dist.items():
-        if p < -FIELD_SUM_TOL:
-            raise ValidationError("negative probability in hazard distribution")
-        m = _cells_to_bits(gridmap, cells)
-        masks[m] = masks.get(m, 0.0) + float(p)
-    total = sum(masks.values())
-    if abs(total - 1.0) > FIELD_SUM_TOL:
-        raise ValidationError(f"hazard distribution sums to {total!r}, not 1")
-    states = np.fromiter(masks.keys(), dtype=np.int64, count=len(masks))
-    probs = np.fromiter(masks.values(), dtype=np.float64, count=len(masks))
-    states, probs, contaminated = _live_states(gridmap.n_free, states, probs)
-    states, probs = _exact_step(states, probs, contaminated, _clear_probs(dyn, contaminated))
-    check = sum(probs.tolist())
-    if abs(check - 1.0) > FIELD_SUM_TOL:
-        raise NumericViolationError(f"exact step output sums to {check!r}")
-    return {_bits_to_cells(gridmap, m): p for m, p in zip(states.tolist(), probs.tolist())}
-
-
-def _bits_to_cells(gridmap: GridMap, mask: int) -> FrozenSet[Cell]:
-    return frozenset(gridmap.cells[i] for i in range(gridmap.n_free) if mask >> i & 1)
 
 
 def success_probability(cache, robot: int, targets) -> float:

@@ -483,6 +483,11 @@ def test_exact_field_cap_exits_three(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_exact_field_cap_message_reads_cells_over_the_cap(capsys):
+    assert entry(["plan", PAPER, "--exact-field", "--targets", "none"]) == 3
+    assert capsys.readouterr().err == "error: exact field needs 199 free cells > cap 12\n"
+
+
 def paper_with_targets(tmp_path, n_targets=20):
     """paper17x13 with more targets, n_targets in all: at 20, one value
     lattice over all of them would need ~3.6 GB, while a policy DP's bounds

@@ -21,12 +21,7 @@ from hazardplan.hazard import (
 from hazardplan.scenario import load_scenario
 
 import oracles
-from oracles import (
-    contaminate_prob,
-    hazard_step_exact,
-    hazard_step_sample,
-    remain_clear_prob,
-)
+from oracles import hazard_step_exact
 from conftest import random_gridmap, random_hazard
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -37,12 +32,12 @@ def test_clear_prob_product_form():
     gm = GridMap(3, 3, [], Cell(2, 2))
     burning = [Cell(1, 2), Cell(2, 1), Cell(0, 0)]
     model = HazardModel.uniform(burning, 0.2)
-    got = remain_clear_prob(gm, model, Cell(1, 1), burning)
-    assert got == pytest.approx((1 - 0.2) ** 2 * (1 - 0.2 / math.sqrt(2)), abs=1e-15)
-    assert contaminate_prob(gm, model, Cell(1, 1), burning) == pytest.approx(1.0 - got)
-    assert contaminate_prob(gm, model, Cell(1, 2), burning) == 1.0
-    with pytest.raises(ValidationError):
-        remain_clear_prob(gm, model, Cell(1, 2), burning)
+    contaminated = np.zeros((1, gm.n_free), dtype=bool)
+    contaminated[0, [gm.index(c) for c in burning]] = True
+    got = _dynamics(gm, model).stay_clear(contaminated)[0]
+    want = (1 - 0.2) ** 2 * (1 - 0.2 / math.sqrt(2))
+    assert got[gm.index(Cell(1, 1))] == pytest.approx(want, abs=1e-15)
+    assert got[gm.index(Cell(1, 2))] == 0.0
 
 
 def test_strip_field_entries_half_speed():
@@ -117,26 +112,17 @@ def test_theta_field_random_sweep_matches_oracle():
 
 
 def test_exact_field_matches_oracle_random_sweep():
+    # the field entries, the flags and the marginals of every step
     rng = np.random.default_rng(202)
     for _ in range(20):
         gm = random_gridmap(rng, max_cells=9)
         model = random_hazard(rng, gm)
         horizon = int(rng.integers(1, 4))
         fld = exact_contamination_field(gm, model, horizon)
-        prob, flagged = oracles.exact_field_oracle(gm, model.sources, horizon)
+        prob, flagged, marginals = oracles._exact_pass(gm, model.sources, horizon)
         assert np.array_equal(flagged, fld.flagged)
         assert np.abs(prob - fld.prob).max() < 1e-12
-
-
-def test_exact_marginals_match_oracle():
-    rng = np.random.default_rng(303)
-    for _ in range(10):
-        gm = random_gridmap(rng, max_cells=8)
-        model = random_hazard(rng, gm)
-        horizon = int(rng.integers(1, 4))
-        got = exact_contamination_field(gm, model, horizon).marginals[horizon]
-        want = oracles.contamination_marginals_oracle(gm, model.sources, horizon)
-        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(marginals - fld.marginals).max() < 1e-12
 
 
 def test_marginals_monotone_in_time():
@@ -241,48 +227,6 @@ def test_exact_propagation_refuses_grids_beyond_mask_width():
     model = HazardModel.uniform([Cell(0, 0)], 0.5)
     with pytest.raises(CapExceededError):
         exact_contamination_field(gm, model, 2, cell_cap=100)
-
-
-def test_hazard_step_exact_validation():
-    gm = GridMap(3, 1, [], Cell(2, 0))
-    model = HazardModel.uniform([Cell(0, 0)], 0.5)
-    with pytest.raises(ValidationError):
-        hazard_step_exact(gm, model, {frozenset([Cell(0, 0)]): 0.7})
-    with pytest.raises(CapExceededError):
-        hazard_step_exact(gm, model, {frozenset([Cell(0, 0)]): 1.0}, cell_cap=2)
-
-
-def test_hazard_step_sample_frequency():
-    # single clear cell beside one burning cell at speed 0.3: ignition should
-    # hit near 0.3 over many draws
-    gm = GridMap(2, 1, [], Cell(1, 0))
-    model = HazardModel.uniform([Cell(0, 0)], 0.3)
-    rng = np.random.default_rng(20260815)
-    n = 100_000
-    hits = 0
-    burning = frozenset([Cell(0, 0)])
-    for _ in range(n):
-        out = hazard_step_sample(gm, model, burning, rng)
-        if Cell(1, 0) in out:
-            hits += 1
-    assert hits / n == pytest.approx(0.3, abs=0.005)
-
-
-def test_hazard_step_sample_monotone_and_draw_count():
-    gm = GridMap(3, 2, [], Cell(2, 1))
-    model = HazardModel.uniform([Cell(0, 0)], 0.6)
-    rng = np.random.default_rng(5)
-    y = frozenset([Cell(0, 0)])
-    for _ in range(50):
-        out = hazard_step_sample(gm, model, y, rng)
-        assert y <= out
-        y = out
-    # consumes exactly n_free uniforms per call
-    r1 = np.random.default_rng(77)
-    r2 = np.random.default_rng(77)
-    hazard_step_sample(gm, model, frozenset([Cell(0, 0)]), r1)
-    r2.random(gm.n_free)
-    assert r1.random() == r2.random()
 
 
 def test_estimated_field_close_to_exact():
@@ -433,33 +377,6 @@ def test_sampler_bit_identical_to_reference_on_paper_scenario(paper_reference, t
     dyn, horizon, samples, want = paper_reference
     # several blocks, so two threads run them side by side
     assert_counts_equal(_run_chunks(dyn, horizon, samples, 0, threads), want)
-
-
-def test_paper_field_marginals_agree_with_per_sample_streams():
-    """The first-passage walk draws other numbers than the per-sample
-    streams an earlier sampler used, from the same distribution. Per entry, the two
-    estimates of 10,000 samples differ by a binomial noise of
-    sigma = sqrt(2 p (1 - p) / 10,000). The heat row is held to 4 sigma;
-    every entry, of some 15,000, to 5 sigma, a family-wise false alarm rate
-    under 1%. Entries with a pooled p of 0 or 1 must agree exactly."""
-    sc = load_scenario(SCENARIOS / "paper17x13.json")
-    dyn = _dynamics(sc.gridmap, sc.hazard)
-    samples = 10_000
-    new = estimate_contamination_field(sc.gridmap, sc.hazard, sc.horizon, samples, 0).marginals
-    den = np.zeros((sc.horizon, sc.gridmap.n_free), dtype=np.int64)
-    final = np.zeros(sc.gridmap.n_free, dtype=np.int64)
-    for lo in range(0, samples, 250):
-        part_den, _, part_final = oracles.per_sample_stream_chunk(dyn, sc.horizon, 0, lo, lo + 250)
-        den += part_den
-        final += part_final
-    old = np.vstack([samples - den, final]) / samples
-    pooled = (old + new) / 2
-    sigma = np.sqrt(2 * pooled * (1 - pooled) / samples)
-    assert np.array_equal(old[sigma == 0], new[sigma == 0])
-    z = np.abs(old - new)[sigma > 0] / sigma[sigma > 0]
-    heat = sigma[-1] > 0
-    assert z.max() <= 5.0
-    assert (np.abs(old[-1] - new[-1])[heat] / sigma[-1][heat]).max() <= 4.0
 
 
 def test_stay_clear_table_matches_reference_kernel():

@@ -122,41 +122,40 @@ def assert_policy_at_reachable_states(res, policy):
     assert np.array_equal(oracles.dense_policy(res)[reach], policy[reach])
 
 
-@pytest.mark.parametrize("n_targets, slip", [(5, False), (8, False), (5, True)],
-                         ids=["5", "8", "5-slip"])
-def test_dp_equals_reference_on_paper_sweep(n_targets, slip):
-    """The policy at every state the start reaches, and the value lattice,
-    under the scenario's motion and under a slippery tabular kernel whose
-    actions sum several terms."""
-    query = paper_sweep_query(n_targets)
-    if slip:
-        kernel = random_tabular_kernel(np.random.default_rng(7), query.gridmap)
-        query = replace(query, kernel=kernel)
-    res = dp_solve(query)
-    values, policy, success = oracles.reference_dp_solve(query)
-    start = query.gridmap.index(query.start)
-    assert res.success == success
-    assert_policy_at_reachable_states(res, policy)
-    assert np.array_equal(dp_values(query),
-                          values[0][:, start] * (not query.field.flagged[0, start]))
-
-
-@pytest.mark.parametrize("slip", [False, True], ids=["10", "10-slip"])
-def test_dp_equals_whole_layer_sweep_on_paper_sweep(slip):
-    """At 10 targets the value lattice spans eight blocks; the lattice,
-    the success bits and the policy at every state the start reaches are ==
-    to the sweep over whole (n, 2^t) layers."""
-    query = paper_sweep_query(10)
-    if slip:
-        kernel = random_tabular_kernel(np.random.default_rng(7), query.gridmap)
-        query = replace(query, kernel=kernel)
-    assert planner._tile_columns(1 << 10, query.gridmap.n_free) == 128
+def assert_equals_whole_layer_sweep(query):
+    """The value lattice, the success bits and the policy at every state
+    the start reaches are == to the sweep over whole (n, 2^t) layers.
+    Returns the policy mode's result."""
     res = dp_solve(query)
     values = dp_values(query)
     policy, start_values = oracles.whole_layer_dp_solve(query)
     assert_policy_at_reachable_states(res, policy)
     assert np.array_equal(values.view(np.int64), start_values.view(np.int64))
     assert np.float64(res.success).view(np.int64) == values[res.start_q].view(np.int64)
+    return res
+
+
+@pytest.mark.parametrize("n_targets, slip", [(5, False), (8, False), (5, True)],
+                         ids=["5", "8", "5-slip"])
+def test_dp_equals_reference_on_paper_sweep(n_targets, slip):
+    """The sweep over whole layers, under the scenario's motion and under a
+    slippery tabular kernel whose actions sum several terms."""
+    query = paper_sweep_query(n_targets)
+    if slip:
+        kernel = random_tabular_kernel(np.random.default_rng(7), query.gridmap)
+        query = replace(query, kernel=kernel)
+    assert_equals_whole_layer_sweep(query)
+
+
+@pytest.mark.parametrize("slip", [False, True], ids=["10", "10-slip"])
+def test_dp_equals_whole_layer_sweep_on_paper_sweep(slip):
+    """At 10 targets the value lattice spans eight blocks."""
+    query = paper_sweep_query(10)
+    if slip:
+        kernel = random_tabular_kernel(np.random.default_rng(7), query.gridmap)
+        query = replace(query, kernel=kernel)
+    assert planner._tile_columns(1 << 10, query.gridmap.n_free) == 128
+    assert_equals_whole_layer_sweep(query)
 
 
 @pytest.mark.parametrize("bad", [-0.5, np.nan], ids=["above-1", "nan"])
@@ -268,11 +267,8 @@ def test_corridor_actions_with_no_move_anywhere(width, height, slip):
     fld = exact_contamination_field(gm, HazardModel.uniform([along[0]], 0.3), 8)
     # the walk must step next to the fire before it turns for the goal
     query = make_query(gm, fld, along[2], [gm.goal, along[1]], 8, kernel)
-    res = dp_solve(query)
-    values, policy, success = oracles.reference_dp_solve(query)
-    assert 0.0 < res.success == success < 1.0
-    assert_policy_at_reachable_states(res, policy)
-    assert np.array_equal(dp_values(query), values[0][:, gm.index(along[2])])
+    res = assert_equals_whole_layer_sweep(query)
+    assert 0.0 < res.success < 1.0
 
 
 def traced_peak(call, *args):
@@ -443,24 +439,6 @@ def test_rollout_chunks_equal_reference_in_both_modes():
             fired = chunk_fired(result, model, ci, m)
             assert (_rollout_chunk(result, fired, chunk_rng(ci), m)
                     == oracles.replay_joint_chunk(reference, fired, chunk_rng(ci), m))
-
-
-def test_joint_chunks_match_the_dense_spread_in_distribution():
-    """The joint chunk reads the field sampler's trajectories; the dense
-    per-trial spread it replaced draws other uniforms for the same process.
-    On small.json with slippery motion their rates agree within 4 standard
-    errors of the difference."""
-    sc = load_scenario(SCENARIOS / "small.json")
-    fld = exact_contamination_field(sc.gridmap, sc.hazard, sc.horizon)
-    slip = random_tabular_kernel(np.random.default_rng(3), sc.gridmap)
-    cache = ObjectiveCache(sc.gridmap, slip, fld, sc.starts, sc.targets, sc.horizon)
-    m = 20_000
-    for r in range(sc.n_robots):
-        result = cache.solve(r, (1 << sc.n_tasks) - 1)
-        got = _rollout_chunk(result, chunk_fired(result, sc.hazard, 0, m), chunk_rng(0), m) / m
-        want = oracles.reference_rollout_joint_chunk(result, sc.hazard, chunk_rng(1), m) / m
-        pooled = (got + want) / 2
-        assert abs(got - want) <= 4 * np.sqrt(pooled * (1 - pooled) * 2 / m) + 1e-12
 
 
 def test_joint_trajectories_come_in_sampler_blocks(monkeypatch):

@@ -1,11 +1,18 @@
 """tools/canonical_hashes.py --compare on synthetic printouts: a change
 passes only when the commands it moves are exactly the ones its
-expected-changes file lists."""
+expected-changes file lists. Last, the oracle interface the benchmark's
+output checks read."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from hazardplan.hazard import ContaminationField
+from hazardplan.planner import PlanQuery
+from hazardplan.scenario import load_scenario
+
+import oracles
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "canonical_hashes.py"
 spec = importlib.util.spec_from_file_location("canonical_hashes", TOOL)
@@ -76,3 +83,31 @@ def test_a_command_printed_on_one_side_only_counts_as_changed(tmp_path, monkeypa
     listed = "plan small.json --robot b --targets i,iii\nrender small.json --what heatmap\n"
     code, err = run_compare(tmp_path, monkeypatch, capsys, head, listed)
     assert (code, err) == (0, [])
+
+
+def test_the_oracles_the_benchmark_checks_read_keep_their_interface():
+    """bench/checks.py imports five oracles and unpacks their results, and
+    builds a field without marginals from one of them. A renamed oracle or
+    a changed arity would fail every benchmark run's checks; here it fails
+    Tier-1. The calls follow the checks on small.json, over a horizon of 5
+    steps to stay quick."""
+    sc = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "small.json")
+    gm, sources, horizon = sc.gridmap, sc.hazard.sources, 5
+    heat = oracles.contamination_marginals_oracle(gm, sources, horizon)
+    assert heat.shape == (gm.n_free,)
+    prob, flagged = oracles.exact_field_oracle(gm, sources, horizon)
+    field = ContaminationField(horizon=horizon, n_free=gm.n_free, prob=prob,
+                               flagged=flagged, kind="exact")
+    f = {}
+    for r in range(sc.n_robots):
+        for mask in range(1 << sc.n_tasks):
+            targets = tuple(sc.targets[t] for t in range(sc.n_tasks) if mask >> t & 1)
+            query = PlanQuery(gridmap=gm, kernel=sc.kernel(), field=field, start=sc.starts[r],
+                              targets=targets, horizon=horizon)
+            f[r, mask] = oracles.value_recursion_oracle(query)
+            assert 0.0 <= f[r, mask] <= 1.0
+    masks, best = oracles.brute_force_partitions(lambda r, m: f[r, m], sc.n_robots, sc.n_tasks)
+    assert len(masks) == sc.n_robots and 0.0 <= best <= 1.0
+    alpha, gamma, _, _ = oracles.naive_ratios([f[0, m] for m in range(1 << sc.n_tasks)],
+                                              sc.n_tasks)
+    assert 0.0 <= alpha <= 1.0 and 0.0 <= gamma <= 1.0
