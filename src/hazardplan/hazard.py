@@ -168,6 +168,9 @@ class _SpreadDynamics:
                           self.w_diag[:, np.newaxis])
         self.edge_p = 1.0 - slot_w
         self.edge_to = np.where((self.rev < n) & (self.edge_p > 0.0), self.rev, n)
+        # edge_to as offsets from y, so that y's targets in a sample's row
+        # are y's own index in it plus edge_step[y]
+        self.edge_step = self.edge_to - np.arange(n)[:, np.newaxis]
 
     def _stay_clear_table(self) -> np.ndarray:
         """lut[x, code] = P(clear cell x stays clear for one step) when bit
@@ -557,6 +560,11 @@ def _sample_block(
     in slot order, in one rng.geometric call; an arrival k + D below the
     horizon joins bucket k + D. Step k + 1 drops the cells of its bucket
     that already burn and ignites the rest.
+
+    A step's out-edges are one flat array, (cell, slot) in that order, whose
+    targets are the cell's index plus dyn.edge_step; the clear ones are
+    picked by flat index, so the geometric call reads the same p's in the
+    same order as a boolean pick would, and draws the same delays.
     """
     n = dyn.gridmap.n_free
     width = n + 1  # per-sample stride: column n stands for missing neighbours
@@ -581,19 +589,19 @@ def _sample_block(
             if k == horizon - 1:
                 break
         y = cur % width
-        to = (cur - y)[:, np.newaxis] + dyn.edge_to[y]
-        clear = fired[to] == horizon
-        at = rng.geometric(dyn.edge_p[y][clear]) + k
-        early = at < horizon
-        if not early.any():
+        to = (cur[:, np.newaxis] + dyn.edge_step[y]).ravel()
+        clear = np.flatnonzero(fired[to] == horizon)
+        delay = rng.geometric(dyn.edge_p[y].ravel()[clear])
+        early = np.flatnonzero(delay < horizon - k)
+        if not early.size:
             continue
-        at, to = at[early], to[clear][early]
-        order = np.argsort(at.astype(step_type), kind="stable")
-        at, to = at[order], to[order]
-        ends = np.append(np.flatnonzero(at[1:] != at[:-1]) + 1, len(at)).tolist()
+        delay = delay[early].astype(step_type)
+        order = np.argsort(delay, kind="stable")
+        delay, to = delay[order], to[clear[early[order]]]
+        ends = np.append(np.flatnonzero(delay[1:] != delay[:-1]) + 1, len(delay))
         lo = 0
-        for hi in ends:
-            buckets[at[lo]].append(to[lo:hi])
+        for hi, d in zip(ends.tolist(), delay[ends - 1].tolist()):
+            buckets[k + d].append(to[lo:hi])
             lo = hi
     fired[n::width] = horizon
     return fired.reshape(m, width)
@@ -615,17 +623,27 @@ def _chunk_counts(dyn: _SpreadDynamics, fired: np.ndarray, horizon: int):
     # neighbour y contaminated at k + 1: max(when_y, 0) <= k <= min(when_x, H - 1).
     # Each (sample, y) opens that run of steps for the cell whose slot j is
     # y, one slot at a time, so the working arrays stay one per ignition.
-    first = np.maximum(when, 0)
-    row = sample * (n + 1)
+    # No pair is dropped: a missing neighbour (x = n) counts in the pad
+    # column of a width n + 1 row, which the sums leave out, and an empty run
+    # (x burning before y's step, as when both are initial) closes at the
+    # step it opens, at end = max(min(when_x, H - 1), first - 1) + 1.
+    width = n + 1
+    # first and row take the buffers of when and sample, which are not read
+    # again, to keep the block's peak memory down
+    first = np.maximum(when, 0, out=when)
+    opens = first * width
+    row = np.multiply(sample, width, out=sample)
     flat = fired.reshape(-1)
     for j in range(1, N_ACTIONS):
         x = dyn.rev[cell, j - 1]
-        last = np.minimum(flat[row + x], horizon - 1, dtype=np.intp)
-        keep = (x < n) & (first <= last)
-        x = x[keep]
-        runs = np.bincount(first[keep] * n + x, minlength=size)
-        runs -= np.bincount((last[keep] + 1) * n + x, minlength=size)
-        num[:, :, j] = np.cumsum(runs.reshape(horizon + 1, n), axis=0)[:horizon]
+        end = np.minimum(flat[row + x], horizon - 1, dtype=np.intp)
+        end += 1
+        np.maximum(end, first, out=end)
+        end *= width
+        end += x
+        runs = np.bincount(opens + x, minlength=(horizon + 1) * width)
+        runs -= np.bincount(end, minlength=runs.size)
+        num[:, :, j] = np.cumsum(runs.reshape(horizon + 1, width)[:horizon, :n], axis=0)
     return den, num, hist.sum(axis=0)
 
 

@@ -67,7 +67,10 @@ trajectory, drawn by the field's own sampler (joint mode). With
 deterministic motion no draw moves a trial, so every trial follows the
 plan's one walk with no hit (PlanResult._walk, the walk greedy_path lists)
 until it is hit, and a chunk is one hit test of all its trials per step of
-that walk. Tabular motion moves the trials one by one.
+that walk. In model mode a step of the walk with no risk (a probability that
+is not > 0, which no uniform falls below) draws nothing: the chunk's stream
+is advanced past its m uniforms, which leaves it where drawing them would.
+Tabular motion moves the trials one by one.
 """
 
 from __future__ import annotations
@@ -860,7 +863,9 @@ def rollout(
 
     With deterministic motion a chunk prices the plan's one walk in either
     mode; tabular motion walks the trials one by one. Both count what the
-    trial-by-trial walk counts on the same draws (_rollout_chunk).
+    trial-by-trial walk counts on the same draws (_rollout_chunk). In model
+    mode a step of the one walk with no risk draws nothing: the chunk's
+    stream is advanced past the m uniforms it would have drawn.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -971,7 +976,12 @@ def _rollout_chunk(
             return 0
         alive = np.ones(m, dtype=bool)
         for k, (x, slot) in enumerate(steps):
-            alive &= ~hit(k, x, slot, nbr[x, slot], slice(None))
+            if fired is None and not fld.prob[k, x, slot] > 0:
+                # no uniform falls below 0 or NaN, so this step hits no trial:
+                # move the stream past the m uniforms the test would draw
+                rng.bit_generator.advance(m)
+            else:
+                alive &= ~hit(k, x, slot, nbr[x, slot], slice(None))
         return int(np.count_nonzero(alive))
     live = np.arange(m)  # trial ids still walking
     x = np.full(m, start, dtype=np.int64)

@@ -38,7 +38,8 @@ Index of the laws. "Pins" names the package code the references check.
   planner._reach_moves.
 - Model-mode rollouts. Scalar: model_mode_policy_success. Bit:
   reference_rollout_model_chunk. Pins rollout and planner._rollout_chunk
-  without a hazard model.
+  without a hazard model. It draws at every step, so it also pins the
+  chunk's skip of the steps with no risk, which draw nothing.
 - Joint rollouts. Scalar: exact_joint_policy_success. Bit:
   replay_joint_chunk. Pins rollout and planner._rollout_chunk with a hazard
   model.
@@ -633,16 +634,23 @@ def reference_sample_block(dyn: _SpreadDynamics, horizon: int, seed: int, block:
 # through, sits beside its reference.
 
 
-def _reference_step(dyn, masks: Dict[int, float]) -> Dict[int, float]:
+def _state_cells(n: int, m: int) -> np.ndarray:
+    return np.array([(m >> i) & 1 for i in range(n)], dtype=bool)
+
+
+def _reference_step(
+    dyn, masks: Dict[int, float], ignite: Optional[Dict[int, np.ndarray]] = None
+) -> Dict[int, float]:
     """One exact step over {bitmask: probability}, state by state and combo
-    by combo; outcome keys keep their order of first appearance."""
+    by combo; outcome keys keep their order of first appearance. ``ignite``
+    holds each state's row 1 - _clear_probs, where the caller has them."""
     n = dyn.gridmap.n_free
     out: Dict[int, float] = {}
     for m, p in masks.items():
         if p == 0.0:
             continue
-        y = np.array([(m >> i) & 1 for i in range(n)], dtype=bool)
-        pc = 1.0 - _clear_probs(dyn, y[np.newaxis])[0]
+        y = _state_cells(n, m)
+        pc = 1.0 - _clear_probs(dyn, y[np.newaxis])[0] if ignite is None else ignite[m]
         forced = m
         uncertain: List[Tuple[int, float]] = []
         for i in np.nonzero(~y)[0]:
@@ -750,12 +758,14 @@ def reference_exact_propagation(gm: GridMap, model, horizon: int):
             break
         den = np.zeros(n)
         num = np.zeros((n, 5))
-        for m, p in dist.items():
-            if p == 0.0:
-                continue
-            y = np.array([(m >> i) & 1 for i in range(n)], dtype=bool)
-            pc_next = 1.0 - _clear_probs(dyn, y[np.newaxis])[0]
-            pc_next[y] = 1.0
+        # each live state's row 1 - _clear_probs, read by the sums here and
+        # by the step: one _clear_probs call over all of them, which forms
+        # every row as a call on that row alone would
+        live = [m for m, p in dist.items() if p != 0.0]
+        cells = np.array([_state_cells(n, m) for m in live], dtype=bool).reshape(len(live), n)
+        ignite = dict(zip(live, 1.0 - _clear_probs(dyn, cells)))
+        for y, (m, pc_next) in zip(cells, ignite.items()):
+            p = dist[m]
             clear = ~y
             den += p * clear
             for j in range(5):
@@ -769,7 +779,7 @@ def reference_exact_propagation(gm: GridMap, model, horizon: int):
         safe = np.where(flag_k, 1.0, den)
         prob[k] = num / safe[:, np.newaxis]
         prob[k, flag_k, :] = 1.0
-        dist = _reference_step(dyn, dist)
+        dist = _reference_step(dyn, dist, ignite)
     prob[:, nbr < 0] = 0.0
     prob = np.clip(prob, 0.0, 1.0)
     return prob, flagged, marginals

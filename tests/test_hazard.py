@@ -6,7 +6,7 @@ import pytest
 
 from hazardplan import hazard
 from hazardplan.errors import CapExceededError, ValidationError
-from hazardplan.grid import Cell, GridMap, MoveAction
+from hazardplan.grid import Cell, GridMap, MoveAction, N_ACTIONS
 from hazardplan.hazard import (
     EXACT_MASK_BITS,
     ContaminationField,
@@ -311,6 +311,36 @@ def test_sampler_bit_identical_to_reference_random_sweep(monkeypatch):
                                 reference_blocks(dyn, horizon, 300, seed, 128))
     # speeds 1 and 0 give edges that ignite at every step and at none
     assert sure and never
+
+
+def test_chunk_counts_equal_the_dense_loop_on_hand_built_steps():
+    """The block counts equal the dense count loop on ignition steps drawn
+    at random, -1..horizon per (sample, cell) with the pad column at horizon,
+    so they hold orders a walk rarely makes. Over the sweep, a cell's move
+    neighbour ignites before it, at the same step and after it, both are
+    initial, and some cells sit on the grid's edge with missing slots."""
+    rng = np.random.default_rng(29)
+    seen = dict.fromkeys(("before", "same", "after", "both initial", "missing slot"), 0)
+    for case in range(40):
+        gm, model = spread_setup(rng, case)
+        dyn = _dynamics(gm, model)
+        n = gm.n_free
+        horizon = int(rng.integers(1, 8))
+        fired = rng.integers(-1, horizon + 1, size=(48, n + 1), dtype=np.int32)
+        fired[:, n] = horizon
+        steps = np.arange(horizon + 1)[np.newaxis, :, np.newaxis]
+        assert_counts_equal(hazard._chunk_counts(dyn, fired, horizon),
+                            oracles._trajectory_counts(dyn, fired[:, np.newaxis, :n] < steps))
+        nbr = gm.neighbor_slots[:, 1:N_ACTIONS]
+        seen["missing slot"] += int(np.sum(nbr < 0))
+        x, j = np.nonzero(nbr >= 0)
+        fx, fy = fired[:, x], fired[:, nbr[x, j]]
+        lit = fy < horizon
+        seen["before"] += int(np.sum(lit & (fy < fx)))
+        seen["same"] += int(np.sum(lit & (fy == fx) & (fy >= 0)))
+        seen["after"] += int(np.sum(lit & (fy > fx)))
+        seen["both initial"] += int(np.sum((fy < 0) & (fx < 0)))
+    assert all(seen.values()), seen
 
 
 def z_scores(est: np.ndarray, exact: np.ndarray, counts: np.ndarray):

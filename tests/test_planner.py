@@ -522,6 +522,27 @@ def test_rollout_over_several_chunks_equals_oracle_chunks(monkeypatch):
     assert rr.trials == trials
 
 
+def test_model_chunk_skips_the_steps_no_uniform_can_hit():
+    """A walk step whose probability is 0 or NaN hits no trial, and the
+    chunk advances its stream past the step's uniforms instead of drawing
+    them. With NaN swapped in on the waiting plan's first move, four of its
+    five steps draw nothing. The count is == the oracle's, which draws at
+    every step, and both streams go on with the same next uniform."""
+    res = waiting_plan()
+    prob = res.query.field.prob.copy()
+    prob[3, 0, MoveAction.EAST] = np.nan
+    res = replace(res, query=replace(res.query, field=replace(res.query.field, prob=prob)))
+    steps, _ = res._walk()
+    assert len(steps) == res.query.horizon
+    assert [prob[k, x, u] > 0 for k, (x, u) in enumerate(steps)] == [False] * 4 + [True]
+    for ci in range(3):
+        rng, ref = chunk_rng(ci), chunk_rng(ci)
+        count = _rollout_chunk(res, None, rng, 3000)
+        assert count == oracles.reference_rollout_model_chunk(res, ref, 3000)
+        assert 0 < count < 3000
+        assert rng.random() == ref.random()
+
+
 class FixedDraws:
     """Stands in for a Generator: every uniform it draws is ``value``."""
 
