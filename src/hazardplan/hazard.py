@@ -171,6 +171,16 @@ class _SpreadDynamics:
         # edge_to as offsets from y, so that y's targets in a sample's row
         # are y's own index in it plus edge_step[y]
         self.edge_step = self.edge_to - np.arange(n)[:, np.newaxis]
+        # For p < 1/3 numpy's Generator.geometric(p) is ceil(-E / log1p(-p)),
+        # E the generator's standard exponential and log1p the C library's,
+        # which math.log1p calls (np.log1p may round otherwise). So when every
+        # edge that can fire has p < 1/3, the walk draws its delays as
+        # E / edge_rate, the same bits, and rounds up only the kept ones.
+        third = 1.0 / 3.0
+        self.invert = bool(np.all(self.edge_p[self.edge_to < n] < third))
+        self.edge_rate = np.array(
+            [-math.log1p(-p) if p < third else math.nan for p in self.edge_p.ravel().tolist()]
+        ).reshape(self.edge_p.shape)
 
     def _stay_clear_table(self) -> np.ndarray:
         """lut[x, code] = P(clear cell x stays clear for one step) when bit
@@ -565,6 +575,14 @@ def _sample_block(
     targets are the cell's index plus dyn.edge_step; the clear ones are
     picked by flat index, so the geometric call reads the same p's in the
     same order as a boolean pick would, and draws the same delays.
+
+    When every edge has p < 1/3 (dyn.invert, as on both shipped maps), the
+    delays are drawn by numpy's own inversion instead: geometric(p) is then
+    ceil(E / -log1p(-p)) on the same stream, E its standard exponential. So
+    one standard_exponential call and a division by dyn.edge_rate give the
+    same delays before rounding, and only the arrivals kept, z <= horizon -
+    k - 1, are rounded up. Any other p keeps rng.geometric, which searches
+    on a uniform there.
     """
     n = dyn.gridmap.n_free
     width = n + 1  # per-sample stride: column n stands for missing neighbours
@@ -591,11 +609,19 @@ def _sample_block(
         y = cur % width
         to = (cur[:, np.newaxis] + dyn.edge_step[y]).ravel()
         clear = np.flatnonzero(fired[to] == horizon)
-        delay = rng.geometric(dyn.edge_p[y].ravel()[clear])
-        early = np.flatnonzero(delay < horizon - k)
+        if dyn.invert:
+            # ceil(z) < horizon - k exactly when z <= horizon - k - 1
+            delay = rng.standard_exponential(len(clear))
+            delay /= dyn.edge_rate[y].ravel()[clear]
+            early = np.flatnonzero(delay <= horizon - k - 1)
+            delay = np.ceil(delay[early])
+        else:
+            delay = rng.geometric(dyn.edge_p[y].ravel()[clear])
+            early = np.flatnonzero(delay < horizon - k)
+            delay = delay[early]
         if not early.size:
             continue
-        delay = delay[early].astype(step_type)
+        delay = delay.astype(step_type)
         order = np.argsort(delay, kind="stable")
         delay, to = delay[order], to[clear[early[order]]]
         ends = np.append(np.flatnonzero(delay[1:] != delay[:-1]) + 1, len(delay))
@@ -611,8 +637,12 @@ def _chunk_counts(dyn: _SpreadDynamics, fired: np.ndarray, horizon: int):
     """(den, num, final) of a chunk from the (samples, n_free + 1) steps at
     which each cell ignited (-1 from the start, horizon for never)."""
     m, n = fired.shape[0], fired.shape[1] - 1
-    sample, cell = np.nonzero(fired[:, :n] < horizon)
-    when = fired[sample, cell].astype(np.intp)
+    width = n + 1
+    flat = fired.reshape(-1)
+    # one scan in row-major order; the pad column holds horizon, so it is skipped
+    at = np.flatnonzero(flat < horizon)
+    when = flat[at].astype(np.intp)
+    cell = at % width
     size = (horizon + 1) * n
     # hist[t + 1, x] = samples in which x ignited at step t
     hist = np.bincount((when + 1) * n + cell, minlength=size).reshape(horizon + 1, n)
@@ -627,13 +657,11 @@ def _chunk_counts(dyn: _SpreadDynamics, fired: np.ndarray, horizon: int):
     # column of a width n + 1 row, which the sums leave out, and an empty run
     # (x burning before y's step, as when both are initial) closes at the
     # step it opens, at end = max(min(when_x, H - 1), first - 1) + 1.
-    width = n + 1
-    # first and row take the buffers of when and sample, which are not read
+    # first and row take the buffers of when and at, which are not read
     # again, to keep the block's peak memory down
     first = np.maximum(when, 0, out=when)
     opens = first * width
-    row = np.multiply(sample, width, out=sample)
-    flat = fired.reshape(-1)
+    row = np.subtract(at, cell, out=at)
     for j in range(1, N_ACTIONS):
         x = dyn.rev[cell, j - 1]
         end = np.minimum(flat[row + x], horizon - 1, dtype=np.intp)

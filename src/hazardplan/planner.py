@@ -30,7 +30,9 @@ has two modes.
   per (step, visited set) swept, a set's rows laid out together from its
   last step swept down to its first, beside row 0, all STAY, which stands
   for every column not swept. PlanResult.action computes the row from the
-  set's slot.
+  set's slot. Given several start states, on any cells, it sweeps once
+  with the elementwise min of their reach bounds, so every column each of
+  them reaches is swept, and their PlanResults share the policy.
 
 Two Held-Karp bounds over one table of breadth-first grid distances, from
 each target and from the start (_distance_table), say which columns a step
@@ -56,9 +58,14 @@ is the mission "visit T" from (q | (T ^ S), x) for any T containing S. So
 one value lattice over all of a scenario's targets T prices every subset:
 the subset S starts in the visited set (T ^ S) | start_q. Each element of
 the two modes' sweeps runs the same operations, so the subset's own
-dp_solve has the same value bits. A target contaminated at step 0 needs no
-special case: entering it has probability 1 of contamination, so every
-mission that must visit it is worth exactly 0.
+dp_solve has the same value bits. The same holds for policies:
+ObjectiveCache.plans plans several (robot, subset) pairs in one policy
+sweep over the union T of their subsets, each from its robot's start in
+(T ^ S) | start_q, and each plan has the bits of the subset's own dp_solve
+at every state its start reaches: its success, its walk and its actions.
+A target contaminated at step 0 needs no special case: entering it has
+probability 1 of contamination, so every mission that must visit it is
+worth exactly 0.
 
 rollout simulates a plan in chunks of trials with one hit test per step: a
 uniform against the field's contamination probability of the move (model
@@ -75,8 +82,8 @@ Tabular motion moves the trials one by one.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -315,31 +322,38 @@ def _finish_moves(query: PlanQuery, dist: np.ndarray) -> np.ndarray:
     return left[(len(left) - 1) ^ np.arange(len(left))]
 
 
-def _reach_moves(query: PlanQuery, dist: np.ndarray) -> np.ndarray:
+def _reach_moves(
+    query: PlanQuery, dist: np.ndarray, start_q: Optional[int] = None
+) -> np.ndarray:
     """reach[q] for every visited set q: a lower bound on the moves of any
-    walk from the start state before its visited set is q. A walk has
-    visited every target of q outside start_q by then, on one grid path
-    from the start, so it is the shortest such path (_tour_moves over
+    walk from the start state (start_q, the query's start) before its
+    visited set is q; start_q defaults to the start cell's target bit. A
+    walk has visited every target of q outside start_q by then, on one grid
+    path from the start, so it is the shortest such path (_tour_moves over
     ``dist``, the _distance_table, read from the last target back to the
     start, as grid distances are symmetric); no walk reaches a superset of
-    q sooner. inf where q lacks a target of start_q, or holds one the
-    start cannot reach."""
+    q sooner. inf where q lacks a target of start_q, or holds one the start
+    cannot reach."""
     t = len(query.targets)
-    start_q = int(query.target_bits()[query.gridmap.index(query.start)])
+    if start_q is None:
+        start_q = int(query.target_bits()[query.gridmap.index(query.start)])
     cells = [query.gridmap.index(c) for c in query.targets]
     fewest = _tour_moves(dist[:t, cells], np.zeros(t), dist[t, cells])
     masks = np.arange(len(fewest))
     return np.where(masks & start_q == start_q, fewest[masks ^ start_q], np.inf)
 
 
-def _diagnose(query: PlanQuery, dist: np.ndarray) -> List[str]:
+def _diagnose(query: PlanQuery, dist: np.ndarray, start_q: int) -> List[str]:
     """Reachability notes from the start row of ``dist``, the
     _distance_table, then the start's step-0 contamination or else each
-    target's."""
+    target's, for the targets outside start_q. A target on the start cell
+    gets no note, so they are the notes of the query over those targets
+    alone, started on the same cell."""
     gm = query.gridmap
     unreachable = np.isinf(dist[-1])
+    targets = [c for b, c in enumerate(query.targets) if not start_q >> b & 1]
     diagnostics = []
-    for cell in query.targets:
+    for cell in targets:
         if unreachable[gm.index(cell)]:
             diagnostics.append(f"target {tuple(cell)} unreachable from start {tuple(query.start)}")
     if unreachable[gm.goal_index]:
@@ -350,7 +364,7 @@ def _diagnose(query: PlanQuery, dist: np.ndarray) -> List[str]:
             f"start {tuple(query.start)} is almost surely contaminated at step 0"
         )
         return diagnostics
-    for c in query.targets:
+    for c in targets:
         if flagged[gm.index(c)]:
             diagnostics.append(f"target {tuple(c)} is almost surely contaminated at step 0")
     return diagnostics
@@ -659,8 +673,10 @@ def dp_values(
 
 
 def dp_solve(
-    query: PlanQuery, distance_rows: Optional[Dict[int, np.ndarray]] = None
-) -> PlanResult:
+    query: PlanQuery,
+    distance_rows: Optional[Dict[int, np.ndarray]] = None,
+    starts: Optional[Sequence[Tuple[Cell, int]]] = None,
+) -> Union[PlanResult, List[PlanResult]]:
     """One mission from its start state: f = V^0(start_q, start) and the
     greedy policy of the states the start can reach. ``distance_rows`` is
     as for dp_values.
@@ -671,26 +687,44 @@ def dp_solve(
     (require_dp_table_fits) raises CapExceededError before computing them,
     and one whose bounds and sweep (dp_policy_bytes) would, before the
     sweep's arrays are allocated.
+
+    Given ``starts``, (cell, visited set) start states, one sweep serves
+    them all, and a list of PlanResults returns, one per start in order.
+    Its reach is the elementwise min of theirs, so every column a start
+    reaches is swept, and the results share the policy, slot, last and
+    base. Each one's query is ``query`` on its start cell, and its
+    diagnostics skip the targets its start state has visited.
     """
     gm = query.gridmap
-    start_idx = gm.index(query.start)
     require_dp_table_fits(len(query.targets), gm.n_free, query.horizon)
-    start_q = int(query.target_bits()[start_idx])
-    dist = _distance_table(query, distance_rows)
+    if starts is None:
+        states = [(query, int(query.target_bits()[gm.index(query.start)]))]
+    else:
+        states = [(query if Cell(*cell) == query.start else replace(query, start=cell), int(q))
+                  for cell, q in starts]
+    rows = {} if distance_rows is None else distance_rows
+    dists = [_distance_table(q, rows) for q, _ in states]
+    reach = np.min([_reach_moves(q, d, start_q) for (q, start_q), d in zip(states, dists)], axis=0)
     values, slot, last, base, policy, columns_swept = _sweep_sets(
-        query, dist, _reach_moves(query, dist), keep_policy=True)
-    return PlanResult(
-        query=query,
-        policy=policy,
-        slot=slot,
-        last=np.append(last, -1),
-        base=base,
-        start_q=start_q,
-        # as dp_values: a start contaminated at step 0 is worth 0
-        success=float(values[start_idx, slot[start_q]] * (not query.field.flagged[0, start_idx])),
-        diagnostics=tuple(_diagnose(query, dist)),
-        columns_swept=columns_swept,
-    )
+        query, dists[0], reach, keep_policy=True)
+    last = np.append(last, -1)
+    results = []
+    for (q, start_q), dist in zip(states, dists):
+        start_idx = gm.index(q.start)
+        results.append(PlanResult(
+            query=q,
+            policy=policy,
+            slot=slot,
+            last=last,
+            base=base,
+            start_q=start_q,
+            # as dp_values: a start contaminated at step 0 is worth 0
+            success=float(values[start_idx, slot[start_q]]
+                          * (not query.field.flagged[0, start_idx])),
+            diagnostics=tuple(_diagnose(q, dist, start_q)),
+            columns_swept=columns_swept,
+        ))
+    return results[0] if starts is None else results
 
 
 class ObjectiveCache:
@@ -700,10 +734,13 @@ class ObjectiveCache:
     first value asked runs one dp_values over all the targets, the value
     lattice, read from every robot's start, and every (robot, subset) is a
     start state of it.
-    solve(robot, mask) runs dp_solve over the subset's own targets, once per
-    (robot, mask). solve_count counts the distinct (robot, mask) values
-    priced and hit_count the repeat lookups; value_runs and policy_runs
-    count the dp_values and dp_solve runs.
+    plans(pairs) plans the (robot, mask) pairs not planned yet in one
+    policy sweep, a dp_solve over the union of their masks with one start
+    state per pair, and keeps each pair's plan; solve(robot, mask) is
+    plans([(robot, mask)])[0], the subset's own dp_solve. solve_count
+    counts the distinct (robot, mask) values priced and hit_count the
+    repeat lookups; value_runs counts the dp_values runs and policy_runs
+    the policy sweeps.
     """
 
     def __init__(
@@ -783,14 +820,38 @@ class ObjectiveCache:
                 self._tables[r] = table
         return self._tables[robot]
 
+    def plans(self, pairs: Sequence[Tuple[int, int]]) -> List[PlanResult]:
+        """Each (robot, mask)'s plan over the subset's own targets, in the
+        order asked. The pairs not planned yet share one policy sweep over
+        the union U of their masks: a subset m of robot r starts on r's
+        cell in the visited set (U ^ m) | tb[start], every target of U
+        outside m counted as visited, as the value lattice prices it. The
+        sweep's reach covers every column each start reaches, so a plan's
+        success, walk and actions there have the bits of the subset's own
+        dp_solve; its query is the union's, on the robot's start."""
+        for robot, mask in pairs:
+            self._check(robot, mask)
+        todo = [key for key in dict.fromkeys(pairs) if key not in self._plans]
+        if todo:
+            union = 0
+            for _, mask in todo:
+                union |= mask
+            query = self.query(todo[0][0], union)
+            tb = query.target_bits()
+            # the union query's bit i is the shared list's bit shared[i]
+            shared = [b for b in range(self.n_tasks) if union >> b & 1]
+            starts = []
+            for robot, mask in todo:
+                start = self.starts[robot]
+                visited = sum(1 << i for i, b in enumerate(shared) if not mask >> b & 1)
+                starts.append((start, visited | int(tb[self.gridmap.index(start)])))
+            self._plans.update(zip(todo, dp_solve(query, self._distance_rows, starts=starts)))
+            self.policy_runs += 1
+        return [self._plans[key] for key in pairs]
+
     def solve(self, robot: int, mask: int) -> PlanResult:
         """The robot's plan over the subset's own targets."""
-        self._check(robot, mask)
-        key = (robot, mask)
-        if key not in self._plans:
-            self._plans[key] = dp_solve(self.query(robot, mask), self._distance_rows)
-            self.policy_runs += 1
-        return self._plans[key]
+        return self.plans([(robot, mask)])[0]
 
     def price_table(self, robot: int) -> np.ndarray:
         """f_r of every target subset, indexed by mask, read-only. It counts

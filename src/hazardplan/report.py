@@ -442,8 +442,13 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
 
     if options.rollout_trials > 0:
         report["rollouts"] = {}
+        rolled = [name for name in ("forward", "reverse")
+                  if name in methods and "error" not in methods[name]]
+        # one policy sweep plans every (robot, mask) the loop rolls out
+        cache.plans([(r, methods[name]["masks"][r])
+                     for name in rolled for r in range(scenario.n_robots)])
         for mi, name in enumerate(("forward", "reverse")):
-            if name not in methods or "error" in methods[name]:
+            if name not in rolled:
                 continue
             entries = []
             for r in range(scenario.n_robots):

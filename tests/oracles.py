@@ -27,7 +27,9 @@ Index of the laws. "Pins" names the package code the references check.
   hazard._propagate_exact.
 - Monte-Carlo field. Its law is the exact field. Bit: reference_fired and
   reference_sample_block. Pins hazard._sample_block, hazard._run_chunks and
-  estimate_contamination_field.
+  estimate_contamination_field. reference_fired draws by scalar
+  rng.geometric calls, so it also pins the walk's delays drawn by numpy's
+  own inversion, the branch every shipped map takes.
 - Single-robot DP. Scalar: value_recursion_oracle. Bit:
   whole_layer_dp_solve. Pins dp_solve, dp_values and ObjectiveCache. This
   is the one law with a second scalar oracle: best_open_loop_success

@@ -83,6 +83,31 @@ def test_python_dash_m_runs_the_cli():
     assert VERSION in done.stdout
 
 
+def test_allocate_leaves_numpy_ma_and_concurrent_futures_unloaded():
+    """hazard.py keeps two modules out of a run for its peak memory:
+    numpy.ma, which np.unique imports on first use, and concurrent.futures,
+    which only threaded runs import. In a fresh interpreter, allocate on
+    paper17x13 (Monte-Carlo field, rollouts) and on small.json (exact
+    field), both with --threads 1, imports neither."""
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import contextlib, io, sys\n"
+        "from hazardplan.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['allocate', 'scenarios/paper17x13.json', '--method',\n"
+        "                   'forward,reverse', '--ratios', 'greedy', '--rollout-trials',\n"
+        "                   '2000', '--threads', '1']),\n"
+        "             main(['allocate', 'scenarios/small.json', '--exact-field',\n"
+        "                   '--threads', '1'])]\n"
+        "print(*codes, 'numpy.ma' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0", "False", "False"]
+
+
 def test_plan_by_name_and_index(tmp_path, capsys):
     path = write_scenario(tmp_path)
     code, by_name = run_json(capsys, ["plan", path, "--robot", "alpha",
@@ -676,13 +701,13 @@ def test_a_value_lattice_of_18_targets_passes_the_check_before_the_field(
     assert err.startswith("error: planning 20 targets over 199 cells needs about 3.4 GiB")
 
 
-def test_paper_allocate_runs_one_value_lattice_and_a_policy_per_rollout(
+def test_paper_allocate_runs_one_value_lattice_and_one_policy_sweep(
         tmp_path, monkeypatch):
     """The benchmark's paper17x13 allocate with rollouts: one value lattice,
-    read from every robot's start, prices every subset, and one policy DP
-    runs per distinct (robot, mask) that the two allocators roll out, five
-    of their six. The reported counters still count values priced and
-    repeat lookups."""
+    read from every robot's start, prices every subset, and one policy
+    sweep plans every distinct (robot, mask) that the two allocators roll
+    out, five of their six. The reported counters still count values
+    priced and repeat lookups."""
     results = []
     real = cli.run_pipeline
 
@@ -702,7 +727,7 @@ def test_paper_allocate_runs_one_value_lattice_and_a_policy_per_rollout(
               for r, e in enumerate(rep["rollouts"][name])}
     cache = result.cache
     assert len(rolled) == 5
-    assert (cache.value_runs, cache.policy_runs) == (1, 5)
+    assert (cache.value_runs, cache.policy_runs) == (1, 1)
     # repeat lookups follow which bids each round re-prices, so they move
     # with the field's bits even where the allocations do not
     assert rep["cache"] == {"plan_solves_total": 60, "cache_hits": 33}

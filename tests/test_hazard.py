@@ -296,13 +296,16 @@ def test_sampler_bit_identical_to_reference_random_sweep(monkeypatch):
     # blocks of 128 samples, so 300 samples end in a short third block
     monkeypatch.setattr(hazard, "_block_size", lambda n_free: 128)
     rng = np.random.default_rng(808)
-    sure = never = 0
+    sure = never = inverted = searched = 0
     for case in range(50):
         gm, model = spread_setup(rng, case)
         dyn = _dynamics(gm, model)
         edges = dyn.rev < gm.n_free
         sure += int(np.sum(dyn.edge_p[edges] == 1.0))
         never += int(np.sum(dyn.edge_p[edges] == 0.0))
+        drawn = bool(np.any(dyn.edge_to < gm.n_free))
+        inverted += drawn and dyn.invert
+        searched += drawn and not dyn.invert
         horizon, seed = int(rng.integers(1, 9)), int(rng.integers(0, 1000))
         assert np.array_equal(_sample_block(dyn, horizon, np.random.SeedSequence((seed, 1)), 45),
                               oracles.reference_fired(dyn, horizon, seed, 1, 45))
@@ -311,6 +314,41 @@ def test_sampler_bit_identical_to_reference_random_sweep(monkeypatch):
                                 reference_blocks(dyn, horizon, 300, seed, 128))
     # speeds 1 and 0 give edges that ignite at every step and at none
     assert sure and never
+    # grids whose every edge has p < 1/3 draw by numpy's inversion, the
+    # others by rng.geometric
+    assert inverted and searched
+
+
+def test_geometric_is_numpys_inversion_below_one_third():
+    """The premise of the walk's inversion branch: for p < 1/3,
+    Generator.geometric(p) is ceil(E / -log1p(-p)) on the same stream, E
+    its standard exponential and log1p math.log1p's, which are the rates
+    _SpreadDynamics keeps (np.log1p differs in the last bit for about 5% of
+    p). The rates are checked on paper17x13 and on a map whose every cell
+    is a source of its own speed, and the draws at paper17x13's edge
+    probabilities and at 10^5 random p in (0, 1/3), so a numpy that draws
+    otherwise fails here by name."""
+    rng = np.random.default_rng(31)
+    sc = load_scenario(SCENARIOS / "paper17x13.json")
+    gm = GridMap(7, 7, [], Cell(6, 6))
+    mixed = HazardModel(sources=tuple(
+        HazardSource(cells=frozenset([cell]), theta=float(theta))
+        for cell, theta in zip(gm.cells, rng.uniform(0.01, 1.0 / 3.0, gm.n_free))))
+    edge_ps = []
+    for grid, model in ((sc.gridmap, sc.hazard), (gm, mixed)):
+        dyn = _dynamics(grid, model)
+        live = dyn.edge_to < grid.n_free
+        edge_ps.append(dyn.edge_p[live])
+        assert dyn.invert and 0.0 < edge_ps[-1].min() and edge_ps[-1].max() < 1.0 / 3.0
+        assert np.array_equal(dyn.edge_rate[live],
+                              [-math.log1p(-p) for p in edge_ps[-1].tolist()])
+    paper = edge_ps[0]
+    uniform = rng.uniform(0.0, 1.0 / 3.0, 10**5)
+    for ps in (np.tile(paper, -(-10**5 // paper.size)), uniform[uniform > 0.0]):
+        geometric = np.random.Generator(np.random.PCG64(7)).geometric(ps)
+        z = np.random.Generator(np.random.PCG64(7)).standard_exponential(ps.size)
+        z /= [-math.log1p(-p) for p in ps.tolist()]
+        assert np.array_equal(geometric, np.ceil(z).astype(np.int64))
 
 
 def test_chunk_counts_equal_the_dense_loop_on_hand_built_steps():

@@ -7,7 +7,8 @@ the full-table reference and the sweep over whole layers (the policy at
 every state the start reaches), the DP's bounds on the moves left and on
 the moves from the start against a breadth-first search of every state, the
 objective cache's value lattice against per-subset solves and its joint
-rollout chunks against the trial-by-trial replay, model-mode rollouts of
+rollout chunks against the trial-by-trial replay, its one policy sweep for
+several (robot, mask) pairs against each pair's own solve, model-mode rollouts of
 deterministic motion against the trial-by-trial oracle, the ground values
 of exact ratios against the set-by-set product, the allocators' partitions,
 and both greedy guarantees under exact ratios."""
@@ -345,6 +346,56 @@ def test_lattice_equals_per_subset_dp_on_paper17x13():
     cache = ObjectiveCache(sc.gridmap, sc.kernel(), fld, sc.starts, sc.targets, sc.horizon)
     assert cache.n_robots == 3 and cache.n_tasks == 5
     assert_lattice_matches_subset_solves(cache, sc.hazard, 40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hazard_grids(), st.integers(1, 6), st.data())
+def test_one_policy_sweep_plans_each_pair_as_its_own_dp(grid, horizon, data):
+    """ObjectiveCache.plans plans every (robot, mask) pair in one policy
+    sweep over the union of their masks. Each pair's plan has the success
+    bits (int64 views), greedy path and diagnostics of the pair's own
+    dp_solve, and its rollout chunks count the same successes on the same
+    streams in model and in joint mode. The pairs hold nested masks of one
+    robot, other robots' masks and, in about half the draws, a union that
+    holds every target."""
+    gm, model = grid
+    fld = exact_contamination_field(gm, model, horizon)
+    targets = data.draw(st.lists(st.sampled_from(gm.cells), unique=True, min_size=1, max_size=4))
+    starts = data.draw(st.lists(st.sampled_from(gm.cells), min_size=1, max_size=3))
+    if data.draw(st.booleans(), label="start on a target"):
+        starts[-1] = data.draw(st.sampled_from(targets))
+    if data.draw(st.booleans(), label="deterministic"):
+        kernel = MotionKernel.deterministic(gm)
+    else:
+        kernel = random_tabular_kernel(np.random.default_rng(data.draw(st.integers(0, 2**32))), gm)
+    cache = ObjectiveCache(gm, kernel, fld, starts, targets, horizon)
+    full = (1 << len(targets)) - 1
+    masks = st.integers(0, full)
+    inner = data.draw(masks, label="inner")
+    pairs = [(0, inner), (0, inner | data.draw(masks, label="outer"))]
+    pairs += data.draw(st.lists(st.tuples(st.integers(0, len(starts) - 1), masks), max_size=3))
+    if data.draw(st.booleans(), label="union of every target"):
+        pairs.append((len(starts) - 1, full ^ inner))
+    plans = cache.plans(pairs)
+    assert cache.policy_runs == 1
+    assert all(got.policy is plans[0].policy for got in plans)
+    fired = planner._joint_trajectories(hazard._dynamics(gm, model), horizon, 11, 1, 40)
+
+    def bits(v):
+        return np.float64(v).view(np.int64)
+
+    for (r, mask), got in zip(pairs, plans):
+        want = dp_solve(cache.query(r, mask))
+        assert bits(got.success) == bits(want.success)
+        assert got.greedy_path() == want.greedy_path()
+        assert got.diagnostics == want.diagnostics
+        for ci in range(2):
+            assert (_rollout_chunk(got, None, chunk_rng(ci), 40)
+                    == _rollout_chunk(want, None, chunk_rng(ci), 40))
+        assert (_rollout_chunk(got, fired, chunk_rng(1), 40)
+                == _rollout_chunk(want, fired, chunk_rng(1), 40))
+        assert cache.solve(r, mask) is got
+    assert cache.policy_runs == 1
 
 
 @settings(max_examples=200, deadline=None)

@@ -460,9 +460,12 @@ def test_heatmap_of_a_field_without_marginals_is_refused(tmp_path):
 
 
 def test_rollouts_read_each_assigned_subsets_own_policy(monkeypatch):
-    """The allocators price every subset from one value lattice for all robots;
-    each rollout walks the policy DP of its own (robot, mask), run once
-    however many methods assign it, with the lattice's value."""
+    """The allocators price every subset from one value lattice for all
+    robots. One policy sweep, a dp_solve over the union of the rolled-out
+    masks with one start state per distinct (robot, mask), then plans every
+    rollout, however many methods assign a mask: each rollout walks its own
+    (robot, mask)'s plan, on the robot's start, whose planned value has the
+    lattice value's bits."""
     sc = unit_scenario()
     seen, solved, priced = [], [], []
     real_rollout, real_solve, real_values = report.rollout, planner.dp_solve, planner.dp_values
@@ -471,9 +474,9 @@ def test_rollouts_read_each_assigned_subsets_own_policy(monkeypatch):
         seen.append(result)
         return real_rollout(result, **kwargs)
 
-    def counting(query, *rest):
-        solved.append(query.targets)
-        return real_solve(query, *rest)
+    def counting(query, *rest, **kwargs):
+        solved.append((query.targets, kwargs.get("starts")))
+        return real_solve(query, *rest, **kwargs)
 
     def pricing(query, *rest):
         priced.append(query.targets)
@@ -485,15 +488,29 @@ def test_rollouts_read_each_assigned_subsets_own_policy(monkeypatch):
     opts = exact_options(rollout_trials=50, methods=("forward", "reverse"),
                          ratio_source="none")
     res = run_pipeline(sc, opts)
+    cache = res.cache
     pairs = [(r, res.report["methods"][name]["masks"][r])
              for name in ("forward", "reverse") for r in range(sc.n_robots)]
     assert len(seen) == len(pairs)
     assert priced == [tuple(sc.targets)]
     distinct = list(dict.fromkeys(pairs))
     assert len(distinct) < len(pairs)
-    assert solved == [res.cache.query(r, mask).targets for r, mask in distinct]
-    assert (res.cache.value_runs, res.cache.policy_runs) == (1, len(distinct))
-    for (r, mask), result in zip(pairs, seen):
-        assert result is res.cache.solve(r, mask)
-        assert result.query.targets == res.cache.query(r, mask).targets
-        assert result.success == res.cache.value(r, mask)
+    union = 0
+    for _, mask in distinct:
+        union |= mask
+    ((targets, starts),) = solved
+    assert targets == cache.query(0, union).targets
+    assert [cell for cell, _ in starts] == [sc.starts[r] for r, _ in distinct]
+    assert (cache.value_runs, cache.policy_runs) == (1, 1)
+
+    def bits(v):
+        return np.float64(v).view(np.int64)
+
+    entries = [e for name in ("forward", "reverse") for e in res.report["rollouts"][name]]
+    for (r, mask), result, e in zip(pairs, seen, entries, strict=True):
+        assert result is cache.solve(r, mask)
+        assert result.policy is seen[0].policy
+        assert result.query.targets == targets and result.query.start == sc.starts[r]
+        assert e["mask"] == mask
+        assert bits(e["planned"]) == bits(result.success) == bits(cache.value(r, mask))
+    assert cache.policy_runs == 1
