@@ -8,8 +8,8 @@ Subcommands:
   render    SVG or PGM drawings: heatmap, paths, region-map
 
 Exit codes: 0 success, 2 validation error, 3 cap exceeded, 4 numeric
-invariant violation. All randomness is seeded; --threads never changes any
-reported number.
+invariant violation. All randomness is seeded, so a command prints the
+same numbers on every run.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ def _add_common(p: argparse.ArgumentParser, scenario_optional: bool = False) -> 
     p.add_argument("--samples", type=int, default=None,
                    help="Monte-Carlo field samples (default: scenario value or "
                         f"{DEFAULT_SAMPLES})")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; results never depend on this")
+    p.add_argument("--threads", type=int, default=1, choices=(1,),
+                   help="kept for older scripts: only 1 is accepted, and any "
+                        "other value exits 2; the program runs one thread")
     p.add_argument("--out", default=None, help="write output here instead of stdout")
     p.add_argument("--exact-field", action="store_true",
                    help="propagate the hazard distribution exactly (small grids)")
@@ -145,7 +146,6 @@ def _pipeline_options(scenario: Scenario, args, **extra) -> PipelineOptions:
     base = dict(
         samples=samples if samples is not None else DEFAULT_SAMPLES,
         seed=seed if seed is not None else 0,
-        threads=args.threads,
         field_kind="exact" if args.exact_field else "estimate",
         field_cache=args.field_cache,
     )

@@ -39,20 +39,20 @@ spread is exactly an independent trial per step on each edge y -> x that
 succeeds with 1 - w(y). Geometric delays are memoryless, so x ignites at
 min over burning neighbours y of fired[y] + D, D ~ Geometric(1 - w(y)) on
 1, 2, ...: the same law as a draw per clear cell per step. Samples are split
-into blocks of _block_size(n_free) samples, a size no horizon or thread
-count changes, and block b reads one stream, PCG64(SeedSequence((seed, b))).
-A block's walk (_sample_block) keeps a bucket of arrivals per step: each
-cell that ignites draws one delay per out-edge whose target is still clear,
-and step k ignites the clear cells of its bucket. So a step costs what its
-ignitions cost, not samples x cells. The walk returns the step at which
-each (sample, cell) ignited; those steps give every integer count of the
-field (_chunk_counts), and blocks are summed in block order, so the field
-is the same bits for any thread count. Joint-mode rollouts read the same
-steps, from blocks on streams of their own, as their trials' hazard
-(planner.rollout). A field of S samples is a prefix of a larger one only
-when S ends a block; its first k steps are the same bits for every longer
-horizon, since step k's delays are drawn after every earlier step's and
-arrivals past the horizon are only dropped. The same counts give the
+into blocks of _block_size(n_free) samples, a size no horizon changes, and
+block b reads one stream, PCG64(SeedSequence((seed, b))). A block's walk
+(_sample_block) keeps a bucket of arrivals per step: each cell that ignites
+draws one delay per out-edge whose target is still clear, and step k
+ignites the clear cells of its bucket. So a step costs what its ignitions
+cost, not samples x cells. The walk returns the step at which each (sample,
+cell) ignited; those steps give every integer count of the field
+(_chunk_counts), and the blocks run and are summed one after another in
+block order, so a field is the same bits on every run. Joint-mode rollouts
+read the same steps, from blocks on streams of their own, as their trials'
+hazard (planner.rollout). A field of S samples is a prefix of a larger one
+only when S ends a block; its first k steps are the same bits for every
+longer horizon, since step k's delays are drawn after every earlier step's
+and arrivals past the horizon are only dropped. The same counts give the
 per-step marginals. Either builder stores them in ContaminationField.marginals,
 which is the only source of contamination heat, and which a field cache
 saves along with the field.
@@ -84,7 +84,8 @@ FIELD_SUM_TOL = 1e-10
 FIELD_KINDS = ("exact", "monte-carlo")
 # The field cache layout, raised whenever a builder would give other bits for
 # the same kind, samples and seed, so that no older cache is read as current.
-# Format 2: the sampler's block streams. Format 3: the first-passage walk.
+# Format 2: the sampler's block streams. Format 3: the first-passage walk,
+# whose single delay draw later moved the bits of maps with an edge p >= 1/3.
 FIELD_CACHE_FORMAT = 3
 # what a field cache holds, by entry: the numpy dtype kinds it may have
 _CACHE_DTYPES = {
@@ -171,15 +172,14 @@ class _SpreadDynamics:
         # edge_to as offsets from y, so that y's targets in a sample's row
         # are y's own index in it plus edge_step[y]
         self.edge_step = self.edge_to - np.arange(n)[:, np.newaxis]
-        # For p < 1/3 numpy's Generator.geometric(p) is ceil(-E / log1p(-p)),
-        # E the generator's standard exponential and log1p the C library's,
-        # which math.log1p calls (np.log1p may round otherwise). So when every
-        # edge that can fire has p < 1/3, the walk draws its delays as
-        # E / edge_rate, the same bits, and rounds up only the kept ones.
-        third = 1.0 / 3.0
-        self.invert = bool(np.all(self.edge_p[self.edge_to < n] < third))
+        # The walk draws a delay as max(1, ceil(E / edge_rate)), E a standard
+        # exponential: P(D > k) = exp(-k * rate) = (1 - p)^k for every p. The
+        # rate is the C library's log1p, which math.log1p calls (np.log1p may
+        # round otherwise), so for p < 1/3 the delays are numpy's own
+        # Generator.geometric(p) on the same stream. p = 1 has rate inf, where
+        # math.log1p(-1.0) would raise, so its delays are 1.
         self.edge_rate = np.array(
-            [-math.log1p(-p) if p < third else math.nan for p in self.edge_p.ravel().tolist()]
+            [-math.log1p(-p) if p < 1.0 else math.inf for p in self.edge_p.ravel().tolist()]
         ).reshape(self.edge_p.shape)
 
     def _stay_clear_table(self) -> np.ndarray:
@@ -541,10 +541,10 @@ class ContaminationField:
 
 
 def _block_size(n_free: int) -> int:
-    """Samples per block: a fixed function of the grid, never of the horizon
-    or the thread count, so the blocks and their streams are the same for
-    any run, and a field's first k steps are the same bits at every longer
-    horizon. About _BLOCK_CELLS (sample, cell) pairs, at most 2,048 samples."""
+    """Samples per block: a fixed function of the grid, never of the horizon,
+    so the blocks and their streams are the same for any run, and a field's
+    first k steps are the same bits at every longer horizon. About
+    _BLOCK_CELLS (sample, cell) pairs, at most 2,048 samples."""
     return max(1, min(2048, _BLOCK_CELLS // max(1, n_free)))
 
 
@@ -567,22 +567,19 @@ def _sample_block(
     of arrivals per step. At step k the cells that ignited then, the initial
     cells at k = -1, are taken in increasing (sample, cell) order, and each
     draws one delay per out-edge (dyn.edge_to) whose target is still clear,
-    in slot order, in one rng.geometric call; an arrival k + D below the
-    horizon joins bucket k + D. Step k + 1 drops the cells of its bucket
-    that already burn and ignites the rest.
+    in slot order; an arrival k + D below the horizon joins bucket k + D.
+    Step k + 1 drops the cells of its bucket that already burn and ignites
+    the rest.
 
     A step's out-edges are one flat array, (cell, slot) in that order, whose
     targets are the cell's index plus dyn.edge_step; the clear ones are
-    picked by flat index, so the geometric call reads the same p's in the
-    same order as a boolean pick would, and draws the same delays.
-
-    When every edge has p < 1/3 (dyn.invert, as on both shipped maps), the
-    delays are drawn by numpy's own inversion instead: geometric(p) is then
-    ceil(E / -log1p(-p)) on the same stream, E its standard exponential. So
-    one standard_exponential call and a division by dyn.edge_rate give the
-    same delays before rounding, and only the arrivals kept, z <= horizon -
-    k - 1, are rounded up. Any other p keeps rng.geometric, which searches
-    on a uniform there.
+    picked by flat index. Their delays come from one standard_exponential
+    call: D = max(1, ceil(E / dyn.edge_rate)), which is Geometric(p) for
+    every p, and 1 at p = 1, whose rate is inf. For p < 1/3, as on both
+    shipped maps, it is numpy's own geometric(p) on the same stream. Only
+    the arrivals kept, E / rate <= horizon - k - 1, are rounded up. The
+    floor of 1 keeps an E of exactly 0 from filing an arrival into a bucket
+    already read.
     """
     n = dyn.gridmap.n_free
     width = n + 1  # per-sample stride: column n stands for missing neighbours
@@ -609,19 +606,13 @@ def _sample_block(
         y = cur % width
         to = (cur[:, np.newaxis] + dyn.edge_step[y]).ravel()
         clear = np.flatnonzero(fired[to] == horizon)
-        if dyn.invert:
-            # ceil(z) < horizon - k exactly when z <= horizon - k - 1
-            delay = rng.standard_exponential(len(clear))
-            delay /= dyn.edge_rate[y].ravel()[clear]
-            early = np.flatnonzero(delay <= horizon - k - 1)
-            delay = np.ceil(delay[early])
-        else:
-            delay = rng.geometric(dyn.edge_p[y].ravel()[clear])
-            early = np.flatnonzero(delay < horizon - k)
-            delay = delay[early]
+        # ceil(z) < horizon - k exactly when z <= horizon - k - 1
+        delay = rng.standard_exponential(len(clear))
+        delay /= dyn.edge_rate[y].ravel()[clear]
+        early = np.flatnonzero(delay <= horizon - k - 1)
         if not early.size:
             continue
-        delay = delay.astype(step_type)
+        delay = np.maximum(np.ceil(delay[early]), 1.0).astype(step_type)
         order = np.argsort(delay, kind="stable")
         delay, to = delay[order], to[clear[early[order]]]
         ends = np.append(np.flatnonzero(delay[1:] != delay[:-1]) + 1, len(delay))
@@ -675,32 +666,21 @@ def _chunk_counts(dyn: _SpreadDynamics, fired: np.ndarray, horizon: int):
     return den, num, hist.sum(axis=0)
 
 
-def _run_chunks(dyn, horizon, samples, seed, threads):
+def _run_chunks(dyn, horizon, samples, seed):
     """Integer (den, num, final) of samples [0, samples), added up block by
-    block in block order as the blocks arrive."""
+    block in block order."""
     n = dyn.gridmap.n_free
     size = _block_size(n)
-    blocks = [(b, min(size, samples - b * size)) for b in range(-(-samples // size))]
-    worker = lambda r: _chunk_counts(
-        dyn, _sample_block(dyn, horizon, np.random.SeedSequence((seed, r[0])), r[1]), horizon)
     totals = (
         np.zeros((horizon, n), dtype=np.int64),
         np.zeros((horizon, n, N_ACTIONS), dtype=np.int64),
         np.zeros(n, dtype=np.int64),
     )
-
-    def add(results):
-        for parts in results:
-            for total, part in zip(totals, parts):
-                total += part
-
-    if threads > 1 and len(blocks) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay for it
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            add(pool.map(worker, blocks))
-    else:
-        add(map(worker, blocks))
+    for b in range(-(-samples // size)):
+        fired = _sample_block(dyn, horizon, np.random.SeedSequence((seed, b)),
+                              min(size, samples - b * size))
+        for total, part in zip(totals, _chunk_counts(dyn, fired, horizon)):
+            total += part
     return totals
 
 
@@ -710,19 +690,18 @@ def estimate_contamination_field(
     horizon: int,
     samples: int,
     seed: int,
-    threads: int = 1,
 ) -> ContaminationField:
     """Monte-Carlo estimate of the contamination transition field.
 
     Counts are integers summed in a fixed block order before any division, so
-    the result is bitwise identical for any thread count.
+    the result is the same bits on every run with the same samples and seed.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     if samples < 1:
         raise ValidationError(f"sample count must be >= 1, got {samples}")
     dyn = _dynamics(gridmap, model)
-    den, num, final = _run_chunks(dyn, horizon, samples, seed, threads)
+    den, num, final = _run_chunks(dyn, horizon, samples, seed)
     prob, flagged = _transition_field(gridmap, den, num)
     # Step-0 conditioning is deterministic: exactly the initial cells flag.
     if not np.array_equal(flagged[0], dyn.initial):

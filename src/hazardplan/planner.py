@@ -918,9 +918,8 @@ def rollout(
     equals the DP value). With one ("joint" mode) each trial follows a full
     hazard trajectory from the field's own sampler (_joint_trajectories) and
     checks occupancy against it. Chunk sizes are fixed so results never
-    depend on threading or platform parallelism. Each chunk draws its motion
-    and its model-mode hazard from its own stream, keyed by (seed, chunk
-    index).
+    depend on the platform. Each chunk draws its motion and its model-mode
+    hazard from its own stream, keyed by (seed, chunk index).
 
     With deterministic motion a chunk prices the plan's one walk in either
     mode; tabular motion walks the trials one by one. Both count what the

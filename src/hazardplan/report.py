@@ -2,10 +2,10 @@
 guarantees, rollouts, all folded into one plain-dict report.
 
 Reports are deterministic for a fixed (seed, samples) pair: Monte-Carlo draws
-never depend on the thread count, methods always run in the canonical order
-forward, reverse, brute so cache-hit patterns are reproducible, and the only
-nondeterministic entries are wall-clock "seconds" fields, which
-canonical_report_json strips before serializing.
+come from seeded streams in a fixed order, methods always run in the
+canonical order forward, reverse, brute so cache-hit patterns are
+reproducible, and the only nondeterministic entries are wall-clock
+"seconds" fields, which canonical_report_json strips before serializing.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class PipelineOptions:
 
     samples: int = DEFAULT_SAMPLES
     seed: int = 0
-    threads: int = 1
     field_kind: str = "estimate"  # "estimate" or "exact"
     methods: Tuple[str, ...] = METHOD_ORDER
     rollout_trials: int = 0
@@ -82,8 +81,6 @@ class PipelineOptions:
             raise ValidationError(f"sample count must be >= 1, got {self.samples}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.threads < 1:
-            raise ValidationError(f"thread count must be >= 1, got {self.threads}")
         if self.rollout_trials < 0:
             raise ValidationError(f"rollout trial count must be >= 0, got {self.rollout_trials}")
         if self.region_resolution < 0:
@@ -137,10 +134,9 @@ def build_field(scenario: Scenario, options: PipelineOptions) -> ContaminationFi
     only if it is the field the options ask for on this scenario: the same
     kind (and, if sampled, samples and seed), cell count and scenario hash,
     and a horizon at least the scenario's. Anything else raises
-    ValidationError. The thread count and the exact cap are not compared:
-    they never change a field's bits. Otherwise a new field is built,
-    stamped with the scenario's hash and, if options.field_cache is given,
-    saved there.
+    ValidationError. The exact cap is not compared: it never changes a
+    field's bits. Otherwise a new field is built, stamped with the
+    scenario's hash and, if options.field_cache is given, saved there.
     """
     path = options.field_cache
     if path and os.path.exists(path):
@@ -165,8 +161,7 @@ def build_field(scenario: Scenario, options: PipelineOptions) -> ContaminationFi
     if options.field_kind == "exact":
         fld = exact_contamination_field(*model, cell_cap=options.exact_cap)
     else:
-        fld = estimate_contamination_field(*model, samples=options.samples, seed=options.seed,
-                                           threads=options.threads)
+        fld = estimate_contamination_field(*model, samples=options.samples, seed=options.seed)
     fld.scenario_hash = scenario_hash(scenario)
     if path:
         fld.save(path)
@@ -329,8 +324,6 @@ def run_pipeline(scenario: Scenario, options: PipelineOptions) -> PipelineResult
     require_dp_table_fits(scenario.n_tasks, scenario.gridmap.n_free)
     t0 = time.perf_counter()
     contamination = build_field(scenario, options)
-    # thread count is deliberately not echoed: reports must be byte-identical
-    # across --threads values, so nothing thread-dependent may enter them.
     # samples are the field's own: an exact field draws none.
     report["determinism"] = {
         "seed": options.seed,

@@ -27,9 +27,11 @@ Index of the laws. "Pins" names the package code the references check.
   hazard._propagate_exact.
 - Monte-Carlo field. Its law is the exact field. Bit: reference_fired and
   reference_sample_block. Pins hazard._sample_block, hazard._run_chunks and
-  estimate_contamination_field. reference_fired draws by scalar
-  rng.geometric calls, so it also pins the walk's delays drawn by numpy's
-  own inversion, the branch every shipped map takes.
+  estimate_contamination_field. reference_fired draws each delay by a
+  scalar call: rng.geometric for p < 1/3, the p of every shipped map, so it
+  pins the walk's one standard_exponential draw to numpy's own geometric
+  there; the draw's law at larger p is checked against Geometric(p) on its
+  own.
 - Single-robot DP. Scalar: value_recursion_oracle. Bit:
   whole_layer_dp_solve. Pins dp_solve, dp_values and ObjectiveCache. This
   is the one law with a second scalar oracle: best_open_loop_success
@@ -572,8 +574,10 @@ def _trajectory_counts(dyn: _SpreadDynamics, contam: np.ndarray):
 def reference_fired(dyn: _SpreadDynamics, horizon: int, seed: int, block: int, m: int):
     """The step at which each (sample, cell) of the block ignites, as an
     (m, n_free + 1) array (-1 from the start, horizon for never), from
-    scalar rng.geometric calls in the order the package's walk
-    (hazard._sample_block) makes them.
+    scalar draws in the order the package's walk (hazard._sample_block)
+    makes them: rng.geometric(p) for p < 1/3, and otherwise
+    max(1, ceil(E / -log1p(-p))) on one standard exponential E, which is 1
+    at p = 1.
 
     A burning cell y tries to ignite its slot-j neighbour x, the cell whose
     slot j is y, with the weight of the lut product: 1 - (1 - theta(y)) on
@@ -609,7 +613,12 @@ def reference_fired(dyn: _SpreadDynamics, horizon: int, seed: int, block: int, m
                 w = 1.0 - theta[y] if j < N_ACTIONS else 1.0 - theta[y] / SQRT2
                 p = 1.0 - w
                 if p > 0.0:
-                    at = k + int(rng.geometric(p))
+                    if p < 1.0 / 3.0:
+                        delay = int(rng.geometric(p))
+                    else:
+                        e = rng.standard_exponential()
+                        delay = 1 if p >= 1.0 else max(1, math.ceil(e / -math.log1p(-p)))
+                    at = k + delay
                     if at < horizon:
                         arrivals[at].add((s, x))
     for s, x in arrivals[horizon - 1]:

@@ -2,6 +2,9 @@
 checked at its stated scale and tolerance. Every test prints one verdict
 line; run `pytest tests/test_acceptance.py -v` to see them all listed."""
 
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,7 +16,7 @@ from hazardplan.grid import MotionKernel
 from hazardplan.guarantees import exact_ratios, guarantee_values, region_map
 from hazardplan.hazard import estimate_contamination_field, exact_contamination_field
 from hazardplan.planner import PlanQuery, dp_solve, rollout
-from hazardplan.report import PipelineOptions, canonical_report_json, run_pipeline
+from hazardplan.report import PipelineOptions, run_pipeline
 from hazardplan.scenario import load_scenario, parse_scenario
 
 import oracles
@@ -240,16 +243,30 @@ def test_criterion_7_rollouts_match_planned_success():
             f"{time.time()-t0:.1f}s")
 
 
-def test_criterion_8_reports_identical_across_thread_counts():
-    sc = load_scenario(SCENARIOS / "small.json")
+def test_criterion_8_reports_identical_across_interpreters():
+    """small.json's Monte-Carlo report, run in two fresh interpreters whose
+    string hashes are seeded differently, has the same canonical bytes: no
+    set or dict order, and no state left by an earlier run, reaches it."""
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from hazardplan.report import PipelineOptions, canonical_report_json, run_pipeline\n"
+        "from hazardplan.scenario import load_scenario\n"
+        "sc = load_scenario('scenarios/small.json')\n"
+        "rep = run_pipeline(sc, PipelineOptions(samples=sc.mc_samples, seed=sc.mc_seed,\n"
+        "                   ratio_source='auto', rollout_trials=300)).report\n"
+        "sys.stdout.buffer.write(canonical_report_json(rep).encode())\n"
+    )
     t0 = time.time()
     texts = []
-    for threads in (1, 8):
-        rep = run_pipeline(sc, PipelineOptions(
-            samples=sc.mc_samples, seed=sc.mc_seed, threads=threads,
-            ratio_source="auto", rollout_trials=300)).report
-        texts.append(canonical_report_json(rep))
-    verdict(8, "byte-identical reports at threads 1 and 8", texts[0] == texts[1],
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED=hash_seed)
+        done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        texts.append(done.stdout)
+    verdict(8, "byte-identical reports at PYTHONHASHSEED 1 and 2",
+            bool(texts[0]) and texts[0] == texts[1],
             f"{len(texts[0])} canonical bytes compared, {time.time()-t0:.1f}s")
 
 

@@ -64,8 +64,6 @@ def test_options_validation():
     with pytest.raises(ValidationError):
         PipelineOptions(samples=0)
     with pytest.raises(ValidationError):
-        PipelineOptions(threads=0)
-    with pytest.raises(ValidationError):
         PipelineOptions(exact_cap=0)
     with pytest.raises(ValidationError):
         PipelineOptions(field_kind="sampled")
@@ -140,12 +138,6 @@ def test_estimate_runs_reproducible_and_seed_sensitive():
     c = run_pipeline(unit_scenario(), opts(seed=6)).report
     assert canonical_report_json(a) == canonical_report_json(b)
     assert a["field"]["seed"] == 5 and c["field"]["seed"] == 6
-
-
-def test_thread_count_never_changes_reported_numbers():
-    one = run_pipeline(unit_scenario(), PipelineOptions(samples=500, threads=1)).report
-    four = run_pipeline(unit_scenario(), PipelineOptions(samples=500, threads=4)).report
-    assert canonical_report_json(one) == canonical_report_json(four)
 
 
 def test_derive_seed_stable_distinct_in_range():
